@@ -384,16 +384,12 @@ def balas_union(parts: Sequence[HPoly], name: str | None = None) -> Extension:
             if p.contains(v):
                 y = [ZERO] * d
                 for j, val in enumerate(v):
-                    y[zcol(i, j)] = frac_of(val)
+                    y[zcol(i, j)] = linalg.frac(val)
                 y[lam0 + i] = ONE
                 return tuple(y)
         return None
 
     return Extension(q, proj, n, name or f"balas_union(q={qn})", lift)
-
-
-def frac_of(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 # ---------------------------------------------------------------------------

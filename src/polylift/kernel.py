@@ -294,24 +294,13 @@ class _Reduction:
         self.obj_const = ZERO
         self.nonneg: list[bool] = []
 
-    def back_point(self, xr) -> Vec:
+    def back(self, xr, ray: bool = False) -> Vec:
+        """Full-dimensional vector from survivor values; a ray drops the constants."""
         full: list[Fraction | None] = [None] * self.dim
         for pos, j in enumerate(self.alive):
             full[j] = xr[pos]
         for j, coeffs, const in reversed(self.elim):
-            s = const
-            for k, ck in enumerate(coeffs):
-                if ck:
-                    s += ck * full[k]
-            full[j] = s
-        return tuple(full)
-
-    def back_ray(self, rr) -> Vec:
-        full: list[Fraction | None] = [None] * self.dim
-        for pos, j in enumerate(self.alive):
-            full[j] = rr[pos]
-        for j, coeffs, _const in reversed(self.elim):
-            s = ZERO
+            s = ZERO if ray else const
             for k, ck in enumerate(coeffs):
                 if ck:
                     s += ck * full[k]
@@ -410,34 +399,26 @@ class FastLP:
     ray: Vec | None = None
 
 
-def optimize(poly: HPoly, objective: Sequence, sense: str, presolve: bool = True) -> FastLP:
+def optimize(poly: HPoly, objective: Sequence, sense: str) -> FastLP:
     """Exact optimum and point without dual bookkeeping (internal fast path)."""
     c = vec(objective)
     if len(c) != poly.dim:
         raise InputError("objective dimension mismatch")
-    if presolve:
-        red = _presolve(poly, c)
-        if red.infeasible:
-            return FastLP(status=INFEASIBLE)
-        k = len(red.alive)
-        cost_min = [-x for x in red.obj] if sense == "max" else list(red.obj)
-        rows, rhs, cost, var_cols = _assemble_standard(k, red.ineqs, red.eqs, cost_min, red.nonneg)
-        res = simplex.solve_standard(rows, rhs, cost)
-        if res.status == simplex.INFEASIBLE:
-            return FastLP(status=INFEASIBLE)
-        if res.status == simplex.UNBOUNDED:
-            pr = _recover_vector(res.point, var_cols, k)
-            rr = _recover_vector(res.ray, var_cols, k)
-            return FastLP(status=UNBOUNDED, point=red.back_point(pr), ray=red.back_ray(rr))
-        pr = _recover_vector(res.point, var_cols, k)
-        value = (-res.value if sense == "max" else res.value) + red.obj_const
-        return FastLP(status=OPTIMAL, value=value, point=red.back_point(pr))
-    r = lp_solve(c, sense, poly)
-    if r.status == OPTIMAL:
-        return FastLP(status=OPTIMAL, value=r.optimum, point=r.primal_point)
-    if r.status == UNBOUNDED:
-        return FastLP(status=UNBOUNDED, point=r.primal_point, ray=r.dual_certificate)
-    return FastLP(status=INFEASIBLE)
+    red = _presolve(poly, c)
+    if red.infeasible:
+        return FastLP(status=INFEASIBLE)
+    k = len(red.alive)
+    cost_min = [-x for x in red.obj] if sense == "max" else list(red.obj)
+    rows, rhs, cost, var_cols = _assemble_standard(k, red.ineqs, red.eqs, cost_min, red.nonneg)
+    res = simplex.solve_standard(rows, rhs, cost)
+    if res.status == simplex.INFEASIBLE:
+        return FastLP(status=INFEASIBLE)
+    pr = red.back(_recover_vector(res.point, var_cols, k))
+    if res.status == simplex.UNBOUNDED:
+        rr = red.back(_recover_vector(res.ray, var_cols, k), ray=True)
+        return FastLP(status=UNBOUNDED, point=pr, ray=rr)
+    value = (-res.value if sense == "max" else res.value) + red.obj_const
+    return FastLP(status=OPTIMAL, value=value, point=pr)
 
 
 def feasible_point(poly: HPoly) -> Vec | None:
@@ -469,10 +450,11 @@ def lex_min_point(poly: HPoly) -> Vec:
 # Affine hull
 # ---------------------------------------------------------------------------
 
-def _affine_hull_data(poly: HPoly):
-    """Returns (equations, feasible point).  Raises on empty input."""
+def _max_common_slack(poly: HPoly) -> tuple[Fraction, Vec]:
+    """(eps, x): the largest eps <= 1 with a·x + eps <= b on every row, and a
+    point attaining it.  eps > 0 iff no inequality is an implicit equality.
+    Raises EmptyPolyhedronError on empty input."""
     dim = poly.dim
-    # One LP decides full-dimensionality: maximize the common slack eps.
     eps_rows = [(tuple(a) + (ONE,), b) for a, b in poly.ineqs]
     eps_rows.append((linalg.unit(dim + 1, dim), ONE))
     eps_eqs = [(tuple(c) + (ZERO,), d) for c, d in poly.eqs]
@@ -481,8 +463,14 @@ def _affine_hull_data(poly: HPoly):
         raise InvariantViolationError("eps objective is capped at 1")
     if r.status == INFEASIBLE or r.value < 0:
         raise EmptyPolyhedronError("polyhedron is empty")
-    point = tuple(r.point[:dim])
-    implicit = [] if r.value > 0 else _implicit_equalities(poly)
+    return r.value, tuple(r.point[:dim])
+
+
+def _affine_hull_data(poly: HPoly):
+    """Returns (equations, feasible point).  Raises on empty input."""
+    # One LP decides full-dimensionality: maximize the common slack eps.
+    eps, point = _max_common_slack(poly)
+    implicit = [] if eps > 0 else _implicit_equalities(poly)
     rows = [(tuple(c), d) for c, d in poly.eqs] + implicit
     if not rows:
         return [], point
@@ -493,6 +481,16 @@ def _affine_hull_data(poly: HPoly):
             a, b = linalg.canon_eq(row[:-1], row[-1])
             eqs.append((a, b))
     return eqs, point
+
+
+def _aff_directions(poly: HPoly):
+    """(point of P, direction basis of aff(P) as column vectors)."""
+    eqs, x0 = _affine_hull_data(poly)
+    if eqs:
+        null = linalg.nullspace(linalg.mat([a for a, _ in eqs]))
+    else:
+        null = [linalg.unit(poly.dim, i) for i in range(poly.dim)]
+    return x0, null
 
 
 def _implicit_equalities(poly: HPoly):
@@ -516,7 +514,7 @@ def affine_hull(poly: HPoly) -> list[tuple[Vec, Fraction]]:
 
 
 # ---------------------------------------------------------------------------
-# Double description vertex enumeration
+# Double description core
 # ---------------------------------------------------------------------------
 
 def _row_value(a, v):
@@ -587,94 +585,9 @@ def _dd_run(k: int, all_rows, verts, tights, start_idx: int):
     return verts
 
 
-def _dd_polytope(k: int, lo, hi, rows):
-    """Vertices of a full-dimensional polytope in R^k, given bounds lo/hi on
-    each coordinate and its inequality rows.  Starts from a simplex that
-    strictly contains the box [lo-1, hi]."""
-    big = sum(hi, ZERO) + ONE
-    base: list[tuple[Vec, Fraction]] = []
-    for i in range(k):
-        a = [ZERO] * k
-        a[i] = -ONE
-        base.append((tuple(a), ONE - lo[i]))
-    base.append(((ONE,) * k, big))
-    all_rows = base + [(vec(a), frac(b)) for a, b in rows]
-
-    v0 = tuple(l - 1 for l in lo)
-    spread = big - sum(v0, ZERO)
-    verts: list[Vec] = [v0]
-    for i in range(k):
-        w = list(v0)
-        w[i] += spread
-        verts.append(tuple(w))
-    tights = []
-    for v in verts:
-        m = 0
-        for idx in range(len(base)):
-            a, b = all_rows[idx]
-            if _row_value(a, v) == b:
-                m |= 1 << idx
-        tights.append(m)
-    return _dd_run(k, all_rows, verts, tights, len(base))
-
-
-def vertices(poly: HPoly) -> VPoly:
-    """Exact vertex enumeration of a bounded nonempty HPoly.
-
-    Double description over a parametrization of the affine hull; raises
-    EmptyPolyhedronError / UnboundedPolyhedronError with LP certificates
-    behind the scenes.
-    """
-    eqs, x0 = _affine_hull_data(poly)
-    dim = poly.dim
-    if eqs:
-        null = linalg.nullspace(linalg.mat([a for a, _ in eqs]))
-    else:
-        null = [linalg.unit(dim, i) for i in range(dim)]
-    k = len(null)
-    if k == 0:
-        return VPoly(dim, (x0,))
-    # inequality rows in t-coordinates: x = x0 + sum t_j * null[j]
-    t_rows = []
-    seen = set()
-    for a, b in poly.ineqs:
-        at = tuple(linalg.dot(a, n) for n in null)
-        bt = b - linalg.dot(a, x0)
-        if not any(at):
-            if bt < 0:
-                raise InvariantViolationError("feasible point violates a row")
-            continue
-        at, bt = linalg.canon_ineq(at, bt)
-        if (at, bt) not in seen:
-            seen.add((at, bt))
-            t_rows.append((at, bt))
-    tp = HPoly(k, t_rows)
-    lo = []
-    hi = []
-    for i in range(k):
-        e = linalg.unit(k, i)
-        up = optimize(tp, e, "max")
-        if up.status == UNBOUNDED:
-            raise UnboundedPolyhedronError(f"unbounded in direction {i}")
-        dn = optimize(tp, e, "min")
-        if dn.status == UNBOUNDED:
-            raise UnboundedPolyhedronError(f"unbounded in direction {i}")
-        lo.append(dn.value)
-        hi.append(up.value)
-    t_verts = _dd_polytope(k, lo, hi, t_rows)
-    out = []
-    for t in t_verts:
-        x = list(x0)
-        for j, tj in enumerate(t):
-            if tj:
-                x = [xi + tj * nj for xi, nj in zip(x, null[j])]
-        out.append(tuple(x))
-    out.sort()
-    return VPoly(dim, tuple(out))
-
-
 # ---------------------------------------------------------------------------
-# Convex hull (facet enumeration) via polarity
+# Convex hull (facet enumeration) via polarity; vertex enumeration is the
+# same algorithm run on the polar
 # ---------------------------------------------------------------------------
 
 def hull(points: VPoly) -> HPoly:
@@ -747,9 +660,76 @@ def hull(points: VPoly) -> HPoly:
     return HPoly(dim, tuple(rows), tuple(eqs))
 
 
+def vertices(poly: HPoly) -> VPoly:
+    """Exact vertex enumeration of a bounded nonempty HPoly.
+
+    Facet enumeration of the polar: with aff(P) = {x0 + N t} and t_c interior
+    to the t-polytope {A t <= b}, the rows map to the points a/(b - a·t_c),
+    and each facet a·y <= rhs of their hull is the vertex t_c + a/rhs.  Raises
+    EmptyPolyhedronError on empty input and UnboundedPolyhedronError when the
+    polar hull is not a polytope with the origin in its interior.
+    """
+    x0, null = _aff_directions(poly)
+    dim = poly.dim
+    k = len(null)
+    if k == 0:
+        return VPoly(dim, (x0,))
+    # inequality rows in t-coordinates: x = x0 + sum t_j * null[j]
+    t_rows = []
+    seen = set()
+    for a, b in poly.ineqs:
+        at = tuple(linalg.dot(a, n) for n in null)
+        bt = b - linalg.dot(a, x0)
+        if not any(at):
+            if bt < 0:
+                raise InvariantViolationError("feasible point violates a row")
+            continue
+        at, bt = linalg.canon_ineq(at, bt)
+        if (at, bt) not in seen:
+            seen.add((at, bt))
+            t_rows.append((at, bt))
+    if not t_rows:
+        raise UnboundedPolyhedronError("no inequality bounds the affine hull")
+    eps, t_c = _max_common_slack(HPoly(k, t_rows))
+    if eps <= 0:
+        raise InvariantViolationError("t-polytope has no interior point")
+    polar = []
+    for a, b in t_rows:
+        slack = b - linalg.dot(a, t_c)
+        polar.append(tuple(ai / slack for ai in a))
+    facets = hull(VPoly(k, polar))
+    if facets.eqs or any(rhs <= 0 for _, rhs in facets.ineqs):
+        raise UnboundedPolyhedronError("the origin is not interior to the polar")
+    out = []
+    for a, rhs in facets.ineqs:
+        t = [tc + ai / rhs for tc, ai in zip(t_c, a)]
+        x = list(x0)
+        for j, tj in enumerate(t):
+            if tj:
+                x = [xi + tj * nj for xi, nj in zip(x, null[j])]
+        out.append(tuple(x))
+    out.sort()
+    return VPoly(dim, tuple(out))
+
+
 # ---------------------------------------------------------------------------
 # Redundancy removal, equality test, membership
 # ---------------------------------------------------------------------------
+
+def _nonredundant(dim: int, rows, eqs) -> list[bool]:
+    """Keep flags for the rows of a nonempty polyhedron, in row order: row i
+    is dropped when the kept rows so far and all later rows imply it (one
+    LP per row)."""
+    keep = [True] * len(rows)
+    for i, (a, b) in enumerate(rows):
+        rest = tuple(rows[j] for j in range(len(rows)) if keep[j] and j != i)
+        r = optimize(HPoly(dim, rest, eqs), a, "max")
+        if r.status == OPTIMAL and r.value <= b:
+            keep[i] = False
+        elif r.status == INFEASIBLE:
+            raise InvariantViolationError("relaxation of a nonempty polyhedron is empty")
+    return keep
+
 
 def remove_redundancy(poly: HPoly) -> HPoly:
     """Drop inequalities implied by the rest; the point set never changes.
@@ -761,14 +741,7 @@ def remove_redundancy(poly: HPoly) -> HPoly:
         raise EmptyPolyhedronError("polyhedron is empty")
     rows = list(poly.ineqs)
     labels = list(poly.ineq_labels) if poly.ineq_labels is not None else None
-    keep = [True] * len(rows)
-    for i, (a, b) in enumerate(rows):
-        rest = tuple(rows[j] for j in range(len(rows)) if keep[j] and j != i)
-        r = optimize(HPoly(poly.dim, rest, poly.eqs), a, "max")
-        if r.status == OPTIMAL and r.value <= b:
-            keep[i] = False
-        elif r.status == INFEASIBLE:
-            raise InvariantViolationError("relaxation of a nonempty polyhedron is empty")
+    keep = _nonredundant(poly.dim, rows, poly.eqs)
     new_rows = tuple(row for row, k in zip(rows, keep) if k)
     new_labels = tuple(l for l, k in zip(labels, keep) if k) if labels is not None else None
     return HPoly(poly.dim, new_rows, poly.eqs, new_labels, poly.eq_labels)
@@ -937,16 +910,7 @@ def fm_project(poly: HPoly, keep: Iterable[int]) -> HPoly:
             ineqs = [([ZERO] * dim, Fraction(-1))]
             eqs = []
             return
-        keep_flags = [True] * len(ineqs)
-        for i, (a, b) in enumerate(ineqs):
-            rest = tuple(
-                (tuple(ineqs[j][0]), ineqs[j][1])
-                for j in range(len(ineqs))
-                if keep_flags[j] and j != i
-            )
-            r = optimize(HPoly(dim, rest, [(tuple(c), d) for c, d in eqs]), tuple(a), "max")
-            if r.status == OPTIMAL and r.value <= b:
-                keep_flags[i] = False
+        keep_flags = _nonredundant(dim, current.ineqs, current.eqs)
         ineqs = [row for row, k in zip(ineqs, keep_flags) if k]
 
     while to_drop and not empty:

@@ -23,7 +23,7 @@ from .kernel import (
     AffineMap,
     HPoly,
     VPoly,
-    _affine_hull_data,
+    _aff_directions,
     lex_min_point,
     optimize,
 )
@@ -88,16 +88,6 @@ class FactorizationCheck:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-def _aff_directions(poly: HPoly):
-    """(point of P, direction basis of aff(P) as column vectors)."""
-    eqs, x0 = _affine_hull_data(poly)
-    if eqs:
-        null = linalg.nullspace(linalg.mat([a for a, _ in eqs]))
-    else:
-        null = [linalg.unit(poly.dim, i) for i in range(poly.dim)]
-    return x0, null
 
 
 def slack_map(hrep: HPoly) -> AffineMap:

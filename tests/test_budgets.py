@@ -52,6 +52,22 @@ def test_cli_bounds_exact_budget_exit3(tmp_path, capsys):
     assert main(["bounds", str(h), str(v), "--exact"]) == 0
 
 
+def test_cli_bounds_labels_cut_off_fooling_set_valid(tmp_path, capsys, monkeypatch):
+    # a fooling set cut off by its budget is still a valid lower bound; only
+    # the greedy rectangle cover is not
+    h = tmp_path / "c3.hpoly"
+    v = tmp_path / "c3.vpoly"
+    main(["zoo", "cube", "3", "--hrep", str(h), "--vrep", str(v)])
+    capsys.readouterr()
+    full = bd.fooling_set_max
+    monkeypatch.setattr(bd, "fooling_set_max", lambda sm, budget=0: full(sm, budget=1))
+    assert main(["bounds", str(h), str(v)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    (line,) = [l for l in lines if l.strip().startswith("fooling_set:")]
+    assert "not a valid lower bound" not in line
+    assert "valid lower bound" in line and "budget" in line
+
+
 def test_cli_construct_colorful_deterministic(capsys):
     assert main(["construct", "colorful", "6", "--k", "2", "--json"]) == 0
     first = capsys.readouterr().out

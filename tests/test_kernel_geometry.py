@@ -186,8 +186,17 @@ def test_vertices_spanning_tree_k3():
 
 
 def test_vertices_errors():
-    with pytest.raises(UnboundedPolyhedronError):
-        vertices(HPoly(2, [([-1, 0], 0), ([0, -1], 0)]))
+    for unbounded in (
+        HPoly(2, [([-1, 0], 0), ([0, -1], 0)]),
+        # the origin lies on the boundary of the polar hull
+        HPoly(2, [([-1, 0], 0), ([0, -1], 0), ([0, 1], 1)]),
+        # a strip holds a line: the polar points have no full-dimensional hull
+        HPoly(2, [([0, -1], 0), ([0, 1], 1)]),
+        HPoly(2, [([1, 1], 1)]),
+        HPoly(3, [([1, 0, 0], 1), ([-1, 0, 0], 1)], [([0, 0, 1], 2)]),
+    ):
+        with pytest.raises(UnboundedPolyhedronError):
+            vertices(unbounded)
     with pytest.raises(EmptyPolyhedronError):
         vertices(HPoly(1, [([1], -1), ([-1], 0)]))
 
@@ -420,6 +429,34 @@ def test_vertices_against_bruteforce_oracle():
         p = HPoly(dim, rows)
         got = set(vertices(p).vertices)
         assert got == brute_vertices(p)
+    # lower-dimensional inputs: explicit equations, and implicit equalities
+    # written as a pair x_i <= c, -x_i <= -c
+    for _ in range(20):
+        dim = rng.randint(2, 4)
+        rows = []
+        for i in range(dim):
+            a = [0] * dim
+            a[i] = -1
+            rows.append((a, 0))
+            b = [0] * dim
+            b[i] = 1
+            rows.append((b, rng.randint(1, 3)))
+        rows.append(([rng.randint(-2, 2) for _ in range(dim)], rng.randint(1, 5)))
+        eqs = []
+        if rng.random() < 0.5:
+            eqs.append(([rng.randint(0, 2) for _ in range(dim)], rng.randint(1, 3)))
+        else:
+            i = rng.randrange(dim)
+            a = [0] * dim
+            a[i] = 1
+            rows += [(a, 1), ([-x for x in a], -1)]
+        p = HPoly(dim, rows, eqs)
+        try:
+            got = vertices(p).vertices
+        except EmptyPolyhedronError:
+            assert not brute_vertices(p)
+            continue
+        assert got == tuple(sorted(brute_vertices(p)))
 
 
 def test_lp_agrees_with_vertex_maximum():
