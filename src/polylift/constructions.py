@@ -21,9 +21,9 @@ from .kernel import (
     AffineMap,
     HPoly,
     VPoly,
-    feasible_point,
     hull,
     optimize,
+    optimize_all,
     vertices,
 )
 from .zoo import GraphEdgeIndex, birkhoff_hrep, matching_label
@@ -138,13 +138,9 @@ def verify_extension(
             report.vertex_failures.append(v)
             report.passed = False
 
-    # (b) the projection satisfies every row of the target description
-    if feasible_point(q) is None:
-        report.extension_empty = True
-        if vrep.vertices:
-            report.passed = False
-        return report
-
+    # (b) the projection satisfies every row of the target description: one
+    # LP per row over Q, all in one batch after a zero objective that decides
+    # whether Q is empty
     checks = []
     for idx, (a, b) in enumerate(hrep.ineqs):
         checks.append((hrep.row_label(idx), a, b, "max"))
@@ -152,11 +148,20 @@ def verify_extension(
         label = hrep.eq_labels[idx] if hrep.eq_labels else f"eq{idx}"
         checks.append((label, c, d, "max"))
         checks.append((label, c, d, "min"))
-    for label, a, bound, sense in checks:
+    objectives = [(linalg.zeros(q.dim), "min")]
+    for _, a, _, sense in checks:
+        cy = [linalg.dot(a, col) for col in zip(*pm)] if pm else linalg.zeros(q.dim)
+        objectives.append((cy, sense))
+    first, *results = optimize_all(q, objectives)
+    if first.status == "infeasible":
+        report.extension_empty = True
+        if vrep.vertices:
+            report.passed = False
+        return report
+
+    for (label, a, bound, sense), r in zip(checks, results):
         report.checked_rows += 1
-        cy = [linalg.dot(a, col) for col in zip(*pm)] if pm else list(linalg.zeros(q.dim))
         shift = linalg.dot(a, poff)
-        r = optimize(q, cy, sense)
         if r.status == "unbounded":
             report.projection_bounded = False
             report.row_failures.append((label, "unbounded", bound, r.ray))
@@ -323,14 +328,15 @@ def balas_union(parts: Sequence[HPoly], name: str | None = None) -> Extension:
     if any(p.dim != n for p in parts):
         raise InputError("all parts must share one dimension")
     for t, p in enumerate(parts):
-        if feasible_point(p) is None:
-            raise InputError(f"part {t} is empty")
+        objectives = [(linalg.zeros(n), "min")]
         for i in range(n):
             e = linalg.unit(n, i)
-            if optimize(p, e, "max").status == "unbounded" or (
-                optimize(p, e, "min").status == "unbounded"
-            ):
-                raise InputError(f"part {t} is unbounded; only polytopes are supported")
+            objectives += [(e, "max"), (e, "min")]
+        first, *bounded = optimize_all(p, objectives)
+        if first.status == "infeasible":
+            raise InputError(f"part {t} is empty")
+        if any(r.status == "unbounded" for r in bounded):
+            raise InputError(f"part {t} is unbounded; only polytopes are supported")
     qn = len(parts)
     d = qn * n + qn
 

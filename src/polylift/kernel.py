@@ -188,11 +188,13 @@ class PolyEqualResult:
 
 
 # ---------------------------------------------------------------------------
-# LP layer
+# LP layer: each optimize_all or lp_solve call makes one
+# simplex.solve_standard call, which runs phase 1 once and gives each
+# objective its own phase 2 from the phase-1 basis
 # ---------------------------------------------------------------------------
 
-def _assemble_standard(dim, ineqs, eqs, cost_min, nonneg):
-    """Build min-form standard data; returns (rows, rhs, cost, var_cols)."""
+def _assemble_standard(dim, ineqs, eqs, costs_min, nonneg):
+    """Build min-form standard data; returns (rows, rhs, costs, var_cols)."""
     var_cols = []
     ncol = 0
     for j in range(dim):
@@ -227,14 +229,17 @@ def _assemble_standard(dim, ineqs, eqs, cost_min, nonneg):
                     row[q] = -coef
         rows.append(row)
         rhs.append(d)
-    cost = [ZERO] * total
-    for j, cj in enumerate(cost_min):
-        if cj:
-            p, q = var_cols[j]
-            cost[p] = cj
-            if q is not None:
-                cost[q] = -cj
-    return rows, rhs, cost, var_cols
+    costs = []
+    for cost_min in costs_min:
+        cost = [ZERO] * total
+        for j, cj in enumerate(cost_min):
+            if cj:
+                p, q = var_cols[j]
+                cost[p] = cj
+                if q is not None:
+                    cost[q] = -cj
+        costs.append(cost)
+    return rows, rhs, costs, var_cols
 
 
 def _recover_vector(zvec, var_cols, dim):
@@ -256,9 +261,10 @@ def lp_solve(objective: Sequence, sense: str, poly: HPoly) -> LPResult:
     if len(c) != poly.dim:
         raise InputError(f"objective has length {len(c)}, expected {poly.dim}")
     cost_min = [-x for x in c] if sense == "max" else list(c)
-    nonneg = [False] * poly.dim
-    rows, rhs, cost, var_cols = _assemble_standard(poly.dim, poly.ineqs, poly.eqs, cost_min, nonneg)
-    res = simplex.solve_standard(rows, rhs, cost, want_dual=True)
+    rows, rhs, costs, var_cols = _assemble_standard(
+        poly.dim, poly.ineqs, poly.eqs, [cost_min], [False] * poly.dim
+    )
+    [res] = simplex.solve_standard(rows, rhs, costs, want_dual=True)
     ni = len(poly.ineqs)
     if res.status == simplex.INFEASIBLE:
         far = res.farkas
@@ -290,9 +296,21 @@ class _Reduction:
         self.infeasible = False
         self.ineqs: list[tuple[list[Fraction], Fraction]] = []
         self.eqs: list[tuple[list[Fraction], Fraction]] = []
-        self.obj: list[Fraction] = []
-        self.obj_const = ZERO
         self.nonneg: list[bool] = []
+
+    def objective(self, c: Sequence[Fraction]) -> tuple[list[Fraction], Fraction]:
+        """(survivor coefficients, constant) of c·x after the eliminations."""
+        obj = list(c)
+        const = ZERO
+        for j, expr, ej in self.elim:
+            f = obj[j]
+            if f:
+                obj[j] = ZERO
+                for k, ek in enumerate(expr):
+                    if ek:
+                        obj[k] += f * ek
+                const += f * ej
+        return [obj[j] for j in self.alive], const
 
     def back(self, xr, ray: bool = False) -> Vec:
         """Full-dimensional vector from survivor values; a ray drops the constants."""
@@ -308,19 +326,18 @@ class _Reduction:
         return tuple(full)
 
 
-def _presolve(poly: HPoly, objective: Sequence[Fraction]) -> _Reduction:
+def _presolve(poly: HPoly) -> _Reduction:
+    """Eliminate variables fixed or tied by short equations; the eliminations
+    depend on the rows only, so objectives are reduced afterwards."""
     dim = poly.dim
     red = _Reduction(dim)
     ineqs = [(list(a), b) for a, b in poly.ineqs]
     eqs = [(list(c), d) for c, d in poly.eqs]
-    obj = list(objective)
-    obj_const = ZERO
     alive = [True] * dim
     nonneg = [False] * dim
     elim: list[tuple[int, list[Fraction], Fraction]] = []
 
     def substitute(j, expr, const):
-        nonlocal obj_const
         for rows in (ineqs, eqs):
             for idx, (a, b) in enumerate(rows):
                 f = a[j]
@@ -330,13 +347,6 @@ def _presolve(poly: HPoly, objective: Sequence[Fraction]) -> _Reduction:
                         if ek:
                             a[k] += f * ek
                     rows[idx] = (a, b - f * const)
-        f = obj[j]
-        if f:
-            obj[j] = ZERO
-            for k, ek in enumerate(expr):
-                if ek:
-                    obj[k] += f * ek
-            obj_const += f * const
         if nonneg[j]:
             # keep the sign constraint of the eliminated variable: -expr <= const
             ineqs.append(([-ek for ek in expr], const))
@@ -385,8 +395,6 @@ def _presolve(poly: HPoly, objective: Sequence[Fraction]) -> _Reduction:
     red.elim = elim
     red.ineqs = [([a[j] for j in red.alive], b) for a, b in ineqs]
     red.eqs = [([c[j] for j in red.alive], d) for c, d in eqs]
-    red.obj = [obj[j] for j in red.alive]
-    red.obj_const = obj_const
     red.nonneg = [nonneg[j] for j in red.alive]
     return red
 
@@ -399,26 +407,51 @@ class FastLP:
     ray: Vec | None = None
 
 
+def optimize_all(poly: HPoly, objectives: Sequence[tuple[Sequence, str]]) -> list[FastLP]:
+    """Exact optimum and point of each (objective, sense) over one polyhedron,
+    without dual bookkeeping (internal fast path).
+
+    Presolve, standard form and phase 1 are shared; each objective gets its
+    own phase 2, so result i equals optimize(poly, *objectives[i]).
+    """
+    cs = []
+    for objective, sense in objectives:
+        if sense not in ("max", "min"):
+            raise InputError("sense must be 'max' or 'min'")
+        c = vec(objective)
+        if len(c) != poly.dim:
+            raise InputError("objective dimension mismatch")
+        cs.append((c, sense))
+    if not cs:
+        return []
+    red = _presolve(poly)
+    if red.infeasible:
+        return [FastLP(status=INFEASIBLE) for _ in cs]
+    k = len(red.alive)
+    costs_min, consts = [], []
+    for c, sense in cs:
+        obj, const = red.objective(c)
+        costs_min.append([-x for x in obj] if sense == "max" else obj)
+        consts.append(const)
+    rows, rhs, costs, var_cols = _assemble_standard(k, red.ineqs, red.eqs, costs_min, red.nonneg)
+    out = []
+    for (_, sense), const, res in zip(cs, consts, simplex.solve_standard(rows, rhs, costs)):
+        if res.status == simplex.INFEASIBLE:
+            out.append(FastLP(status=INFEASIBLE))
+            continue
+        pr = red.back(_recover_vector(res.point, var_cols, k))
+        if res.status == simplex.UNBOUNDED:
+            rr = red.back(_recover_vector(res.ray, var_cols, k), ray=True)
+            out.append(FastLP(status=UNBOUNDED, point=pr, ray=rr))
+        else:
+            value = (-res.value if sense == "max" else res.value) + const
+            out.append(FastLP(status=OPTIMAL, value=value, point=pr))
+    return out
+
+
 def optimize(poly: HPoly, objective: Sequence, sense: str) -> FastLP:
     """Exact optimum and point without dual bookkeeping (internal fast path)."""
-    c = vec(objective)
-    if len(c) != poly.dim:
-        raise InputError("objective dimension mismatch")
-    red = _presolve(poly, c)
-    if red.infeasible:
-        return FastLP(status=INFEASIBLE)
-    k = len(red.alive)
-    cost_min = [-x for x in red.obj] if sense == "max" else list(red.obj)
-    rows, rhs, cost, var_cols = _assemble_standard(k, red.ineqs, red.eqs, cost_min, red.nonneg)
-    res = simplex.solve_standard(rows, rhs, cost)
-    if res.status == simplex.INFEASIBLE:
-        return FastLP(status=INFEASIBLE)
-    pr = red.back(_recover_vector(res.point, var_cols, k))
-    if res.status == simplex.UNBOUNDED:
-        rr = red.back(_recover_vector(res.ray, var_cols, k), ray=True)
-        return FastLP(status=UNBOUNDED, point=pr, ray=rr)
-    value = (-res.value if sense == "max" else res.value) + red.obj_const
-    return FastLP(status=OPTIMAL, value=value, point=pr)
+    return optimize_all(poly, [(objective, sense)])[0]
 
 
 def feasible_point(poly: HPoly) -> Vec | None:
@@ -495,8 +528,8 @@ def _aff_directions(poly: HPoly):
 
 def _implicit_equalities(poly: HPoly):
     found = []
-    for a, b in poly.ineqs:
-        r = optimize(poly, a, "min")
+    results = optimize_all(poly, [(a, "min") for a, _ in poly.ineqs])
+    for (a, b), r in zip(poly.ineqs, results):
         if r.status == OPTIMAL and r.value == b:
             found.append((tuple(a), b))
     return found
@@ -770,28 +803,29 @@ def is_vertex(points: VPoly, index: int) -> bool:
 
 
 def _hpoly_subset(a: HPoly, b: HPoly):
-    """Is the point set of a contained in b?  Returns (bool, witness in a\\b)."""
-    fa = feasible_point(a)
-    if fa is None:
-        return True, None
-    checks = [(row, rhs, "le") for row, rhs in b.ineqs]
+    """Is the point set of a contained in b?  Returns (bool, witness in a\\b).
+
+    One LP per row of b (two per equation) over a, all in one batch after a
+    zero objective that decides emptiness; the first failing row in b's row
+    order gives the witness."""
+    checks = [(row, rhs, "max") for row, rhs in b.ineqs]
     for c, d in b.eqs:
-        checks.append((c, d, "eq"))
-    for rowvec, rhs, kind in checks:
-        for sense, bad in (("max", "gt"), ("min", "lt")) if kind == "eq" else (("max", "gt"),):
-            r = optimize(a, rowvec, sense)
-            if r.status == UNBOUNDED:
-                # walk along the improving ray until this row of b is violated
-                base = linalg.dot(rowvec, r.point)
-                step = linalg.dot(rowvec, r.ray)
-                t = max((rhs - base) / step + 1, ONE)
-                witness = tuple(p + t * q for p, q in zip(r.point, r.ray))
-                return False, witness
-            if r.status == OPTIMAL:
-                if bad == "gt" and r.value > rhs:
-                    return False, r.point
-                if bad == "lt" and r.value < rhs:
-                    return False, r.point
+        checks += [(c, d, "max"), (c, d, "min")]
+    first, *results = optimize_all(
+        a, [(linalg.zeros(a.dim), "min")] + [(rowvec, sense) for rowvec, _, sense in checks]
+    )
+    if first.status == INFEASIBLE:
+        return True, None
+    for (rowvec, rhs, sense), r in zip(checks, results):
+        if r.status == UNBOUNDED:
+            # walk along the improving ray until this row of b is violated
+            base = linalg.dot(rowvec, r.point)
+            step = linalg.dot(rowvec, r.ray)
+            t = max((rhs - base) / step + 1, ONE)
+            witness = tuple(p + t * q for p, q in zip(r.point, r.ray))
+            return False, witness
+        if r.status == OPTIMAL and (r.value > rhs if sense == "max" else r.value < rhs):
+            return False, r.point
     return True, None
 
 

@@ -3,6 +3,9 @@
 Solves  min c·z  subject to  A z = b,  z >= 0  over Fractions, with Bland's
 smallest-index rule for both the entering and the leaving variable, which
 guarantees termination without any tolerance (every comparison is exact).
+One call takes a list of costs over the same rows: phase 1 runs once, and
+each cost gets its own phase 2 from a copy of the phase-1 tableau and basis,
+so the result for a cost does not depend on the other costs in the call.
 
 Artificial variables are kept implicit: phase 1 starts from the all-artificial
 basis, their columns are never stored, and after phase 1 remaining zero-level
@@ -103,14 +106,17 @@ def _basis_dual(rows0, row_ids, basis, cb):
     return y
 
 
-def solve_standard(a_rows, b, cost, want_dual: bool = False) -> StandardResult:
-    """Solve min cost·z s.t. a_rows z = b, z >= 0 exactly.
+def solve_standard(a_rows, b, costs, want_dual: bool = False) -> list[StandardResult]:
+    """Solve min cost·z s.t. a_rows z = b, z >= 0 exactly, for each cost.
 
-    `a_rows` is a sequence of coefficient lists (copied), `b` and `cost`
-    sequences of Fractions.  Dual/Farkas vectors index the rows as given.
+    `a_rows` is a sequence of coefficient lists (copied), `b` a sequence of
+    Fractions and `costs` a non-empty list of cost sequences, one result per
+    cost in order.  Phase 1 runs once; each cost runs phase 2 on its own
+    copy of the phase-1 tableau and basis, so every result equals that of a
+    one-cost call.  Dual/Farkas vectors index the rows as given.
     """
     m = len(a_rows)
-    n = len(cost)
+    n = len(costs[0])
     tab = [list(row) for row in a_rows]
     rhs = list(b)
     flip = [False] * m
@@ -149,7 +155,7 @@ def solve_standard(a_rows, b, cost, want_dual: bool = False) -> StandardResult:
             if y0 is None:
                 raise InvariantViolationError("singular basis in Farkas recovery")
             farkas = [(-y if flip[i] else y) for i, y in enumerate(y0)]
-        return StandardResult(status=INFEASIBLE, farkas=farkas)
+        return [StandardResult(status=INFEASIBLE, farkas=farkas) for _ in costs]
 
     # Drive zero-level artificials out of the basis; drop dependent rows.
     i = 0
@@ -162,7 +168,14 @@ def solve_standard(a_rows, b, cost, want_dual: bool = False) -> StandardResult:
             _pivot(tab, rhs, objs, objvals, basis, i, enter)
         i += 1
 
-    # Phase 2 on the real objective.
+    return [
+        _phase2([row[:] for row in tab], rhs[:], basis[:], cost, n, rows0, row_ids, flip, want_dual)
+        for cost in costs
+    ]
+
+
+def _phase2(tab, rhs, basis, cost, n, rows0, row_ids, flip, want_dual) -> StandardResult:
+    """Phase 2 of one cost from the feasible basis, on tableau state it owns."""
     obj2 = list(cost)
     objval2 = ZERO
     for i, v in enumerate(basis):
@@ -196,7 +209,7 @@ def solve_standard(a_rows, b, cost, want_dual: bool = False) -> StandardResult:
     if want_dual:
         cb = [cost[v] for v in basis]
         y0 = _basis_dual(rows0, row_ids, basis, cb)
-        dual = [ZERO] * m
+        dual = [ZERO] * len(flip)
         for k, ri in enumerate(row_ids):
             dual[ri] = -y0[k] if flip[ri] else y0[k]
     return StandardResult(status=OPTIMAL, point=point, value=value, dual=dual)

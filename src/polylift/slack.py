@@ -26,6 +26,7 @@ from .kernel import (
     _aff_directions,
     lex_min_point,
     optimize,
+    optimize_all,
 )
 from .linalg import Mat
 
@@ -107,8 +108,7 @@ def slack_map(hrep: HPoly) -> AffineMap:
 
 def is_binding(hrep: HPoly) -> bool:
     """Every inequality is tight at some point of the polyhedron."""
-    for a, b in hrep.ineqs:
-        r = optimize(hrep, a, "max")
+    for (_, b), r in zip(hrep.ineqs, optimize_all(hrep, [(a, "max") for a, _ in hrep.ineqs])):
         if r.status == "infeasible":
             raise EmptyPolyhedronError("polyhedron is empty")
         if r.status == "unbounded" or r.value != b:

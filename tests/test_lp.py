@@ -3,10 +3,11 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polylift import linalg
 from polylift.errors import InputError
-from polylift.kernel import HPoly, lp_solve, optimize, feasible_point, lex_min_point
+from polylift.kernel import HPoly, lp_solve, optimize, optimize_all, feasible_point, lex_min_point
 
 F = Fraction
 
@@ -191,6 +192,60 @@ def test_fast_path_agrees_with_certified_path():
         if slow.status == "optimal":
             assert fast.value == slow.optimum
             assert poly.contains(fast.point)
+
+
+def test_optimize_rejects_unknown_sense():
+    with pytest.raises(InputError):
+        optimize(unit_square(), [1, 1], "maximize")
+    with pytest.raises(InputError):
+        optimize_all(unit_square(), [([1, 0], "max"), ([0, 1], "Max")])
+
+
+@st.composite
+def lp_cases(draw):
+    """A polyhedron of one kind, plus a list of (objective, sense)."""
+    kind = draw(st.sampled_from(["random", "empty", "unbounded", "eqs_only", "dim0", "all_eliminated"]))
+    dim = 0 if kind == "dim0" else draw(st.integers(1, 4))
+    coef = st.integers(-3, 3)
+    row = st.tuples(st.lists(coef, min_size=dim, max_size=dim), st.integers(-2, 6))
+    ineqs = [] if kind == "eqs_only" else draw(st.lists(row, max_size=5))
+    eqs = draw(st.lists(row, min_size=1 if kind == "eqs_only" else 0, max_size=2))
+    if kind == "empty":
+        a, b = draw(row)
+        ineqs += [(a, b), ([-x for x in a], -b - 1)]
+    elif kind == "unbounded":
+        # 0 is feasible and the all-ones direction never leaves
+        ineqs = [([-abs(x) for x in a], abs(b)) for a, b in ineqs]
+        eqs = []
+    elif kind == "all_eliminated":
+        # x0 = v0 and x_j - m_j x_{j-1} = v_j: presolve removes every variable
+        eqs = []
+        for j in range(dim):
+            c = [0] * dim
+            c[j] = draw(st.sampled_from([-2, -1, 1, 3]))
+            if j:
+                c[j - 1] = draw(coef)
+            eqs.append((c, draw(st.integers(-2, 2))))
+    poly = HPoly(dim, ineqs, eqs)
+    objs = draw(st.lists(st.tuples(st.lists(coef, min_size=dim, max_size=dim), st.sampled_from(["max", "min"])),
+                         min_size=1, max_size=5))
+    if kind == "unbounded":
+        objs.append(([1] * dim, "max"))
+    return poly, objs, draw(st.permutations(range(len(objs))))
+
+
+@settings(deadline=None, derandomize=True)
+@given(lp_cases())
+def test_optimize_all_matches_one_objective_at_a_time(case):
+    poly, objs, order = case
+    batch = optimize_all(poly, objs)
+    assert batch == [optimize(poly, c, s) for c, s in objs]
+    # each phase 2 starts from the phase-1 basis, whatever ran before it
+    assert optimize_all(poly, [objs[i] for i in order]) == [batch[i] for i in order]
+    for (c, sense), fast in zip(objs, batch):
+        slow = lp_solve(c, sense, poly)
+        assert fast.status == slow.status
+        assert fast.value == slow.optimum
 
 
 def test_feasible_and_lexmin():
