@@ -43,6 +43,13 @@ def _parse_frac(tok, lineno):
         raise ParseError(f"bad rational {tok!r}", lineno)
 
 
+def _parse_count(tok, lineno):
+    """A header count or dimension: a nonnegative decimal integer."""
+    if not (tok.isascii() and tok.isdigit()):
+        raise ParseError(f"bad count {tok!r}, expected a nonnegative integer", lineno)
+    return int(tok)
+
+
 def serialize_hpoly(poly: HPoly) -> str:
     out = [f"HPOLY {poly.dim} {len(poly.ineqs)} {len(poly.eqs)}"]
     for a, b in poly.ineqs:
@@ -56,7 +63,7 @@ def _parse_hpoly_lines(lines, header):
     lineno, toks = header
     if len(toks) != 4 or toks[0] != "HPOLY":
         raise ParseError("expected 'HPOLY <dim> <#ineq> <#eq>'", lineno)
-    dim, ni, ne = (int(t) for t in toks[1:])
+    dim, ni, ne = (_parse_count(t, lineno) for t in toks[1:])
     ineqs = []
     eqs = []
     for _ in range(ni):
@@ -105,7 +112,7 @@ def parse_vpoly(text: str) -> VPoly:
     lineno, toks = header
     if len(toks) != 3 or toks[0] != "VPOLY":
         raise ParseError("expected 'VPOLY <dim> <#pts>'", lineno)
-    dim, np_ = int(toks[1]), int(toks[2])
+    dim, np_ = (_parse_count(t, lineno) for t in toks[1:])
     pts = []
     for _ in range(np_):
         lineno, toks = next(lines, (None, None))
@@ -139,7 +146,7 @@ def parse_extension(text: str, name: str = "file") -> Extension:
     lineno, toks = header
     if len(toks) != 3 or toks[0] != "EXT":
         raise ParseError("expected 'EXT <d> <n>'", lineno)
-    d, n = int(toks[1]), int(toks[2])
+    d, n = (_parse_count(t, lineno) for t in toks[1:])
     hheader = next(lines, None)
     if hheader is None:
         raise ParseError("missing HPOLY block")
@@ -190,7 +197,7 @@ def parse_matrix(text: str):
     lineno, toks = header
     if len(toks) != 3 or toks[0] != "MATRIX":
         raise ParseError("expected 'MATRIX <rows> <cols>'", lineno)
-    rows, cols = int(toks[1]), int(toks[2])
+    rows, cols = (_parse_count(t, lineno) for t in toks[1:])
     out = []
     for _ in range(rows):
         lineno, toks = next(lines, (None, None))

@@ -644,12 +644,14 @@ def hull(points: VPoly) -> HPoly:
     if k < dim:
         for c in linalg.nullspace(linalg.mat(dirs)):
             eqs.append(linalg.canon_eq(c, linalg.dot(c, p0)))
-    # coordinates of every point in the dirs-basis
+    # coordinates of every point in the dirs-basis: t = L(p - p0)
     n_mat = linalg.mat([[dirs[j][i] for j in range(k)] for i in range(dim)])
+    lmat = linalg.left_inverse(n_mat)
     coords = []
     for p in pts:
-        t = linalg.solve(n_mat, linalg.vsub(p, p0))
-        if t is None:
+        d = linalg.vsub(p, p0)
+        t = linalg.mat_vec(lmat, d)
+        if linalg.mat_vec(n_mat, t) != d:
             raise InvariantViolationError("point outside its own affine hull")
         coords.append(t)
     # Polar dual around the centroid of an affinely independent point subset:
@@ -678,7 +680,6 @@ def hull(points: VPoly) -> HPoly:
         init_verts.append(y)
         init_tights.append(mask)
     dual_verts = _dd_run(k, all_rows, init_verts, init_tights, k + 1)
-    lmat = linalg.left_inverse(n_mat)
     rows = []
     for y in dual_verts:
         if not any(y):
@@ -803,11 +804,12 @@ def is_vertex(points: VPoly, index: int) -> bool:
 
 
 def _hpoly_subset(a: HPoly, b: HPoly):
-    """Is the point set of a contained in b?  Returns (bool, witness in a\\b).
+    """Is the point set of a contained in b?
 
+    Returns (point of a or None when a is empty, bool, witness in a\\b).
     One LP per row of b (two per equation) over a, all in one batch after a
-    zero objective that decides emptiness; the first failing row in b's row
-    order gives the witness."""
+    zero objective that decides emptiness and gives the point of a; the
+    first failing row in b's row order gives the witness."""
     checks = [(row, rhs, "max") for row, rhs in b.ineqs]
     for c, d in b.eqs:
         checks += [(c, d, "max"), (c, d, "min")]
@@ -815,7 +817,7 @@ def _hpoly_subset(a: HPoly, b: HPoly):
         a, [(linalg.zeros(a.dim), "min")] + [(rowvec, sense) for rowvec, _, sense in checks]
     )
     if first.status == INFEASIBLE:
-        return True, None
+        return None, True, None
     for (rowvec, rhs, sense), r in zip(checks, results):
         if r.status == UNBOUNDED:
             # walk along the improving ray until this row of b is violated
@@ -823,36 +825,49 @@ def _hpoly_subset(a: HPoly, b: HPoly):
             step = linalg.dot(rowvec, r.ray)
             t = max((rhs - base) / step + 1, ONE)
             witness = tuple(p + t * q for p, q in zip(r.point, r.ray))
-            return False, witness
+            return first.point, False, witness
         if r.status == OPTIMAL and (r.value > rhs if sense == "max" else r.value < rhs):
-            return False, r.point
-    return True, None
+            return first.point, False, r.point
+    return first.point, True, None
+
+
+def _one_side_empty(x1, x2) -> PolyEqualResult | None:
+    """The answer when a side is empty, from a point of each side (None for
+    an empty side); None when both sides are nonempty."""
+    if x1 is None:
+        return PolyEqualResult(True) if x2 is None else PolyEqualResult(False, x2, 2)
+    if x2 is None:
+        return PolyEqualResult(False, x1, 1)
+    return None
 
 
 def poly_equal(p1: HPoly | VPoly, p2: HPoly | VPoly) -> PolyEqualResult:
     """Do two descriptions define the same point set?
 
     On failure the result carries a point lying in exactly one of them and
-    which side (1 or 2) contains it.
+    which side (1 or 2) contains it.  Each H-described side takes one LP
+    batch, whose leading zero objective also decides its emptiness.
     """
     if p1.dim != p2.dim:
         raise InputError("dimension mismatch")
 
-    def empty(p):
-        if isinstance(p, VPoly):
-            return not p.vertices
-        return feasible_point(p) is None
-
-    e1, e2 = empty(p1), empty(p2)
-    if e1 or e2:
-        if e1 and e2:
-            return PolyEqualResult(True)
-        side = 2 if e1 else 1
-        pt = p2 if e1 else p1
-        w = pt.vertices[0] if isinstance(pt, VPoly) else feasible_point(pt)
-        return PolyEqualResult(False, w, side)
+    if isinstance(p1, HPoly) and isinstance(p2, HPoly):
+        x1, ok1, w1 = _hpoly_subset(p1, p2)
+        x2, ok2, w2 = _hpoly_subset(p2, p1)
+        res = _one_side_empty(x1, x2)
+        if res is not None:
+            return res
+        if not ok1:
+            return PolyEqualResult(False, w1, 1)
+        if not ok2:
+            return PolyEqualResult(False, w2, 2)
+        return PolyEqualResult(True)
 
     if isinstance(p1, VPoly) and isinstance(p2, VPoly):
+        res = _one_side_empty(p1.vertices[0] if p1.vertices else None,
+                              p2.vertices[0] if p2.vertices else None)
+        if res is not None:
+            return res
         for v in p1.vertices:
             if not _point_in_vpoly(v, p2):
                 return PolyEqualResult(False, v, 1)
@@ -861,36 +876,16 @@ def poly_equal(p1: HPoly | VPoly, p2: HPoly | VPoly) -> PolyEqualResult:
                 return PolyEqualResult(False, v, 2)
         return PolyEqualResult(True)
 
-    def check_v_in_h(v: VPoly, h: HPoly, side):
-        for p in v.vertices:
-            if not h.contains(p):
-                return PolyEqualResult(False, p, side)
-        return None
-
-    if isinstance(p1, VPoly):
-        bad = check_v_in_h(p1, p2, 1)
-        if bad:
-            return bad
-        ok, w = _hpoly_subset(p2, hull(p1))
-        if not ok:
-            return PolyEqualResult(False, w, 2)
-        return PolyEqualResult(True)
-    if isinstance(p2, VPoly):
-        bad = check_v_in_h(p2, p1, 2)
-        if bad:
-            return bad
-        ok, w = _hpoly_subset(p1, hull(p2))
-        if not ok:
-            return PolyEqualResult(False, w, 1)
-        return PolyEqualResult(True)
-
-    ok, w = _hpoly_subset(p1, p2)
-    if not ok:
-        return PolyEqualResult(False, w, 1)
-    ok, w = _hpoly_subset(p2, p1)
-    if not ok:
-        return PolyEqualResult(False, w, 2)
-    return PolyEqualResult(True)
+    (v, v_side), (h, h_side) = ((p1, 1), (p2, 2)) if isinstance(p1, VPoly) else ((p2, 2), (p1, 1))
+    if not v.vertices:
+        x = feasible_point(h)
+        return PolyEqualResult(True) if x is None else PolyEqualResult(False, x, h_side)
+    # An empty h fails here at v's first vertex.
+    for p in v.vertices:
+        if not h.contains(p):
+            return PolyEqualResult(False, p, v_side)
+    _, ok, w = _hpoly_subset(h, hull(v))
+    return PolyEqualResult(True) if ok else PolyEqualResult(False, w, h_side)
 
 
 # ---------------------------------------------------------------------------

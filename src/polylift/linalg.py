@@ -4,6 +4,11 @@ Vectors are tuples of Fraction, matrices are tuples of such tuples.  The
 standard library Fraction is always in canonical form (reduced, positive
 denominator), which is exactly the invariant the rest of the package needs,
 so no wrapper type is introduced.
+
+All elimination happens in one routine, `_eliminate`: fraction-free
+(Bareiss) Gauss-Jordan on an integer scaling of the rows.  `rref` and `rank`
+read its result directly, `independent_rows` runs it on the transpose, and
+`solve`, `nullspace`, `inverse` and `left_inverse` are built on `rref`.
 """
 
 from __future__ import annotations
@@ -92,65 +97,60 @@ def transpose(m: Mat) -> Mat:
     return tuple(zip(*m))
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot column list)."""
-    if not rows:
-        return rows, []
-    nrows, ncols = len(rows), len(rows[0])
+def _eliminate(m) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of a rational matrix.
+
+    Each row is first scaled to integers.  At the pivot p in row r and
+    column c, every other row becomes (p*row_i - row_i[c]*row_r) // prev,
+    where prev is the previous pivot; each division is exact, because every
+    entry is then a minor of the scaled matrix.  Returns the integer rows and
+    the pivot columns: row r < len(pivots) is 0 in every pivot column except
+    pivots[r], the rows after them are zero, and dividing each pivot row by
+    its pivot gives the reduced row echelon form.
+    """
+    rows = []
+    for row in m:
+        den = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (den // x.denominator) for x in row])
     pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
+    if not rows:
+        return rows, pivots
+    nrows = len(rows)
+    prev = 1
+    for c in range(len(rows[0])):
+        r = len(pivots)
+        if r == nrows:
+            break
         pr = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
-        if piv != 1:
-            rows[r] = [x / piv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        prow = rows[r]
+        p = prow[c]
+        for i, row in enumerate(rows):
+            if i == r:
+                continue
+            f = row[c]
+            if f:
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(row, prow)]
+            elif p != prev:
+                rows[i] = [p * x // prev for x in row]
+        prev = p
         pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
     return rows, pivots
 
 
 def rref(m: Mat) -> tuple[Mat, list[int]]:
-    rows = [list(r) for r in m]
-    rows, pivots = _rref(rows)
-    return tuple(tuple(r) for r in rows), pivots
+    """Reduced row echelon form of m and its pivot columns."""
+    rows, pivots = _eliminate(m)
+    out = [tuple(Fraction(x, row[c]) for x in row) for row, c in zip(rows, pivots)]
+    out += [(ZERO,) * len(row) for row in rows[len(pivots):]]
+    return tuple(out), pivots
 
 
 def rank(m: Mat) -> int:
-    """Exact rank by fraction-free (Bareiss) elimination on an integer scaling."""
-    if not m or not m[0]:
-        return 0
-    rows = []
-    for r in m:
-        den = lcm(*(x.denominator for x in r)) if r else 1
-        rows.append([x.numerator * (den // x.denominator) for x in r])
-    nrows, ncols = len(rows), len(rows[0])
-    rk = 0
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
-                rows[i][j] = (rows[r][c] * rows[i][j] - rows[i][c] * rows[r][j]) // prev
-            rows[i][c] = 0
-        prev = rows[r][c]
-        rk += 1
-        r += 1
-        if r == nrows:
-            break
-    return rk
+    """Exact rank: the number of pivots of the fraction-free elimination."""
+    return len(_eliminate(m)[1])
 
 
 def solve(a: Mat, b: Sequence[Fraction]) -> Vec | None:
@@ -160,8 +160,7 @@ def solve(a: Mat, b: Sequence[Fraction]) -> Vec | None:
     if not a:
         return ()
     ncols = len(a[0])
-    rows = [list(r) + [bi] for r, bi in zip(a, b)]
-    rows, pivots = _rref(rows)
+    rows, pivots = rref([tuple(r) + (bi,) for r, bi in zip(a, b)])
     if ncols in pivots:  # pivot in the rhs column: inconsistent system
         return None
     x = [ZERO] * ncols
@@ -188,22 +187,12 @@ def nullspace(m: Mat) -> list[Vec]:
 
 
 def independent_rows(m: Mat) -> list[int]:
-    """Indices of a maximal linearly independent subset of rows (greedy, stable)."""
-    kept: list[int] = []
-    echelon: list[list[Fraction]] = []
-    pivcols: list[int] = []
-    for i, row in enumerate(m):
-        work = list(row)
-        for er, pc in zip(echelon, pivcols):
-            if work[pc]:
-                f = work[pc] / er[pc]
-                work = [x - f * y for x, y in zip(work, er)]
-        pcol = next((c for c, x in enumerate(work) if x), None)
-        if pcol is not None:
-            kept.append(i)
-            echelon.append(work)
-            pivcols.append(pcol)
-    return kept
+    """Indices of a maximal linearly independent subset of rows (greedy, stable).
+
+    Row i is kept iff it is independent of rows 0..i-1, which is exactly when
+    column i of the transpose is a pivot column of its elimination.
+    """
+    return _eliminate(transpose(m))[1]
 
 
 def left_inverse(m: Mat) -> Mat:
@@ -235,8 +224,7 @@ def inverse(m: Mat) -> Mat:
     n = len(m)
     if any(len(r) != n for r in m):
         raise ValueError("inverse of non-square matrix")
-    rows = [list(r) + list(unit(n, i)) for i, r in enumerate(m)]
-    rows, pivots = _rref(rows)
+    rows, pivots = rref([tuple(r) + unit(n, i) for i, r in enumerate(m)])
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
     return tuple(tuple(r[n:]) for r in rows)

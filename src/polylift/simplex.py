@@ -93,13 +93,16 @@ def _run_phase(tab, rhs, objs, objvals, basis, n):
         _pivot(tab, rhs, objs, objvals, basis, leave, enter)
 
 
-def _basis_dual(rows0, row_ids, basis, cb):
-    """Solve B^T y = c_B for the given basis against the pristine rows."""
+def _basis_dual(rows0, row_ids, basis, cb, n):
+    """Solve B^T y = c_B for the given basis against the pristine rows.
+
+    An artificial id v >= n stands for the unit column of row v - n."""
     bt = []
     for v in basis:
-        if v < 0:
-            raise InvariantViolationError("negative basis id")
-        bt.append(tuple(rows0[ri][v] for ri in row_ids))
+        if v >= n:
+            bt.append(tuple(ONE if ri == v - n else ZERO for ri in row_ids))
+        else:
+            bt.append(tuple(rows0[ri][v] for ri in row_ids))
     y = linalg.solve(linalg.mat(bt), linalg.vec(cb))
     if y is None:
         raise InvariantViolationError("singular basis in dual recovery")
@@ -143,17 +146,8 @@ def solve_standard(a_rows, b, costs, want_dual: bool = False) -> list[StandardRe
     if -objvals[0] > 0:
         farkas = None
         if want_dual:
-            # Artificial basis columns of the normalized system are units.
-            bt = []
-            for v in basis:
-                if v >= n:
-                    bt.append(linalg.unit(m, v - n))
-                else:
-                    bt.append(tuple(rows0[i][v] for i in range(m)))
             cb = [ONE if v >= n else ZERO for v in basis]
-            y0 = linalg.solve(linalg.mat(bt), linalg.vec(cb))
-            if y0 is None:
-                raise InvariantViolationError("singular basis in Farkas recovery")
+            y0 = _basis_dual(rows0, row_ids, basis, cb, n)
             farkas = [(-y if flip[i] else y) for i, y in enumerate(y0)]
         return [StandardResult(status=INFEASIBLE, farkas=farkas) for _ in costs]
 
@@ -208,7 +202,7 @@ def _phase2(tab, rhs, basis, cost, n, rows0, row_ids, flip, want_dual) -> Standa
     dual = None
     if want_dual:
         cb = [cost[v] for v in basis]
-        y0 = _basis_dual(rows0, row_ids, basis, cb)
+        y0 = _basis_dual(rows0, row_ids, basis, cb, n)
         dual = [ZERO] * len(flip)
         for k, ri in enumerate(row_ids):
             dual[ri] = -y0[k] if flip[ri] else y0[k]

@@ -66,6 +66,39 @@ def test_parse_errors():
         fileio.parse_hpoly("HPOLY 1 1 0\nx <= 2\n")  # bad rational
 
 
+EXT_TAIL = "HPOLY 1 0 0\nPROJ\n1 0\n"
+
+
+@pytest.mark.parametrize("bad", ["two", "2.0", "-1"])
+@pytest.mark.parametrize("parse, template, line", [
+    (fileio.parse_hpoly, "HPOLY {} 0 0\n", 1),
+    (fileio.parse_hpoly, "HPOLY 1 {} 0\n", 1),
+    (fileio.parse_hpoly, "# comment\nHPOLY 1 0 {}\n", 2),
+    (fileio.parse_vpoly, "VPOLY {} 0\n", 1),
+    (fileio.parse_vpoly, "VPOLY 2 {}\n", 1),
+    (fileio.parse_extension, "EXT {} 1\n" + EXT_TAIL, 1),
+    (fileio.parse_extension, "EXT 1 {}\n" + EXT_TAIL, 1),
+    (fileio.parse_extension, "EXT 1 1\nHPOLY 1 {} 0\nPROJ\n1 0\n", 2),
+    (fileio.parse_matrix, "MATRIX {} 3\n", 1),
+    (fileio.parse_matrix, "MATRIX 0 {}\n", 1),
+])
+def test_header_counts_must_be_nonnegative_integers(parse, template, line, bad):
+    with pytest.raises(fileio.ParseError) as info:
+        parse(template.format(bad))
+    assert info.value.line == line
+
+
+@pytest.mark.parametrize("header", ["HPOLY two 1 0", "HPOLY 2.0 1 0", "HPOLY -1 0 0"])
+def test_cli_bad_header_count_exit2(tmp_path, capsys, header):
+    bad = tmp_path / "bad.hpoly"
+    bad.write_text(header + "\n1 <= 1\n")
+    efile = tmp_path / "b1.ext"
+    main(["construct", "birkhoff", "1", "--out", str(efile)])
+    capsys.readouterr()
+    assert main(["verify", str(bad), str(efile)]) == 2
+    assert "line 1" in capsys.readouterr().err
+
+
 def test_cli_zoo_and_verify_roundtrip(tmp_path, capsys):
     hfile = tmp_path / "pi3.hpoly"
     efile = tmp_path / "b3.ext"

@@ -1,8 +1,11 @@
-"""Pinned deterministic work counters: a regression in LP solves or pivots
-fails here loudly, whatever the machine's speed."""
+"""Pinned deterministic work counters: a regression in LP solves, pivots or
+eliminations fails here loudly, whatever the machine's speed."""
+
+from fractions import Fraction as F
 
 from polylift import constructions as cx
-from polylift import simplex, zoo
+from polylift import kernel, linalg, simplex, zoo
+from polylift.kernel import HPoly, PolyEqualResult
 
 
 def test_verify_martin4_solves_and_pivots(monkeypatch):
@@ -27,3 +30,46 @@ def test_verify_martin4_solves_and_pivots(monkeypatch):
     assert rep.passed and rep.lift_hits == rep.checked_vertices
     # one simplex call per Q: phase 1 once, one phase 2 per target row
     assert counts == {"solves": 1, "pivots": 85}
+
+
+def _count_solves(monkeypatch):
+    counts = {"solves": 0}
+    solve = simplex.solve_standard
+
+    def counted_solve(*args, **kwargs):
+        counts["solves"] += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(simplex, "solve_standard", counted_solve)
+    return counts
+
+
+def test_poly_equal_one_lp_batch_per_h_side(monkeypatch):
+    p4 = zoo.permutahedron_hrep(4)
+    reversed_p4 = HPoly(p4.dim, tuple(reversed(p4.ineqs)), p4.eqs)
+    empty = HPoly(2, [((1, 0), -1), ((-1, 0), -1)], [])
+    cases = [
+        (p4, reversed_p4, PolyEqualResult(True), 2),
+        (p4, zoo.permutahedron_vrep(4), PolyEqualResult(True), 1),
+        (zoo.cube_hrep(2), empty, PolyEqualResult(False, (F(1), F(1)), 1), 2),
+    ]
+    for p1, p2, expected, solves in cases:
+        counts = _count_solves(monkeypatch)
+        # the emptiness test and the fallback witness come from the batch
+        assert kernel.poly_equal(p1, p2) == expected
+        assert counts["solves"] == solves
+
+
+def test_hull_eliminates_once_per_call_not_per_point(monkeypatch):
+    counts = {"eliminate": 0}
+    eliminate = linalg._eliminate
+
+    def counted(m):
+        counts["eliminate"] += 1
+        return eliminate(m)
+
+    monkeypatch.setattr(linalg, "_eliminate", counted)
+    h = kernel.hull(zoo.permutahedron_vrep(5))
+    assert len(h.ineqs) == 30
+    # 120 points: a per-point solve would add one elimination per point
+    assert counts["eliminate"] == 9

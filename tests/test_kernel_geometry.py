@@ -8,6 +8,7 @@ from polylift import linalg
 from polylift.errors import EmptyPolyhedronError, UnboundedPolyhedronError
 from polylift.kernel import (
     HPoly,
+    PolyEqualResult,
     VPoly,
     affine_hull,
     fm_project,
@@ -245,6 +246,14 @@ def test_remove_redundancy_edmonds_k3():
     violated = [i for i, (a, b) in enumerate(p.ineqs) if linalg.dot(a, half) > b]
     assert len(violated) == 1
     assert p.ineqs[violated[0]] in r.ineqs
+
+
+def test_poly_equal_vertex_outside_h_side():
+    # conv{0, 2} strictly contains [0, 1]: the vertex 2 lies outside the H side
+    seg = VPoly(1, [(0,), (2,)])
+    unit_interval = HPoly(1, [([1], 1), ([-1], 0)])
+    assert poly_equal(seg, unit_interval) == PolyEqualResult(False, (F(2),), 1)
+    assert poly_equal(unit_interval, seg) == PolyEqualResult(False, (F(2),), 2)
 
 
 def test_remove_redundancy_edmonds_k4_unchanged():
