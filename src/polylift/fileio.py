@@ -7,6 +7,7 @@ format here.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import InputError
@@ -15,6 +16,7 @@ from .constructions import Extension
 from . import linalg
 
 F = Fraction
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 class ParseError(InputError):
@@ -37,10 +39,14 @@ def _tokens(text):
 
 
 def _parse_frac(tok, lineno):
+    """An entry: a canonical rational in ASCII digits, such as 3 or -1/2."""
     try:
-        return Fraction(tok)
+        # the pattern comes first: Fraction() would expand an exponent such as 1e999999999
+        if _RATIONAL.fullmatch(tok) and str(x := Fraction(tok)) == tok:
+            return x
     except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad rational {tok!r}", lineno)
+        pass
+    raise ParseError(f"bad rational {tok!r}, expected a canonical rational such as 3 or -1/2", lineno)
 
 
 def _parse_count(tok, lineno):

@@ -188,9 +188,10 @@ class PolyEqualResult:
 
 
 # ---------------------------------------------------------------------------
-# LP layer: each optimize_all or lp_solve call makes one
+# LP layer: each optimize_all, lp_solve or lex_min_point call makes one
 # simplex.solve_standard call, which runs phase 1 once and gives each
-# objective its own phase 2 from the phase-1 basis
+# objective its own phase 2 (lex_min_point: one per coordinate, each on the
+# optimal face of the coordinates before it)
 # ---------------------------------------------------------------------------
 
 def _assemble_standard(dim, ineqs, eqs, costs_min, nonneg):
@@ -461,21 +462,33 @@ def feasible_point(poly: HPoly) -> Vec | None:
 
 
 def lex_min_point(poly: HPoly) -> Vec:
-    """Lexicographically smallest point (coordinate-by-coordinate LP fixing)."""
-    current = poly
+    """Lexicographically smallest point: x_0 minimized, then x_1 over the
+    points attaining that minimum, and so on.
+
+    One presolve and one lexicographic simplex call (phase 1 once, then one
+    phase 2 per coordinate on the optimal face of the coordinates before it).
+    Raises EmptyPolyhedronError, or UnboundedPolyhedronError naming the first
+    coordinate with no minimum.
+    """
+    red = _presolve(poly)
+    if red.infeasible:
+        raise EmptyPolyhedronError("polyhedron is empty")
+    if poly.dim == 0:
+        return ()
+    k = len(red.alive)
+    objs = [red.objective(linalg.unit(poly.dim, j)) for j in range(poly.dim)]
+    rows, rhs, costs, var_cols = _assemble_standard(
+        k, red.ineqs, red.eqs, [obj for obj, _ in objs], red.nonneg
+    )
     fixed: list[Fraction] = []
-    for j in range(poly.dim):
-        r = optimize(current, linalg.unit(poly.dim, j), "min")
-        if r.status == INFEASIBLE:
+    for j, res in enumerate(simplex.solve_standard(rows, rhs, costs, lex=True)):
+        if res.status == simplex.INFEASIBLE:
             raise EmptyPolyhedronError("polyhedron is empty")
-        if r.status == UNBOUNDED:
+        if res.status == simplex.UNBOUNDED:
             raise UnboundedPolyhedronError(f"coordinate {j} unbounded below")
-        fixed.append(r.value)
-        current = HPoly(
-            poly.dim,
-            current.ineqs,
-            tuple(current.eqs) + ((linalg.unit(poly.dim, j), r.value),),
-        )
+        fixed.append(res.value + objs[j][1])
+    if red.back(_recover_vector(res.point, var_cols, k)) != tuple(fixed):
+        raise InvariantViolationError("lexicographic point disagrees with its coordinate minima")
     return tuple(fixed)
 
 

@@ -6,6 +6,11 @@ guarantees termination without any tolerance (every comparison is exact).
 One call takes a list of costs over the same rows: phase 1 runs once, and
 each cost gets its own phase 2 from a copy of the phase-1 tableau and basis,
 so the result for a cost does not depend on the other costs in the call.
+In lex mode the costs are instead optimized in order on one shared tableau:
+after cost j is optimal, every nonbasic column with a nonzero reduced cost is
+barred from entering (it must stay 0 on the optimal face), and cost j+1
+starts from the current basis, so each cost is minimized over the optimal
+face of the costs before it.
 
 Artificial variables are kept implicit: phase 1 starts from the all-artificial
 basis, their columns are never stored, and after phase 1 remaining zero-level
@@ -69,14 +74,15 @@ def _pivot(tab, rhs, objs, objvals, basis, r, c):
     basis[r] = c
 
 
-def _run_phase(tab, rhs, objs, objvals, basis, n):
-    """Bland pivots until objs[0] is optimal.
+def _run_phase(tab, rhs, objs, objvals, basis, cols):
+    """Bland pivots until objs[0] is optimal over the columns allowed to enter.
 
-    Returns None on optimality, or the entering column index if unbounded.
+    `cols` lists those columns in increasing order.  Returns None on
+    optimality, or the entering column index if unbounded.
     """
     obj = objs[0]
     while True:
-        enter = next((j for j in range(n) if obj[j] < 0), None)
+        enter = next((j for j in cols if obj[j] < 0), None)
         if enter is None:
             return None
         leave = None
@@ -109,7 +115,7 @@ def _basis_dual(rows0, row_ids, basis, cb, n):
     return y
 
 
-def solve_standard(a_rows, b, costs, want_dual: bool = False) -> list[StandardResult]:
+def solve_standard(a_rows, b, costs, want_dual: bool = False, lex: bool = False) -> list[StandardResult]:
     """Solve min cost·z s.t. a_rows z = b, z >= 0 exactly, for each cost.
 
     `a_rows` is a sequence of coefficient lists (copied), `b` a sequence of
@@ -117,7 +123,14 @@ def solve_standard(a_rows, b, costs, want_dual: bool = False) -> list[StandardRe
     cost in order.  Phase 1 runs once; each cost runs phase 2 on its own
     copy of the phase-1 tableau and basis, so every result equals that of a
     one-cost call.  Dual/Farkas vectors index the rows as given.
+
+    With `lex=True` result j minimizes costs[j] over the optimal face of
+    costs[0..j-1] (lexicographic optimization): the costs share one tableau,
+    and the list ends at the first UNBOUNDED result.  Lex results carry no
+    dual, so `want_dual` must be False.
     """
+    if lex and want_dual:
+        raise InvariantViolationError("lex mode gives no duals")
     m = len(a_rows)
     n = len(costs[0])
     tab = [list(row) for row in a_rows]
@@ -140,7 +153,7 @@ def solve_standard(a_rows, b, costs, want_dual: bool = False) -> list[StandardRe
                 obj1[j] -= x
     objs = [obj1]
     objvals = [-sum(rhs)]
-    hit = _run_phase(tab, rhs, objs, objvals, basis, n)
+    hit = _run_phase(tab, rhs, objs, objvals, basis, range(n))
     if hit is not None:
         raise InvariantViolationError("phase 1 cannot be unbounded")
     if -objvals[0] > 0:
@@ -162,14 +175,25 @@ def solve_standard(a_rows, b, costs, want_dual: bool = False) -> list[StandardRe
             _pivot(tab, rhs, objs, objvals, basis, i, enter)
         i += 1
 
+    if lex:
+        out = []
+        cols = list(range(n))
+        for cost in costs:
+            out.append(_phase2(tab, rhs, basis, cost, cols, rows0, row_ids, flip, want_dual))
+            if out[-1].status == UNBOUNDED:
+                break
+        return out
     return [
-        _phase2([row[:] for row in tab], rhs[:], basis[:], cost, n, rows0, row_ids, flip, want_dual)
+        _phase2([row[:] for row in tab], rhs[:], basis[:], cost, list(range(n)), rows0, row_ids, flip, want_dual)
         for cost in costs
     ]
 
 
-def _phase2(tab, rhs, basis, cost, n, rows0, row_ids, flip, want_dual) -> StandardResult:
-    """Phase 2 of one cost from the feasible basis, on tableau state it owns."""
+def _phase2(tab, rhs, basis, cost, cols, rows0, row_ids, flip, want_dual) -> StandardResult:
+    """Phase 2 of one cost from a feasible basis, pivoting on the tableau it
+    is given and entering only columns in `cols`.  At the optimum `cols` is
+    narrowed to the columns free to move on the optimal face."""
+    n = len(cost)
     obj2 = list(cost)
     objval2 = ZERO
     for i, v in enumerate(basis):
@@ -182,7 +206,7 @@ def _phase2(tab, rhs, basis, cost, n, rows0, row_ids, flip, want_dual) -> Standa
             objval2 -= cv * rhs[i]
     objs = [obj2]
     objvals = [objval2]
-    hit = _run_phase(tab, rhs, objs, objvals, basis, n)
+    hit = _run_phase(tab, rhs, objs, objvals, basis, cols)
 
     if hit is not None:
         ray = [ZERO] * n
@@ -195,6 +219,8 @@ def _phase2(tab, rhs, basis, cost, n, rows0, row_ids, flip, want_dual) -> Standa
             point[v] = rhs[i]
         return StandardResult(status=UNBOUNDED, point=point, ray=ray)
 
+    # a nonbasic column with a positive reduced cost is 0 on the optimal face
+    cols[:] = [j for j in cols if not obj2[j]]
     point = [ZERO] * n
     for i, v in enumerate(basis):
         point[v] = rhs[i]

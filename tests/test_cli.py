@@ -99,6 +99,39 @@ def test_cli_bad_header_count_exit2(tmp_path, capsys, header):
     assert "line 1" in capsys.readouterr().err
 
 
+NON_CANONICAL = ["1_0", "1e3", "2.5", "+3", "2/4", "\u0663", "-0", "07", "3/1", "1/0", "1/-2"]
+
+
+@pytest.mark.parametrize("bad", NON_CANONICAL)
+@pytest.mark.parametrize("parse, template, line", [
+    (fileio.parse_hpoly, "HPOLY 1 1 0\n# row\n1 <= {}\n", 3),
+    (fileio.parse_hpoly, "HPOLY 2 0 1\n1 {} = 0\n", 2),
+    (fileio.parse_vpoly, "VPOLY 2 1\n0 {}\n", 2),
+    (fileio.parse_extension, "EXT 1 1\nHPOLY 1 0 0\nPROJ\n{} 0\n", 4),
+    (fileio.parse_matrix, "MATRIX 1 2\n1 {}\n", 2),
+])
+def test_entries_must_be_canonical_rationals(parse, template, line, bad):
+    with pytest.raises(fileio.ParseError) as info:
+        parse(template.format(bad))
+    assert info.value.line == line
+
+
+def test_canonical_entries_parse():
+    text = "MATRIX 1 5\n0 -3 12 -1/2 7/10\n"
+    assert fileio.serialize_matrix(fileio.parse_matrix(text)) == text
+
+
+@pytest.mark.parametrize("entry", ["1_0", "1e3", "2.5", "+3", "2/4"])
+def test_cli_non_canonical_entry_exit2(tmp_path, capsys, entry):
+    bad = tmp_path / "bad.hpoly"
+    bad.write_text(f"HPOLY 1 1 0\n{entry} <= 1\n")
+    efile = tmp_path / "b1.ext"
+    main(["construct", "birkhoff", "1", "--out", str(efile)])
+    capsys.readouterr()
+    assert main(["verify", str(bad), str(efile)]) == 2
+    assert "line 2" in capsys.readouterr().err
+
+
 def test_cli_zoo_and_verify_roundtrip(tmp_path, capsys):
     hfile = tmp_path / "pi3.hpoly"
     efile = tmp_path / "b3.ext"

@@ -4,11 +4,11 @@ eliminations fails here loudly, whatever the machine's speed."""
 from fractions import Fraction as F
 
 from polylift import constructions as cx
-from polylift import kernel, linalg, simplex, zoo
+from polylift import kernel, linalg, simplex, slack, zoo
 from polylift.kernel import HPoly, PolyEqualResult
 
 
-def test_verify_martin4_solves_and_pivots(monkeypatch):
+def _count_solves_and_pivots(monkeypatch):
     counts = {"solves": 0, "pivots": 0}
     pivot, solve = simplex._pivot, simplex.solve_standard
 
@@ -22,6 +22,11 @@ def test_verify_martin4_solves_and_pivots(monkeypatch):
 
     monkeypatch.setattr(simplex, "_pivot", counted_pivot)
     monkeypatch.setattr(simplex, "solve_standard", counted_solve)
+    return counts
+
+
+def test_verify_martin4_solves_and_pivots(monkeypatch):
+    counts = _count_solves_and_pivots(monkeypatch)
     rep = cx.verify_extension(
         zoo.spanning_tree_hrep(4),
         cx.martin_spanning_tree_extension(4),
@@ -30,6 +35,17 @@ def test_verify_martin4_solves_and_pivots(monkeypatch):
     assert rep.passed and rep.lift_hits == rep.checked_vertices
     # one simplex call per Q: phase 1 once, one phase 2 per target row
     assert counts == {"solves": 1, "pivots": 85}
+
+
+def test_factorization_martin4_solves_and_pivots(monkeypatch):
+    counts = _count_solves_and_pivots(monkeypatch)
+    fact = slack.extension_to_factorization(
+        cx.martin_spanning_tree_extension(4), zoo.spanning_tree_hrep(4), zoo.spanning_tree_vrep(4)
+    )
+    assert (len(fact.t), len(fact.s), len(fact.s[0])) == (16, 30, 16)
+    # one lexicographic solve per vertex lift; a solve per coordinate made
+    # 500 solves and 2963 pivots
+    assert counts == {"solves": 36, "pivots": 772}
 
 
 def _count_solves(monkeypatch):
@@ -42,6 +58,12 @@ def _count_solves(monkeypatch):
 
     monkeypatch.setattr(simplex, "solve_standard", counted_solve)
     return counts
+
+
+def test_lex_min_point_one_solve(monkeypatch):
+    counts = _count_solves(monkeypatch)
+    assert kernel.lex_min_point(zoo.spanning_tree_hrep(4)) == (0, 0, 1, 0, 1, 1)
+    assert counts["solves"] == 1
 
 
 def test_poly_equal_one_lp_batch_per_h_side(monkeypatch):

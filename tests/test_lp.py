@@ -5,8 +5,8 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polylift import linalg
-from polylift.errors import InputError
+from polylift import linalg, simplex
+from polylift.errors import EmptyPolyhedronError, InputError, InvariantViolationError, UnboundedPolyhedronError
 from polylift.kernel import HPoly, lp_solve, optimize, optimize_all, feasible_point, lex_min_point
 
 F = Fraction
@@ -263,3 +263,92 @@ def test_dim_zero():
     assert r.optimum == 0
     bad = HPoly(0, [([], -1)], [])
     assert feasible_point(bad) is None
+
+
+def test_lex_min_point_dim_zero():
+    assert lex_min_point(HPoly(0, [((), 1)])) == ()
+    with pytest.raises(EmptyPolyhedronError, match="polyhedron is empty"):
+        lex_min_point(HPoly(0, [((), -1)]))
+
+
+def test_lex_mode_gives_no_duals():
+    with pytest.raises(InvariantViolationError):
+        simplex.solve_standard([[F(1)]], [F(1)], [[F(1)]], want_dual=True, lex=True)
+
+
+def _lex_min_reference(poly):
+    """Coordinate-by-coordinate lex_min_point: one optimize per coordinate,
+    each over the polyhedron with the earlier minima added as equations."""
+    if poly.dim == 0 and feasible_point(poly) is None:
+        raise EmptyPolyhedronError("polyhedron is empty")
+    current = poly
+    fixed = []
+    for j in range(poly.dim):
+        r = optimize(current, linalg.unit(poly.dim, j), "min")
+        if r.status == "infeasible":
+            raise EmptyPolyhedronError("polyhedron is empty")
+        if r.status == "unbounded":
+            raise UnboundedPolyhedronError(f"coordinate {j} unbounded below")
+        fixed.append(r.value)
+        current = HPoly(poly.dim, current.ineqs, tuple(current.eqs) + ((linalg.unit(poly.dim, j), r.value),))
+    return tuple(fixed)
+
+
+def _outcome(fn, poly):
+    try:
+        return "point", fn(poly)
+    except (EmptyPolyhedronError, UnboundedPolyhedronError) as e:
+        return type(e), str(e)
+
+
+@st.composite
+def lex_cases(draw):
+    """Polyhedra with fractional rows, free and sign-constrained variables.
+    Outside the "empty" and "eliminated" kinds the origin is feasible."""
+    kind = draw(st.sampled_from(["random", "boxed", "empty", "unbounded_at", "eliminated", "dim0"]))
+    dim = 0 if kind == "dim0" else draw(st.integers(1, 4))
+    coef = st.builds(F, st.integers(-3, 3), st.sampled_from([1, 1, 2, 3]))
+    rhs = st.builds(F, st.integers(0, 6), st.sampled_from([1, 2]))
+    coefs = st.lists(coef, min_size=dim, max_size=dim)
+    ineqs = draw(st.lists(st.tuples(coefs, rhs), max_size=4))
+    eqs = draw(st.lists(st.tuples(coefs, st.just(0)), max_size=1))
+
+    def lower(j, lo):  # x_j >= lo
+        return tuple(-x for x in linalg.unit(dim, j)), -lo
+
+    for j in draw(st.sets(st.integers(0, dim - 1))) if dim else ():
+        ineqs.append(lower(j, 0))
+    if kind in ("boxed", "unbounded_at"):
+        # every coordinate but `free` in a box [lo, hi] around the origin
+        free = draw(st.integers(0, dim - 1)) if kind == "unbounded_at" else None
+        for j in range(dim):
+            if j != free:
+                ineqs += [lower(j, -draw(rhs)), (linalg.unit(dim, j), draw(rhs))]
+        if free is not None:
+            # nothing stops x_free from decreasing: no equation and no
+            # inequality with a negative coefficient on it
+            eqs = []
+            ineqs = [(tuple(max(x, 0) if i == free else x for i, x in enumerate(a)), b) for a, b in ineqs]
+    elif kind == "empty":
+        a, b = draw(coefs), draw(coef)
+        ineqs += [(a, b), ([-x for x in a], -b - 1)]
+    elif kind == "eliminated":
+        # short equations, which presolve substitutes away
+        for _ in range(draw(st.integers(1, dim))):
+            c = [F(0)] * dim
+            for j in draw(st.sets(st.integers(0, dim - 1), min_size=1, max_size=2)):
+                c[j] = draw(st.sampled_from([F(-2), F(-1), F(1), F(3, 2)]))
+            eqs.append((c, draw(coef)))
+    elif kind == "dim0":
+        ineqs = [((), draw(st.integers(-1, 1))) for _ in range(draw(st.integers(0, 2)))]
+        eqs = [((), draw(st.integers(-1, 1))) for _ in range(draw(st.integers(0, 1)))]
+    return HPoly(dim, draw(st.permutations(ineqs)), eqs)
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(lex_cases())
+def test_lex_min_point_matches_coordinate_by_coordinate(poly):
+    expected = _outcome(_lex_min_reference, poly)
+    assert _outcome(lex_min_point, poly) == expected
+    if expected[0] == "point":
+        assert poly.contains(expected[1])
