@@ -1,8 +1,9 @@
 """Exact polyhedral kernel: types, rational LP, and geometric primitives.
 
 Everything here is pure and exact: polyhedra are immutable, all arithmetic is
-over Fraction, and every answer is certified (optimal LP values come with
-points and duals, emptiness with Farkas vectors, unboundedness with rays).
+over Fraction (the double description core scales it to integers and back),
+and every answer is certified (optimal LP values come with points and duals,
+emptiness with Farkas vectors, unboundedness with rays).
 Operations are safe to call concurrently on shared inputs; there is no hidden
 mutable state.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from . import linalg, simplex
@@ -560,74 +562,99 @@ def affine_hull(poly: HPoly) -> list[tuple[Vec, Fraction]]:
 
 
 # ---------------------------------------------------------------------------
-# Double description core
+# Double description core, in integers
 # ---------------------------------------------------------------------------
 
-def _row_value(a, v):
-    s = ZERO
-    for ai, vi in zip(a, v):
-        if ai and vi:
-            s += ai * vi
+def _homogeneous(v: Sequence[Fraction]) -> tuple[int, ...]:
+    """The rational vector v as the primitive integer vector (V..., w) with
+    w > 0 and v = V/w.  It is primitive because w is the lcm of the reduced
+    denominators."""
+    w = lcm(*(x.denominator for x in v))
+    return tuple(x.numerator * (w // x.denominator) for x in v) + (w,)
+
+
+def _int_matrix(m) -> tuple[list[list[int]], int]:
+    """(M, den) with m = M/den, den > 0 the lcm of m's denominators."""
+    den = lcm(*(x.denominator for row in m for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in m], den
+
+
+def _int_slack(row, v) -> int:
+    """b·w - a·V for the integer row (nonzeros of a, b) and the homogeneous
+    vertex (V, w): w times the slack of the rational vertex V/w, scaled by a
+    positive constant, so it has the sign of the true slack."""
+    nz, b = row
+    s = b * v[-1]
+    for r, a in nz:
+        s -= a * v[r]
     return s
 
 
-def _dd_run(k: int, all_rows, verts, tights, start_idx: int):
-    """Shared double-description insertion loop.
-
-    verts/tights describe the exact vertex set of the polytope cut out by
-    all_rows[:start_idx]; rows from start_idx on are inserted one by one.
+def _dd_insert(kmin: int, row, bit: int, verts: list, tights: list) -> tuple[list, list]:
+    """One double-description step: cut the polytope with vertices verts by
+    row, whose tight-set bit is bit.  Returns the vertices and tight sets of
+    the cut polytope: the vertices on the row's side in order, then one new
+    vertex per adjacent pair straddling the row, in (inside, outside) order.
     Adjacency is the exact combinatorial test (no third vertex is tight on
-    the common tight set), with the cardinality prefilter |common| >= k-1.
+    the common tight set), with the cardinality prefilter |common| >= kmin.
     """
-
-    def tight_mask(v, upto):
-        m = 0
-        for idx in range(upto):
-            a, b = all_rows[idx]
-            if _row_value(a, v) == b:
-                m |= 1 << idx
-        return m
-
-    kmin = k - 1
-    for idx in range(start_idx, len(all_rows)):
-        a, b = all_rows[idx]
-        slacks = [b - _row_value(a, v) for v in verts]
-        if all(s >= 0 for s in slacks):
-            bit = 1 << idx
-            for i, s in enumerate(slacks):
-                if s == 0:
-                    tights[i] |= bit
-            continue
-        inside = [i for i, s in enumerate(slacks) if s > 0]
-        on = [i for i, s in enumerate(slacks) if s == 0]
-        outside = [i for i, s in enumerate(slacks) if s < 0]
-        new_pts: dict[Vec, int] = {}
-        for i in inside:
-            ti = tights[i]
-            si = slacks[i]
-            vi = verts[i]
-            for j in outside:
-                common = ti & tights[j]
-                if common.bit_count() < kmin:
-                    continue
-                adjacent = True
-                for l, tl in enumerate(tights):
-                    if (tl & common) == common and l != i and l != j:
-                        adjacent = False
+    slacks = [_int_slack(row, v) for v in verts]
+    if all(s >= 0 for s in slacks):
+        return verts, [t | bit if s == 0 else t for t, s in zip(tights, slacks)]
+    inside = [i for i, s in enumerate(slacks) if s > 0]
+    outside = [i for i, s in enumerate(slacks) if s < 0]
+    new_pts: dict[tuple[int, ...], int] = {}
+    for i in inside:
+        ti, si, vi = tights[i], slacks[i], verts[i]
+        for j in outside:
+            common = ti & tights[j]
+            if common.bit_count() < kmin:
+                continue
+            # i and j contain common; a third vertex that does breaks adjacency
+            supersets = 0
+            for tl in tights:
+                if tl & common == common:
+                    supersets += 1
+                    if supersets > 2:
                         break
-                if not adjacent:
-                    continue
-                alpha = si / (si - slacks[j])
-                pt = tuple(u + alpha * (w - u) for u, w in zip(vi, verts[j]))
-                if pt not in new_pts:
-                    new_pts[pt] = tight_mask(pt, idx + 1)
-        keep_idx = inside + on
-        keep_idx.sort()
-        verts[:] = [verts[i] for i in keep_idx] + list(new_pts.keys())
-        bit = 1 << idx
-        tights[:] = [tights[i] | (bit if slacks[i] == 0 else 0) for i in keep_idx] + list(
-            new_pts.values()
-        )
+            if supersets > 2:
+                continue
+            sj = slacks[j]
+            pt = [si * y - sj * x for x, y in zip(vi, verts[j])]
+            g = gcd(*pt)
+            key = tuple(x // g for x in pt)
+            if key not in new_pts:
+                new_pts[key] = common | bit
+    keep = [i for i, s in enumerate(slacks) if s >= 0]
+    return (
+        [verts[i] for i in keep] + list(new_pts),
+        [tights[i] | bit if slacks[i] == 0 else tights[i] for i in keep] + list(new_pts.values()),
+    )
+
+
+def _dd_run(k: int, rows, verts: list, tights: list, start_idx: int) -> list:
+    """Double-description insertion loop over integers.
+
+    rows are integer rows (nonzeros, b) meaning a·y <= b; verts are
+    homogeneous primitive integer vertices (V..., w) with w > 0, and tights
+    their tight sets as bitmasks over row indices.  verts/tights describe the
+    exact vertex set of the polytope cut out by rows[:start_idx]; rows from
+    start_idx on are inserted one by one with `_dd_insert`.  Returns the
+    homogeneous vertices of the final polytope.
+
+    Nothing is rescanned and nothing is a Fraction.  The slack of a row at a
+    vertex is b·w - a·V, a positive multiple of the true slack, so it has the
+    true sign.  For an adjacent pair with slacks s_i > 0 > s_j, the new vertex
+    s_i·(V_j, w_j) - s_j·(V_i, w_i) is the point where the row cuts the edge,
+    and its last entry s_i·w_j - s_j·w_i is positive; divided by its gcd it is
+    the vertex's unique form, so it is also the dedup key.  That point lies
+    strictly inside the edge (0 < alpha < 1), and every earlier row holds at
+    both ends: a row tight at both ends is tight along the edge, and a row
+    slack at one end is slack at every interior point.  So its tight set is
+    exactly common | bit, the rows tight at both ends plus the new row.
+    """
+    for idx in range(start_idx, len(rows)):
+        verts, tights = _dd_insert(k - 1, rows[idx], 1 << idx, verts, tights)
     return verts
 
 
@@ -657,54 +684,82 @@ def hull(points: VPoly) -> HPoly:
     if k < dim:
         for c in linalg.nullspace(linalg.mat(dirs)):
             eqs.append(linalg.canon_eq(c, linalg.dot(c, p0)))
-    # coordinates of every point in the dirs-basis: t = L(p - p0)
+    # coordinates of every point in the dirs-basis, t = L(p - p0), over
+    # integers: with p = P/q, L = l_int/l_den and e = q0·P - q·P0, the point
+    # has t = T/(q·q0·l_den) for T = l_int·e, and lies in aff(dirs) + p0
+    # exactly when N t = p - p0, i.e. n_int·T = n_den·l_den·e
     n_mat = linalg.mat([[dirs[j][i] for j in range(k)] for i in range(dim)])
-    lmat = linalg.left_inverse(n_mat)
+    l_int, l_den = _int_matrix(linalg.left_inverse(n_mat))
+    l_nz = [[(c, x) for c, x in enumerate(row) if x] for row in l_int]
+    n_int, n_den = _int_matrix(n_mat)
+    scale = n_den * l_den
+    hom = [_homogeneous(p) for p in pts]
+    big_p0 = hom[0][:dim]
+    q0 = hom[0][dim]
     coords = []
-    for p in pts:
-        d = linalg.vsub(p, p0)
-        t = linalg.mat_vec(lmat, d)
-        if linalg.mat_vec(n_mat, t) != d:
+    for h in hom:
+        q = h[dim]
+        e = [q0 * x - q * y for x, y in zip(h, big_p0)]
+        t = [sum(x * e[c] for c, x in row) for row in l_nz]
+        if any(sum(x * y for x, y in zip(n_row, t)) != scale * ei for n_row, ei in zip(n_int, e)):
             raise InvariantViolationError("point outside its own affine hull")
-        coords.append(t)
+        coords.append((t, q * q0 * l_den))
     # Polar dual around the centroid of an affinely independent point subset:
     # the polar of that point simplex is again a simplex, which seeds the
     # double description with real geometry (no artificial bounding box).
     base_pts = [0] + [i + 1 for i in basis_idx]
-    centroid = tuple(
-        sum(coords[i][r] for i in base_pts) / (k + 1) for r in range(k)
-    )
+    centroid = _homogeneous(tuple(
+        sum(Fraction(coords[i][0][r], coords[i][1]) for i in base_pts) / (k + 1) for r in range(k)
+    ))
+    big_c, hc = centroid[:k], centroid[k]
     order = base_pts + [i for i in range(len(coords)) if i not in set(base_pts)]
-    all_rows = [(linalg.vsub(coords[i], centroid), ONE) for i in order]
-    init_verts: list[Vec] = []
+    # polar row (t_i - c)·y <= 1 with t_i = T_i/h_i and c = C/hc, times
+    # h_i·hc and divided by its gcd; the DD reads its nonzeros
+    dense = []
+    for i in order:
+        t, h = coords[i]
+        a = [hc * x - h * y for x, y in zip(t, big_c)]
+        g = gcd(h * hc, *a)
+        dense.append(([x // g for x in a], h * hc // g))
+    rows = [([(r, x) for r, x in enumerate(a) if x], b) for a, b in dense]
+    init_verts: list[tuple[int, ...]] = []
     init_tights: list[int] = []
     for leave in range(k + 1):
-        sys_rows = [all_rows[j][0] for j in range(k + 1) if j != leave]
-        y = linalg.solve(linalg.mat(sys_rows), (ONE,) * k)
+        seed = [dense[j] for j in range(k + 1) if j != leave]
+        y = linalg.solve(linalg.mat([a for a, _ in seed]), linalg.vec([b for _, b in seed]))
         if y is None:
             raise InvariantViolationError("polar simplex is degenerate")
+        v = _homogeneous(y)
         mask = 0
         for j in range(k + 1):
-            val = _row_value(all_rows[j][0], y)
-            if val == ONE:
+            s = _int_slack(rows[j], v)
+            if s == 0:
                 mask |= 1 << j
-            elif val > ONE:
+            elif s < 0:
                 raise InvariantViolationError("polar simplex vertex infeasible")
-        init_verts.append(y)
+        init_verts.append(v)
         init_tights.append(mask)
-    dual_verts = _dd_run(k, all_rows, init_verts, init_tights, k + 1)
-    rows = []
-    for y in dual_verts:
-        if not any(y):
+    dual_verts = _dd_run(k, rows, init_verts, init_tights, k + 1)
+    # a facet y = Y/w of the polar is y·L(x - p0) <= 1 + y·c; times
+    # w·l_den·hc·q0 it reads
+    # hc·q0·(Y·l_int)·x <= w·l_den·hc·q0 + l_den·q0·(Y·C) + hc·(Y·l_int)·P0
+    out = []
+    for v in dual_verts:
+        big_y, w = v[:k], v[k]
+        if not any(big_y):
             raise InvariantViolationError("origin listed as a polar vertex")
-        a_t = y
-        a_x = tuple(linalg.dot(a_t, col) for col in zip(*lmat)) if dim else ()
-        # a_t·t <= 1 + a_t·centroid with t = L(x - p0)
-        rhs = ONE + linalg.dot(a_t, centroid) + linalg.dot(a_x, p0)
-        rows.append(linalg.canon_ineq(a_x, rhs))
-    rows.sort()
+        yl = [sum(yr * row[c] for yr, row in zip(big_y, l_int)) for c in range(dim)]
+        a = [hc * q0 * x for x in yl]
+        rhs = (
+            w * l_den * hc * q0
+            + l_den * q0 * sum(x * y for x, y in zip(big_y, big_c))
+            + hc * sum(x * y for x, y in zip(yl, big_p0))
+        )
+        g = gcd(rhs, *a)
+        out.append((tuple(Fraction(x // g) for x in a), Fraction(rhs // g)))
+    out.sort()
     eqs.sort()
-    return HPoly(dim, tuple(rows), tuple(eqs))
+    return HPoly(dim, tuple(out), tuple(eqs))
 
 
 def vertices(poly: HPoly) -> VPoly:
@@ -712,49 +767,70 @@ def vertices(poly: HPoly) -> VPoly:
 
     Facet enumeration of the polar: with aff(P) = {x0 + N t} and t_c interior
     to the t-polytope {A t <= b}, the rows map to the points a/(b - a·t_c),
-    and each facet a·y <= rhs of their hull is the vertex t_c + a/rhs.  Raises
-    EmptyPolyhedronError on empty input and UnboundedPolyhedronError when the
-    polar hull is not a polytope with the origin in its interior.
+    and each facet a·y <= rhs of their hull is the vertex t_c + a/rhs.  t_c is
+    0 when x0 is slack on every row, and otherwise a max-common-slack point.
+    Raises EmptyPolyhedronError on empty input and UnboundedPolyhedronError
+    when the polar hull is not a polytope with the origin in its interior.
     """
     x0, null = _aff_directions(poly)
     dim = poly.dim
     k = len(null)
     if k == 0:
         return VPoly(dim, (x0,))
-    # inequality rows in t-coordinates: x = x0 + sum t_j * null[j]
+    # inequality rows in t-coordinates, x = x0 + N t with N = n_int/n_den and
+    # x0 = X0/q0: a row a·x <= b, scaled to integers, becomes
+    # q0·(a·n_int)·t <= n_den·(q0·b - a·X0)
+    n_int, n_den = _int_matrix(null)
+    hx = _homogeneous(x0)
+    big_x0, q0 = hx[:dim], hx[dim]
     t_rows = []
     seen = set()
     for a, b in poly.ineqs:
-        at = tuple(linalg.dot(a, n) for n in null)
-        bt = b - linalg.dot(a, x0)
+        h = _homogeneous(tuple(a) + (b,))
+        nz = [(r, x) for r, x in enumerate(h[:dim]) if x]
+        at = [q0 * sum(x * n[r] for r, x in nz) for n in n_int]
+        bt = n_den * (q0 * h[dim] - sum(x * big_x0[r] for r, x in nz))
         if not any(at):
             if bt < 0:
                 raise InvariantViolationError("feasible point violates a row")
             continue
-        at, bt = linalg.canon_ineq(at, bt)
-        if (at, bt) not in seen:
-            seen.add((at, bt))
-            t_rows.append((at, bt))
+        g = gcd(bt, *at)
+        row = tuple(x // g for x in at) + (bt // g,)
+        if row not in seen:
+            seen.add(row)
+            t_rows.append(row)
     if not t_rows:
         raise UnboundedPolyhedronError("no inequality bounds the affine hull")
-    eps, t_c = _max_common_slack(HPoly(k, t_rows))
-    if eps <= 0:
-        raise InvariantViolationError("t-polytope has no interior point")
+    if all(row[k] > 0 for row in t_rows):
+        big_tc, qc = (0,) * k, 1
+    else:
+        eps, t_c = _max_common_slack(HPoly(k, [(row[:k], row[k]) for row in t_rows]))
+        if eps <= 0:
+            raise InvariantViolationError("t-polytope has no interior point")
+        htc = _homogeneous(t_c)
+        big_tc, qc = htc[:k], htc[k]
+    # with t_c = Tc/qc, the polar point a/(b - a·t_c) is qc·a/(qc·b - a·Tc)
     polar = []
-    for a, b in t_rows:
-        slack = b - linalg.dot(a, t_c)
-        polar.append(tuple(ai / slack for ai in a))
+    for row in t_rows:
+        a = row[:k]
+        s = qc * row[k] - sum(x * y for x, y in zip(a, big_tc))
+        polar.append(tuple(Fraction(qc * x, s) for x in a))
     facets = hull(VPoly(k, polar))
     if facets.eqs or any(rhs <= 0 for _, rhs in facets.ineqs):
         raise UnboundedPolyhedronError("the origin is not interior to the polar")
+    # t = t_c + a/rhs = U/(qc·rhs) with U = rhs·Tc + qc·a (facet rows are
+    # integral), so x = x0 + N t is
+    # (n_den·qc·rhs·X0 + q0·Σ_j U_j·n_int_j) / (q0·n_den·qc·rhs)
     out = []
     for a, rhs in facets.ineqs:
-        t = [tc + ai / rhs for tc, ai in zip(t_c, a)]
-        x = list(x0)
-        for j, tj in enumerate(t):
-            if tj:
-                x = [xi + tj * nj for xi, nj in zip(x, null[j])]
-        out.append(tuple(x))
+        r = rhs.numerator
+        num = [n_den * qc * r * x for x in big_x0]
+        for tc, aj, n in zip(big_tc, a, n_int):
+            u = r * tc + qc * aj.numerator
+            if u:
+                num = [x + q0 * u * y for x, y in zip(num, n)]
+        den = q0 * n_den * qc * r
+        out.append(tuple(Fraction(x, den) for x in num))
     out.sort()
     return VPoly(dim, tuple(out))
 

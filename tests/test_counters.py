@@ -95,3 +95,35 @@ def test_hull_eliminates_once_per_call_not_per_point(monkeypatch):
     assert len(h.ineqs) == 30
     # 120 points: a per-point solve would add one elimination per point
     assert counts["eliminate"] == 9
+
+
+def test_vertices_one_lp_when_the_feasible_point_is_interior(monkeypatch):
+    # x0 of the max-common-slack LP is slack on every row, so t = 0 is
+    # interior to the t-polytope and no second LP is needed
+    for poly, n_vertices in ((zoo.birkhoff_hrep(4), 24), (zoo.permutahedron_hrep(5), 120)):
+        counts = _count_solves(monkeypatch)
+        assert len(kernel.vertices(poly).vertices) == n_vertices
+        assert counts["solves"] == 1
+    # 0 <= x <= 1, x + y = 1 as two inequalities, 0 <= z <= 2: the implicit
+    # equality leaves x0 on a row, so the interior point takes its own LP
+    # after the one that finds the implicit equalities
+    poly = HPoly(3, [((1, 1, 0), 1), ((-1, -1, 0), -1), ((1, 0, 0), 1), ((-1, 0, 0), 0),
+                     ((0, 0, 1), 2), ((0, 0, -1), 0)])
+    counts = _count_solves(monkeypatch)
+    assert kernel.vertices(poly).vertices == ((0, 1, 0), (0, 1, 2), (1, 0, 0), (1, 0, 2))
+    assert counts["solves"] == 3
+
+
+def test_dd_peak_birkhoff5(monkeypatch):
+    peak = {"vertices": 0}
+    insert = kernel._dd_insert
+
+    def counted(*args):
+        verts, tights = insert(*args)
+        peak["vertices"] = max(peak["vertices"], len(verts))
+        return verts, tights
+
+    monkeypatch.setattr(kernel, "_dd_insert", counted)
+    assert len(kernel.vertices(zoo.birkhoff_hrep(5)).vertices) == 120
+    # the most polar vertices alive after any one row insertion
+    assert peak["vertices"] == 625
