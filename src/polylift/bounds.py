@@ -9,15 +9,13 @@ a lower bound when it must not be.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import mul
 
 from . import linalg
 from .constructions import Extension, verify_extension
 from .errors import InputError, InvariantViolationError, SizeLimitError, ValidationError
 from .kernel import HPoly, VPoly, vertices
 from .slack import SlackMatrix, is_binding, slack_matrix
-
-F = Fraction
 
 EXACT = "exact"
 GREEDY = "greedy"
@@ -51,7 +49,16 @@ class FaceLattice:
 
 
 def face_lattice(hrep: HPoly, vrep: VPoly, *, max_facets: int = 10, max_vertices: int = 12) -> FaceLattice:
-    """Closure enumeration of all faces from the vertex-facet incidences.
+    """All faces of the polytope: P itself, the empty face, and every
+    nonempty intersection of the facet masks (`_closed_sets`), where a facet
+    mask holds the vertices tight at one inequality.
+
+    Each face's dimension is the affine rank of its listed vertices.  Both
+    the tightness test and the rank run in integers: each vertex v is scaled
+    once to its homogeneous (V, w) with v = V/w, and each row (a, b) to a
+    positive multiple (A, -B), so the row is tight at v exactly when the
+    integer dot product is 0, and k points have affine rank one less than
+    the rank of their homogeneous rows.
 
     Desk-bounded: requires at most max_facets inequalities or at most
     max_vertices vertices.  hrep and vrep must describe the same polytope
@@ -67,35 +74,34 @@ def face_lattice(hrep: HPoly, vrep: VPoly, *, max_facets: int = 10, max_vertices
         if not hrep.contains(v):
             raise InputError("a listed vertex violates the inequality description")
     nv = len(vrep.vertices)
-    full = (1 << nv) - 1
+    points = [linalg.homogeneous(v) for v in vrep.vertices]
     facet_masks = []
     for a, b in hrep.ineqs:
-        m = 0
-        for j, v in enumerate(vrep.vertices):
-            if linalg.dot(a, v) == b:
-                m |= 1 << j
-        facet_masks.append(m)
-    faces = {full, 0}
-    queue = [full]
-    while queue:
-        cur = queue.pop()
-        for fm in facet_masks:
-            nxt = cur & fm
-            if nxt not in faces:
-                faces.add(nxt)
-                queue.append(nxt)
+        row = linalg.homogeneous(a + (-b,))[:-1]
+        facet_masks.append(
+            sum(1 << j for j, p in enumerate(points) if sum(map(mul, row, p)) == 0)
+        )
+    faces = _closed_sets(facet_masks) | {(1 << nv) - 1, 0}
     ordered = sorted(faces, key=lambda m: (m.bit_count(), m))
-    dims = []
-    for mask in ordered:
-        pts = [vrep.vertices[j] for j in range(nv) if mask >> j & 1]
-        if not pts:
-            dims.append(-1)
-        elif len(pts) == 1:
-            dims.append(0)
-        else:
-            diffs = [linalg.vsub(p, pts[0]) for p in pts[1:]]
-            dims.append(linalg.rank(linalg.mat(diffs)))
+    dims = [
+        linalg.rank([p for j, p in enumerate(points) if mask >> j & 1]) - 1
+        if mask & (mask - 1) else mask.bit_count() - 1
+        for mask in ordered
+    ]
     return FaceLattice(nv, tuple(ordered), tuple(dims))
+
+
+def _closed_sets(masks) -> set:
+    """All nonempty intersections of one or more of the bitmasks.  Each mask
+    adds itself and its intersection with every set found so far, so the
+    family stays closed under intersection."""
+    closed: set[int] = set()
+    for m in masks:
+        if m and m not in closed:
+            closed |= {m & c for c in closed}
+            closed.add(m)
+    closed.discard(0)
+    return closed
 
 
 def log_face_bound(lattice: FaceLattice) -> int:
@@ -128,34 +134,33 @@ class CoverResult:
 
 
 def _maximal_rectangles(entries):
-    """All inclusion-maximal support rectangles, as (row mask, col mask)."""
+    """All inclusion-maximal support rectangles, as (row mask, col mask).
+
+    Their column sets are the closed sets of the row supports, each paired
+    with the rows that contain it.  They are listed by lowest row, then by
+    the smallest column subset whose closure they are: the order in which
+    a scan of every column subset of every row support meets them, which
+    fixes the branching order of the cover search.
+    """
     m = len(entries)
     n = len(entries[0]) if m else 0
     row_support = [sum(1 << j for j in range(n) if entries[i][j]) for i in range(m)]
-    seen = set()
-    rects = []
-    for i in range(m):
-        cols = [j for j in range(n) if entries[i][j]]
-        if len(cols) > 16:
-            raise SizeLimitError("row support too large for exact rectangle enumeration")
-        for sub in range(1, 1 << len(cols)):
-            jmask = 0
-            for bit, j in enumerate(cols):
-                if sub >> bit & 1:
-                    jmask |= 1 << j
-            imask = 0
-            for r in range(m):
-                if row_support[r] & jmask == jmask:
-                    imask |= 1 << r
-            jfull = (1 << n) - 1
-            for r in range(m):
-                if imask >> r & 1:
-                    jfull &= row_support[r]
-            key = (imask, jfull)
-            if key not in seen:
-                seen.add(key)
-                rects.append(key)
-    return rects
+
+    def rows_of(jmask):
+        return sum(1 << r for r in range(m) if row_support[r] & jmask == jmask)
+
+    def first_met(rect):
+        # the lowest row, and the numerically smallest nonempty column set
+        # with the same rows: drop each column, highest first, that the
+        # rows do not need
+        imask, gen = rect
+        for j in reversed(range(n)):
+            smaller = gen & ~(1 << j)
+            if gen >> j & 1 and smaller and rows_of(smaller) == imask:
+                gen = smaller
+        return imask & -imask, gen
+
+    return sorted(((rows_of(jmask), jmask) for jmask in _closed_sets(row_support)), key=first_met)
 
 
 def _greedy_fooling(entry_list, entries):
@@ -178,32 +183,27 @@ def rectangle_cover_min(
     """Minimum number of support rectangles covering the support of the slack
     matrix (exact branch and bound within budget; greedy fallback flagged).
 
-    Only an exact result is a valid lower bound on extension complexity; a
-    greedy cover is an upper bound on the cover number and is flagged as such.
+    A support of more than exact_support_limit entries gets the greedy cover
+    at once; otherwise the search branches over the maximal rectangles
+    (`_maximal_rectangles`), bounded below by a greedy fooling set of the
+    uncovered entries.  Only an exact result is a valid lower bound on
+    extension complexity; a greedy cover is an upper bound on the cover
+    number and is flagged as such.
     """
     entries = slack.entries
     support = slack.support()
     if not support:
         return CoverResult(EXACT, 0, RectangleCover(()))
-    big = len(support) > exact_support_limit
-    try:
-        rects = _maximal_rectangles(entries)
-    except SizeLimitError:
-        big = True
-        rects = []
     n = slack.ncols
-    ent_index = {e: t for t, e in enumerate(support)}
-    if big:
+    if len(support) > exact_support_limit:
         cover = _greedy_cover(support, entries, n)
         return CoverResult(GREEDY, len(cover), RectangleCover(tuple(cover)))
+    rects = _maximal_rectangles(entries)
 
-    rect_sets = []
-    for imask, jmask in rects:
-        s = 0
-        for t, (i, j) in enumerate(support):
-            if imask >> i & 1 and jmask >> j & 1:
-                s |= 1 << t
-        rect_sets.append(s)
+    rect_sets = [
+        sum(1 << t for t, (i, j) in enumerate(support) if imask >> i & 1 and jmask >> j & 1)
+        for imask, jmask in rects
+    ]
     full = (1 << len(support)) - 1
     entry_rects = [
         [r for r in range(len(rects)) if rect_sets[r] >> t & 1] for t in range(len(support))
@@ -239,15 +239,11 @@ def rectangle_cover_min(
         if len(chosen) + lb >= best_size:
             return
         # branch on the uncovered entry with the fewest covering rectangles
-        pick = None
-        pick_opts = None
-        for t in range(len(support)):
-            if uncovered >> t & 1:
-                opts = entry_rects[t]
-                if pick is None or len(opts) < len(pick_opts):
-                    pick = t
-                    pick_opts = opts
-        for r in pick_opts:
+        pick = min(
+            (t for t in range(len(support)) if uncovered >> t & 1),
+            key=lambda t: len(entry_rects[t]),
+        )
+        for r in entry_rects[pick]:
             chosen.append(r)
             bb(chosen, covered | rect_sets[r])
             chosen.pop()
@@ -306,43 +302,55 @@ class FoolingResult:
 
 
 def fooling_set_max(slack: SlackMatrix, budget: int = 500_000) -> FoolingResult:
-    """Maximum fooling set via branch-and-bound max clique on the
-    compatibility graph; budget exhaustion degrades to the best set found,
-    flagged greedy (still a valid lower bound)."""
+    """Maximum fooling set: a maximum clique of the compatibility graph on
+    the support entries, by branch and bound on int bitmasks.
+
+    The search starts from the greedy fooling set and branches on the
+    candidates in index order.  A node is cut when a greedy coloring of its
+    candidates needs no more classes than the clique lacks to beat the best
+    set; a branch, when the clique with its candidate and that candidate's
+    compatible candidates cannot.  Budget exhaustion (one node per call of
+    the search) degrades to the best set found, flagged greedy: it is still
+    a valid lower bound.
+    """
     entries = slack.entries
     support = slack.support()
     ne = len(support)
     if ne == 0:
         return FoolingResult(EXACT, FoolingSet(()))
-    compat = [0] * ne
-    for a in range(ne):
-        ia, ja = support[a]
-        for b in range(a + 1, ne):
-            ib, jb = support[b]
-            if entries[ia][jb] == 0 or entries[ib][ja] == 0:
-                compat[a] |= 1 << b
-                compat[b] |= 1 << a
+    # entries a and b are compatible when entries[ia][jb] or entries[ib][ja]
+    # is 0: b lies in a column where row ia is 0, or in a row where column
+    # ja is 0.  The masks summed below are disjoint, so each sum is a union.
+    in_row = [0] * slack.nrows
+    in_col = [0] * slack.ncols
+    for t, (i, j) in enumerate(support):
+        in_row[i] |= 1 << t
+        in_col[j] |= 1 << t
+    by_row = [sum(in_col[j] for j, x in enumerate(row) if x == 0) for row in entries]
+    by_col = [
+        sum(in_row[i] for i, row in enumerate(entries) if row[j] == 0) for j in range(slack.ncols)
+    ]
+    compat = [by_row[i] | by_col[j] for i, j in support]
     best = list(_greedy_fooling(support, entries))
     best_idx = [support.index(e) for e in best]
     nodes = 0
     exceeded = False
 
-    def color_bound(cand_mask):
-        """Greedy coloring: number of classes bounds the clique size."""
-        colors = []
-        m = cand_mask
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            placed = False
-            for cls in range(len(colors)):
-                if not (colors[cls][1] >> v & 1):
-                    colors[cls] = (colors[cls][0] | (1 << v), colors[cls][1] | compat[v])
-                    placed = True
-                    break
-            if not placed:
-                colors.append((1 << v, compat[v]))
-        return len(colors)
+    def colorable(cand_mask, k):
+        """Whether greedy coloring puts the candidates into at most k
+        classes, so that no clique among them has more than k entries.
+        Each class takes, lowest index first, every candidate left that is
+        compatible with none it already holds: the classes of placing each
+        candidate in turn into the first class that admits it."""
+        for _ in range(k):
+            free = cand_mask
+            while free:
+                v = (free & -free).bit_length() - 1
+                cand_mask &= ~(1 << v)
+                free &= ~(compat[v] | 1 << v)
+            if not cand_mask:
+                return True
+        return not cand_mask
 
     def bb(clique, cand_mask):
         nonlocal best_idx, nodes, exceeded
@@ -356,7 +364,7 @@ def fooling_set_max(slack: SlackMatrix, budget: int = 500_000) -> FoolingResult:
             if len(clique) > len(best_idx):
                 best_idx = list(clique)
             return
-        if len(clique) + color_bound(cand_mask) <= len(best_idx):
+        if colorable(cand_mask, len(best_idx) - len(clique)):
             return
         m = cand_mask
         while m:
@@ -501,6 +509,10 @@ def embedding_check(
     nv = len(target_vrep.vertices)
     nq = len(qv.vertices)
     proj_pts = [ext.proj.apply(u) for u in qv.vertices]
+    # only verified extensions can embed; a P without vertices has only the
+    # empty face, whose preimage is empty whatever Q projects to
+    if nv and not all(target_hrep.contains(x) for x in proj_pts):
+        return False
     images = []
     for fmask in lp.faces:
         if fmask == 0:
@@ -518,10 +530,7 @@ def embedding_check(
         ]
         gmask = 0
         for uidx in range(nq):
-            x = proj_pts[uidx]
-            if not target_hrep.contains(x):
-                return False  # only verified extensions can embed
-            if all(linalg.dot(a, x) == b for a, b in rows):
+            if all(linalg.dot(a, proj_pts[uidx]) == b for a, b in rows):
                 gmask |= 1 << uidx
         if gmask not in q_faces:
             return False

@@ -565,14 +565,6 @@ def affine_hull(poly: HPoly) -> list[tuple[Vec, Fraction]]:
 # Double description core, in integers
 # ---------------------------------------------------------------------------
 
-def _homogeneous(v: Sequence[Fraction]) -> tuple[int, ...]:
-    """The rational vector v as the primitive integer vector (V..., w) with
-    w > 0 and v = V/w.  It is primitive because w is the lcm of the reduced
-    denominators."""
-    w = lcm(*(x.denominator for x in v))
-    return tuple(x.numerator * (w // x.denominator) for x in v) + (w,)
-
-
 def _int_matrix(m) -> tuple[list[list[int]], int]:
     """(M, den) with m = M/den, den > 0 the lcm of m's denominators."""
     den = lcm(*(x.denominator for row in m for x in row))
@@ -693,7 +685,7 @@ def hull(points: VPoly) -> HPoly:
     l_nz = [[(c, x) for c, x in enumerate(row) if x] for row in l_int]
     n_int, n_den = _int_matrix(n_mat)
     scale = n_den * l_den
-    hom = [_homogeneous(p) for p in pts]
+    hom = [linalg.homogeneous(p) for p in pts]
     big_p0 = hom[0][:dim]
     q0 = hom[0][dim]
     coords = []
@@ -708,7 +700,7 @@ def hull(points: VPoly) -> HPoly:
     # the polar of that point simplex is again a simplex, which seeds the
     # double description with real geometry (no artificial bounding box).
     base_pts = [0] + [i + 1 for i in basis_idx]
-    centroid = _homogeneous(tuple(
+    centroid = linalg.homogeneous(tuple(
         sum(Fraction(coords[i][0][r], coords[i][1]) for i in base_pts) / (k + 1) for r in range(k)
     ))
     big_c, hc = centroid[:k], centroid[k]
@@ -729,7 +721,7 @@ def hull(points: VPoly) -> HPoly:
         y = linalg.solve(linalg.mat([a for a, _ in seed]), linalg.vec([b for _, b in seed]))
         if y is None:
             raise InvariantViolationError("polar simplex is degenerate")
-        v = _homogeneous(y)
+        v = linalg.homogeneous(y)
         mask = 0
         for j in range(k + 1):
             s = _int_slack(rows[j], v)
@@ -781,12 +773,12 @@ def vertices(poly: HPoly) -> VPoly:
     # x0 = X0/q0: a row a·x <= b, scaled to integers, becomes
     # q0·(a·n_int)·t <= n_den·(q0·b - a·X0)
     n_int, n_den = _int_matrix(null)
-    hx = _homogeneous(x0)
+    hx = linalg.homogeneous(x0)
     big_x0, q0 = hx[:dim], hx[dim]
     t_rows = []
     seen = set()
     for a, b in poly.ineqs:
-        h = _homogeneous(tuple(a) + (b,))
+        h = linalg.homogeneous(tuple(a) + (b,))
         nz = [(r, x) for r, x in enumerate(h[:dim]) if x]
         at = [q0 * sum(x * n[r] for r, x in nz) for n in n_int]
         bt = n_den * (q0 * h[dim] - sum(x * big_x0[r] for r, x in nz))
@@ -807,7 +799,7 @@ def vertices(poly: HPoly) -> VPoly:
         eps, t_c = _max_common_slack(HPoly(k, [(row[:k], row[k]) for row in t_rows]))
         if eps <= 0:
             raise InvariantViolationError("t-polytope has no interior point")
-        htc = _homogeneous(t_c)
+        htc = linalg.homogeneous(t_c)
         big_tc, qc = htc[:k], htc[k]
     # with t_c = Tc/qc, the polar point a/(b - a·t_c) is qc·a/(qc·b - a·Tc)
     polar = []

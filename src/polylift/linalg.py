@@ -97,6 +97,14 @@ def transpose(m: Mat) -> Mat:
     return tuple(zip(*m))
 
 
+def homogeneous(v: Sequence[Fraction]) -> tuple[int, ...]:
+    """The rational vector v as the primitive integer vector (V..., w) with
+    w > 0 and v = V/w.  It is primitive because w is the lcm of the reduced
+    denominators."""
+    w = lcm(*(x.denominator for x in v))
+    return tuple(x.numerator * (w // x.denominator) for x in v) + (w,)
+
+
 def _eliminate(m) -> tuple[list[list[int]], list[int]]:
     """Fraction-free (Bareiss) Gauss-Jordan elimination of a rational matrix.
 

@@ -2,6 +2,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polylift import bounds as bd
 from polylift import constructions as cx
@@ -12,6 +13,133 @@ from polylift.slack import NonnegFactorization, SlackMatrix, slack_matrix
 from polylift.slack import factorization_to_extension
 
 F = Fraction
+
+
+# ---------------------------------------------------------------------------
+# References: the code that the closure enumeration, the class-by-class
+# coloring and the integer face lattice replaced, kept to test against
+# ---------------------------------------------------------------------------
+
+def reference_maximal_rectangles(entries):
+    """Every inclusion-maximal support rectangle, as (row mask, col mask), by
+    closing every nonempty column subset of every row support, in the order
+    first met."""
+    m = len(entries)
+    n = len(entries[0]) if m else 0
+    row_support = [sum(1 << j for j in range(n) if entries[i][j]) for i in range(m)]
+    seen = set()
+    rects = []
+    for i in range(m):
+        cols = [j for j in range(n) if entries[i][j]]
+        for sub in range(1, 1 << len(cols)):
+            jmask = 0
+            for bit, j in enumerate(cols):
+                if sub >> bit & 1:
+                    jmask |= 1 << j
+            imask = 0
+            for r in range(m):
+                if row_support[r] & jmask == jmask:
+                    imask |= 1 << r
+            jfull = (1 << n) - 1
+            for r in range(m):
+                if imask >> r & 1:
+                    jfull &= row_support[r]
+            key = (imask, jfull)
+            if key not in seen:
+                seen.add(key)
+                rects.append(key)
+    return rects
+
+
+def reference_fooling_set_max(slack, budget=500_000):
+    """The search with the coloring placing each candidate in turn into the
+    first class that admits it, and the compatibility graph built pair by
+    pair: (entries, exact, nodes)."""
+    entries = slack.entries
+    support = slack.support()
+    ne = len(support)
+    if ne == 0:
+        return (), True, 0
+    compat = [0] * ne
+    for a in range(ne):
+        ia, ja = support[a]
+        for b in range(a + 1, ne):
+            ib, jb = support[b]
+            if entries[ia][jb] == 0 or entries[ib][ja] == 0:
+                compat[a] |= 1 << b
+                compat[b] |= 1 << a
+    best = [support.index(e) for e in bd._greedy_fooling(support, entries)]
+    nodes = 0
+    exceeded = False
+
+    def color_bound(cand_mask):
+        colors = []
+        m = cand_mask
+        while m:
+            v = (m & -m).bit_length() - 1
+            m &= m - 1
+            for cls in range(len(colors)):
+                if not (colors[cls][1] >> v & 1):
+                    colors[cls] = (colors[cls][0] | (1 << v), colors[cls][1] | compat[v])
+                    break
+            else:
+                colors.append((1 << v, compat[v]))
+        return len(colors)
+
+    def bb(clique, cand_mask):
+        nonlocal best, nodes, exceeded
+        if exceeded:
+            return
+        nodes += 1
+        if nodes > budget:
+            exceeded = True
+            return
+        if not cand_mask:
+            if len(clique) > len(best):
+                best = list(clique)
+            return
+        if len(clique) + color_bound(cand_mask) <= len(best):
+            return
+        m = cand_mask
+        while m:
+            v = (m & -m).bit_length() - 1
+            m &= m - 1
+            cand_mask &= ~(1 << v)
+            if len(clique) + 1 + (cand_mask & compat[v]).bit_count() <= len(best):
+                continue
+            bb(clique + [v], cand_mask & compat[v])
+
+    bb([], (1 << ne) - 1)
+    return tuple(support[t] for t in sorted(best)), not exceeded, nodes
+
+
+def reference_face_lattice(hrep, vrep):
+    """(faces, dims) by closing the full face under the facet masks, with
+    Fraction tightness tests and ranks of Fraction differences."""
+    nv = len(vrep.vertices)
+    full = (1 << nv) - 1
+    facet_masks = [
+        sum(1 << j for j, v in enumerate(vrep.vertices) if linalg.dot(a, v) == b)
+        for a, b in hrep.ineqs
+    ]
+    faces = {full, 0}
+    queue = [full]
+    while queue:
+        cur = queue.pop()
+        for fm in facet_masks:
+            if cur & fm not in faces:
+                faces.add(cur & fm)
+                queue.append(cur & fm)
+    ordered = sorted(faces, key=lambda m: (m.bit_count(), m))
+    dims = []
+    for mask in ordered:
+        pts = [vrep.vertices[j] for j in range(nv) if mask >> j & 1]
+        if not pts:
+            dims.append(-1)
+        else:
+            diffs = [linalg.vsub(p, pts[0]) for p in pts[1:]]
+            dims.append(linalg.rank(linalg.mat(diffs)) if diffs else 0)
+    return tuple(ordered), tuple(dims)
 
 
 def square():
@@ -97,7 +225,7 @@ def brute_min_cover(entries):
     support = [
         (i, j) for i in range(len(entries)) for j in range(len(entries[0])) if entries[i][j]
     ]
-    rects = bd._maximal_rectangles(entries)
+    rects = reference_maximal_rectangles(entries)
     cover_sets = []
     for imask, jmask in rects:
         cover_sets.append(
@@ -295,3 +423,112 @@ def test_embedding_rejects_wrong_projection():
     q = zoo.cube_hrep(2)
     bad = cx.Extension(q, AffineMap.linear([[2, 0], [0, 2]]), 2, "bad")
     assert not bd.embedding_check(h, v, bad, ext_vrep=vertices(q))
+
+
+def test_embedding_shifted_projection():
+    # the identity plus a shift maps the unit square off the unit square,
+    # and onto the square shifted by the same amount
+    h, v = square()
+    q = zoo.cube_hrep(2)
+    shifted = cx.Extension(q, AffineMap(linalg.identity(2), (1, 0)), 2, "shift")
+    assert not bd.embedding_check(h, v, shifted, ext_vrep=vertices(q))
+    h1 = HPoly(2, [((1, 0), 2), ((-1, 0), -1), ((0, 1), 1), ((0, -1), 0)])
+    v1 = VPoly(2, [(1, 0), (1, 1), (2, 0), (2, 1)])
+    assert bd.embedding_check(h1, v1, shifted, ext_vrep=vertices(q))
+
+
+def test_embedding_checks_each_projected_vertex_once(monkeypatch):
+    h = zoo.permutahedron_hrep(3)
+    v = zoo.permutahedron_vrep(3)
+    calls = []
+    contains = HPoly.contains
+    monkeypatch.setattr(HPoly, "contains", lambda self, x: calls.append(self is h) or contains(self, x))
+    assert bd.embedding_check(h, v, cx.birkhoff_extension(3))
+    # P's face lattice checks its 6 vertices, then each of the 6 projected
+    # vertices of Q is checked once, not once per face of P
+    assert calls.count(True) == 6 + 6
+
+
+# ---------------------------------------------------------------------------
+# Differential tests against the references
+# ---------------------------------------------------------------------------
+
+@st.composite
+def zero_one_matrices(draw, min_rows=0, max_rows=7, max_cols=9):
+    """0/1 matrices of density 1/4, 1/2 or 3/4, with some rows and columns
+    zeroed and some rows repeated."""
+    m = draw(st.integers(min_rows, max_rows))
+    n = draw(st.integers(1, max_cols))
+    k = draw(st.integers(1, 3))
+    cell = st.integers(0, 3).map(lambda x: int(x >= k))
+    rows = draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=m, max_size=m))
+    if rows:
+        zero_rows = draw(st.sets(st.integers(0, m - 1), max_size=2))
+        zero_cols = draw(st.sets(st.integers(0, n - 1), max_size=2))
+        rows = [[0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(r)]
+                for i, r in enumerate(rows)]
+        repeats = draw(st.lists(st.integers(0, m - 1), max_size=2))
+        rows = draw(st.permutations(rows + [list(rows[i]) for i in repeats]))
+    return rows[:max_rows]
+
+
+@st.composite
+def slack_supports(draw):
+    """Slack matrices of 0/1 polytopes, or plain 0/1 matrices."""
+    if draw(st.booleans()):
+        return plain_slack(draw(zero_one_matrices(min_rows=1, max_rows=6, max_cols=7)))
+    dim = draw(st.integers(2, 4))
+    cube = [tuple((m >> i) & 1 for i in range(dim)) for m in range(1 << dim)]
+    pts = draw(st.lists(st.sampled_from(cube), min_size=2, max_size=8, unique=True))
+    v = VPoly(dim, pts)
+    return slack_matrix(hull(v), v)
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(zero_one_matrices())
+def test_closed_set_rectangles_match_subset_enumeration(entries):
+    got = bd._maximal_rectangles(entries)
+    ref = reference_maximal_rectangles(entries)
+    assert set(got) == set(ref)
+    # in the same order too, so the cover search branches as before
+    assert got == ref
+
+
+def assert_fooling(sm, ents):
+    assert all(sm.entries[i][j] != 0 for i, j in ents)
+    for (i, j), (i2, j2) in combinations(ents, 2):
+        assert sm.entries[i][j2] == 0 or sm.entries[i2][j] == 0
+
+
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(slack_supports())
+def test_fooling_search_matches_reference(sm):
+    res = bd.fooling_set_max(sm)
+    assert (res.fooling.entries, res.is_exact(), res.nodes) == reference_fooling_set_max(sm)
+    assert_fooling(sm, res.fooling.entries)
+    if len(sm.support()) <= 12:
+        assert res.size() == brute_max_fooling(sm.entries)
+    # cut off early: the same best set so far, still a fooling set
+    cut = bd.fooling_set_max(sm, budget=3)
+    assert (cut.fooling.entries, cut.is_exact(), cut.nodes) == reference_fooling_set_max(sm, budget=3)
+    assert_fooling(sm, cut.fooling.entries)
+
+
+@st.composite
+def listed_points(draw):
+    """0/1 or fractional point sets, not necessarily in convex position."""
+    dim = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        coord = st.sampled_from([F(0), F(1)])
+    else:
+        coord = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+    point = st.lists(coord, min_size=dim, max_size=dim).map(tuple)
+    return VPoly(dim, draw(st.lists(point, min_size=1, max_size=8, unique=True)))
+
+
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(listed_points())
+def test_face_lattice_matches_fraction_reference(v):
+    h = hull(v)
+    lat = bd.face_lattice(h, v, max_facets=100, max_vertices=100)
+    assert (lat.faces, lat.dims) == reference_face_lattice(h, v)

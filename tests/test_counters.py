@@ -1,10 +1,11 @@
-"""Pinned deterministic work counters: a regression in LP solves, pivots or
-eliminations fails here loudly, whatever the machine's speed."""
+"""Pinned deterministic work counters: a regression in LP solves, pivots,
+eliminations or search nodes fails here loudly, whatever the machine's
+speed."""
 
 from fractions import Fraction as F
 
 from polylift import constructions as cx
-from polylift import kernel, linalg, simplex, slack, zoo
+from polylift import bounds, kernel, linalg, simplex, slack, zoo
 from polylift.kernel import HPoly, PolyEqualResult
 
 
@@ -127,3 +128,32 @@ def test_dd_peak_birkhoff5(monkeypatch):
     assert len(kernel.vertices(zoo.birkhoff_hrep(5)).vertices) == 120
     # the most polar vertices alive after any one row insertion
     assert peak["vertices"] == 625
+
+
+def test_fooling_search_nodes():
+    cube5 = zoo.cube_hrep(5)
+    cases = (
+        (zoo.spanning_tree_hrep(4), zoo.spanning_tree_vrep(4), 10, 62_330),
+        (zoo.permutahedron_hrep(4), zoo.permutahedron_vrep(4), 6, 6_058),
+        (cube5, kernel.vertices(cube5), 10, 575),
+    )
+    for h, v, size, nodes in cases:
+        res = bounds.fooling_set_max(slack.slack_matrix(h, v))
+        assert (res.size(), res.is_exact(), res.nodes) == (size, True, nodes)
+
+
+def test_spanning_tree4_fooling_budget_runs_out():
+    # cut off at 15,000 nodes, the search keeps its best set, flagged greedy
+    rep = bounds.xc_bounds(zoo.spanning_tree_hrep(4), zoo.spanning_tree_vrep(4), fooling_budget=15_000)
+    assert rep.bounds["fooling_set"] == (10, False)
+
+
+def test_rectangle_cover_nodes():
+    b3 = zoo.birkhoff_hrep(3)
+    cases = (
+        (zoo.matching_hrep(4), zoo.matching_vrep(4), 10, 51),
+        (b3, kernel.vertices(b3), 6, 13),
+    )
+    for h, v, size, nodes in cases:
+        res = bounds.rectangle_cover_min(slack.slack_matrix(h, v))
+        assert (res.size, res.is_exact(), res.nodes) == (size, True, nodes)
