@@ -44,9 +44,6 @@ class FaceLattice:
             out[d] = out.get(d, 0) + 1
         return out
 
-    def contains_face(self, mask: int) -> bool:
-        return mask in set(self.faces)
-
 
 def face_lattice(hrep: HPoly, vrep: VPoly, *, max_facets: int = 10, max_vertices: int = 12) -> FaceLattice:
     """All faces of the polytope: P itself, the empty face, and every

@@ -164,13 +164,13 @@ def verify_extension(
         shift = linalg.dot(a, poff)
         if r.status == "unbounded":
             report.projection_bounded = False
-            report.row_failures.append((label, "unbounded", bound, r.ray))
+            report.row_failures.append((label, "unbounded", bound, r.dual_certificate))
             report.passed = False
             continue
-        val = r.value + shift
+        val = r.optimum + shift
         bad = val > bound if sense == "max" else val < bound
         if bad:
-            witness = ext.proj.apply(r.point)
+            witness = ext.proj.apply(r.primal_point)
             report.row_failures.append((label, val, bound, witness))
             report.passed = False
     return report
@@ -741,9 +741,6 @@ class CoverageCertificate:
     subsets: tuple
     witness: tuple  # family index per subset
     complete: bool
-
-    def family_size(self) -> int:
-        return (max(self.witness) + 1) if self.witness else 0
 
 
 def covering_coloring_family(

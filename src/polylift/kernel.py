@@ -1,9 +1,11 @@
 """Exact polyhedral kernel: types, rational LP, and geometric primitives.
 
 Everything here is pure and exact: polyhedra are immutable, all arithmetic is
-over Fraction (the double description core scales it to integers and back),
-and every answer is certified (optimal LP values come with points and duals,
-emptiness with Farkas vectors, unboundedness with rays).
+over Fraction (the double description core scales it to integers and back).
+Every LP goes through `optimize_all`: its answers carry points, and rays when
+unbounded, and every internal verdict rests on them.  `lp_solve` adds a dual
+vector or a Farkas vector, the solution of a second LP over the same rows,
+which exact dot products alone can check.
 Operations are safe to call concurrently on shared inputs; there is no hidden
 mutable state.
 """
@@ -162,13 +164,15 @@ class AffineMap:
 
 @dataclass(frozen=True)
 class LPResult:
-    """Exact LP outcome.
+    """Exact LP outcome, from `optimize`/`optimize_all` and `lp_solve`.
 
-    optimal:    optimum and primal_point are set; dual_certificate is
-                (y per inequality, z per equation) with A^T y + C^T z = c,
-                b·y + d·z = optimum, and y >= 0 for max / y <= 0 for min.
-    infeasible: dual_certificate is a Farkas pair (y >= 0 on inequalities)
-                with y^T A + z^T C = 0 and y^T b + z^T d < 0.
+    optimal:    optimum and primal_point are set.  From lp_solve,
+                dual_certificate is (y per inequality, z per equation) with
+                A^T y + C^T z = c, b·y + d·z = optimum, and y >= 0 for max /
+                y <= 0 for min; from optimize it is None.
+    infeasible: from lp_solve, dual_certificate is a Farkas pair (y >= 0 on
+                inequalities) with y^T A + z^T C = 0 and y^T b + z^T d = -1;
+                from optimize it is None.
     unbounded:  primal_point is feasible and dual_certificate is a ray r with
                 A r <= 0, C r = 0 and c·r improving for the given sense.
     """
@@ -190,10 +194,10 @@ class PolyEqualResult:
 
 
 # ---------------------------------------------------------------------------
-# LP layer: each optimize_all, lp_solve or lex_min_point call makes one
+# LP layer: each optimize_all or lex_min_point call makes one
 # simplex.solve_standard call, which runs phase 1 once and gives each
 # objective its own phase 2 (lex_min_point: one per coordinate, each on the
-# optimal face of the coordinates before it)
+# optimal face of the coordinates before it); lp_solve is two optimize calls
 # ---------------------------------------------------------------------------
 
 def _assemble_standard(dim, ineqs, eqs, costs_min, nonneg):
@@ -252,42 +256,6 @@ def _recover_vector(zvec, var_cols, dim):
         out.append(zvec[p] - zvec[q] if q is not None else zvec[p])
     return tuple(out)
 
-
-def lp_solve(objective: Sequence, sense: str, poly: HPoly) -> LPResult:
-    """Exact LP over an HPoly with verifiable certificates.
-
-    sense is "max" or "min".  See LPResult for certificate conventions.
-    """
-    if sense not in ("max", "min"):
-        raise InputError("sense must be 'max' or 'min'")
-    c = vec(objective)
-    if len(c) != poly.dim:
-        raise InputError(f"objective has length {len(c)}, expected {poly.dim}")
-    cost_min = [-x for x in c] if sense == "max" else list(c)
-    rows, rhs, costs, var_cols = _assemble_standard(
-        poly.dim, poly.ineqs, poly.eqs, [cost_min], [False] * poly.dim
-    )
-    [res] = simplex.solve_standard(rows, rhs, costs, want_dual=True)
-    ni = len(poly.ineqs)
-    if res.status == simplex.INFEASIBLE:
-        far = res.farkas
-        cert = tuple(-y for y in far)  # lambda >= 0 on ineqs, free on eqs
-        return LPResult(status=INFEASIBLE, dual_certificate=cert)
-    if res.status == simplex.UNBOUNDED:
-        point = _recover_vector(res.point, var_cols, poly.dim)
-        ray = _recover_vector(res.ray, var_cols, poly.dim)
-        return LPResult(status=UNBOUNDED, primal_point=point, dual_certificate=ray)
-    point = _recover_vector(res.point, var_cols, poly.dim)
-    if sense == "max":
-        optimum = -res.value
-        dual = tuple(-y for y in res.dual)
-    else:
-        optimum = res.value
-        dual = tuple(res.dual)
-    return LPResult(status=OPTIMAL, optimum=optimum, primal_point=point, dual_certificate=dual)
-
-
-# -- fast internal path: presolve, no dual bookkeeping ----------------------
 
 class _Reduction:
     """Presolve record: eliminated variables as affine functions of survivors."""
@@ -402,17 +370,9 @@ def _presolve(poly: HPoly) -> _Reduction:
     return red
 
 
-@dataclass(frozen=True)
-class FastLP:
-    status: str
-    value: Fraction | None = None
-    point: Vec | None = None
-    ray: Vec | None = None
-
-
-def optimize_all(poly: HPoly, objectives: Sequence[tuple[Sequence, str]]) -> list[FastLP]:
-    """Exact optimum and point of each (objective, sense) over one polyhedron,
-    without dual bookkeeping (internal fast path).
+def optimize_all(poly: HPoly, objectives: Sequence[tuple[Sequence, str]]) -> list[LPResult]:
+    """Exact optimum and point of each (objective, sense) over one polyhedron;
+    an unbounded result carries an improving ray as its dual_certificate.
 
     Presolve, standard form and phase 1 are shared; each objective gets its
     own phase 2, so result i equals optimize(poly, *objectives[i]).
@@ -429,7 +389,7 @@ def optimize_all(poly: HPoly, objectives: Sequence[tuple[Sequence, str]]) -> lis
         return []
     red = _presolve(poly)
     if red.infeasible:
-        return [FastLP(status=INFEASIBLE) for _ in cs]
+        return [LPResult(status=INFEASIBLE) for _ in cs]
     k = len(red.alive)
     costs_min, consts = [], []
     for c, sense in cs:
@@ -440,27 +400,59 @@ def optimize_all(poly: HPoly, objectives: Sequence[tuple[Sequence, str]]) -> lis
     out = []
     for (_, sense), const, res in zip(cs, consts, simplex.solve_standard(rows, rhs, costs)):
         if res.status == simplex.INFEASIBLE:
-            out.append(FastLP(status=INFEASIBLE))
+            out.append(LPResult(status=INFEASIBLE))
             continue
         pr = red.back(_recover_vector(res.point, var_cols, k))
         if res.status == simplex.UNBOUNDED:
             rr = red.back(_recover_vector(res.ray, var_cols, k), ray=True)
-            out.append(FastLP(status=UNBOUNDED, point=pr, ray=rr))
+            out.append(LPResult(status=UNBOUNDED, primal_point=pr, dual_certificate=rr))
         else:
             value = (-res.value if sense == "max" else res.value) + const
-            out.append(FastLP(status=OPTIMAL, value=value, point=pr))
+            out.append(LPResult(status=OPTIMAL, optimum=value, primal_point=pr))
     return out
 
 
-def optimize(poly: HPoly, objective: Sequence, sense: str) -> FastLP:
-    """Exact optimum and point without dual bookkeeping (internal fast path)."""
+def optimize(poly: HPoly, objective: Sequence, sense: str) -> LPResult:
+    """Exact optimum and point of one objective; sense is "max" or "min"."""
     return optimize_all(poly, [(objective, sense)])[0]
+
+
+def lp_solve(objective: Sequence, sense: str, poly: HPoly) -> LPResult:
+    """`optimize` with a dual certificate for an optimal or infeasible answer
+    (see LPResult): one more `optimize`, over the original rows, of the dual
+    LP in w = (y per inequality, z per equation):
+
+    - optimal, max: y >= 0, A^T y + C^T z = c, minimize b·y + d·z (min:
+      y <= 0, maximize); its optimum must equal the primal one
+    - infeasible (Farkas): y >= 0, A^T y + C^T z = 0, b·y + d·z = -1
+
+    Raises InvariantViolationError when that LP does not confirm the answer.
+    """
+    res = optimize(poly, objective, sense)
+    if res.status == UNBOUNDED:
+        return res
+    rows = poly.ineqs + poly.eqs
+    m = len(rows)
+    at = [tuple(a[j] for a, _ in rows) for j in range(poly.dim)]
+    b = tuple(rhs for _, rhs in rows)
+    # y_sign * y_i <= 0 on each inequality's multiplier
+    y_sign = ONE if res.status == OPTIMAL and sense == "min" else -ONE
+    signs = [(tuple(y_sign * x for x in linalg.unit(m, i)), ZERO) for i in range(len(poly.ineqs))]
+    if res.status == INFEASIBLE:
+        dual = HPoly(m, signs, [(col, ZERO) for col in at] + [(b, -ONE)])
+        cert = optimize(dual, linalg.zeros(m), "min")
+    else:
+        dual = HPoly(m, signs, list(zip(at, vec(objective))))
+        cert = optimize(dual, b, "min" if sense == "max" else "max")
+    if cert.status != OPTIMAL or (res.status == OPTIMAL and cert.optimum != res.optimum):
+        raise InvariantViolationError(f"the dual LP does not confirm the {res.status} answer")
+    return LPResult(res.status, res.optimum, res.primal_point, cert.primal_point)
 
 
 def feasible_point(poly: HPoly) -> Vec | None:
     """Any exact point of the polyhedron, or None when it is empty."""
     r = optimize(poly, linalg.zeros(poly.dim), "min")
-    return r.point if r.status != INFEASIBLE else None
+    return r.primal_point if r.status != INFEASIBLE else None
 
 
 def lex_min_point(poly: HPoly) -> Vec:
@@ -509,9 +501,9 @@ def _max_common_slack(poly: HPoly) -> tuple[Fraction, Vec]:
     r = optimize(HPoly(dim + 1, eps_rows, eps_eqs), linalg.unit(dim + 1, dim), "max")
     if r.status == UNBOUNDED:
         raise InvariantViolationError("eps objective is capped at 1")
-    if r.status == INFEASIBLE or r.value < 0:
+    if r.status == INFEASIBLE or r.optimum < 0:
         raise EmptyPolyhedronError("polyhedron is empty")
-    return r.value, tuple(r.point[:dim])
+    return r.optimum, tuple(r.primal_point[:dim])
 
 
 def _affine_hull_data(poly: HPoly):
@@ -545,7 +537,7 @@ def _implicit_equalities(poly: HPoly):
     found = []
     results = optimize_all(poly, [(a, "min") for a, _ in poly.ineqs])
     for (a, b), r in zip(poly.ineqs, results):
-        if r.status == OPTIMAL and r.value == b:
+        if r.status == OPTIMAL and r.optimum == b:
             found.append((tuple(a), b))
     return found
 
@@ -839,7 +831,7 @@ def _nonredundant(dim: int, rows, eqs) -> list[bool]:
     for i, (a, b) in enumerate(rows):
         rest = tuple(rows[j] for j in range(len(rows)) if keep[j] and j != i)
         r = optimize(HPoly(dim, rest, eqs), a, "max")
-        if r.status == OPTIMAL and r.value <= b:
+        if r.status == OPTIMAL and r.optimum <= b:
             keep[i] = False
         elif r.status == INFEASIBLE:
             raise InvariantViolationError("relaxation of a nonempty polyhedron is empty")
@@ -902,14 +894,15 @@ def _hpoly_subset(a: HPoly, b: HPoly):
     for (rowvec, rhs, sense), r in zip(checks, results):
         if r.status == UNBOUNDED:
             # walk along the improving ray until this row of b is violated
-            base = linalg.dot(rowvec, r.point)
-            step = linalg.dot(rowvec, r.ray)
+            point, ray = r.primal_point, r.dual_certificate
+            base = linalg.dot(rowvec, point)
+            step = linalg.dot(rowvec, ray)
             t = max((rhs - base) / step + 1, ONE)
-            witness = tuple(p + t * q for p, q in zip(r.point, r.ray))
-            return first.point, False, witness
-        if r.status == OPTIMAL and (r.value > rhs if sense == "max" else r.value < rhs):
-            return first.point, False, r.point
-    return first.point, True, None
+            witness = tuple(p + t * q for p, q in zip(point, ray))
+            return first.primal_point, False, witness
+        if r.status == OPTIMAL and (r.optimum > rhs if sense == "max" else r.optimum < rhs):
+            return first.primal_point, False, r.primal_point
+    return first.primal_point, True, None
 
 
 def _one_side_empty(x1, x2) -> PolyEqualResult | None:

@@ -76,10 +76,6 @@ def vsub(u: Vec, v: Vec) -> Vec:
     return tuple(a - b for a, b in zip(u, v))
 
 
-def vscale(c: Fraction, u: Vec) -> Vec:
-    return tuple(c * a for a in u)
-
-
 def mat_vec(m: Mat, v: Sequence[Fraction]) -> Vec:
     return tuple(dot(row, v) for row in m)
 

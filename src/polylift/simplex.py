@@ -14,9 +14,9 @@ face of the costs before it.
 
 Artificial variables are kept implicit: phase 1 starts from the all-artificial
 basis, their columns are never stored, and after phase 1 remaining zero-level
-artificials are pivoted out or their (dependent) rows dropped.  Dual vectors
-and Farkas certificates are recovered at the end by solving B^T y = c_B
-against a pristine copy of the constraint matrix.
+artificials are pivoted out or their (dependent) rows dropped.  The simplex
+is primal only: a result carries a point, a value or a ray, never a dual
+vector; certificates are solutions of a dual LP (see `kernel.lp_solve`).
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
 from .errors import InvariantViolationError
 
 ZERO = Fraction(0)
@@ -40,9 +39,7 @@ class StandardResult:
     status: str
     point: list[Fraction] | None = None
     value: Fraction | None = None
-    dual: list[Fraction] | None = None    # optimal: y per input row
-    ray: list[Fraction] | None = None     # unbounded: improving ray in z
-    farkas: list[Fraction] | None = None  # infeasible: y with y^T A <= 0, y^T b > 0
+    ray: list[Fraction] | None = None  # unbounded: improving ray in z
 
 
 def _pivot(tab, rhs, objs, objvals, basis, r, c):
@@ -99,51 +96,28 @@ def _run_phase(tab, rhs, objs, objvals, basis, cols):
         _pivot(tab, rhs, objs, objvals, basis, leave, enter)
 
 
-def _basis_dual(rows0, row_ids, basis, cb, n):
-    """Solve B^T y = c_B for the given basis against the pristine rows.
-
-    An artificial id v >= n stands for the unit column of row v - n."""
-    bt = []
-    for v in basis:
-        if v >= n:
-            bt.append(tuple(ONE if ri == v - n else ZERO for ri in row_ids))
-        else:
-            bt.append(tuple(rows0[ri][v] for ri in row_ids))
-    y = linalg.solve(linalg.mat(bt), linalg.vec(cb))
-    if y is None:
-        raise InvariantViolationError("singular basis in dual recovery")
-    return y
-
-
-def solve_standard(a_rows, b, costs, want_dual: bool = False, lex: bool = False) -> list[StandardResult]:
+def solve_standard(a_rows, b, costs, lex: bool = False) -> list[StandardResult]:
     """Solve min cost·z s.t. a_rows z = b, z >= 0 exactly, for each cost.
 
     `a_rows` is a sequence of coefficient lists (copied), `b` a sequence of
     Fractions and `costs` a non-empty list of cost sequences, one result per
     cost in order.  Phase 1 runs once; each cost runs phase 2 on its own
     copy of the phase-1 tableau and basis, so every result equals that of a
-    one-cost call.  Dual/Farkas vectors index the rows as given.
+    one-cost call.
 
     With `lex=True` result j minimizes costs[j] over the optimal face of
     costs[0..j-1] (lexicographic optimization): the costs share one tableau,
-    and the list ends at the first UNBOUNDED result.  Lex results carry no
-    dual, so `want_dual` must be False.
+    and the list ends at the first UNBOUNDED result.
     """
-    if lex and want_dual:
-        raise InvariantViolationError("lex mode gives no duals")
     m = len(a_rows)
     n = len(costs[0])
     tab = [list(row) for row in a_rows]
     rhs = list(b)
-    flip = [False] * m
     for i in range(m):
         if rhs[i] < 0:
             tab[i] = [-x for x in tab[i]]
             rhs[i] = -rhs[i]
-            flip[i] = True
-    rows0 = [row[:] for row in tab]  # pristine normalized copy for dual solves
     basis = [n + i for i in range(m)]  # artificial ids n .. n+m-1
-    row_ids = list(range(m))           # original row index per surviving row
 
     # Phase 1: minimize the sum of artificials.
     obj1 = [ZERO] * n
@@ -157,12 +131,7 @@ def solve_standard(a_rows, b, costs, want_dual: bool = False, lex: bool = False)
     if hit is not None:
         raise InvariantViolationError("phase 1 cannot be unbounded")
     if -objvals[0] > 0:
-        farkas = None
-        if want_dual:
-            cb = [ONE if v >= n else ZERO for v in basis]
-            y0 = _basis_dual(rows0, row_ids, basis, cb, n)
-            farkas = [(-y if flip[i] else y) for i, y in enumerate(y0)]
-        return [StandardResult(status=INFEASIBLE, farkas=farkas) for _ in costs]
+        return [StandardResult(status=INFEASIBLE) for _ in costs]
 
     # Drive zero-level artificials out of the basis; drop dependent rows.
     i = 0
@@ -170,7 +139,7 @@ def solve_standard(a_rows, b, costs, want_dual: bool = False, lex: bool = False)
         if basis[i] >= n:
             enter = next((j for j in range(n) if tab[i][j]), None)
             if enter is None:
-                del tab[i], rhs[i], basis[i], row_ids[i]
+                del tab[i], rhs[i], basis[i]
                 continue
             _pivot(tab, rhs, objs, objvals, basis, i, enter)
         i += 1
@@ -179,17 +148,17 @@ def solve_standard(a_rows, b, costs, want_dual: bool = False, lex: bool = False)
         out = []
         cols = list(range(n))
         for cost in costs:
-            out.append(_phase2(tab, rhs, basis, cost, cols, rows0, row_ids, flip, want_dual))
+            out.append(_phase2(tab, rhs, basis, cost, cols))
             if out[-1].status == UNBOUNDED:
                 break
         return out
     return [
-        _phase2([row[:] for row in tab], rhs[:], basis[:], cost, list(range(n)), rows0, row_ids, flip, want_dual)
+        _phase2([row[:] for row in tab], rhs[:], basis[:], cost, list(range(n)))
         for cost in costs
     ]
 
 
-def _phase2(tab, rhs, basis, cost, cols, rows0, row_ids, flip, want_dual) -> StandardResult:
+def _phase2(tab, rhs, basis, cost, cols) -> StandardResult:
     """Phase 2 of one cost from a feasible basis, pivoting on the tableau it
     is given and entering only columns in `cols`.  At the optimum `cols` is
     narrowed to the columns free to move on the optimal face."""
@@ -207,6 +176,9 @@ def _phase2(tab, rhs, basis, cost, cols, rows0, row_ids, flip, want_dual) -> Sta
     objs = [obj2]
     objvals = [objval2]
     hit = _run_phase(tab, rhs, objs, objvals, basis, cols)
+    point = [ZERO] * n
+    for i, v in enumerate(basis):
+        point[v] = rhs[i]
 
     if hit is not None:
         ray = [ZERO] * n
@@ -214,22 +186,9 @@ def _phase2(tab, rhs, basis, cost, cols, rows0, row_ids, flip, want_dual) -> Sta
         for i, v in enumerate(basis):
             if tab[i][hit]:
                 ray[v] = -tab[i][hit]
-        point = [ZERO] * n
-        for i, v in enumerate(basis):
-            point[v] = rhs[i]
         return StandardResult(status=UNBOUNDED, point=point, ray=ray)
 
     # a nonbasic column with a positive reduced cost is 0 on the optimal face
     cols[:] = [j for j in cols if not obj2[j]]
-    point = [ZERO] * n
-    for i, v in enumerate(basis):
-        point[v] = rhs[i]
     value = sum((c * x for c, x in zip(cost, point) if c and x), ZERO)
-    dual = None
-    if want_dual:
-        cb = [cost[v] for v in basis]
-        y0 = _basis_dual(rows0, row_ids, basis, cb, n)
-        dual = [ZERO] * len(flip)
-        for k, ri in enumerate(row_ids):
-            dual[ri] = -y0[k] if flip[ri] else y0[k]
-    return StandardResult(status=OPTIMAL, point=point, value=value, dual=dual)
+    return StandardResult(status=OPTIMAL, point=point, value=value)

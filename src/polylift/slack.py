@@ -111,7 +111,7 @@ def is_binding(hrep: HPoly) -> bool:
     for (_, b), r in zip(hrep.ineqs, optimize_all(hrep, [(a, "max") for a, _ in hrep.ineqs])):
         if r.status == "infeasible":
             raise EmptyPolyhedronError("polyhedron is empty")
-        if r.status == "unbounded" or r.value != b:
+        if r.status == "unbounded" or r.optimum != b:
             return False
     return True
 
@@ -307,7 +307,7 @@ def extension_to_factorization(
                 "no nonnegative slack combination found; extension_to_factorization "
                 "requires a binding system and a verified extension"
             )
-        t_rows.append(r.point)
+        t_rows.append(r.primal_point)
 
     s_cols = []
     for j, x in enumerate(points.vertices):

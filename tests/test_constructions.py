@@ -275,6 +275,21 @@ def test_verify_extension_detects_leaks():
     assert not seg.contains(witness)
 
 
+def test_verify_extension_unbounded_projection_lists_a_ray():
+    # Q = {0 <= y1 <= 1, y2 >= 0, y2 = y3} under x = y1 + y3 covers [0, 1]
+    # and leaks without bound above it
+    q = HPoly(3, [([1, 0, 0], 1), ([-1, 0, 0], 0), ([0, -1, 0], 0)], [([0, 1, -1], 0)])
+    ext = cx.Extension(q, cx.AffineMap.linear([[1, 0, 1]]), 1, "leaky")
+    seg = HPoly(1, [([1], 1), ([-1], 0)])
+    rep = cx.verify_extension(seg, ext, target_vrep=VPoly(1, [(0,), (1,)]))
+    assert not rep.passed and not rep.projection_bounded
+    [(label, val, bound, ray)] = rep.row_failures
+    assert (label, val, bound) == (seg.row_label(0), "unbounded", 1)
+    assert all(linalg.dot(a, ray) <= 0 for a, _ in q.ineqs)
+    assert all(linalg.dot(c, ray) == 0 for c, _ in q.eqs)
+    assert linalg.dot(seg.ineqs[0][0], linalg.mat_vec(ext.proj.matrix, ray)) > 0
+
+
 def test_random_balas_against_union_oracle():
     rng = random.Random(31337)
     for _ in range(20):

@@ -67,6 +67,20 @@ def test_lex_min_point_one_solve(monkeypatch):
     assert counts["solves"] == 1
 
 
+def test_lp_solve_adds_one_dual_lp_to_optimize(monkeypatch):
+    square = HPoly(2, [((-1, 0), 0), ((0, -1), 0), ((1, 1), 1)])
+    empty = HPoly(1, [((-1,), -1), ((1,), 0)])
+    half_plane = HPoly(2, [((-1, 0), 0)])
+    counts = _count_solves(monkeypatch)
+    assert kernel.optimize(square, (1, 1), "max").status == "optimal"
+    assert counts["solves"] == 1
+    # a ray needs no dual LP
+    for poly, status, solves in ((square, "optimal", 2), (empty, "infeasible", 2), (half_plane, "unbounded", 1)):
+        counts = _count_solves(monkeypatch)
+        assert kernel.lp_solve((1,) * poly.dim, "max", poly).status == status
+        assert counts["solves"] == solves
+
+
 def test_poly_equal_one_lp_batch_per_h_side(monkeypatch):
     p4 = zoo.permutahedron_hrep(4)
     reversed_p4 = HPoly(p4.dim, tuple(reversed(p4.ineqs)), p4.eqs)

@@ -256,6 +256,19 @@ def test_poly_equal_vertex_outside_h_side():
     assert poly_equal(unit_interval, seg) == PolyEqualResult(False, (F(2),), 2)
 
 
+def test_poly_equal_unbounded_h_side_walks_its_ray():
+    # each first side is unbounded along a row of the second: the square's
+    # x <= 1 over the quadrant, and the equation y = 0 over the half-plane
+    quadrant = HPoly(2, [([-1, 0], 0), ([0, -1], 0)])
+    half_plane = HPoly(2, [([-1, 0], 0)])
+    half_line = HPoly(2, [([-1, 0], 0)], [([0, 1], 0)])
+    for unbounded, other in ((quadrant, cube(2)), (half_plane, half_line)):
+        for p1, p2, side in ((unbounded, other, 1), (other, unbounded, 2)):
+            res = poly_equal(p1, p2)
+            assert not res.equal and res.witness_side == side
+            assert unbounded.contains(res.witness) and not other.contains(res.witness)
+
+
 def test_remove_redundancy_edmonds_k4_unchanged():
     p = edmonds_matching_hpoly(4)
     assert len(p.ineqs) == 14

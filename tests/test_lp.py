@@ -5,7 +5,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polylift import linalg, simplex
+from polylift import kernel, linalg, simplex
 from polylift.errors import EmptyPolyhedronError, InputError, InvariantViolationError, UnboundedPolyhedronError
 from polylift.kernel import HPoly, lp_solve, optimize, optimize_all, feasible_point, lex_min_point
 
@@ -129,6 +129,48 @@ def _random_poly(rng, dim, nrows, with_eq):
     return HPoly(dim, ineqs, eqs)
 
 
+def _assert_certificate(poly, c, sense, r):
+    """Check an lp_solve answer with exact dot products alone."""
+    dim, ni = poly.dim, len(poly.ineqs)
+    rows = poly.ineqs + poly.eqs
+    if r.status == "unbounded":
+        x, ray = r.primal_point, r.dual_certificate
+        assert poly.contains(x)
+        assert all(linalg.dot(a, ray) <= 0 for a, _ in poly.ineqs)
+        assert all(linalg.dot(cc, ray) == 0 for cc, _ in poly.eqs)
+        gain = linalg.dot(linalg.vec(c), ray)
+        assert gain > 0 if sense == "max" else gain < 0
+        return
+    w = r.dual_certificate
+    assert len(w) == len(rows)
+    lhs = [sum(wi * a[j] for wi, (a, _) in zip(w, rows)) for j in range(dim)]
+    val = sum(wi * b for wi, (_, b) in zip(w, rows))
+    if r.status == "optimal":
+        x = r.primal_point
+        assert poly.contains(x)
+        assert linalg.dot(linalg.vec(c), x) == r.optimum
+        y = w[:ni]
+        assert all(v >= 0 for v in y) if sense == "max" else all(v <= 0 for v in y)
+        assert lhs == list(linalg.vec(c))
+        assert val == r.optimum
+    else:
+        assert r.status == "infeasible"
+        assert all(v >= 0 for v in w[:ni])
+        assert lhs == [0] * dim
+        assert val == -1
+
+
+def _unpresolved(c, sense, poly):
+    """(status, optimum) from the standard form of poly itself, with every
+    variable free and no presolve: the reference for the optimize path."""
+    cost = [-F(x) for x in c] if sense == "max" else [F(x) for x in c]
+    rows, rhs, costs, _ = kernel._assemble_standard(poly.dim, poly.ineqs, poly.eqs, [cost], [False] * poly.dim)
+    [res] = simplex.solve_standard(rows, rhs, costs)
+    if res.status != "optimal":
+        return res.status, None
+    return res.status, -res.value if sense == "max" else res.value
+
+
 def test_lp_certificates_random():
     rng = random.Random(1234)
     for trial in range(120):
@@ -136,62 +178,36 @@ def test_lp_certificates_random():
         poly = _random_poly(rng, dim, rng.randint(1, 6), rng.random() < 0.4)
         c = [F(rng.randint(-3, 3)) for _ in range(dim)]
         sense = rng.choice(["max", "min"])
-        r = lp_solve(c, sense, poly)
-        ni, ne = len(poly.ineqs), len(poly.eqs)
-        if r.status == "optimal":
-            x = r.primal_point
-            assert poly.contains(x)
-            assert sum(ci * xi for ci, xi in zip(c, x)) == r.optimum
-            y = r.dual_certificate[:ni]
-            z = r.dual_certificate[ni:]
-            sign_ok = all(v >= 0 for v in y) if sense == "max" else all(v <= 0 for v in y)
-            assert sign_ok
-            for j in range(dim):
-                lhs = sum(y[i] * poly.ineqs[i][0][j] for i in range(ni)) + sum(
-                    z[k] * poly.eqs[k][0][j] for k in range(ne)
-                )
-                assert lhs == c[j]
-            val = sum(y[i] * poly.ineqs[i][1] for i in range(ni)) + sum(
-                z[k] * poly.eqs[k][1] for k in range(ne)
-            )
-            assert val == r.optimum
-        elif r.status == "infeasible":
-            lam = r.dual_certificate[:ni]
-            mu = r.dual_certificate[ni:]
-            assert all(v >= 0 for v in lam)
-            for j in range(dim):
-                lhs = sum(lam[i] * poly.ineqs[i][0][j] for i in range(ni)) + sum(
-                    mu[k] * poly.eqs[k][0][j] for k in range(ne)
-                )
-                assert lhs == 0
-            val = sum(lam[i] * poly.ineqs[i][1] for i in range(ni)) + sum(
-                mu[k] * poly.eqs[k][1] for k in range(ne)
-            )
-            assert val < 0
-        else:
-            ray = r.dual_certificate
-            assert poly.contains(r.primal_point)
-            for a, _ in poly.ineqs:
-                assert linalg.dot(linalg.vec(a), ray) <= 0
-            for cc, _ in poly.eqs:
-                assert linalg.dot(linalg.vec(cc), ray) == 0
-            gain = sum(ci * ri for ci, ri in zip(c, ray))
-            assert gain > 0 if sense == "max" else gain < 0
+        _assert_certificate(poly, c, sense, lp_solve(c, sense, poly))
 
 
-def test_fast_path_agrees_with_certified_path():
+def test_fast_path_agrees_with_unpresolved_reference():
     rng = random.Random(99)
     for _ in range(80):
         dim = rng.randint(1, 4)
         poly = _random_poly(rng, dim, rng.randint(1, 6), rng.random() < 0.5)
         c = [F(rng.randint(-3, 3)) for _ in range(dim)]
         sense = rng.choice(["max", "min"])
-        slow = lp_solve(c, sense, poly)
         fast = optimize(poly, c, sense)
-        assert fast.status == slow.status
-        if slow.status == "optimal":
-            assert fast.value == slow.optimum
-            assert poly.contains(fast.point)
+        assert (fast.status, fast.optimum) == _unpresolved(c, sense, poly)
+        if fast.status != "infeasible":
+            assert poly.contains(fast.primal_point)
+
+
+def test_lp_solve_raises_when_the_dual_lp_disagrees(monkeypatch):
+    calls = []
+    solve = kernel.optimize
+
+    def off_by_one_dual(poly, objective, sense):
+        r = solve(poly, objective, sense)
+        calls.append(r)
+        if len(calls) == 2:
+            return kernel.LPResult(r.status, r.optimum + 1, r.primal_point)
+        return r
+
+    monkeypatch.setattr(kernel, "optimize", off_by_one_dual)
+    with pytest.raises(InvariantViolationError, match="dual LP"):
+        lp_solve([1, 1], "max", unit_square())
 
 
 def test_optimize_rejects_unknown_sense():
@@ -243,9 +259,18 @@ def test_optimize_all_matches_one_objective_at_a_time(case):
     # each phase 2 starts from the phase-1 basis, whatever ran before it
     assert optimize_all(poly, [objs[i] for i in order]) == [batch[i] for i in order]
     for (c, sense), fast in zip(objs, batch):
-        slow = lp_solve(c, sense, poly)
-        assert fast.status == slow.status
-        assert fast.value == slow.optimum
+        assert (fast.status, fast.optimum) == _unpresolved(c, sense, poly)
+
+
+@settings(deadline=None, derandomize=True)
+@given(lp_cases())
+def test_lp_solve_certificates_on_every_kind(case):
+    poly, objs, _ = case
+    for c, _ in objs:
+        for sense in ("max", "min"):
+            r, fast = lp_solve(c, sense, poly), optimize(poly, c, sense)
+            assert (r.status, r.optimum, r.primal_point) == (fast.status, fast.optimum, fast.primal_point)
+            _assert_certificate(poly, c, sense, r)
 
 
 def test_feasible_and_lexmin():
@@ -261,6 +286,7 @@ def test_dim_zero():
     r = lp_solve([], "max", p)
     assert r.status == "optimal"
     assert r.optimum == 0
+    _assert_certificate(p, [], "max", r)
     bad = HPoly(0, [([], -1)], [])
     assert feasible_point(bad) is None
 
@@ -269,11 +295,6 @@ def test_lex_min_point_dim_zero():
     assert lex_min_point(HPoly(0, [((), 1)])) == ()
     with pytest.raises(EmptyPolyhedronError, match="polyhedron is empty"):
         lex_min_point(HPoly(0, [((), -1)]))
-
-
-def test_lex_mode_gives_no_duals():
-    with pytest.raises(InvariantViolationError):
-        simplex.solve_standard([[F(1)]], [F(1)], [[F(1)]], want_dual=True, lex=True)
 
 
 def _lex_min_reference(poly):
@@ -289,8 +310,8 @@ def _lex_min_reference(poly):
             raise EmptyPolyhedronError("polyhedron is empty")
         if r.status == "unbounded":
             raise UnboundedPolyhedronError(f"coordinate {j} unbounded below")
-        fixed.append(r.value)
-        current = HPoly(poly.dim, current.ineqs, tuple(current.eqs) + ((linalg.unit(poly.dim, j), r.value),))
+        fixed.append(r.optimum)
+        current = HPoly(poly.dim, current.ineqs, tuple(current.eqs) + ((linalg.unit(poly.dim, j), r.optimum),))
     return tuple(fixed)
 
 
