@@ -6,8 +6,9 @@ Every LP goes through `optimize_all`: its answers carry points, and rays when
 unbounded, and every internal verdict rests on them.  `lp_solve` adds a dual
 vector or a Farkas vector, the solution of a second LP over the same rows,
 which exact dot products alone can check.
-Operations are safe to call concurrently on shared inputs; there is no hidden
-mutable state.
+Operations are safe to call concurrently on shared inputs; the only hidden
+state is the integer form of its rows that an `HPoly` builds on first use,
+the same whichever call builds it.
 """
 
 from __future__ import annotations
@@ -49,6 +50,14 @@ def _coerce_rows(rows, dim, what) -> tuple[tuple[Vec, Fraction], ...]:
     return tuple(out)
 
 
+def _sparse_int_row(a, b) -> tuple[tuple[tuple[int, int], ...], int]:
+    """The row a·x <= b (or = b) times the least d > 0 that makes it
+    integral: (nonzero (index, coefficient) pairs, rhs)."""
+    d = lcm(b.denominator, *(x.denominator for x in a))
+    nz = tuple((j, x.numerator * (d // x.denominator)) for j, x in enumerate(a) if x)
+    return nz, b.numerator * (d // b.denominator)
+
+
 @dataclass(frozen=True)
 class HPoly:
     """Polyhedron {x : a·x <= b for all ineqs, c·x = d for all eqs}.
@@ -80,9 +89,33 @@ class HPoly:
         xv = vec(x)
         if len(xv) != self.dim:
             raise InputError("point dimension mismatch")
-        return all(linalg.dot(a, xv) <= b for a, b in self.ineqs) and all(
-            linalg.dot(c, xv) == d for c, d in self.eqs
-        )
+        ineqs, eqs = self._int_rows()
+        # den x and every row are integral, and scaling a row by a positive
+        # integer keeps its sense: a·x <= b iff (d a)·(den x) <= (d b) den
+        den = lcm(*(v.denominator for v in xv))
+        xi = [v.numerator * (den // v.denominator) if v else 0 for v in xv]
+        for rows, is_eq in ((ineqs, False), (eqs, True)):
+            for nz, b in rows:
+                s = 0
+                for j, a in nz:
+                    v = xi[j]
+                    if v:
+                        s += a * v
+                b *= den
+                if s > b or (is_eq and s != b):
+                    return False
+        return True
+
+    def _int_rows(self) -> tuple[tuple, tuple]:
+        """(inequalities, equations), each row as (its nonzero (index,
+        coefficient) pairs, rhs), scaled to integers by a positive factor.
+        Built on first use and kept outside the dataclass fields, so
+        equality, hashing and repr do not see it."""
+        rows = self.__dict__.get("_int_rows_cache")
+        if rows is None:
+            rows = tuple(tuple(_sparse_int_row(a, b) for a, b in part) for part in (self.ineqs, self.eqs))
+            object.__setattr__(self, "_int_rows_cache", rows)
+        return rows
 
     def row_label(self, i: int) -> str:
         if self.ineq_labels is not None:

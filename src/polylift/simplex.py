@@ -1,6 +1,6 @@
 """Exact two-phase primal simplex on standard-form problems.
 
-Solves  min c·z  subject to  A z = b,  z >= 0  over Fractions, with Bland's
+Solves  min c·z  subject to  A z = b,  z >= 0  exactly, with Bland's
 smallest-index rule for both the entering and the leaving variable, which
 guarantees termination without any tolerance (every comparison is exact).
 One call takes a list of costs over the same rows: phase 1 runs once, and
@@ -11,6 +11,19 @@ after cost j is optimal, every nonbasic column with a nonzero reduced cost is
 barred from entering (it must stay 0 on the optimal face), and cost j+1
 starts from the current basis, so each cost is minimized over the optimal
 face of the costs before it.
+
+The tableau is integer.  Each row, with its right-hand side as the last
+entry, is kept as a positive integer multiple of the true row, and each
+objective row as a positive multiple of the true reduced costs (its value
+entry last).  The pivot rules read only signs, zeros and ratios within a
+row, which such multiples keep, so the pivots are those of the same simplex
+over Fractions.  A pivot on entry p > 0 (the pivot row's sign is flipped
+first, and the row divided by the gcd of its entries) updates a row whose
+entry in the pivot column is f as `row - (f // p) * prow` when p divides f,
+and otherwise as `p * row - f * prow` divided by the gcd of its entries: the
+integer pivoting of Edmonds (1967) and lrs, with one scale per row.  The
+true entry of a row in its basic column is 1, so that column's stored entry
+is the row's scale; Fractions are built from it once per result entry.
 
 Artificial variables are kept implicit: phase 1 starts from the all-artificial
 basis, their columns are never stored, and after phase 1 remaining zero-level
@@ -23,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import InvariantViolationError
 
@@ -42,58 +56,98 @@ class StandardResult:
     ray: list[Fraction] | None = None  # unbounded: improving ray in z
 
 
-def _pivot(tab, rhs, objs, objvals, basis, r, c):
+def _scale(row: list, k: int) -> int:
+    """Replace the rationals of `row` in place by k * d times them, for the
+    least d > 0 that makes every entry integral; returns d."""
+    d = 1
+    for j, x in enumerate(row):
+        num = x.numerator
+        if num:
+            den = x.denominator
+            if d % den:
+                # a new denominator: scale the entries done so far to it
+                f = den // gcd(d, den)
+                for i in range(j):
+                    row[i] *= f
+                d *= f
+            row[j] = k * num * (d // den)
+        else:
+            row[j] = 0
+    return d
+
+
+def _pivot(tab, objs, basis, r, c):
     prow = tab[r]
-    piv = prow[c]
-    if piv != 1:
-        inv = ONE / piv
-        tab[r] = prow = [x * inv if x else x for x in prow]
-        if rhs[r]:
-            rhs[r] *= inv
+    p = prow[c]
     nz = [j for j, x in enumerate(prow) if x]
-    pb = rhs[r]
-    for i, row in enumerate(tab):
-        if i == r:
-            continue
-        f = row[c]
-        if f:
+    if p < 0:
+        p = -p
+        for j in nz:
+            prow[j] = -prow[j]
+    if p != 1:
+        # a smaller pivot divides more entries: fewer rows cross-multiply
+        g = p
+        for j in nz:
+            g = gcd(g, prow[j])
+            if g == 1:
+                break
+        if g != 1:
+            for j in nz:
+                prow[j] //= g
+            p //= g
+    for rows in (tab, objs):
+        for row in rows:
+            f = row[c]
+            if not f or row is prow:
+                continue
+            if f % p == 0:
+                q = f // p
+                for j in nz:
+                    row[j] -= q * prow[j]
+                continue
+            for j, x in enumerate(row):
+                if x:
+                    row[j] = x * p
             for j in nz:
                 row[j] -= f * prow[j]
-            if pb:
-                rhs[i] -= f * pb
-    for k, obj in enumerate(objs):
-        f = obj[c]
-        if f:
-            for j in nz:
-                obj[j] -= f * prow[j]
-            if pb:
-                objvals[k] -= f * pb
+            g = 0
+            for x in row:
+                if x:
+                    g = gcd(g, x)
+                    if g == 1:
+                        break
+            if g != 1:
+                for j, x in enumerate(row):
+                    if x:
+                        row[j] = x // g
     basis[r] = c
 
 
-def _run_phase(tab, rhs, objs, objvals, basis, cols):
-    """Bland pivots until objs[0] is optimal over the columns allowed to enter.
+def _run_phase(tab, obj, basis, cols):
+    """Bland pivots until `obj` is optimal over the columns allowed to enter.
 
     `cols` lists those columns in increasing order.  Returns None on
     optimality, or the entering column index if unbounded.
     """
-    obj = objs[0]
+    objs = [obj]
     while True:
         enter = next((j for j in cols if obj[j] < 0), None)
         if enter is None:
             return None
+        # ratio test rhs/a over rows with a > 0, compared by cross-multiplying
         leave = None
-        best = None
         for i, row in enumerate(tab):
             a = row[enter]
             if a > 0:
-                ratio = rhs[i] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+                if leave is None:
+                    leave, best_a, best_b = i, a, row[-1]
+                    continue
+                lhs, rhs = row[-1] * best_a, best_b * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave, best_a, best_b = i, a, row[-1]
         if leave is None:
             return enter
-        _pivot(tab, rhs, objs, objvals, basis, leave, enter)
+        _pivot(tab, objs, basis, leave, enter)
 
 
 def solve_standard(a_rows, b, costs, lex: bool = False) -> list[StandardResult]:
@@ -111,81 +165,86 @@ def solve_standard(a_rows, b, costs, lex: bool = False) -> list[StandardResult]:
     """
     m = len(a_rows)
     n = len(costs[0])
-    tab = [list(row) for row in a_rows]
-    rhs = list(b)
-    for i in range(m):
-        if rhs[i] < 0:
-            tab[i] = [-x for x in tab[i]]
-            rhs[i] = -rhs[i]
+    tab = []
+    scales = []
+    for row, rhs in zip(a_rows, b):
+        ints = [0] * (n + 1)  # allocated at its final size, then filled in place
+        ints[:n] = row
+        ints[n] = rhs
+        scales.append(_scale(ints, -1 if rhs < 0 else 1))
+        tab.append(ints)
     basis = [n + i for i in range(m)]  # artificial ids n .. n+m-1
 
-    # Phase 1: minimize the sum of artificials.
-    obj1 = [ZERO] * n
-    for row in tab:
+    # Phase 1: minimize the sum of artificials, i.e. of the true rows: the
+    # row scales differ, so each row counts divided by its own.
+    common = lcm(*scales)
+    obj1 = [0] * (n + 1)
+    for row, d in zip(tab, scales):
+        k = common // d
         for j, x in enumerate(row):
             if x:
-                obj1[j] -= x
-    objs = [obj1]
-    objvals = [-sum(rhs)]
-    hit = _run_phase(tab, rhs, objs, objvals, basis, range(n))
+                obj1[j] -= k * x
+    hit = _run_phase(tab, obj1, basis, range(n))
     if hit is not None:
         raise InvariantViolationError("phase 1 cannot be unbounded")
-    if -objvals[0] > 0:
+    if obj1[-1] < 0:
         return [StandardResult(status=INFEASIBLE) for _ in costs]
 
     # Drive zero-level artificials out of the basis; drop dependent rows.
     i = 0
     while i < len(tab):
         if basis[i] >= n:
-            enter = next((j for j in range(n) if tab[i][j]), None)
+            row = tab[i]
+            enter = next((j for j in range(n) if row[j]), None)
             if enter is None:
-                del tab[i], rhs[i], basis[i]
+                del tab[i], basis[i]
                 continue
-            _pivot(tab, rhs, objs, objvals, basis, i, enter)
+            _pivot(tab, [], basis, i, enter)
         i += 1
 
     if lex:
         out = []
         cols = list(range(n))
         for cost in costs:
-            out.append(_phase2(tab, rhs, basis, cost, cols))
+            out.append(_phase2(tab, basis, cost, cols))
             if out[-1].status == UNBOUNDED:
                 break
         return out
-    return [
-        _phase2([row[:] for row in tab], rhs[:], basis[:], cost, list(range(n)))
-        for cost in costs
-    ]
+    return [_phase2([row[:] for row in tab], basis[:], cost, list(range(n))) for cost in costs]
 
 
-def _phase2(tab, rhs, basis, cost, cols) -> StandardResult:
+def _phase2(tab, basis, cost, cols) -> StandardResult:
     """Phase 2 of one cost from a feasible basis, pivoting on the tableau it
     is given and entering only columns in `cols`.  At the optimum `cols` is
     narrowed to the columns free to move on the optimal face."""
     n = len(cost)
-    obj2 = list(cost)
-    objval2 = ZERO
+    # reduced costs: cost - sum of cost[v] * (true row of v), scaled to
+    # integers; the stored entry row[v] is the scale of the row of v
+    common = lcm(*(tab[i][v] for i, v in enumerate(basis) if cost[v]))
+    obj2 = [0] * (n + 1)
+    obj2[:n] = cost
+    _scale(obj2, common)
     for i, v in enumerate(basis):
-        cv = cost[v]
-        if cv:
+        if obj2[v]:
             row = tab[i]
+            k = obj2[v] // row[v]  # exact: common is a multiple of row[v]
             for j, x in enumerate(row):
                 if x:
-                    obj2[j] -= cv * x
-            objval2 -= cv * rhs[i]
-    objs = [obj2]
-    objvals = [objval2]
-    hit = _run_phase(tab, rhs, objs, objvals, basis, cols)
+                    obj2[j] -= k * x
+    hit = _run_phase(tab, obj2, basis, cols)
     point = [ZERO] * n
     for i, v in enumerate(basis):
-        point[v] = rhs[i]
+        x = tab[i][-1]
+        if x:
+            point[v] = Fraction(x, tab[i][v])
 
     if hit is not None:
         ray = [ZERO] * n
         ray[hit] = ONE
         for i, v in enumerate(basis):
-            if tab[i][hit]:
-                ray[v] = -tab[i][hit]
+            a = tab[i][hit]
+            if a:
+                ray[v] = Fraction(-a, tab[i][v])
         return StandardResult(status=UNBOUNDED, point=point, ray=ray)
 
     # a nonbasic column with a positive reduced cost is 0 on the optimal face

@@ -49,6 +49,15 @@ def test_factorization_martin4_solves_and_pivots(monkeypatch):
     assert counts == {"solves": 36, "pivots": 772}
 
 
+def test_fm_project_bubble3_solves_and_pivots(monkeypatch):
+    q = cx.sorting_network_extension(3, cx.bubble_network(3)).q
+    counts = _count_solves_and_pivots(monkeypatch)
+    h = kernel.fm_project(q, range(3))
+    assert (len(h.ineqs), len(h.eqs)) == (6, 1)
+    # the LP pruning after each elimination step, as in the describe workload
+    assert counts == {"solves": 64, "pivots": 506}
+
+
 def _count_solves(monkeypatch):
     counts = {"solves": 0}
     solve = simplex.solve_standard

@@ -526,3 +526,37 @@ def test_fm_matches_projected_vertices_random():
         projected = sorted(set(tuple(pt[j] for j in keep) for pt in vp.vertices))
         oracle = hull(VPoly(len(keep), projected))
         assert poly_equal(q, oracle).equal
+
+
+def _contains_dense(poly, x):
+    """HPoly.contains as one dense Fraction dot product per row."""
+    xv = linalg.vec(x)
+    return all(linalg.dot(a, xv) <= b for a, b in poly.ineqs) and all(
+        linalg.dot(c, xv) == d for c, d in poly.eqs)
+
+
+def test_contains_matches_dense_dot_products():
+    rng = random.Random(5)
+    entry = lambda: F(rng.randint(-3, 3), rng.randint(1, 4)) if rng.random() < 0.6 else F(0)
+    for _ in range(300):
+        dim = rng.randint(1, 5)
+        ineqs = [([entry() for _ in range(dim)], entry()) for _ in range(rng.randint(0, 5))]
+        eqs = [([entry() for _ in range(dim)], entry()) for _ in range(rng.randint(0, 2))]
+        poly = HPoly(dim, ineqs, eqs)
+        for _ in range(5):
+            x = [entry() for _ in range(dim)]
+            # a point on an equation, so that some `==` tests hold
+            if eqs and rng.random() < 0.5:
+                c, d = eqs[0]
+                j = next((j for j, cj in enumerate(c) if cj), None)
+                if j is not None:
+                    x[j] = (d - linalg.dot(c, x) + c[j] * x[j]) / c[j]
+            assert poly.contains(x) == _contains_dense(poly, x)
+
+
+def test_contains_cache_is_invisible():
+    square = cube(2)
+    fresh = cube(2)
+    assert square.contains((F(1, 2), 1)) and not square.contains((2, 0))
+    # equality, hashing and repr see only the dataclass fields
+    assert square == fresh and hash(square) == hash(fresh) and repr(square) == repr(fresh)

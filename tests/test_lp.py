@@ -220,8 +220,9 @@ def test_optimize_rejects_unknown_sense():
 @st.composite
 def lp_cases(draw):
     """A polyhedron of one kind, plus a list of (objective, sense)."""
-    kind = draw(st.sampled_from(["random", "empty", "unbounded", "eqs_only", "dim0", "all_eliminated"]))
-    dim = 0 if kind == "dim0" else draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["random", "empty", "unbounded", "eqs_only", "dim0", "dim0_feasible",
+                                 "all_eliminated"]))
+    dim = 0 if kind.startswith("dim0") else draw(st.integers(1, 4))
     coef = st.integers(-3, 3)
     row = st.tuples(st.lists(coef, min_size=dim, max_size=dim), st.integers(-2, 6))
     ineqs = [] if kind == "eqs_only" else draw(st.lists(row, max_size=5))
@@ -242,6 +243,10 @@ def lp_cases(draw):
             if j:
                 c[j - 1] = draw(coef)
             eqs.append((c, draw(st.integers(-2, 2))))
+    elif kind == "dim0_feasible":
+        # 0 <= b and 0 = 0: a feasible point, and a dual LP with no equations
+        ineqs = [(a, abs(b)) for a, b in ineqs]
+        eqs = [(c, 0) for c, _ in eqs]
     poly = HPoly(dim, ineqs, eqs)
     objs = draw(st.lists(st.tuples(st.lists(coef, min_size=dim, max_size=dim), st.sampled_from(["max", "min"])),
                          min_size=1, max_size=5))

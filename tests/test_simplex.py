@@ -1,0 +1,245 @@
+"""The integer tableau of `simplex.solve_standard`.
+
+The reference below is the Fraction simplex the integer tableau replaced,
+kept as it was: the same two phases, Bland rule, drive-out step and lex
+mode, with every tableau entry a Fraction.  Both must return equal results
+and make the same pivots, (row, column) for (row, column), on any input.
+"""
+
+import sys
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from polylift import simplex
+from polylift.errors import InvariantViolationError
+from polylift.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, StandardResult
+
+F = Fraction
+ZERO = F(0)
+ONE = F(1)
+
+
+# ---------------------------------------------------------------------------
+# Fraction reference
+# ---------------------------------------------------------------------------
+
+def _pivot(tab, rhs, objs, objvals, basis, r, c):
+    prow = tab[r]
+    piv = prow[c]
+    if piv != 1:
+        inv = ONE / piv
+        tab[r] = prow = [x * inv if x else x for x in prow]
+        if rhs[r]:
+            rhs[r] *= inv
+    nz = [j for j, x in enumerate(prow) if x]
+    pb = rhs[r]
+    for i, row in enumerate(tab):
+        if i == r:
+            continue
+        f = row[c]
+        if f:
+            for j in nz:
+                row[j] -= f * prow[j]
+            if pb:
+                rhs[i] -= f * pb
+    for k, obj in enumerate(objs):
+        f = obj[c]
+        if f:
+            for j in nz:
+                obj[j] -= f * prow[j]
+            if pb:
+                objvals[k] -= f * pb
+    basis[r] = c
+
+
+def _run_phase(tab, rhs, objs, objvals, basis, cols):
+    obj = objs[0]
+    while True:
+        enter = next((j for j in cols if obj[j] < 0), None)
+        if enter is None:
+            return None
+        leave = None
+        best = None
+        for i, row in enumerate(tab):
+            a = row[enter]
+            if a > 0:
+                ratio = rhs[i] / a
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            return enter
+        _pivot(tab, rhs, objs, objvals, basis, leave, enter)
+
+
+def reference_solve(a_rows, b, costs, lex=False):
+    m = len(a_rows)
+    n = len(costs[0])
+    tab = [list(row) for row in a_rows]
+    rhs = list(b)
+    for i in range(m):
+        if rhs[i] < 0:
+            tab[i] = [-x for x in tab[i]]
+            rhs[i] = -rhs[i]
+    basis = [n + i for i in range(m)]
+    obj1 = [ZERO] * n
+    for row in tab:
+        for j, x in enumerate(row):
+            if x:
+                obj1[j] -= x
+    objs = [obj1]
+    objvals = [-sum(rhs)]
+    hit = _run_phase(tab, rhs, objs, objvals, basis, range(n))
+    if hit is not None:
+        raise InvariantViolationError("phase 1 cannot be unbounded")
+    if -objvals[0] > 0:
+        return [StandardResult(status=INFEASIBLE) for _ in costs]
+    i = 0
+    while i < len(tab):
+        if basis[i] >= n:
+            enter = next((j for j in range(n) if tab[i][j]), None)
+            if enter is None:
+                del tab[i], rhs[i], basis[i]
+                continue
+            _pivot(tab, rhs, objs, objvals, basis, i, enter)
+        i += 1
+    if lex:
+        out = []
+        cols = list(range(n))
+        for cost in costs:
+            out.append(_phase2(tab, rhs, basis, cost, cols))
+            if out[-1].status == UNBOUNDED:
+                break
+        return out
+    return [_phase2([row[:] for row in tab], rhs[:], basis[:], cost, list(range(n))) for cost in costs]
+
+
+def _phase2(tab, rhs, basis, cost, cols):
+    n = len(cost)
+    obj2 = list(cost)
+    objval2 = ZERO
+    for i, v in enumerate(basis):
+        cv = cost[v]
+        if cv:
+            row = tab[i]
+            for j, x in enumerate(row):
+                if x:
+                    obj2[j] -= cv * x
+            objval2 -= cv * rhs[i]
+    objs = [obj2]
+    objvals = [objval2]
+    hit = _run_phase(tab, rhs, objs, objvals, basis, cols)
+    point = [ZERO] * n
+    for i, v in enumerate(basis):
+        point[v] = rhs[i]
+    if hit is not None:
+        ray = [ZERO] * n
+        ray[hit] = ONE
+        for i, v in enumerate(basis):
+            if tab[i][hit]:
+                ray[v] = -tab[i][hit]
+        return StandardResult(status=UNBOUNDED, point=point, ray=ray)
+    cols[:] = [j for j in cols if not obj2[j]]
+    value = sum((c * x for c, x in zip(cost, point) if c and x), ZERO)
+    return StandardResult(status=OPTIMAL, point=point, value=value)
+
+
+# ---------------------------------------------------------------------------
+# Comparison
+# ---------------------------------------------------------------------------
+
+def _recorded(module, solve, rows, rhs, costs, lex):
+    """solve's results and its (row, column) pivots, read off module._pivot."""
+    pivots = []
+    pivot = module._pivot
+
+    def recording(*args):
+        pivots.append(args[-2:])
+        return pivot(*args)
+
+    module._pivot = recording
+    try:
+        return solve([list(r) for r in rows], list(rhs), [list(c) for c in costs], lex=lex), pivots
+    finally:
+        module._pivot = pivot
+
+
+def _assert_same(rows, rhs, costs, lex=False):
+    got = _recorded(simplex, simplex.solve_standard, rows, rhs, costs, lex)
+    want = _recorded(sys.modules[__name__], reference_solve, rows, rhs, costs, lex)
+    assert got == want
+    return got[0]
+
+
+fractions = st.builds(F, st.integers(-4, 4), st.integers(1, 7))
+entries = st.one_of(st.just(ZERO), st.just(ZERO), fractions)
+
+
+@st.composite
+def standard_problems(draw):
+    """(rows, rhs, costs, lex) with fractional entries, rows of mixed sign,
+    some feasible by construction, duplicate and dependent rows, and
+    columns that may let a cost fall without bound."""
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(0, 6))
+    rows = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(m)]
+    if draw(st.integers(0, 2)):
+        # b = A z0 for some z0 >= 0 with zeros in it: feasible, often degenerate
+        z0 = draw(st.lists(st.one_of(st.just(ZERO), fractions.map(abs)), min_size=n, max_size=n))
+        rhs = [sum((a * z for a, z in zip(row, z0)), ZERO) for row in rows]
+    else:
+        rhs = draw(st.lists(fractions, min_size=m, max_size=m))
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        # a multiple of one row plus a multiple of another, right-hand side
+        # matching (a dependent row) or off by one (an inconsistent one)
+        i, k = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        s, t = draw(fractions), draw(fractions)
+        rows.append([s * x + t * y for x, y in zip(rows[i], rows[k])])
+        rhs.append(s * rhs[i] + t * rhs[k] + draw(st.sampled_from([ZERO, ZERO, ONE])))
+    costs = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=1, max_size=4))
+    return rows, rhs, costs, draw(st.booleans())
+
+
+@settings(deadline=None, derandomize=True, max_examples=400)
+@given(standard_problems())
+def test_integer_tableau_matches_fraction_reference(case):
+    _assert_same(*case)
+
+
+def test_each_branch_matches_the_reference():
+    # a row twice and the sum of two rows: phase 1 leaves two zero-level
+    # artificials whose rows are dependent and get dropped
+    rows = [[F(1, 2), F(1), ZERO], [ZERO, F(2, 3), F(1, 5)], [F(1, 2), F(1), ZERO], [F(1, 2), F(5, 3), F(1, 5)]]
+    rhs = [F(1), F(2), F(1), F(3)]
+    costs = [[F(1), F(-1), F(2)], [ZERO, ZERO, ZERO]]
+    assert [r.status for r in _assert_same(rows, rhs, costs)] == [OPTIMAL, OPTIMAL]
+    # a zero-level artificial that pivots out on a negative entry, a zero
+    # row dropped, then a phase-2 pivot
+    rows = [[ZERO, F(-1, 2), ZERO], [F(1, 3), F(1), F(1)], [ZERO, ZERO, ZERO]]
+    [res] = _assert_same(rows, [ZERO, ONE, ZERO], [[ONE, ONE, ONE]])
+    assert res == StandardResult(OPTIMAL, point=[ZERO, ZERO, ONE], value=ONE)
+    # inconsistent: a row and the same row with another right-hand side
+    rows = [[F(1, 3), F(1)], [F(1, 3), F(1)]]
+    assert [r.status for r in _assert_same(rows, [F(1), F(2)], [[F(1), F(1)]] * 2)] == [INFEASIBLE] * 2
+    # unbounded: z1 - z0 = 1 lets z0 and z1 grow together
+    rows = [[F(-1, 2), F(1, 3)]]
+    results = _assert_same(rows, [F(1, 6)], [[F(-1), ZERO], [F(1), ZERO]])
+    assert [r.status for r in results] == [UNBOUNDED, OPTIMAL]
+    # lex: min z0 and then min z2 bar both from entering; max z3, growing
+    # with z1, is unbounded on that face and ends the list
+    rows = [[F(1, 2), F(1, 3), F(-1, 5), F(-1)]]
+    costs = [[ONE, ZERO, ZERO, ZERO], [ZERO, ZERO, ONE, ZERO], [ZERO, ZERO, ZERO, -ONE], [ONE] * 4]
+    results = _assert_same(rows, [F(1, 3)], costs, lex=True)
+    assert [r.status for r in results] == [OPTIMAL, OPTIMAL, UNBOUNDED]
+    assert results[2].ray == [ZERO, F(3), ZERO, ONE]
+    # no rows, and no columns
+    assert _assert_same([], [], [[F(1), F(-1)]])[0].status == UNBOUNDED
+    assert _assert_same([[]], [ZERO], [[]])[0] == StandardResult(OPTIMAL, point=[], value=ZERO)
+
+
+def test_results_are_fractions():
+    # the row is stored as [3, 2, 3]; z1 = 3/2 is its rhs over its entry in column 1
+    [res] = simplex.solve_standard([[F(1, 2), F(1, 3)]], [F(1, 2)], [[F(1), ZERO]])
+    assert res == StandardResult(OPTIMAL, point=[ZERO, F(3, 2)], value=ZERO)
+    assert all(type(x) is Fraction for x in res.point)
