@@ -8,6 +8,7 @@ vector or a Farkas vector, the solution of a second LP over the same rows,
 which exact dot products alone can check.
 Operations are safe to call concurrently on shared inputs; the only hidden
 state is the integer form of its rows that an `HPoly` builds on first use,
+and the sparse form of its rows that an `AffineMap` builds likewise, each
 the same whichever call builds it.
 """
 
@@ -176,7 +177,25 @@ class AffineMap:
         yv = vec(y)
         if self.matrix and len(yv) != self.in_dim:
             raise InputError("argument dimension mismatch")
-        return tuple(linalg.dot(row, yv) + o for row, o in zip(self.matrix, self.offset))
+        out = []
+        for nz, o in zip(self._sparse_rows(), self.offset):
+            s = ZERO
+            for j, a in nz:
+                v = yv[j]
+                if v:
+                    s += a * v
+            out.append(s + o)
+        return tuple(out)
+
+    def _sparse_rows(self) -> tuple:
+        """Each matrix row as its nonzero (index, coefficient) pairs.  Built
+        on first use and kept outside the dataclass fields, so equality,
+        hashing and repr do not see it."""
+        rows = self.__dict__.get("_sparse_rows_cache")
+        if rows is None:
+            rows = tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in self.matrix)
+            object.__setattr__(self, "_sparse_rows_cache", rows)
+        return rows
 
     def compose(self, inner: "AffineMap") -> "AffineMap":
         """(self ∘ inner)(x) = self(inner(x)); composition is associative."""
@@ -291,12 +310,17 @@ def _recover_vector(zvec, var_cols, dim):
 
 
 class _Reduction:
-    """Presolve record: eliminated variables as affine functions of survivors."""
+    """Presolve record: eliminated variables as affine functions of survivors.
+
+    elim lists (j, pairs, const) in elimination order, meaning
+    x_j = sum(coef * x_k for k, coef in pairs) + const; pairs holds the
+    nonzero terms, at most one, and its k may be eliminated by a later entry.
+    """
 
     def __init__(self, dim):
         self.dim = dim
         self.alive = list(range(dim))
-        self.elim: list[tuple[int, list[Fraction], Fraction]] = []
+        self.elim: list[tuple[int, tuple[tuple[int, Fraction], ...], Fraction]] = []
         self.infeasible = False
         self.ineqs: list[tuple[list[Fraction], Fraction]] = []
         self.eqs: list[tuple[list[Fraction], Fraction]] = []
@@ -306,13 +330,12 @@ class _Reduction:
         """(survivor coefficients, constant) of c·x after the eliminations."""
         obj = list(c)
         const = ZERO
-        for j, expr, ej in self.elim:
+        for j, pairs, ej in self.elim:
             f = obj[j]
             if f:
                 obj[j] = ZERO
-                for k, ek in enumerate(expr):
-                    if ek:
-                        obj[k] += f * ek
+                for k, ek in pairs:
+                    obj[k] += f * ek
                 const += f * ej
         return [obj[j] for j in self.alive], const
 
@@ -321,84 +344,110 @@ class _Reduction:
         full: list[Fraction | None] = [None] * self.dim
         for pos, j in enumerate(self.alive):
             full[j] = xr[pos]
-        for j, coeffs, const in reversed(self.elim):
+        for j, pairs, const in reversed(self.elim):
             s = ZERO if ray else const
-            for k, ck in enumerate(coeffs):
-                if ck:
-                    s += ck * full[k]
+            for k, ck in pairs:
+                s += ck * full[k]
             full[j] = s
         return tuple(full)
 
 
 def _presolve(poly: HPoly) -> _Reduction:
     """Eliminate variables fixed or tied by short equations; the eliminations
-    depend on the rows only, so objectives are reduced afterwards."""
-    dim = poly.dim
-    red = _Reduction(dim)
-    ineqs = [(list(a), b) for a, b in poly.ineqs]
-    eqs = [(list(c), d) for c, d in poly.eqs]
-    alive = [True] * dim
-    nonneg = [False] * dim
-    elim: list[tuple[int, list[Fraction], Fraction]] = []
+    depend on the rows only, so objectives are reduced afterwards.
 
-    def substitute(j, expr, const):
+    Repeatedly takes the first equation with at most two variables, solves it
+    for the higher index and substitutes.  Inequalities that lose every
+    variable are dropped (or prove the system infeasible), and a row
+    -c x_j <= 0 is dropped and marks x_j nonnegative; eliminating a
+    nonnegative x_j appends its sign row -expr <= const.  Rows are sparse
+    {index: coefficient} dicts, so an elimination updates only the rows that
+    hold its variable, and only those rows (and a new sign row) are screened
+    again: no other row changes.  The reduced rows come out dense over the
+    survivors, in their original order.
+    """
+    dim = poly.dim
+    ineqs: list = [({j: x for j, x in enumerate(a) if x}, b) for a, b in poly.ineqs]
+    eqs = [({j: x for j, x in enumerate(c) if x}, d) for c, d in poly.eqs]
+    nonneg = [False] * dim
+    alive = [True] * dim
+    elim = []
+
+    def screen(i) -> bool:
+        """Drop ineqs[i] (set it to None) when it has no variable left or is
+        -c x_j <= 0, which marks x_j nonnegative; False when it reads 0 <= b
+        with b < 0."""
+        a, b = ineqs[i]
+        if not a:
+            if b < 0:
+                return False
+            ineqs[i] = None
+        elif len(a) == 1 and b == 0:
+            ((j, x),) = a.items()
+            if x < 0:
+                nonneg[j] = True
+                ineqs[i] = None
+        return True
+
+    def infeasible() -> _Reduction:
+        red = _Reduction(dim)
+        red.infeasible = True
+        return red
+
+    if not all(screen(i) for i in range(len(ineqs))):
+        return infeasible()
+    while True:
+        idx = next((i for i, (c, _) in enumerate(eqs) if len(c) <= 2), None)
+        if idx is None:
+            break
+        c, d = eqs.pop(idx)
+        if not c:
+            if d != 0:
+                return infeasible()
+            continue
+        if len(c) == 1:
+            ((j, cj),) = c.items()
+            pairs = ()
+        else:
+            (k, ck), (j, cj) = sorted(c.items())  # eliminate the higher index
+            pairs = ((k, -ck / cj),)
+        const = d / cj
         for rows in (ineqs, eqs):
-            for idx, (a, b) in enumerate(rows):
-                f = a[j]
-                if f:
-                    a[j] = ZERO
-                    for k, ek in enumerate(expr):
-                        if ek:
-                            a[k] += f * ek
-                    rows[idx] = (a, b - f * const)
+            for i, row in enumerate(rows):
+                if row is None or j not in row[0]:
+                    continue
+                a, b = row
+                f = a.pop(j)
+                for k, ek in pairs:
+                    v = a.get(k, ZERO) + f * ek
+                    if v:
+                        a[k] = v
+                    else:
+                        del a[k]
+                rows[i] = (a, b - f * const)
+                if rows is ineqs and not screen(i):
+                    return infeasible()
         if nonneg[j]:
             # keep the sign constraint of the eliminated variable: -expr <= const
-            ineqs.append(([-ek for ek in expr], const))
+            ineqs.append(({k: -ek for k, ek in pairs}, const))
+            if not screen(len(ineqs) - 1):
+                return infeasible()
         alive[j] = False
-        elim.append((j, expr, const))
+        elim.append((j, pairs, const))
 
-    changed = True
-    while changed:
-        changed = False
-        kept_ineqs = []
-        for a, b in ineqs:
-            support = [j for j in range(dim) if alive[j] and a[j]]
-            if not support:
-                if b < 0:
-                    red.infeasible = True
-                    return red
-                continue
-            if len(support) == 1 and b == 0 and a[support[0]] < 0:
-                nonneg[support[0]] = True
-                continue
-            kept_ineqs.append((a, b))
-        ineqs = kept_ineqs
-        # one elimination per pass; substitute() mutates rows in place, so the
-        # scan restarts to avoid acting on stale copies
-        for idx, (c, d) in enumerate(eqs):
-            support = [j for j in range(dim) if alive[j] and c[j]]
-            if len(support) > 2:
-                continue
-            del eqs[idx]
-            if not support:
-                if d != 0:
-                    red.infeasible = True
-                    return red
-            elif len(support) == 1:
-                j = support[0]
-                substitute(j, [ZERO] * dim, d / c[j])
-            else:
-                k, j = support  # eliminate the higher index
-                expr = [ZERO] * dim
-                expr[k] = -c[k] / c[j]
-                substitute(j, expr, d / c[j])
-            changed = True
-            break
-
+    red = _Reduction(dim)
     red.alive = [j for j in range(dim) if alive[j]]
+    pos = {j: p for p, j in enumerate(red.alive)}
+
+    def dense(a):
+        out = [ZERO] * len(pos)
+        for j, x in a.items():
+            out[pos[j]] = x
+        return out
+
     red.elim = elim
-    red.ineqs = [([a[j] for j in red.alive], b) for a, b in ineqs]
-    red.eqs = [([c[j] for j in red.alive], d) for c, d in eqs]
+    red.ineqs = [(dense(row[0]), row[1]) for row in ineqs if row is not None]
+    red.eqs = [(dense(c), d) for c, d in eqs]
     red.nonneg = [nonneg[j] for j in red.alive]
     return red
 

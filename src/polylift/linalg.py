@@ -36,6 +36,9 @@ def frac(x) -> Fraction:
 
 
 def vec(xs: Iterable) -> Vec:
+    """xs as a tuple of Fraction; a tuple of exact Fractions is returned as is."""
+    if type(xs) is tuple and all(type(x) is Fraction for x in xs):
+        return xs
     return tuple(frac(x) for x in xs)
 
 

@@ -7,6 +7,7 @@ import pytest
 from polylift import linalg
 from polylift.errors import EmptyPolyhedronError, UnboundedPolyhedronError
 from polylift.kernel import (
+    AffineMap,
     HPoly,
     PolyEqualResult,
     VPoly,
@@ -560,3 +561,33 @@ def test_contains_cache_is_invisible():
     assert square.contains((F(1, 2), 1)) and not square.contains((2, 0))
     # equality, hashing and repr see only the dataclass fields
     assert square == fresh and hash(square) == hash(fresh) and repr(square) == repr(fresh)
+
+
+def _apply_dense(m, y):
+    """AffineMap.apply as one dense Fraction dot product per row."""
+    yv = linalg.vec(y)
+    return tuple(linalg.dot(row, yv) + o for row, o in zip(m.matrix, m.offset))
+
+
+def test_apply_matches_dense_dot_products():
+    rng = random.Random(11)
+    entry = lambda: F(rng.randint(-3, 3), rng.randint(1, 4)) if rng.random() < 0.4 else F(0)
+    for _ in range(300):
+        in_dim, out_dim = rng.randint(1, 6), rng.randint(0, 4)
+        # zero rows of the matrix as well as zero entries
+        rows = [[entry() for _ in range(in_dim)] if rng.random() < 0.8 else [0] * in_dim
+                for _ in range(out_dim)]
+        m = AffineMap(rows, [entry() for _ in range(out_dim)])
+        for _ in range(5):
+            y = [entry() for _ in range(in_dim)]
+            out = m.apply(y)
+            assert out == _apply_dense(m, y)
+            assert type(out) is tuple and all(type(x) is F for x in out)
+
+
+def test_apply_cache_is_invisible():
+    m = AffineMap([[1, 0], [F(1, 2), 3]], [0, 1])
+    fresh = AffineMap([[1, 0], [F(1, 2), 3]], [0, 1])
+    assert m.apply((2, F(1, 3))) == (F(2), F(3))
+    # equality, hashing and repr see only the dataclass fields
+    assert m == fresh and hash(m) == hash(fresh) and repr(m) == repr(fresh)

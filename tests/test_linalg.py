@@ -47,6 +47,23 @@ def test_canon_rows():
     assert (c, d) == (linalg.vec([1, -2]), F(3))
 
 
+def test_vec_returns_a_fraction_tuple_as_is():
+    t = (F(1, 2), F(0), F(-3))
+    assert linalg.vec(t) is t
+
+    class Half(Fraction):
+        pass
+
+    # anything but a tuple of exact Fractions is coerced into a new tuple
+    for xs in ([F(1, 2), F(0)], (F(1, 2), 0, "3/4"), (F(1), True), (Half(1, 2),)):
+        out = linalg.vec(xs)
+        assert out is not xs
+        assert type(out) is tuple and out == tuple(F(x) for x in xs)
+    assert all(type(x) is Fraction for x in linalg.vec((F(1, 2), 0, "3/4", True)))
+    with pytest.raises(TypeError):
+        linalg.vec((F(1), 0.5))
+
+
 small_fracs = st.fractions(
     min_value=-5, max_value=5, max_denominator=6
 )

@@ -1,0 +1,244 @@
+"""The sparse presolve of `kernel._presolve` and `kernel._Reduction`.
+
+The reference below is the dense presolve the sparse one replaced, kept as
+it was: every row a full list over all variables, each pass re-reading the
+support of every row.  Both must make the same eliminations in the same
+order and hand the simplex the same reduced rows, on any input.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from polylift import kernel
+from polylift.kernel import HPoly
+
+F = Fraction
+ZERO = F(0)
+
+
+# ---------------------------------------------------------------------------
+# Dense reference
+# ---------------------------------------------------------------------------
+
+class _Reduction:
+    """Presolve record: eliminated variables as affine functions of survivors."""
+
+    def __init__(self, dim):
+        self.dim = dim
+        self.alive = list(range(dim))
+        self.elim: list[tuple[int, list[Fraction], Fraction]] = []
+        self.infeasible = False
+        self.ineqs: list[tuple[list[Fraction], Fraction]] = []
+        self.eqs: list[tuple[list[Fraction], Fraction]] = []
+        self.nonneg: list[bool] = []
+
+    def objective(self, c):
+        """(survivor coefficients, constant) of c·x after the eliminations."""
+        obj = list(c)
+        const = ZERO
+        for j, expr, ej in self.elim:
+            f = obj[j]
+            if f:
+                obj[j] = ZERO
+                for k, ek in enumerate(expr):
+                    if ek:
+                        obj[k] += f * ek
+                const += f * ej
+        return [obj[j] for j in self.alive], const
+
+    def back(self, xr, ray: bool = False):
+        """Full-dimensional vector from survivor values; a ray drops the constants."""
+        full = [None] * self.dim
+        for pos, j in enumerate(self.alive):
+            full[j] = xr[pos]
+        for j, coeffs, const in reversed(self.elim):
+            s = ZERO if ray else const
+            for k, ck in enumerate(coeffs):
+                if ck:
+                    s += ck * full[k]
+            full[j] = s
+        return tuple(full)
+
+
+def _presolve(poly: HPoly) -> _Reduction:
+    """Eliminate variables fixed or tied by short equations; the eliminations
+    depend on the rows only, so objectives are reduced afterwards."""
+    dim = poly.dim
+    red = _Reduction(dim)
+    ineqs = [(list(a), b) for a, b in poly.ineqs]
+    eqs = [(list(c), d) for c, d in poly.eqs]
+    alive = [True] * dim
+    nonneg = [False] * dim
+    elim: list[tuple[int, list[Fraction], Fraction]] = []
+
+    def substitute(j, expr, const):
+        for rows in (ineqs, eqs):
+            for idx, (a, b) in enumerate(rows):
+                f = a[j]
+                if f:
+                    a[j] = ZERO
+                    for k, ek in enumerate(expr):
+                        if ek:
+                            a[k] += f * ek
+                    rows[idx] = (a, b - f * const)
+        if nonneg[j]:
+            # keep the sign constraint of the eliminated variable: -expr <= const
+            ineqs.append(([-ek for ek in expr], const))
+        alive[j] = False
+        elim.append((j, expr, const))
+
+    changed = True
+    while changed:
+        changed = False
+        kept_ineqs = []
+        for a, b in ineqs:
+            support = [j for j in range(dim) if alive[j] and a[j]]
+            if not support:
+                if b < 0:
+                    red.infeasible = True
+                    return red
+                continue
+            if len(support) == 1 and b == 0 and a[support[0]] < 0:
+                nonneg[support[0]] = True
+                continue
+            kept_ineqs.append((a, b))
+        ineqs = kept_ineqs
+        # one elimination per pass; substitute() mutates rows in place, so the
+        # scan restarts to avoid acting on stale copies
+        for idx, (c, d) in enumerate(eqs):
+            support = [j for j in range(dim) if alive[j] and c[j]]
+            if len(support) > 2:
+                continue
+            del eqs[idx]
+            if not support:
+                if d != 0:
+                    red.infeasible = True
+                    return red
+            elif len(support) == 1:
+                j = support[0]
+                substitute(j, [ZERO] * dim, d / c[j])
+            else:
+                k, j = support  # eliminate the higher index
+                expr = [ZERO] * dim
+                expr[k] = -c[k] / c[j]
+                substitute(j, expr, d / c[j])
+            changed = True
+            break
+
+    red.alive = [j for j in range(dim) if alive[j]]
+    red.elim = elim
+    red.ineqs = [([a[j] for j in red.alive], b) for a, b in ineqs]
+    red.eqs = [([c[j] for j in red.alive], d) for c, d in eqs]
+    red.nonneg = [nonneg[j] for j in red.alive]
+    return red
+
+
+# ---------------------------------------------------------------------------
+# Inputs
+# ---------------------------------------------------------------------------
+
+COEFS = [F(1), F(-1), F(2), F(-3), F(1, 2), F(-2, 3)]
+VALUES = [F(v) for v in range(-3, 4)] + [F(1, 2), F(-5, 3)]
+
+
+@st.composite
+def presolve_cases(draw):
+    """A polyhedron built to reach every path of the presolve, an objective,
+    and survivor values for back()."""
+    dim = draw(st.integers(0, 6))
+    coef = st.sampled_from(COEFS)
+    value = st.sampled_from(VALUES)
+    var = st.integers(0, dim - 1) if dim else st.nothing()
+
+    def row(support):
+        a = [ZERO] * dim
+        for j in support:
+            a[j] = draw(coef)
+        return a
+
+    def random_support(lo, hi):
+        return draw(st.permutations(range(dim)))[: draw(st.integers(min(lo, dim), min(hi, dim)))]
+
+    eqs, ineqs = [], []
+    for kind in draw(st.lists(st.sampled_from(["chain", "fix", "short", "long", "empty", "zero"]), max_size=6)):
+        if kind == "empty":
+            # 0 = d: infeasible unless d = 0
+            eqs.append((row([]), draw(value)))
+        elif kind == "zero":
+            eqs.append((row([]), ZERO))
+        elif kind == "chain" and dim >= 2:
+            # x_p0 tied to x_p1 tied to x_p2 ...: each elimination shortens the next
+            order = draw(st.permutations(range(dim)))[: draw(st.integers(2, dim))]
+            for k, j in zip(order, order[1:]):
+                eqs.append((row([k, j]), draw(value)))
+        elif kind == "fix" and dim:
+            eqs.append((row([draw(var)]), draw(value)))
+        elif kind == "short":
+            eqs.append((row(random_support(1, 2)), draw(value)))
+        elif kind == "long":
+            eqs.append((row(random_support(3, dim)), draw(value)))
+    # duplicate and dependent equations: the copy is empty once the first is used
+    for c, d in draw(st.lists(st.sampled_from(eqs), max_size=2)) if eqs else []:
+        m = draw(coef)
+        eqs.insert(draw(st.integers(0, len(eqs))), ([m * x for x in c], m * d))
+    for kind in draw(st.lists(st.sampled_from(["sign", "bound", "random", "empty"]), max_size=7)):
+        if kind == "sign" and dim:
+            # -c x_j <= 0 marks x_j nonnegative, also when x_j is eliminated later
+            a = [ZERO] * dim
+            a[draw(var)] = -abs(draw(coef))
+            ineqs.append((a, ZERO))
+        elif kind == "bound" and dim:
+            # c x_j <= b: empty, and maybe infeasible, once x_j is fixed
+            ineqs.append((row([draw(var)]), draw(value)))
+        elif kind == "random":
+            ineqs.append((row(random_support(1, dim)), draw(value)))
+        elif kind == "empty":
+            ineqs.append((row([]), draw(value)))
+    eqs = draw(st.permutations(eqs))
+    ineqs = draw(st.permutations(ineqs))
+    c = [draw(value) for _ in range(dim)]
+    xr = [draw(value) for _ in range(dim)]
+    return HPoly(dim, ineqs, eqs), c, xr
+
+
+def _pairs(expr):
+    return tuple((k, x) for k, x in enumerate(expr) if x)
+
+
+def _rows(rows):
+    # the Fraction type too: the simplex scales exactly these entries
+    return [([(type(x), x) for x in a], type(b), b) for a, b in rows]
+
+
+@settings(deadline=None, derandomize=True, max_examples=600)
+@given(presolve_cases())
+def test_sparse_presolve_matches_dense_reference(case):
+    poly, c, xr = case
+    ref = _presolve(poly)
+    red = kernel._presolve(poly)
+    assert red.infeasible == ref.infeasible
+    assert red.alive == ref.alive
+    assert [(j, tuple(pairs), const) for j, pairs, const in red.elim] == [
+        (j, _pairs(expr), const) for j, expr, const in ref.elim
+    ]
+    assert all(len(pairs) <= 1 for _, pairs, _ in red.elim)
+    assert red.nonneg == ref.nonneg
+    assert _rows(red.ineqs) == _rows(ref.ineqs)
+    assert _rows(red.eqs) == _rows(ref.eqs)
+    if red.infeasible:
+        return
+    assert red.objective(c) == ref.objective(c)
+    xr = xr[: len(red.alive)]
+    assert red.back(xr) == ref.back(xr)
+    assert red.back(xr, ray=True) == ref.back(xr, ray=True)
+
+
+def test_sign_row_of_an_eliminated_variable():
+    # -x1 <= 0, then x0 + x1 = 3 eliminates x1 = 3 - x0: the sign row
+    # becomes x0 <= 3, and x0 = 5 then makes it 0 <= -2
+    poly = HPoly(2, [([0, -1], 0)], [([1, 1], 3)])
+    red = kernel._presolve(poly)
+    assert red.alive == [0] and red.elim == [(1, ((0, F(-1)),), F(3))]
+    assert red.ineqs == [([F(1)], F(3))] and red.nonneg == [False]
+    assert kernel._presolve(HPoly(2, [([0, -1], 0)], [([1, 1], 3), ([1, 0], 5)])).infeasible
