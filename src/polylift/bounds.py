@@ -15,7 +15,7 @@ from . import linalg
 from .constructions import Extension, verify_extension
 from .errors import InputError, InvariantViolationError, SizeLimitError, ValidationError
 from .kernel import HPoly, VPoly, vertices
-from .slack import SlackMatrix, is_binding, slack_matrix
+from .slack import SlackMatrix, _tight_somewhere, slack_matrix
 
 EXACT = "exact"
 GREEDY = "greedy"
@@ -50,12 +50,17 @@ def face_lattice(hrep: HPoly, vrep: VPoly, *, max_facets: int = 10, max_vertices
     nonempty intersection of the facet masks (`_closed_sets`), where a facet
     mask holds the vertices tight at one inequality.
 
-    Each face's dimension is the affine rank of its listed vertices.  Both
-    the tightness test and the rank run in integers: each vertex v is scaled
-    once to its homogeneous (V, w) with v = V/w, and each row (a, b) to a
-    positive multiple (A, -B), so the row is tight at v exactly when the
-    integer dot product is 0, and k points have affine rank one less than
-    the rank of their homogeneous rows.
+    The tightness test runs in integers: each vertex v is scaled once to its
+    homogeneous (V, w) with v = V/w, and each row (a, b) to a positive
+    multiple (A, -B), so the row is tight at v exactly when the integer dot
+    product is 0.
+
+    Dimensions come from the grading, by size: dim(empty) = -1 and dim(F) =
+    1 + max dim(F & m) over the facet masks m with F & m != F (0 for a point
+    P).  Each such F & m is a proper face of F; and a facet G of F, being a
+    proper face of P, is the intersection of the facet masks holding it, one
+    of which misses part of F, so G = F & m (by the contract below, the
+    rows hold P's facets and the points P's vertices).
 
     Desk-bounded: requires at most max_facets inequalities or at most
     max_vertices vertices.  hrep and vrep must describe the same polytope
@@ -80,12 +85,10 @@ def face_lattice(hrep: HPoly, vrep: VPoly, *, max_facets: int = 10, max_vertices
         )
     faces = _closed_sets(facet_masks) | {(1 << nv) - 1, 0}
     ordered = sorted(faces, key=lambda m: (m.bit_count(), m))
-    dims = [
-        linalg.rank([p for j, p in enumerate(points) if mask >> j & 1]) - 1
-        if mask & (mask - 1) else mask.bit_count() - 1
-        for mask in ordered
-    ]
-    return FaceLattice(nv, tuple(ordered), tuple(dims))
+    dim = {0: -1}
+    for f in ordered[1:]:
+        dim[f] = 1 + max((dim[f & m] for m in facet_masks if f & m != f), default=-1)
+    return FaceLattice(nv, tuple(ordered), tuple(dim[f] for f in ordered))
 
 
 def _closed_sets(masks) -> set:
@@ -308,7 +311,8 @@ def fooling_set_max(slack: SlackMatrix, budget: int = 500_000) -> FoolingResult:
     set; a branch, when the clique with its candidate and that candidate's
     compatible candidates cannot.  Budget exhaustion (one node per call of
     the search) degrades to the best set found, flagged greedy: it is still
-    a valid lower bound.
+    a valid lower bound.  Nodes work on bitboards, as in BBMC (San Segundo
+    et al. 2011).
     """
     entries = slack.entries
     support = slack.support()
@@ -328,6 +332,9 @@ def fooling_set_max(slack: SlackMatrix, budget: int = 500_000) -> FoolingResult:
         sum(in_row[i] for i, row in enumerate(entries) if row[j] == 0) for j in range(slack.ncols)
     ]
     compat = [by_row[i] | by_col[j] for i, j in support]
+    full = (1 << ne) - 1
+    # the candidates a color class can no longer take once it holds v
+    shut = [full & ~(c | 1 << v) for v, c in enumerate(compat)]
     best = list(_greedy_fooling(support, entries))
     best_idx = [support.index(e) for e in best]
     nodes = 0
@@ -338,13 +345,16 @@ def fooling_set_max(slack: SlackMatrix, budget: int = 500_000) -> FoolingResult:
         classes, so that no clique among them has more than k entries.
         Each class takes, lowest index first, every candidate left that is
         compatible with none it already holds: the classes of placing each
-        candidate in turn into the first class that admits it."""
+        candidate in turn into the first class that admits it.  At most k
+        candidates need at most k classes, as each class takes one."""
+        if cand_mask.bit_count() <= k:
+            return True
         for _ in range(k):
             free = cand_mask
             while free:
-                v = (free & -free).bit_length() - 1
-                cand_mask &= ~(1 << v)
-                free &= ~(compat[v] | 1 << v)
+                low = free & -free
+                cand_mask ^= low
+                free &= shut[low.bit_length() - 1]
             if not cand_mask:
                 return True
         return not cand_mask
@@ -363,18 +373,18 @@ def fooling_set_max(slack: SlackMatrix, budget: int = 500_000) -> FoolingResult:
             return
         if colorable(cand_mask, len(best_idx) - len(clique)):
             return
-        m = cand_mask
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            cand_mask &= ~(1 << v)
-            if len(clique) + 1 + (cand_mask & compat[v]).bit_count() <= len(best_idx):
+        while cand_mask:
+            low = cand_mask & -cand_mask
+            cand_mask ^= low
+            v = low.bit_length() - 1
+            sub = cand_mask & compat[v]
+            if len(clique) + 1 + sub.bit_count() <= len(best_idx):
                 continue
             clique.append(v)
-            bb(clique, cand_mask & compat[v])
+            bb(clique, sub)
             clique.pop()
 
-    bb([], (1 << ne) - 1)
+    bb([], full)
     chosen = tuple(support[t] for t in sorted(best_idx))
     status = GREEDY if exceeded else EXACT
     return FoolingResult(status, FoolingSet(chosen), nodes)
@@ -420,12 +430,16 @@ def xc_bounds(
     Lower bounds: slack-matrix rank, exact rectangle cover number, any fooling
     set, and the log face-count bound (when the lattice is within desk
     bounds).  Upper bounds: the given description sizes and every supplied
-    extension that verifies.  hrep must be binding and conv(vrep) must be the
-    polytope (caller contract for the trivial |X| bound).
+    extension that verifies.  conv(vrep) must be the polytope (caller
+    contract for the trivial |X| bound).  hrep must be binding; only the rows
+    with no zero slack at a listed point of P take an LP to check it, so a
+    point outside P is reported before a non-binding row.
     """
-    if not is_binding(hrep):
-        raise ValidationError("xc_bounds requires a binding inequality system")
     sm = slack_matrix(hrep, vrep)
+    on_p = [hrep.contains(x) for x in vrep.vertices]
+    tight = [any(ok and s == 0 for s, ok in zip(row, on_p)) for row in sm.entries]
+    if not _tight_somewhere(hrep, [r for r, t in zip(hrep.ineqs, tight) if not t]):
+        raise ValidationError("xc_bounds requires a binding inequality system")
     bounds: dict[str, tuple] = {}
     bounds["rank"] = (rank_bound(sm), True)
     try:

@@ -1053,7 +1053,11 @@ def fm_project(poly: HPoly, keep: Iterable[int]) -> HPoly:
 
     keep holds 0-based coordinate indices; the output is over those
     coordinates in ascending order.  Redundant rows are pruned by LP after
-    every elimination step to contain the blowup.
+    each elimination step to contain the blowup, except after an equation
+    substitution once a full prune has run: that prune runs only the cheap
+    passes (zero rows, canonical dedup, sort).  A substitution is an affine
+    bijection of the polyhedron, and of the one of any subset of its rows,
+    so a nonempty irredundant system stays so.
     """
     keep_set = sorted(set(keep))
     if any(j < 0 or j >= poly.dim for j in keep_set):
@@ -1063,9 +1067,10 @@ def fm_project(poly: HPoly, keep: Iterable[int]) -> HPoly:
     eqs = [(list(c), d) for c, d in poly.eqs]
     to_drop = [j for j in range(dim) if j not in keep_set]
     empty = False
+    irredundant = False
 
-    def prune():
-        nonlocal ineqs, eqs, empty
+    def prune(cheap=False):
+        nonlocal ineqs, eqs, empty, irredundant
         kept_eqs = []
         for c, d in eqs:
             if any(c):
@@ -1089,6 +1094,8 @@ def fm_project(poly: HPoly, keep: Iterable[int]) -> HPoly:
             eqs = []
             return
         ineqs = [(list(a), b) for a, b in sorted(best.items())]
+        if cheap:
+            return
         current = HPoly(dim, [(tuple(a), b) for a, b in ineqs], [(tuple(c), d) for c, d in eqs])
         if feasible_point(current) is None:
             empty = True
@@ -1097,17 +1104,11 @@ def fm_project(poly: HPoly, keep: Iterable[int]) -> HPoly:
             return
         keep_flags = _nonredundant(dim, current.ineqs, current.eqs)
         ineqs = [row for row, k in zip(ineqs, keep_flags) if k]
+        irredundant = True
 
     while to_drop and not empty:
         # substitute via an equation when one mentions a variable to eliminate
-        sub = None
-        for ei, (c, d) in enumerate(eqs):
-            for j in to_drop:
-                if c[j]:
-                    sub = (ei, j)
-                    break
-            if sub:
-                break
+        sub = next(((ei, j) for ei, (c, _) in enumerate(eqs) for j in to_drop if c[j]), None)
         if sub:
             ei, j = sub
             c, d = eqs.pop(ei)
@@ -1121,19 +1122,11 @@ def fm_project(poly: HPoly, keep: Iterable[int]) -> HPoly:
                         na[j] = ZERO
                         rows[idx] = (na, b - ratio * d)
             to_drop.remove(j)
-            prune()
+            prune(cheap=irredundant)
             continue
         # plain FM step on the cheapest variable
-        best_j = None
-        best_cost = None
-        for j in to_drop:
-            npos = sum(1 for a, _ in ineqs if a[j] > 0)
-            nneg = sum(1 for a, _ in ineqs if a[j] < 0)
-            cost = (npos * nneg, j)
-            if best_cost is None or cost < best_cost:
-                best_cost = cost
-                best_j = j
-        j = best_j
+        j = min(to_drop, key=lambda j: (
+            sum(1 for a, _ in ineqs if a[j] > 0) * sum(1 for a, _ in ineqs if a[j] < 0), j))
         pos = [(a, b) for a, b in ineqs if a[j] > 0]
         neg = [(a, b) for a, b in ineqs if a[j] < 0]
         zero = [(a, b) for a, b in ineqs if a[j] == 0]

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import linalg
 from .constructions import Extension, verify_extension
@@ -108,7 +109,12 @@ def slack_map(hrep: HPoly) -> AffineMap:
 
 def is_binding(hrep: HPoly) -> bool:
     """Every inequality is tight at some point of the polyhedron."""
-    for (_, b), r in zip(hrep.ineqs, optimize_all(hrep, [(a, "max") for a, _ in hrep.ineqs])):
+    return _tight_somewhere(hrep, hrep.ineqs)
+
+
+def _tight_somewhere(hrep: HPoly, rows) -> bool:
+    """Each given row (a, b) attains b over hrep's polyhedron: one LP batch."""
+    for (_, b), r in zip(rows, optimize_all(hrep, [(a, "max") for a, _ in rows])):
         if r.status == "infeasible":
             raise EmptyPolyhedronError("polyhedron is empty")
         if r.status == "unbounded" or r.optimum != b:
@@ -117,21 +123,28 @@ def is_binding(hrep: HPoly) -> bool:
 
 
 def slack_matrix(hrep: HPoly, points: VPoly) -> SlackMatrix:
-    """Exact slack matrix of hrep's inequality rows against the given points."""
+    """Exact slack matrix of hrep's inequality rows against the given points.
+
+    Each row is scaled once to integers (A, B) by the lcm d of its
+    denominators, each point to its homogeneous (X, w); then b - a·x =
+    (B w - A·X) / (d w).
+    """
     if hrep.dim != points.dim:
         raise ValidationError("dimension mismatch between system and points")
+    homs = [linalg.homogeneous(x) for x in points.vertices]
     entries = []
     for i, (a, b) in enumerate(hrep.ineqs):
-        row = []
-        for j, x in enumerate(points.vertices):
-            s = b - linalg.dot(a, x)
+        *row, d = linalg.homogeneous(a + (-b,))  # (A, -B, d)
+        out = []
+        for j, p in enumerate(homs):
+            s = F(-sum(map(mul, row, p)), d * p[-1])
             if s < 0:
                 raise ValidationError(
                     f"point outside polytope: row {hrep.row_label(i)}, "
                     f"point {points.point_label(j)} (slack {s})"
                 )
-            row.append(s)
-        entries.append(tuple(row))
+            out.append(s)
+        entries.append(tuple(out))
     x0, null = _aff_directions(hrep)
     a_rows = [a for a, _ in hrep.ineqs]
     bvec = [b for _, b in hrep.ineqs]

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from polylift import bounds as bd
 from polylift import constructions as cx
 from polylift import linalg, zoo
-from polylift.errors import SizeLimitError
+from polylift.errors import EmptyPolyhedronError, SizeLimitError, ValidationError
 from polylift.kernel import AffineMap, HPoly, VPoly, hull, vertices
 from polylift.slack import NonnegFactorization, SlackMatrix, slack_matrix
 from polylift.slack import factorization_to_extension
@@ -365,6 +365,20 @@ def test_xc_bounds_pi3_with_birkhoff_upper():
     assert rep.lower >= bd.rank_bound(slack_matrix(h, v))
 
 
+def test_xc_bounds_binding_rows_need_a_point_on_the_equations():
+    # on the segment x + y = 1, 0 <= x, 0 <= y, the row x <= 2 has a zero
+    # slack only at (2, 5), which is off the equation: it takes the LP,
+    # whose maximum 1 shows that it is tight nowhere on P
+    eq = [((1, 1), 1)]
+    h = HPoly(2, [((-1, 0), 0), ((0, -1), 0), ((1, 0), 2)], eq)
+    with pytest.raises(ValidationError, match="binding"):
+        bd.xc_bounds(h, VPoly(2, [(0, 1), (1, 0), (2, 5)]))
+    # an empty system is still reported as empty, not as a non-binding one
+    empty = HPoly(2, [((-1, 0), 0), ((0, -1), 0), ((1, 0), 2)], [((1, 1), -1)])
+    with pytest.raises(EmptyPolyhedronError):
+        bd.xc_bounds(empty, VPoly(2, []))
+
+
 def test_dominance_chain_on_zoo_polytopes():
     cases = []
     h, v = square()
@@ -508,10 +522,33 @@ def test_fooling_search_matches_reference(sm):
     assert_fooling(sm, res.fooling.entries)
     if len(sm.support()) <= 12:
         assert res.size() == brute_max_fooling(sm.entries)
-    # cut off early: the same best set so far, still a fooling set
-    cut = bd.fooling_set_max(sm, budget=3)
-    assert (cut.fooling.entries, cut.is_exact(), cut.nodes) == reference_fooling_set_max(sm, budget=3)
-    assert_fooling(sm, cut.fooling.entries)
+    # cut off early, near the root or in the middle of the tree: the same
+    # best set so far, still a fooling set
+    for budget in (3, 50, 500):
+        cut = bd.fooling_set_max(sm, budget=budget)
+        ref = reference_fooling_set_max(sm, budget=budget)
+        assert (cut.fooling.entries, cut.is_exact(), cut.nodes) == ref
+        assert_fooling(sm, cut.fooling.entries)
+
+
+@st.composite
+def larger_slack_supports(draw):
+    """Slack matrices of 8 to 14 vertices of the 4- or 5-cube, whose full
+    searches take up to 10^5 nodes."""
+    dim = draw(st.integers(4, 5))
+    cube = [tuple((m >> i) & 1 for i in range(dim)) for m in range(1 << dim)]
+    v = VPoly(dim, draw(st.lists(st.sampled_from(cube), min_size=8, max_size=14, unique=True)))
+    return slack_matrix(hull(v), v)
+
+
+@settings(deadline=None, derandomize=True, max_examples=30)
+@given(larger_slack_supports())
+def test_fooling_search_cut_mid_tree_matches_reference(sm):
+    for budget in (50, 500):
+        cut = bd.fooling_set_max(sm, budget=budget)
+        ref = reference_fooling_set_max(sm, budget=budget)
+        assert (cut.fooling.entries, cut.is_exact(), cut.nodes) == ref
+        assert_fooling(sm, cut.fooling.entries)
 
 
 @st.composite
@@ -526,9 +563,32 @@ def listed_points(draw):
     return VPoly(dim, draw(st.lists(point, min_size=1, max_size=8, unique=True)))
 
 
-@settings(deadline=None, derandomize=True, max_examples=150)
-@given(listed_points())
-def test_face_lattice_matches_fraction_reference(v):
+@st.composite
+def descriptions(draw):
+    """(hrep, vrep) of one polytope: the hull of listed points, or that hull
+    with a duplicated row, a nonnegative combination of two rows loosened by
+    0 or 1, and a row tight nowhere, in any order."""
+    v = draw(listed_points())
     h = hull(v)
+    if not draw(st.booleans()):
+        return h, v
+    rows = list(h.ineqs)
+    if rows:
+        rows.append(draw(st.sampled_from(h.ineqs)))
+        (a1, b1), (a2, b2) = draw(st.sampled_from(h.ineqs)), draw(st.sampled_from(h.ineqs))
+        lam, mu = draw(st.integers(0, 2)), draw(st.integers(1, 2))
+        loose = draw(st.integers(0, 1))
+        rows.append((tuple(lam * x + mu * y for x, y in zip(a1, a2)), lam * b1 + mu * b2 + loose))
+        a, b = draw(st.sampled_from(h.ineqs))
+        rows.append((a, b + 1))
+    else:
+        rows.append(((F(0),) * v.dim, F(1)))
+    return HPoly(v.dim, draw(st.permutations(rows)), h.eqs), v
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(descriptions())
+def test_face_lattice_matches_fraction_reference(hv):
+    h, v = hv
     lat = bd.face_lattice(h, v, max_facets=100, max_vertices=100)
     assert (lat.faces, lat.dims) == reference_face_lattice(h, v)

@@ -4,8 +4,11 @@ speed."""
 
 from fractions import Fraction as F
 
+import pytest
+
 from polylift import constructions as cx
 from polylift import bounds, kernel, linalg, simplex, slack, zoo
+from polylift.errors import ValidationError
 from polylift.kernel import HPoly, PolyEqualResult
 
 
@@ -54,8 +57,9 @@ def test_fm_project_bubble3_solves_and_pivots(monkeypatch):
     counts = _count_solves_and_pivots(monkeypatch)
     h = kernel.fm_project(q, range(3))
     assert (len(h.ineqs), len(h.eqs)) == (6, 1)
-    # the LP pruning after each elimination step, as in the describe workload
-    assert counts == {"solves": 64, "pivots": 506}
+    # the LP pruning after each FM step, as in the describe workload; an
+    # equation substitution after the first full prune takes no LP
+    assert counts == {"solves": 15, "pivots": 134}
 
 
 def _count_solves(monkeypatch):
@@ -180,3 +184,38 @@ def test_rectangle_cover_nodes():
     for h, v, size, nodes in cases:
         res = bounds.rectangle_cover_min(slack.slack_matrix(h, v))
         assert (res.size, res.is_exact(), res.nodes) == (size, True, nodes)
+
+
+def test_xc_bounds_reads_binding_rows_off_the_slack_matrix(monkeypatch):
+    cube4 = zoo.cube_hrep(4)
+    cases = ((cube4, kernel.vertices(cube4)), (zoo.permutahedron_hrep(4), zoo.permutahedron_vrep(4)))
+    for h, v in cases:
+        counts = _count_solves(monkeypatch)
+        bounds.xc_bounds(h, v)
+        # every row has a zero slack at a vertex, so the one solve is
+        # slack_matrix's affine-hull LP
+        assert counts["solves"] == 1
+    # x0 <= 2 is tight at no vertex of the cube: its LP finds it not binding
+    cube3 = zoo.cube_hrep(3)
+    loose = HPoly(3, cube3.ineqs + (((1, 0, 0), 2),))
+    v3 = kernel.vertices(cube3)
+    counts = _count_solves(monkeypatch)
+    with pytest.raises(ValidationError, match="binding"):
+        bounds.xc_bounds(loose, v3)
+    assert counts["solves"] == 2
+
+
+def test_face_lattice_takes_no_rank(monkeypatch):
+    counts = {"rank": 0}
+    rank = linalg.rank
+
+    def counted(m):
+        counts["rank"] += 1
+        return rank(m)
+
+    monkeypatch.setattr(linalg, "rank", counted)
+    cube4 = zoo.cube_hrep(4)
+    lat = bounds.face_lattice(cube4, kernel.vertices(cube4))
+    # dimensions come from the lattice grading
+    assert lat.face_count() == 82 and lat.counts_by_dim() == {-1: 1, 0: 16, 1: 32, 2: 24, 3: 8, 4: 1}
+    assert counts["rank"] == 0

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polylift import constructions as cx
 from polylift import linalg, zoo
@@ -257,3 +258,56 @@ def test_factorization_roundtrip_knapsack():
     ext2 = factorization_to_extension(fact, sm, hrep)
     assert ext2.size() == ext.size() == 11
     assert cx.verify_extension(hrep, ext2, target_vrep=v).passed
+
+
+def reference_slack_entries(hrep, points):
+    """The slack matrix as one dense Fraction dot product per entry, or the
+    error text at the first negative entry, row by row."""
+    entries = []
+    for i, (a, b) in enumerate(hrep.ineqs):
+        row = []
+        for j, x in enumerate(points.vertices):
+            s = b - linalg.dot(a, x)
+            if s < 0:
+                return (
+                    f"point outside polytope: row {hrep.row_label(i)}, "
+                    f"point {points.point_label(j)} (slack {s})"
+                )
+            row.append(s)
+        entries.append(tuple(row))
+    return tuple(entries)
+
+
+@st.composite
+def systems_and_points(draw):
+    """Rows with fractional entries through or above a point x0, with or
+    without labels, and fractional points near x0 (some outside)."""
+    dim = draw(st.integers(1, 4))
+    coef = st.builds(F, st.integers(-5, 5), st.sampled_from([1, 2, 3, 7]))
+    x0 = tuple(draw(coef) for _ in range(dim))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        a = tuple(draw(coef) for _ in range(dim))
+        rows.append((a, linalg.dot(a, x0) + draw(st.sampled_from([0, 0, F(1, 3), 2]))))
+    labels = [f"r{i}" for i in range(len(rows))] if draw(st.booleans()) else None
+    pts = [x0] + [
+        tuple(x + draw(st.sampled_from([0, 0, F(1, 5), -F(1, 2)])) for x in x0)
+        for _ in range(draw(st.integers(0, 5)))
+    ]
+    pts = list(dict.fromkeys(pts))
+    plabels = [f"p{j}" for j in range(len(pts))] if draw(st.booleans()) else None
+    return HPoly(dim, rows, ineq_labels=labels), VPoly(dim, pts, plabels)
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(systems_and_points())
+def test_slack_matrix_matches_dense_reference(case):
+    h, v = case
+    ref = reference_slack_entries(h, v)
+    if isinstance(ref, str):
+        with pytest.raises(ValidationError) as err:
+            slack_matrix(h, v)
+        assert str(err.value) == ref
+    else:
+        got = slack_matrix(h, v).entries
+        assert got == ref and all(type(x) is F for row in got for x in row)
