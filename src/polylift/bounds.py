@@ -9,13 +9,12 @@ a lower bound when it must not be.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
 
 from . import linalg
 from .constructions import Extension, verify_extension
 from .errors import InputError, InvariantViolationError, SizeLimitError, ValidationError
 from .kernel import HPoly, VPoly, vertices
-from .slack import SlackMatrix, _tight_somewhere, slack_matrix
+from .slack import SlackMatrix, _binding_given_slacks, slack_matrix
 
 EXACT = "exact"
 GREEDY = "greedy"
@@ -51,9 +50,9 @@ def face_lattice(hrep: HPoly, vrep: VPoly, *, max_facets: int = 10, max_vertices
     mask holds the vertices tight at one inequality.
 
     The tightness test runs in integers: each vertex v is scaled once to its
-    homogeneous (V, w) with v = V/w, and each row (a, b) to a positive
-    multiple (A, -B), so the row is tight at v exactly when the integer dot
-    product is 0.
+    homogeneous (X, w) with v = X/w, and each row is read in its integer
+    form (A, B, d) from `HPoly._int_rows`, so the row is tight at v exactly
+    when A·X == B·w.
 
     Dimensions come from the grading, by size: dim(empty) = -1 and dim(F) =
     1 + max dim(F & m) over the facet masks m with F & m != F (0 for a point
@@ -78,10 +77,9 @@ def face_lattice(hrep: HPoly, vrep: VPoly, *, max_facets: int = 10, max_vertices
     nv = len(vrep.vertices)
     points = [linalg.homogeneous(v) for v in vrep.vertices]
     facet_masks = []
-    for a, b in hrep.ineqs:
-        row = linalg.homogeneous(a + (-b,))[:-1]
+    for nz, b, _ in hrep._int_rows()[0]:
         facet_masks.append(
-            sum(1 << j for j, p in enumerate(points) if sum(map(mul, row, p)) == 0)
+            sum(1 << j for j, p in enumerate(points) if sum(x * p[r] for r, x in nz) == b * p[-1])
         )
     faces = _closed_sets(facet_masks) | {(1 << nv) - 1, 0}
     ordered = sorted(faces, key=lambda m: (m.bit_count(), m))
@@ -436,9 +434,7 @@ def xc_bounds(
     point outside P is reported before a non-binding row.
     """
     sm = slack_matrix(hrep, vrep)
-    on_p = [hrep.contains(x) for x in vrep.vertices]
-    tight = [any(ok and s == 0 for s, ok in zip(row, on_p)) for row in sm.entries]
-    if not _tight_somewhere(hrep, [r for r, t in zip(hrep.ineqs, tight) if not t]):
+    if not _binding_given_slacks(hrep, sm, vrep):
         raise ValidationError("xc_bounds requires a binding inequality system")
     bounds: dict[str, tuple] = {}
     bounds["rank"] = (rank_bound(sm), True)

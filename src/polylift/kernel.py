@@ -1,15 +1,17 @@
 """Exact polyhedral kernel: types, rational LP, and geometric primitives.
 
-Everything here is pure and exact: polyhedra are immutable, all arithmetic is
-over Fraction (the double description core scales it to integers and back).
-Every LP goes through `optimize_all`: its answers carry points, and rays when
-unbounded, and every internal verdict rests on them.  `lp_solve` adds a dual
-vector or a Farkas vector, the solution of a second LP over the same rows,
-which exact dot products alone can check.
+Everything here is pure and exact: polyhedra are immutable, and Fractions go
+in and come out.  A row becomes integers in one place, `HPoly._int_rows`,
+whose form the presolve, the simplex tableau, `contains` and `vertices`
+share; the double description core runs on integers too.  Every LP goes
+through `optimize_all`: its answers carry points, and rays when unbounded,
+and every internal verdict rests on them.  `lp_solve` adds a dual vector or
+a Farkas vector, the solution of a second LP over the same rows, which
+exact dot products alone can check.
 Operations are safe to call concurrently on shared inputs; the only hidden
-state is the integer form of its rows that an `HPoly` builds on first use,
-and the sparse form of its rows that an `AffineMap` builds likewise, each
-the same whichever call builds it.
+state is that integer row form, which an `HPoly` builds on first use, and
+the sparse row form an `AffineMap` builds likewise, each the same whichever
+call builds it.
 """
 
 from __future__ import annotations
@@ -51,12 +53,14 @@ def _coerce_rows(rows, dim, what) -> tuple[tuple[Vec, Fraction], ...]:
     return tuple(out)
 
 
-def _sparse_int_row(a, b) -> tuple[tuple[tuple[int, int], ...], int]:
+def _sparse_int_row(a, b) -> tuple[tuple[tuple[int, int], ...], int, int]:
     """The row a·x <= b (or = b) times the least d > 0 that makes it
-    integral: (nonzero (index, coefficient) pairs, rhs)."""
-    d = lcm(b.denominator, *(x.denominator for x in a))
-    nz = tuple((j, x.numerator * (d // x.denominator)) for j, x in enumerate(a) if x)
-    return nz, b.numerator * (d // b.denominator)
+    integral: (nonzero (index, coefficient) pairs, rhs, d).  Built from
+    lists, as `linalg.homogeneous` is."""
+    nz = [(j, x) for j, x in enumerate(a) if x]
+    d = lcm(b.denominator, *[x.denominator for _, x in nz])
+    ints = tuple([(j, x.numerator * (d // x.denominator)) for j, x in nz])
+    return ints, b.numerator * (d // b.denominator), d
 
 
 @dataclass(frozen=True)
@@ -93,10 +97,10 @@ class HPoly:
         ineqs, eqs = self._int_rows()
         # den x and every row are integral, and scaling a row by a positive
         # integer keeps its sense: a·x <= b iff (d a)·(den x) <= (d b) den
-        den = lcm(*(v.denominator for v in xv))
+        den = lcm(*[v.denominator for v in xv])
         xi = [v.numerator * (den // v.denominator) if v else 0 for v in xv]
         for rows, is_eq in ((ineqs, False), (eqs, True)):
-            for nz, b in rows:
+            for nz, b, _ in rows:
                 s = 0
                 for j, a in nz:
                     v = xi[j]
@@ -108,13 +112,13 @@ class HPoly:
         return True
 
     def _int_rows(self) -> tuple[tuple, tuple]:
-        """(inequalities, equations), each row as (its nonzero (index,
-        coefficient) pairs, rhs), scaled to integers by a positive factor.
-        Built on first use and kept outside the dataclass fields, so
-        equality, hashing and repr do not see it."""
+        """(inequalities, equations), each row as `_sparse_int_row` gives it:
+        the one place where a row becomes integers, a form every layer down
+        to the simplex tableau carries.  Built on first use and kept outside
+        the dataclass fields, so equality, hashing and repr do not see it."""
         rows = self.__dict__.get("_int_rows_cache")
         if rows is None:
-            rows = tuple(tuple(_sparse_int_row(a, b) for a, b in part) for part in (self.ineqs, self.eqs))
+            rows = tuple([tuple([_sparse_int_row(a, b) for a, b in part]) for part in (self.ineqs, self.eqs)])
             object.__setattr__(self, "_int_rows_cache", rows)
         return rows
 
@@ -253,7 +257,13 @@ class PolyEqualResult:
 # ---------------------------------------------------------------------------
 
 def _assemble_standard(dim, ineqs, eqs, costs_min, nonneg):
-    """Build min-form standard data; returns (rows, rhs, costs, var_cols)."""
+    """Standard form min cost·z, rows·z = rhs, z >= 0 of integer rows
+    (nonzero pairs, rhs, d) as `HPoly._int_rows` and `_presolve` give them;
+    returns (rows, scales, costs, var_cols).  Entries are only placed: x_j
+    free is z_p - z_q, x_j >= 0 is z_p, inequality s gets a slack column
+    with entry d, the rhs goes last and the row is negated when it is < 0,
+    as `simplex.solve_standard` takes it, with scale d.  Costs stay Fractions.
+    """
     var_cols = []
     ncol = 0
     for j in range(dim):
@@ -265,40 +275,25 @@ def _assemble_standard(dim, ineqs, eqs, costs_min, nonneg):
             ncol += 2
     nslack = len(ineqs)
     total = ncol + nslack
+
+    def place(row, pairs):
+        for j, x in pairs:
+            p, q = var_cols[j]
+            row[p] = x
+            if q is not None:
+                row[q] = -x
+        return row
+
+    both = (*ineqs, *eqs)
     rows = []
-    rhs = []
-    for s, (a, b) in enumerate(ineqs):
-        row = [ZERO] * total
-        for j, coef in enumerate(a):
-            if coef:
-                p, q = var_cols[j]
-                row[p] = coef
-                if q is not None:
-                    row[q] = -coef
-        row[ncol + s] = ONE
-        rows.append(row)
-        rhs.append(b)
-    for c, d in eqs:
-        row = [ZERO] * total
-        for j, coef in enumerate(c):
-            if coef:
-                p, q = var_cols[j]
-                row[p] = coef
-                if q is not None:
-                    row[q] = -coef
-        rows.append(row)
-        rhs.append(d)
-    costs = []
-    for cost_min in costs_min:
-        cost = [ZERO] * total
-        for j, cj in enumerate(cost_min):
-            if cj:
-                p, q = var_cols[j]
-                cost[p] = cj
-                if q is not None:
-                    cost[q] = -cj
-        costs.append(cost)
-    return rows, rhs, costs, var_cols
+    for s, (nz, b, d) in enumerate(both):
+        row = place([0] * (total + 1), nz)
+        if s < nslack:
+            row[ncol + s] = d
+        row[total] = b
+        rows.append([-x for x in row] if b < 0 else row)
+    costs = [place([ZERO] * total, [(j, c) for j, c in enumerate(cost) if c]) for cost in costs_min]
+    return rows, [d for _, _, d in both], costs, var_cols
 
 
 def _recover_vector(zvec, var_cols, dim):
@@ -315,6 +310,8 @@ class _Reduction:
     elim lists (j, pairs, const) in elimination order, meaning
     x_j = sum(coef * x_k for k, coef in pairs) + const; pairs holds the
     nonzero terms, at most one, and its k may be eliminated by a later entry.
+    ineqs and eqs hold the reduced rows over the survivors' positions, in the
+    integer form of `HPoly._int_rows`: (nonzero pairs, rhs, d).
     """
 
     def __init__(self, dim):
@@ -322,8 +319,8 @@ class _Reduction:
         self.alive = list(range(dim))
         self.elim: list[tuple[int, tuple[tuple[int, Fraction], ...], Fraction]] = []
         self.infeasible = False
-        self.ineqs: list[tuple[list[Fraction], Fraction]] = []
-        self.eqs: list[tuple[list[Fraction], Fraction]] = []
+        self.ineqs: list[tuple[list[tuple[int, int]], int, int]] = []
+        self.eqs: list[tuple[list[tuple[int, int]], int, int]] = []
         self.nonneg: list[bool] = []
 
     def objective(self, c: Sequence[Fraction]) -> tuple[list[Fraction], Fraction]:
@@ -360,15 +357,17 @@ def _presolve(poly: HPoly) -> _Reduction:
     for the higher index and substitutes.  Inequalities that lose every
     variable are dropped (or prove the system infeasible), and a row
     -c x_j <= 0 is dropped and marks x_j nonnegative; eliminating a
-    nonnegative x_j appends its sign row -expr <= const.  Rows are sparse
-    {index: coefficient} dicts, so an elimination updates only the rows that
-    hold its variable, and only those rows (and a new sign row) are screened
-    again: no other row changes.  The reduced rows come out dense over the
-    survivors, in their original order.
+    nonnegative x_j appends its sign row -x_j <= 0, substituted.  Rows are
+    `HPoly._int_rows` rows with {index: int} dicts, so an elimination
+    updates (and screens again) only the rows that hold its variable.  The
+    substitution is fraction-free: through the equation C with entry c_j of
+    sign s, a row R with entry f on j becomes |c_j|·R - s·f·C, with scale
+    |c_j|·d, then divided by gcd(d, rhs, entries), so d stays the least.
     """
     dim = poly.dim
-    ineqs: list = [({j: x for j, x in enumerate(a) if x}, b) for a, b in poly.ineqs]
-    eqs = [({j: x for j, x in enumerate(c) if x}, d) for c, d in poly.eqs]
+    int_ineqs, int_eqs = poly._int_rows()
+    ineqs: list = [(dict(nz), b, d) for nz, b, d in int_ineqs]
+    eqs = [(dict(nz), b, d) for nz, b, d in int_eqs]
     nonneg = [False] * dim
     alive = [True] * dim
     elim = []
@@ -377,7 +376,7 @@ def _presolve(poly: HPoly) -> _Reduction:
         """Drop ineqs[i] (set it to None) when it has no variable left or is
         -c x_j <= 0, which marks x_j nonnegative; False when it reads 0 <= b
         with b < 0."""
-        a, b = ineqs[i]
+        a, b, _ = ineqs[i]
         if not a:
             if b < 0:
                 return False
@@ -397,12 +396,12 @@ def _presolve(poly: HPoly) -> _Reduction:
     if not all(screen(i) for i in range(len(ineqs))):
         return infeasible()
     while True:
-        idx = next((i for i, (c, _) in enumerate(eqs) if len(c) <= 2), None)
+        idx = next((i for i, (c, _, _) in enumerate(eqs) if len(c) <= 2), None)
         if idx is None:
             break
-        c, d = eqs.pop(idx)
+        c, dc, _ = eqs.pop(idx)
         if not c:
-            if d != 0:
+            if dc != 0:
                 return infeasible()
             continue
         if len(c) == 1:
@@ -410,44 +409,50 @@ def _presolve(poly: HPoly) -> _Reduction:
             pairs = ()
         else:
             (k, ck), (j, cj) = sorted(c.items())  # eliminate the higher index
-            pairs = ((k, -ck / cj),)
-        const = d / cj
+            pairs = ((k, Fraction(-ck, cj)),)
+        sj = 1 if cj > 0 else -1
+        cj_abs = cj * sj
+
+        def substitute(row):
+            """|c_j|·row - s·f·c over the least integral scale."""
+            a, b, d = row
+            f = a.pop(j) * sj
+            if cj_abs != 1:
+                a, b, d = {t: x * cj_abs for t, x in a.items()}, b * cj_abs, d * cj_abs
+            for t, ct in c.items():
+                if t != j:
+                    v = a.get(t, 0) - f * ct
+                    if v:
+                        a[t] = v
+                    else:
+                        del a[t]
+            b -= f * dc
+            g = gcd(d, b, *a.values())
+            if g != 1:
+                a, b, d = {t: x // g for t, x in a.items()}, b // g, d // g
+            return a, b, d
+
         for rows in (ineqs, eqs):
             for i, row in enumerate(rows):
                 if row is None or j not in row[0]:
                     continue
-                a, b = row
-                f = a.pop(j)
-                for k, ek in pairs:
-                    v = a.get(k, ZERO) + f * ek
-                    if v:
-                        a[k] = v
-                    else:
-                        del a[k]
-                rows[i] = (a, b - f * const)
+                rows[i] = substitute(row)
                 if rows is ineqs and not screen(i):
                     return infeasible()
         if nonneg[j]:
-            # keep the sign constraint of the eliminated variable: -expr <= const
-            ineqs.append(({k: -ek for k, ek in pairs}, const))
+            # keep the sign constraint of the eliminated variable
+            ineqs.append(substitute(({j: -1}, 0, 1)))
             if not screen(len(ineqs) - 1):
                 return infeasible()
         alive[j] = False
-        elim.append((j, pairs, const))
+        elim.append((j, pairs, Fraction(dc, cj)))
 
     red = _Reduction(dim)
     red.alive = [j for j in range(dim) if alive[j]]
     pos = {j: p for p, j in enumerate(red.alive)}
-
-    def dense(a):
-        out = [ZERO] * len(pos)
-        for j, x in a.items():
-            out[pos[j]] = x
-        return out
-
     red.elim = elim
-    red.ineqs = [(dense(row[0]), row[1]) for row in ineqs if row is not None]
-    red.eqs = [(dense(c), d) for c, d in eqs]
+    red.ineqs = [([(pos[j], x) for j, x in a.items()], b, d) for a, b, d in filter(None, ineqs)]
+    red.eqs = [([(pos[j], x) for j, x in c.items()], b, d) for c, b, d in eqs]
     red.nonneg = [nonneg[j] for j in red.alive]
     return red
 
@@ -478,9 +483,9 @@ def optimize_all(poly: HPoly, objectives: Sequence[tuple[Sequence, str]]) -> lis
         obj, const = red.objective(c)
         costs_min.append([-x for x in obj] if sense == "max" else obj)
         consts.append(const)
-    rows, rhs, costs, var_cols = _assemble_standard(k, red.ineqs, red.eqs, costs_min, red.nonneg)
+    rows, scales, costs, var_cols = _assemble_standard(k, red.ineqs, red.eqs, costs_min, red.nonneg)
     out = []
-    for (_, sense), const, res in zip(cs, consts, simplex.solve_standard(rows, rhs, costs)):
+    for (_, sense), const, res in zip(cs, consts, simplex.solve_standard(rows, scales, costs)):
         if res.status == simplex.INFEASIBLE:
             out.append(LPResult(status=INFEASIBLE))
             continue
@@ -553,11 +558,11 @@ def lex_min_point(poly: HPoly) -> Vec:
         return ()
     k = len(red.alive)
     objs = [red.objective(linalg.unit(poly.dim, j)) for j in range(poly.dim)]
-    rows, rhs, costs, var_cols = _assemble_standard(
+    rows, scales, costs, var_cols = _assemble_standard(
         k, red.ineqs, red.eqs, [obj for obj, _ in objs], red.nonneg
     )
     fixed: list[Fraction] = []
-    for j, res in enumerate(simplex.solve_standard(rows, rhs, costs, lex=True)):
+    for j, res in enumerate(simplex.solve_standard(rows, scales, costs, lex=True)):
         if res.status == simplex.INFEASIBLE:
             raise EmptyPolyhedronError("polyhedron is empty")
         if res.status == simplex.UNBOUNDED:
@@ -596,7 +601,7 @@ def _affine_hull_data(poly: HPoly):
     rows = [(tuple(c), d) for c, d in poly.eqs] + implicit
     if not rows:
         return [], point
-    reduced, pivots = linalg.rref(linalg.mat([tuple(a) + (b,) for a, b in rows]))
+    reduced, _ = linalg.rref(linalg.mat([tuple(a) + (b,) for a, b in rows]))
     eqs = []
     for row in reduced:
         if any(row):
@@ -851,11 +856,9 @@ def vertices(poly: HPoly) -> VPoly:
     big_x0, q0 = hx[:dim], hx[dim]
     t_rows = []
     seen = set()
-    for a, b in poly.ineqs:
-        h = linalg.homogeneous(tuple(a) + (b,))
-        nz = [(r, x) for r, x in enumerate(h[:dim]) if x]
+    for nz, b, _ in poly._int_rows()[0]:
         at = [q0 * sum(x * n[r] for r, x in nz) for n in n_int]
-        bt = n_den * (q0 * h[dim] - sum(x * big_x0[r] for r, x in nz))
+        bt = n_den * (q0 * b - sum(x * big_x0[r] for r, x in nz))
         if not any(at):
             if bt < 0:
                 raise InvariantViolationError("feasible point violates a row")

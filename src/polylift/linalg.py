@@ -99,9 +99,10 @@ def transpose(m: Mat) -> Mat:
 def homogeneous(v: Sequence[Fraction]) -> tuple[int, ...]:
     """The rational vector v as the primitive integer vector (V..., w) with
     w > 0 and v = V/w.  It is primitive because w is the lcm of the reduced
-    denominators."""
-    w = lcm(*(x.denominator for x in v))
-    return tuple(x.numerator * (w // x.denominator) for x in v) + (w,)
+    denominators.  Built from lists: a short tuple built from a generator
+    is resized, and once freed stays on CPython's tuple free list."""
+    w = lcm(*[x.denominator for x in v])
+    return (*[x.numerator * (w // x.denominator) for x in v], w)
 
 
 def _eliminate(m) -> tuple[list[list[int]], list[int]]:
@@ -115,10 +116,7 @@ def _eliminate(m) -> tuple[list[list[int]], list[int]]:
     pivots[r], the rows after them are zero, and dividing each pivot row by
     its pivot gives the reduced row echelon form.
     """
-    rows = []
-    for row in m:
-        den = lcm(*(x.denominator for x in row))
-        rows.append([x.numerator * (den // x.denominator) for x in row])
+    rows = [list(homogeneous(row)[:-1]) for row in m]
     pivots: list[int] = []
     if not rows:
         return rows, pivots
@@ -239,12 +237,8 @@ def inverse(m: Mat) -> Mat:
 
 def canon_ineq(a: Sequence[Fraction], b: Fraction) -> tuple[Vec, Fraction]:
     """Scale a·x <= b by a positive rational so entries are coprime integers."""
-    entries = list(a) + [b]
-    den = lcm(*(x.denominator for x in entries))
-    ints = [x.numerator * (den // x.denominator) for x in entries]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
+    ints = homogeneous((*a, b))[:-1]
+    g = gcd(*ints)
     if g == 0:
         return tuple(ZERO for _ in a), ZERO
     return tuple(Fraction(v // g) for v in ints[:-1]), Fraction(ints[-1] // g)

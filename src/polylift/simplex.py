@@ -12,18 +12,22 @@ barred from entering (it must stay 0 on the optimal face), and cost j+1
 starts from the current basis, so each cost is minimized over the optimal
 face of the costs before it.
 
-The tableau is integer.  Each row, with its right-hand side as the last
-entry, is kept as a positive integer multiple of the true row, and each
-objective row as a positive multiple of the true reduced costs (its value
-entry last).  The pivot rules read only signs, zeros and ratios within a
-row, which such multiples keep, so the pivots are those of the same simplex
-over Fractions.  A pivot on entry p > 0 (the pivot row's sign is flipped
-first, and the row divided by the gcd of its entries) updates a row whose
-entry in the pivot column is f as `row - (f // p) * prow` when p divides f,
-and otherwise as `p * row - f * prow` divided by the gcd of its entries: the
-integer pivoting of Edmonds (1967) and lrs, with one scale per row.  The
-true entry of a row in its basic column is 1, so that column's stored entry
-is the row's scale; Fractions are built from it once per result entry.
+The tableau is integer, and so is its input: each row comes in as a
+positive integer multiple of the true row, right-hand side last and negated
+where that is negative, with the multiple as its scale.
+`kernel._assemble_standard` builds them from `HPoly._int_rows`, so no
+Fraction enters the tableau.  Each row stays a positive multiple of the
+true row, and each objective row a positive multiple of the true reduced
+costs (its value entry last).  The pivot rules read only signs, zeros and
+ratios within a row, which such multiples keep, so the pivots are those of
+the same simplex over Fractions.  A pivot on entry p > 0 (the pivot row's
+sign is flipped first, and the row divided by the gcd of its entries)
+updates a row whose entry in the pivot column is f as
+`row - (f // p) * prow` when p divides f, and otherwise as
+`p * row - f * prow` divided by the gcd of its entries: the integer
+pivoting of Edmonds (1967) and lrs, with one scale per row.  The true entry
+of a row in its basic column is 1, so that column's stored entry is the
+row's scale; Fractions are built from it once per result entry.
 
 Artificial variables are kept implicit: phase 1 starts from the all-artificial
 basis, their columns are never stored, and after phase 1 remaining zero-level
@@ -54,26 +58,6 @@ class StandardResult:
     point: list[Fraction] | None = None
     value: Fraction | None = None
     ray: list[Fraction] | None = None  # unbounded: improving ray in z
-
-
-def _scale(row: list, k: int) -> int:
-    """Replace the rationals of `row` in place by k * d times them, for the
-    least d > 0 that makes every entry integral; returns d."""
-    d = 1
-    for j, x in enumerate(row):
-        num = x.numerator
-        if num:
-            den = x.denominator
-            if d % den:
-                # a new denominator: scale the entries done so far to it
-                f = den // gcd(d, den)
-                for i in range(j):
-                    row[i] *= f
-                d *= f
-            row[j] = k * num * (d // den)
-        else:
-            row[j] = 0
-    return d
 
 
 def _pivot(tab, objs, basis, r, c):
@@ -150,30 +134,24 @@ def _run_phase(tab, obj, basis, cols):
         _pivot(tab, objs, basis, leave, enter)
 
 
-def solve_standard(a_rows, b, costs, lex: bool = False) -> list[StandardResult]:
-    """Solve min cost·z s.t. a_rows z = b, z >= 0 exactly, for each cost.
+def solve_standard(rows, scales, costs, lex: bool = False) -> list[StandardResult]:
+    """Solve min cost·z s.t. A z = b, z >= 0 exactly, for each cost.
 
-    `a_rows` is a sequence of coefficient lists (copied), `b` a sequence of
-    Fractions and `costs` a non-empty list of cost sequences, one result per
-    cost in order.  Phase 1 runs once; each cost runs phase 2 on its own
-    copy of the phase-1 tableau and basis, so every result equals that of a
-    one-cost call.
+    `rows[i]` is d_i·(row i of A, b_i) in integers, negated when b_i < 0,
+    and `scales[i]` is d_i > 0 (`kernel._assemble_standard` gives the least
+    d_i; any gives the same pivots).  The lists become the tableau and are
+    pivoted in place.  `costs` is a non-empty list of Fraction cost
+    sequences, one result per cost in order.  Phase 1 runs once; each cost
+    runs phase 2 on its own copy of the phase-1 tableau and basis, so every
+    result equals that of a one-cost call.
 
     With `lex=True` result j minimizes costs[j] over the optimal face of
     costs[0..j-1] (lexicographic optimization): the costs share one tableau,
     and the list ends at the first UNBOUNDED result.
     """
-    m = len(a_rows)
+    tab = rows
     n = len(costs[0])
-    tab = []
-    scales = []
-    for row, rhs in zip(a_rows, b):
-        ints = [0] * (n + 1)  # allocated at its final size, then filled in place
-        ints[:n] = row
-        ints[n] = rhs
-        scales.append(_scale(ints, -1 if rhs < 0 else 1))
-        tab.append(ints)
-    basis = [n + i for i in range(m)]  # artificial ids n .. n+m-1
+    basis = [n + i for i in range(len(tab))]  # one artificial id per row, from n
 
     # Phase 1: minimize the sum of artificials, i.e. of the true rows: the
     # row scales differ, so each row counts divided by its own.
@@ -219,11 +197,12 @@ def _phase2(tab, basis, cost, cols) -> StandardResult:
     narrowed to the columns free to move on the optimal face."""
     n = len(cost)
     # reduced costs: cost - sum of cost[v] * (true row of v), scaled to
-    # integers; the stored entry row[v] is the scale of the row of v
+    # integers; the stored entry row[v] is the scale of the row of v.  No
+    # tuple per phase 2 (see linalg.homogeneous): cost is scaled in lists
     common = lcm(*(tab[i][v] for i, v in enumerate(basis) if cost[v]))
-    obj2 = [0] * (n + 1)
-    obj2[:n] = cost
-    _scale(obj2, common)
+    w = lcm(*[x.denominator for x in cost])
+    obj2 = [common * x.numerator * (w // x.denominator) for x in cost]
+    obj2.append(0)
     for i, v in enumerate(basis):
         if obj2[v]:
             row = tab[i]

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 
 from . import linalg
 from .constructions import Extension, verify_extension
@@ -100,7 +99,7 @@ def slack_map(hrep: HPoly) -> AffineMap:
     """
     a_rows = [a for a, _ in hrep.ineqs]
     b = [bb for _, bb in hrep.ineqs]
-    x0, null = _aff_directions(hrep)
+    _, null = _aff_directions(hrep)
     an = linalg.mat([[linalg.dot(a, n) for n in null] for a in a_rows])
     if null and linalg.rank(an) < len(null):
         raise ValidationError("slack map is not injective on the affine hull")
@@ -122,22 +121,31 @@ def _tight_somewhere(hrep: HPoly, rows) -> bool:
     return True
 
 
+def _binding_given_slacks(hrep: HPoly, sm: SlackMatrix, points: VPoly) -> bool:
+    """`is_binding(hrep)`, given the slack matrix sm of hrep at points: a
+    row with a zero slack at a listed point of P is tight there, so only
+    the other rows take an LP (one batch)."""
+    on_p = [hrep.contains(x) for x in points.vertices]
+    tight = [any(ok and s == 0 for s, ok in zip(row, on_p)) for row in sm.entries]
+    return _tight_somewhere(hrep, [r for r, t in zip(hrep.ineqs, tight) if not t])
+
+
 def slack_matrix(hrep: HPoly, points: VPoly) -> SlackMatrix:
     """Exact slack matrix of hrep's inequality rows against the given points.
 
-    Each row is scaled once to integers (A, B) by the lcm d of its
-    denominators, each point to its homogeneous (X, w); then b - a·x =
-    (B w - A·X) / (d w).
+    Each row is read in its integer form (A, B, d) from `HPoly._int_rows`,
+    each point scaled to its homogeneous (X, w); then b - a·x =
+    (B w - A·X) / (d w), with A·X over the nonzeros of A.
     """
     if hrep.dim != points.dim:
         raise ValidationError("dimension mismatch between system and points")
     homs = [linalg.homogeneous(x) for x in points.vertices]
     entries = []
-    for i, (a, b) in enumerate(hrep.ineqs):
-        *row, d = linalg.homogeneous(a + (-b,))  # (A, -B, d)
+    for i, (nz, b, d) in enumerate(hrep._int_rows()[0]):
         out = []
         for j, p in enumerate(homs):
-            s = F(-sum(map(mul, row, p)), d * p[-1])
+            w = p[-1]
+            s = F(b * w - sum(x * p[r] for r, x in nz), d * w)
             if s < 0:
                 raise ValidationError(
                     f"point outside polytope: row {hrep.row_label(i)}, "
@@ -147,7 +155,6 @@ def slack_matrix(hrep: HPoly, points: VPoly) -> SlackMatrix:
         entries.append(tuple(out))
     x0, null = _aff_directions(hrep)
     a_rows = [a for a, _ in hrep.ineqs]
-    bvec = [b for _, b in hrep.ineqs]
     u0 = tuple(bb - linalg.dot(a, x0) for a, bb in hrep.ineqs)
     # directions of the slack image: columns -A n for the affine directions n
     dirs = [tuple(-linalg.dot(a, n) for a in a_rows) for n in null]
@@ -260,13 +267,15 @@ def extension_to_factorization(
 ) -> NonnegFactorization:
     """Nonnegative factorization Phi = T S from a verified extension.
 
-    Requires hrep binding and the extension verified; a non-pointed Q is first
-    quotiented by its lineality space (same inequality count).  Each row of T
+    Requires hrep binding (a point outside P is reported first) and the
+    extension verified; a non-pointed Q is first quotiented by its lineality
+    space (same inequality count).  Each row of T
     comes from an exact LP expressing the row's slack over Q as a nonnegative
     combination of Q's inequality slacks; S evaluates Q's slacks at the
     lexicographically minimal lift of each point.
     """
-    if not is_binding(hrep):
+    phi = slack_matrix(hrep, points)
+    if not _binding_given_slacks(hrep, phi, points):
         raise ValidationError("inequality system is not binding")
     rep = verify_extension(hrep, ext, target_vrep=points)
     if not rep.passed:
@@ -332,7 +341,6 @@ def extension_to_factorization(
         s_cols.append(tuple(b - linalg.dot(a, y) for a, b in q_poly.ineqs))
     s = linalg.mat([[s_cols[j][r] for j in range(len(s_cols))] for r in range(qm)])
     fact = NonnegFactorization(linalg.mat(t_rows), s)
-    phi = slack_matrix(hrep, points)
     check = verify_factorization(phi, fact)
     if not check.ok:
         raise InvariantViolationError(f"factorization failed validation: {check}")

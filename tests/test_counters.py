@@ -48,8 +48,9 @@ def test_factorization_martin4_solves_and_pivots(monkeypatch):
     )
     assert (len(fact.t), len(fact.s), len(fact.s[0])) == (16, 30, 16)
     # one lexicographic solve per vertex lift; a solve per coordinate made
-    # 500 solves and 2963 pivots
-    assert counts == {"solves": 36, "pivots": 772}
+    # 500 solves and 2963 pivots.  Every row of Martin(4)'s system has a zero
+    # slack at a vertex, so the binding check takes no LP (36/772 with one)
+    assert counts == {"solves": 35, "pivots": 730}
 
 
 def test_fm_project_bubble3_solves_and_pivots(monkeypatch):

@@ -164,8 +164,9 @@ def _unpresolved(c, sense, poly):
     """(status, optimum) from the standard form of poly itself, with every
     variable free and no presolve: the reference for the optimize path."""
     cost = [-F(x) for x in c] if sense == "max" else [F(x) for x in c]
-    rows, rhs, costs, _ = kernel._assemble_standard(poly.dim, poly.ineqs, poly.eqs, [cost], [False] * poly.dim)
-    [res] = simplex.solve_standard(rows, rhs, costs)
+    ineqs, eqs = poly._int_rows()
+    rows, scales, costs, _ = kernel._assemble_standard(poly.dim, ineqs, eqs, [cost], [False] * poly.dim)
+    [res] = simplex.solve_standard(rows, scales, costs)
     if res.status != "optimal":
         return res.status, None
     return res.status, -res.value if sense == "max" else res.value

@@ -1,12 +1,17 @@
 """The sparse presolve of `kernel._presolve` and `kernel._Reduction`.
 
 The reference below is the dense presolve the sparse one replaced, kept as
-it was: every row a full list over all variables, each pass re-reading the
-support of every row.  Both must make the same eliminations in the same
-order and hand the simplex the same reduced rows, on any input.
+it was: every row a full list over all variables of Fractions, each pass
+re-reading the support of every row.  Both must make the same eliminations
+in the same order and hand the simplex the same reduced rows, on any input:
+the integer rows divided by their scales equal the reference's Fraction
+rows.  The Fraction standard form built from those rows, each row then
+scaled to integers as the simplex once did itself, must equal the integer
+rows and scales of `kernel._assemble_standard`.
 """
 
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
@@ -135,6 +140,91 @@ def _presolve(poly: HPoly) -> _Reduction:
 
 
 # ---------------------------------------------------------------------------
+# Fraction standard form reference
+# ---------------------------------------------------------------------------
+
+def _assemble_fractions(dim, ineqs, eqs, costs_min, nonneg):
+    """Dense Fraction standard form of dense Fraction rows; returns (rows,
+    rhs, costs, var_cols)."""
+    var_cols = []
+    ncol = 0
+    for j in range(dim):
+        if nonneg[j]:
+            var_cols.append((ncol, None))
+            ncol += 1
+        else:
+            var_cols.append((ncol, ncol + 1))
+            ncol += 2
+    nslack = len(ineqs)
+    total = ncol + nslack
+    rows = []
+    rhs = []
+    for s, (a, b) in enumerate(ineqs):
+        row = [ZERO] * total
+        for j, coef in enumerate(a):
+            if coef:
+                p, q = var_cols[j]
+                row[p] = coef
+                if q is not None:
+                    row[q] = -coef
+        row[ncol + s] = F(1)
+        rows.append(row)
+        rhs.append(b)
+    for c, d in eqs:
+        row = [ZERO] * total
+        for j, coef in enumerate(c):
+            if coef:
+                p, q = var_cols[j]
+                row[p] = coef
+                if q is not None:
+                    row[q] = -coef
+        rows.append(row)
+        rhs.append(d)
+    costs = []
+    for cost_min in costs_min:
+        cost = [ZERO] * total
+        for j, cj in enumerate(cost_min):
+            if cj:
+                p, q = var_cols[j]
+                cost[p] = cj
+                if q is not None:
+                    cost[q] = -cj
+        costs.append(cost)
+    return rows, rhs, costs, var_cols
+
+
+def _scale(row: list, k: int) -> int:
+    """Replace the rationals of `row` in place by k * d times them, for the
+    least d > 0 that makes every entry integral; returns d."""
+    d = 1
+    for j, x in enumerate(row):
+        num = x.numerator
+        if num:
+            den = x.denominator
+            if d % den:
+                # a new denominator: scale the entries done so far to it
+                f = den // gcd(d, den)
+                for i in range(j):
+                    row[i] *= f
+                d *= f
+            row[j] = k * num * (d // den)
+        else:
+            row[j] = 0
+    return d
+
+
+def _standard_reference(red, costs_min):
+    """(rows, scales, costs, var_cols) from the dense presolve through the
+    Fraction assembly, each row with its rhs scaled as by `_scale`."""
+    rows, rhs, costs, var_cols = _assemble_fractions(len(red.alive), red.ineqs, red.eqs, costs_min, red.nonneg)
+    scales = []
+    for row, b in zip(rows, rhs):
+        row.append(b)
+        scales.append(_scale(row, -1 if b < 0 else 1))
+    return rows, scales, costs, var_cols
+
+
+# ---------------------------------------------------------------------------
 # Inputs
 # ---------------------------------------------------------------------------
 
@@ -206,9 +296,19 @@ def _pairs(expr):
     return tuple((k, x) for k, x in enumerate(expr) if x)
 
 
-def _rows(rows):
-    # the Fraction type too: the simplex scales exactly these entries
-    return [([(type(x), x) for x in a], type(b), b) for a, b in rows]
+def _dense(rows, n):
+    """Integer rows (nonzero pairs, rhs, d) as dense Fraction rows over n
+    variables, each entry divided by d; checks that d is the least scale."""
+    out = []
+    for nz, b, d in rows:
+        assert d > 0 and all(type(x) is int and x for _, x in nz) and type(b) is int
+        assert gcd(d, b, *(x for _, x in nz)) == 1
+        a = [ZERO] * n
+        for j, x in nz:
+            assert a[j] == 0
+            a[j] = F(x, d)
+        out.append((a, F(b, d)))
+    return out
 
 
 @settings(deadline=None, derandomize=True, max_examples=600)
@@ -224,8 +324,8 @@ def test_sparse_presolve_matches_dense_reference(case):
     ]
     assert all(len(pairs) <= 1 for _, pairs, _ in red.elim)
     assert red.nonneg == ref.nonneg
-    assert _rows(red.ineqs) == _rows(ref.ineqs)
-    assert _rows(red.eqs) == _rows(ref.eqs)
+    assert _dense(red.ineqs, len(red.alive)) == ref.ineqs
+    assert _dense(red.eqs, len(red.alive)) == ref.eqs
     if red.infeasible:
         return
     assert red.objective(c) == ref.objective(c)
@@ -234,11 +334,34 @@ def test_sparse_presolve_matches_dense_reference(case):
     assert red.back(xr, ray=True) == ref.back(xr, ray=True)
 
 
+@settings(deadline=None, derandomize=True, max_examples=600)
+@given(presolve_cases())
+def test_standard_rows_match_the_fraction_assembly(case):
+    # the integer rows and scales handed to the simplex are exactly those
+    # the Fraction assembly and its per-row scaling gave, on every input
+    # the presolve keeps feasible; the infeasible ones agree on that flag
+    poly, c, _ = case
+    ref = _presolve(poly)
+    red = kernel._presolve(poly)
+    assert red.infeasible == ref.infeasible
+    if red.infeasible:
+        return
+    costs_min = [ref.objective(c)[0], [-x for x in ref.objective(c)[0]]]
+    got = kernel._assemble_standard(len(red.alive), red.ineqs, red.eqs, costs_min, red.nonneg)
+    assert got == _standard_reference(ref, costs_min)
+    assert all(type(x) is int for row in got[0] for x in row)
+
+
 def test_sign_row_of_an_eliminated_variable():
     # -x1 <= 0, then x0 + x1 = 3 eliminates x1 = 3 - x0: the sign row
     # becomes x0 <= 3, and x0 = 5 then makes it 0 <= -2
     poly = HPoly(2, [([0, -1], 0)], [([1, 1], 3)])
     red = kernel._presolve(poly)
     assert red.alive == [0] and red.elim == [(1, ((0, F(-1)),), F(3))]
-    assert red.ineqs == [([F(1)], F(3))] and red.nonneg == [False]
+    assert red.ineqs == [([(0, 1)], 3, 1)] and red.nonneg == [False]
+    # with |c_j| = 3 the row scales by 3: x1 = 1 - 2/3 x0 >= 0 is
+    # 2/3 x0 <= 1, held as 2 x0 <= 3 with d = 3
+    red = kernel._presolve(HPoly(2, [([0, -1], 0)], [([2, 3], 3)]))
+    assert red.elim == [(1, ((0, F(-2, 3)),), F(1))]
+    assert red.ineqs == [([(0, 2)], 3, 3)]
     assert kernel._presolve(HPoly(2, [([0, -1], 0)], [([1, 1], 3), ([1, 0], 5)])).infeasible

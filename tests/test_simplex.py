@@ -2,12 +2,15 @@
 
 The reference below is the Fraction simplex the integer tableau replaced,
 kept as it was: the same two phases, Bland rule, drive-out step and lex
-mode, with every tableau entry a Fraction.  Both must return equal results
-and make the same pivots, (row, column) for (row, column), on any input.
+mode, with every tableau entry a Fraction.  It takes the Fraction rows and
+right-hand sides; `solve_standard` takes each row scaled to integers with
+its scale.  Both must return equal results and make the same pivots,
+(row, column) for (row, column), on any input.
 """
 
 import sys
 from fractions import Fraction
+from math import lcm
 
 from hypothesis import given, settings, strategies as st
 
@@ -149,7 +152,20 @@ def _phase2(tab, rhs, basis, cost, cols):
 # Comparison
 # ---------------------------------------------------------------------------
 
-def _recorded(module, solve, rows, rhs, costs, lex):
+def _integer_rows(rows, rhs):
+    """The rows and right-hand sides as `solve_standard` takes them: each row
+    with its rhs last, times the least d > 0 that makes it integral and
+    negated when its rhs is negative, and the d of each row."""
+    ints, scales = [], []
+    for row, b in zip(rows, rhs):
+        d = lcm(b.denominator, *(x.denominator for x in row))
+        k = -d if b < 0 else d
+        ints.append([int(k * x) for x in row] + [int(k * b)])
+        scales.append(d)
+    return ints, scales
+
+
+def _recorded(module, solve, *args, lex):
     """solve's results and its (row, column) pivots, read off module._pivot."""
     pivots = []
     pivot = module._pivot
@@ -160,14 +176,16 @@ def _recorded(module, solve, rows, rhs, costs, lex):
 
     module._pivot = recording
     try:
-        return solve([list(r) for r in rows], list(rhs), [list(c) for c in costs], lex=lex), pivots
+        return solve(*args, lex=lex), pivots
     finally:
         module._pivot = pivot
 
 
 def _assert_same(rows, rhs, costs, lex=False):
-    got = _recorded(simplex, simplex.solve_standard, rows, rhs, costs, lex)
-    want = _recorded(sys.modules[__name__], reference_solve, rows, rhs, costs, lex)
+    got = _recorded(simplex, simplex.solve_standard, *_integer_rows(rows, rhs), [list(c) for c in costs], lex=lex)
+    want = _recorded(
+        sys.modules[__name__], reference_solve, [list(r) for r in rows], list(rhs), [list(c) for c in costs], lex=lex
+    )
     assert got == want
     return got[0]
 
@@ -239,7 +257,8 @@ def test_each_branch_matches_the_reference():
 
 
 def test_results_are_fractions():
-    # the row is stored as [3, 2, 3]; z1 = 3/2 is its rhs over its entry in column 1
-    [res] = simplex.solve_standard([[F(1, 2), F(1, 3)]], [F(1, 2)], [[F(1), ZERO]])
+    # the row z0/2 + z1/3 = 1/2 goes in as [3, 2, 3] with scale 6; z1 = 3/2
+    # is its rhs over its entry in column 1
+    [res] = simplex.solve_standard([[3, 2, 3]], [6], [[F(1), ZERO]])
     assert res == StandardResult(OPTIMAL, point=[ZERO, F(3, 2)], value=ZERO)
     assert all(type(x) is Fraction for x in res.point)

@@ -227,8 +227,12 @@ def test_extension_to_factorization_birkhoff3_and_roundtrip():
 def test_extension_to_factorization_requires_binding():
     loose = HPoly(1, [([-1], 0), ([1], 1), ([1], 5)])
     seg_ext = cx.Extension(segment(), AffineMap.linear([[1]]), 1, "seg")
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="not binding"):
         extension_to_factorization(seg_ext, loose, VPoly(1, [(0,), (1,)]))
+    # the slack matrix comes first: a point outside P is reported before
+    # the non-binding row, as in xc_bounds
+    with pytest.raises(ValidationError, match="point outside"):
+        extension_to_factorization(seg_ext, loose, VPoly(1, [(0,), (2,)]))
 
 
 def test_extension_to_factorization_rejects_unverified():
