@@ -129,10 +129,8 @@ def verify_extension(
                     ok = True
                     report.lift_hits += 1
         if not ok:
-            rows = list(q.eqs)
-            for i in range(ext.target_dim):
-                rows.append((pm[i], v[i] - poff[i]))
-            fr = optimize(HPoly(q.dim, q.ineqs, rows), linalg.zeros(q.dim), "min")
+            rows = [(pm[i], v[i] - poff[i]) for i in range(ext.target_dim)]
+            fr = optimize(q._derive(eqs=rows), linalg.zeros(q.dim), "min")
             ok = fr.status != "infeasible"
         if not ok:
             report.vertex_failures.append(v)
@@ -150,7 +148,7 @@ def verify_extension(
         checks.append((label, c, d, "min"))
     objectives = [(linalg.zeros(q.dim), "min")]
     for _, a, _, sense in checks:
-        cy = [linalg.dot(a, col) for col in zip(*pm)] if pm else linalg.zeros(q.dim)
+        cy = ext.proj.pull_back(a) if pm else linalg.zeros(q.dim)
         objectives.append((cy, sense))
     first, *results = optimize_all(q, objectives)
     if first.status == "infeasible":

@@ -9,9 +9,10 @@ and every internal verdict rests on them.  `lp_solve` adds a dual vector or
 a Farkas vector, the solution of a second LP over the same rows, which
 exact dot products alone can check.
 Operations are safe to call concurrently on shared inputs; the only hidden
-state is that integer row form, which an `HPoly` builds on first use, and
-the sparse row form an `AffineMap` builds likewise, each the same whichever
-call builds it.
+state is that integer row form, which an `HPoly` builds on first use (or
+takes from the `HPoly` it is derived from, for an LP over the same rows plus
+a few), and the sparse row form an `AffineMap` builds likewise, each the
+same whichever call builds it.
 """
 
 from __future__ import annotations
@@ -122,6 +123,23 @@ class HPoly:
             object.__setattr__(self, "_int_rows_cache", rows)
         return rows
 
+    def _derive(self, keep=None, eqs=()) -> "HPoly":
+        """HPoly(dim, the inequalities indexed by keep (all, by default, in
+        order), self.eqs + eqs), and equal to that build; the rows taken
+        from self keep their coerced tuples and integer rows, so only the
+        appended equations are converted."""
+        int_ineqs, int_eqs = self._int_rows()
+        keep = range(len(self.ineqs)) if keep is None else keep
+        new = _coerce_rows(eqs, self.dim, "equation")
+        int_new = tuple([_sparse_int_row(a, b) for a, b in new])
+        out = object.__new__(HPoly)
+        out.__dict__.update(
+            dim=self.dim, ineqs=tuple([self.ineqs[i] for i in keep]), eqs=self.eqs + new,
+            ineq_labels=None, eq_labels=None,
+            _int_rows_cache=(tuple([int_ineqs[i] for i in keep]), int_eqs + int_new),
+        )
+        return out
+
     def row_label(self, i: int) -> str:
         if self.ineq_labels is not None:
             return self.ineq_labels[i]
@@ -189,6 +207,16 @@ class AffineMap:
                 if v:
                     s += a * v
             out.append(s + o)
+        return tuple(out)
+
+    def pull_back(self, a: Sequence[Fraction]) -> Vec:
+        """a·matrix, the linear form a∘map on the input space less its
+        constant a·offset, over the nonzeros of the rows."""
+        out = [ZERO] * self.in_dim
+        for x, nz in zip(a, self._sparse_rows()):
+            if x:
+                for j, p in nz:
+                    out[j] += x * p
         return tuple(out)
 
     def _sparse_rows(self) -> tuple:
@@ -547,7 +575,8 @@ def lex_min_point(poly: HPoly) -> Vec:
     points attaining that minimum, and so on.
 
     One presolve and one lexicographic simplex call (phase 1 once, then one
-    phase 2 per coordinate on the optimal face of the coordinates before it).
+    phase 2 per coordinate on the optimal face of the coordinates before it,
+    until that face is one point, which fixes the coordinates left).
     Raises EmptyPolyhedronError, or UnboundedPolyhedronError naming the first
     coordinate with no minimum.
     """
@@ -908,14 +937,15 @@ def vertices(poly: HPoly) -> VPoly:
 # Redundancy removal, equality test, membership
 # ---------------------------------------------------------------------------
 
-def _nonredundant(dim: int, rows, eqs) -> list[bool]:
-    """Keep flags for the rows of a nonempty polyhedron, in row order: row i
-    is dropped when the kept rows so far and all later rows imply it (one
-    LP per row)."""
+def _nonredundant(poly: HPoly) -> list[bool]:
+    """Keep flags for the inequalities of a nonempty polyhedron, in row
+    order: row i is dropped when the kept rows so far, all later rows and
+    the equations imply it (one LP per row, each over rows derived from
+    poly's)."""
+    rows = poly.ineqs
     keep = [True] * len(rows)
     for i, (a, b) in enumerate(rows):
-        rest = tuple(rows[j] for j in range(len(rows)) if keep[j] and j != i)
-        r = optimize(HPoly(dim, rest, eqs), a, "max")
+        r = optimize(poly._derive([j for j in range(len(rows)) if keep[j] and j != i]), a, "max")
         if r.status == OPTIMAL and r.optimum <= b:
             keep[i] = False
         elif r.status == INFEASIBLE:
@@ -933,7 +963,7 @@ def remove_redundancy(poly: HPoly) -> HPoly:
         raise EmptyPolyhedronError("polyhedron is empty")
     rows = list(poly.ineqs)
     labels = list(poly.ineq_labels) if poly.ineq_labels is not None else None
-    keep = _nonredundant(poly.dim, rows, poly.eqs)
+    keep = _nonredundant(poly)
     new_rows = tuple(row for row, k in zip(rows, keep) if k)
     new_labels = tuple(l for l, k in zip(labels, keep) if k) if labels is not None else None
     return HPoly(poly.dim, new_rows, poly.eqs, new_labels, poly.eq_labels)
@@ -1105,7 +1135,7 @@ def fm_project(poly: HPoly, keep: Iterable[int]) -> HPoly:
             ineqs = [([ZERO] * dim, Fraction(-1))]
             eqs = []
             return
-        keep_flags = _nonredundant(dim, current.ineqs, current.eqs)
+        keep_flags = _nonredundant(current)
         ineqs = [row for row, k in zip(ineqs, keep_flags) if k]
         irredundant = True
 

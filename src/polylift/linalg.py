@@ -36,10 +36,11 @@ def frac(x) -> Fraction:
 
 
 def vec(xs: Iterable) -> Vec:
-    """xs as a tuple of Fraction; a tuple of exact Fractions is returned as is."""
+    """xs as a tuple of Fraction; a tuple of exact Fractions is returned as is.
+    Built from a list, as `homogeneous` is."""
     if type(xs) is tuple and all(type(x) is Fraction for x in xs):
         return xs
-    return tuple(frac(x) for x in xs)
+    return tuple([frac(x) for x in xs])
 
 
 def mat(rows: Iterable[Iterable]) -> Mat:
@@ -54,7 +55,7 @@ def zeros(n: int) -> Vec:
 
 
 def unit(n: int, i: int) -> Vec:
-    return tuple(ONE if j == i else ZERO for j in range(n))
+    return tuple([ONE if j == i else ZERO for j in range(n)])
 
 
 def identity(n: int) -> Mat:

@@ -10,7 +10,9 @@ In lex mode the costs are instead optimized in order on one shared tableau:
 after cost j is optimal, every nonbasic column with a nonzero reduced cost is
 barred from entering (it must stay 0 on the optimal face), and cost j+1
 starts from the current basis, so each cost is minimized over the optimal
-face of the costs before it.
+face of the costs before it.  Once every nonbasic column is barred, that
+face is the current point, and each cost left is read off it with no
+phase 2.
 
 The tableau is integer, and so is its input: each row comes in as a
 positive integer multiple of the true row, right-hand side last and negated
@@ -147,7 +149,9 @@ def solve_standard(rows, scales, costs, lex: bool = False) -> list[StandardResul
 
     With `lex=True` result j minimizes costs[j] over the optimal face of
     costs[0..j-1] (lexicographic optimization): the costs share one tableau,
-    and the list ends at the first UNBOUNDED result.
+    and the list ends at the first UNBOUNDED result.  A cost whose face is a
+    single point gets that point and its value with no phase 2, the result
+    and pivots phase 2 would give.
     """
     tab = rows
     n = len(costs[0])
@@ -184,6 +188,13 @@ def solve_standard(rows, scales, costs, lex: bool = False) -> list[StandardResul
         out = []
         cols = list(range(n))
         for cost in costs:
+            if len(cols) == len(basis):
+                # basic columns are never barred, so every nonbasic one is:
+                # the optimal face is the current point, and no column enters
+                point = out[-1].point if out else _point(tab, basis, n)
+                value = sum((cost[v] * point[v] for i, v in enumerate(basis) if tab[i][-1] and cost[v]), ZERO)
+                out.append(StandardResult(status=OPTIMAL, point=point[:], value=value))
+                continue
             out.append(_phase2(tab, basis, cost, cols))
             if out[-1].status == UNBOUNDED:
                 break
@@ -198,10 +209,12 @@ def _phase2(tab, basis, cost, cols) -> StandardResult:
     n = len(cost)
     # reduced costs: cost - sum of cost[v] * (true row of v), scaled to
     # integers; the stored entry row[v] is the scale of the row of v.  No
-    # tuple per phase 2 (see linalg.homogeneous): cost is scaled in lists
-    common = lcm(*(tab[i][v] for i, v in enumerate(basis) if cost[v]))
+    # tuple per phase 2 (see linalg.homogeneous): cost is scaled in lists,
+    # and its zeros are read off the integers
     w = lcm(*[x.denominator for x in cost])
-    obj2 = [common * x.numerator * (w // x.denominator) for x in cost]
+    icost = [x.numerator * (w // x.denominator) for x in cost]
+    common = lcm(*[tab[i][v] for i, v in enumerate(basis) if icost[v]])
+    obj2 = [common * x for x in icost]
     obj2.append(0)
     for i, v in enumerate(basis):
         if obj2[v]:
@@ -211,11 +224,7 @@ def _phase2(tab, basis, cost, cols) -> StandardResult:
                 if x:
                     obj2[j] -= k * x
     hit = _run_phase(tab, obj2, basis, cols)
-    point = [ZERO] * n
-    for i, v in enumerate(basis):
-        x = tab[i][-1]
-        if x:
-            point[v] = Fraction(x, tab[i][v])
+    point = _point(tab, basis, n)
 
     if hit is not None:
         ray = [ZERO] * n
@@ -228,5 +237,16 @@ def _phase2(tab, basis, cost, cols) -> StandardResult:
 
     # a nonbasic column with a positive reduced cost is 0 on the optimal face
     cols[:] = [j for j in cols if not obj2[j]]
-    value = sum((c * x for c, x in zip(cost, point) if c and x), ZERO)
+    value = sum((cost[v] * point[v] for i, v in enumerate(basis) if icost[v] and tab[i][-1]), ZERO)
     return StandardResult(status=OPTIMAL, point=point, value=value)
+
+
+def _point(tab, basis, n) -> list[Fraction]:
+    """The basic solution: each basic variable is its row's rhs over its
+    row's entry in its column, every other one is 0."""
+    point = [ZERO] * n
+    for i, v in enumerate(basis):
+        x = tab[i][-1]
+        if x:
+            point[v] = Fraction(x, tab[i][v])
+    return point

@@ -39,14 +39,12 @@ ONE = F(1)
 class SlackMatrix:
     """Facet-vertex slack matrix with provenance.
 
-    entries[i][j] = b_i - <A_i, x_j> >= 0; affine_space is an equation system
-    over R^m cutting out the image of aff(P) under the slack map.
+    entries[i][j] = b_i - <A_i, x_j> >= 0.
     """
 
     entries: Mat
     row_provenance: tuple
     col_provenance: tuple
-    affine_space: tuple
 
     @property
     def nrows(self) -> int:
@@ -130,45 +128,33 @@ def _binding_given_slacks(hrep: HPoly, sm: SlackMatrix, points: VPoly) -> bool:
     return _tight_somewhere(hrep, [r for r, t in zip(hrep.ineqs, tight) if not t])
 
 
-def slack_matrix(hrep: HPoly, points: VPoly) -> SlackMatrix:
-    """Exact slack matrix of hrep's inequality rows against the given points.
+def _slacks(hrep: HPoly, pts) -> list[tuple]:
+    """b - a·x for each inequality row of hrep (one tuple per row) at each
+    point of pts.  Each row is read in its integer form (A, B, d) from
+    `HPoly._int_rows`, each point scaled to its homogeneous (X, w); then
+    b - a·x = (B w - A·X) / (d w), with A·X over the nonzeros of A."""
+    homs = [linalg.homogeneous(x) for x in pts]
+    return [
+        tuple([F(b * p[-1] - sum(x * p[r] for r, x in nz), d * p[-1]) for p in homs])
+        for nz, b, d in hrep._int_rows()[0]
+    ]
 
-    Each row is read in its integer form (A, B, d) from `HPoly._int_rows`,
-    each point scaled to its homogeneous (X, w); then b - a·x =
-    (B w - A·X) / (d w), with A·X over the nonzeros of A.
-    """
+
+def slack_matrix(hrep: HPoly, points: VPoly) -> SlackMatrix:
+    """Exact slack matrix of hrep's inequality rows against the given points."""
     if hrep.dim != points.dim:
         raise ValidationError("dimension mismatch between system and points")
-    homs = [linalg.homogeneous(x) for x in points.vertices]
-    entries = []
-    for i, (nz, b, d) in enumerate(hrep._int_rows()[0]):
-        out = []
-        for j, p in enumerate(homs):
-            w = p[-1]
-            s = F(b * w - sum(x * p[r] for r, x in nz), d * w)
+    entries = _slacks(hrep, points.vertices)
+    for i, row in enumerate(entries):
+        for j, s in enumerate(row):
             if s < 0:
                 raise ValidationError(
                     f"point outside polytope: row {hrep.row_label(i)}, "
                     f"point {points.point_label(j)} (slack {s})"
                 )
-            out.append(s)
-        entries.append(tuple(out))
-    x0, null = _aff_directions(hrep)
-    a_rows = [a for a, _ in hrep.ineqs]
-    u0 = tuple(bb - linalg.dot(a, x0) for a, bb in hrep.ineqs)
-    # directions of the slack image: columns -A n for the affine directions n
-    dirs = [tuple(-linalg.dot(a, n) for a in a_rows) for n in null]
-    m = len(a_rows)
-    if dirs:
-        normals = linalg.nullspace(linalg.mat(dirs))
-    else:
-        normals = [linalg.unit(m, i) for i in range(m)]
-    affine_space = tuple(
-        linalg.canon_eq(f, linalg.dot(f, u0)) for f in normals
-    )
-    rows_prov = tuple(hrep.row_label(i) for i in range(m))
+    rows_prov = tuple(hrep.row_label(i) for i in range(len(entries)))
     cols_prov = tuple(points.point_label(j) for j in range(len(points.vertices)))
-    return SlackMatrix(linalg.mat(entries), rows_prov, cols_prov, affine_space)
+    return SlackMatrix(linalg.mat(entries), rows_prov, cols_prov)
 
 
 def verify_factorization(slack: SlackMatrix, fact: NonnegFactorization) -> FactorizationCheck:
@@ -198,8 +184,9 @@ def factorization_to_extension(
 ) -> Extension:
     """Slack extension of size f from an exact nonnegative factorization.
 
-    Q = {lambda >= 0 : T lambda in affine_space}; the projection applies the
-    inverse slack map to T lambda, which is affine on the slack image.
+    Q = {lambda >= 0 : T lambda in the slack image of aff(original)}; the
+    projection applies the inverse slack map to T lambda, which is affine on
+    that image.
     """
     check = verify_factorization(slack, fact)
     if not check.ok:
@@ -207,17 +194,6 @@ def factorization_to_extension(
     t = fact.t
     f = fact.inner_dim
     m = slack.nrows
-    # constraints: E (T lambda) = g for each affine_space row, lambda >= 0
-    eqs = []
-    for e, g in slack.affine_space:
-        coeffs = [linalg.dot(e, tuple(t[i][col] for i in range(m))) for col in range(f)]
-        eqs.append((coeffs, g))
-    ineqs = [
-        (tuple(-ONE if c == col else ZERO for c in range(f)), ZERO) for col in range(f)
-    ]
-    q = HPoly(f, ineqs, eqs, ineq_labels=tuple(f"lambda{c}>=0" for c in range(f)))
-
-    # inverse slack map: x = x0 + N G ((b - A x0) - u) with u = T lambda
     a_rows = [a for a, _ in original.ineqs]
     bvec = [b for _, b in original.ineqs]
     if len(a_rows) != m:
@@ -229,6 +205,21 @@ def factorization_to_extension(
     if k and linalg.rank(an) < k:
         raise ValidationError("slack map is not injective on the affine hull")
     u0 = tuple(bb - linalg.dot(a, x0) for a, bb in zip(a_rows, bvec))
+
+    # the slack image is u0 plus the span of AN's columns: e·u = e·u0 for
+    # each normal e of that span, so Q's equations are e·(T lambda) = e·u0
+    dirs = linalg.transpose(an)
+    normals = linalg.nullspace(linalg.mat(dirs)) if dirs else [linalg.unit(m, i) for i in range(m)]
+    eqs = []
+    for nv in normals:
+        e, g = linalg.canon_eq(nv, linalg.dot(nv, u0))
+        eqs.append(([linalg.dot(e, tuple(t[i][col] for i in range(m))) for col in range(f)], g))
+    ineqs = [
+        (tuple(-ONE if c == col else ZERO for c in range(f)), ZERO) for col in range(f)
+    ]
+    q = HPoly(f, ineqs, eqs, ineq_labels=tuple(f"lambda{c}>=0" for c in range(f)))
+
+    # inverse slack map: x = x0 + N G ((b - A x0) - u) with u = T lambda
     if k:
         g_left = linalg.left_inverse(an)  # k x m with G (AN) = I
         n_mat = linalg.mat([[null[j][i] for j in range(k)] for i in range(n)])  # n x k
@@ -282,8 +273,7 @@ def extension_to_factorization(
         raise ValidationError("extension does not project onto the target")
 
     q_poly = ext.q
-    pm = ext.proj.matrix
-    p0 = ext.proj.offset
+    proj = ext.proj
     stacked = [a for a, _ in q_poly.ineqs] + [c for c, _ in q_poly.eqs]
     lin = linalg.nullspace(linalg.mat(stacked)) if stacked else [
         linalg.unit(q_poly.dim, i) for i in range(q_poly.dim)
@@ -301,7 +291,8 @@ def extension_to_factorization(
             (tuple(linalg.dot(c, col) for col in zip(*bcols)), d) for c, d in q_poly.eqs
         ]
         q_poly = HPoly(len(basis), new_ineqs, new_eqs)
-        pm = linalg.mat_mul(pm, bcols)
+        proj = AffineMap(linalg.mat_mul(proj.matrix, bcols), proj.offset)
+    pm, p0 = proj.matrix, proj.offset
 
     y0, null = _aff_directions(q_poly)
     qm = len(q_poly.ineqs)
@@ -312,18 +303,17 @@ def extension_to_factorization(
         tuple(-linalg.dot(a_rows[i], nn) for i in range(qm)) for nn in null
     ]  # k vectors in R^qm
 
-    nonneg_rows = [
-        (tuple(-ONE if c == col else ZERO for c in range(qm)), ZERO) for col in range(qm)
-    ]
+    # every t_rows LP is these rows plus its own equations, derived from them
+    nonneg = HPoly(qm, [(tuple(-ONE if c == col else ZERO for c in range(qm)), ZERO) for col in range(qm)])
     t_rows = []
     for a, b in hrep.ineqs:
-        apm = [linalg.dot(a, col) for col in zip(*pm)] if pm else [ZERO] * q_poly.dim
+        apm = proj.pull_back(a) if pm else [ZERO] * q_poly.dim
         f0 = b - (linalg.dot(apm, y0) + linalg.dot(a, p0))
         eqs = [(sigma0, f0)]
         for j in range(k):
             fj = -linalg.dot(apm, null[j])
             eqs.append((sigma_cols[j], fj))
-        r = optimize(HPoly(qm, nonneg_rows, eqs), (ONE,) * qm, "min")
+        r = optimize(nonneg._derive(eqs=eqs), (ONE,) * qm, "min")
         if r.status != "optimal":
             raise InvariantViolationError(
                 "no nonnegative slack combination found; extension_to_factorization "
@@ -331,16 +321,11 @@ def extension_to_factorization(
             )
         t_rows.append(r.primal_point)
 
-    s_cols = []
-    for j, x in enumerate(points.vertices):
-        rows = list(q_poly.eqs)
-        for r in range(ext.target_dim):
-            rows.append((pm[r], x[r] - p0[r]))
-        lift_poly = HPoly(q_poly.dim, q_poly.ineqs, rows)
-        y = lex_min_point(lift_poly)
-        s_cols.append(tuple(b - linalg.dot(a, y) for a, b in q_poly.ineqs))
-    s = linalg.mat([[s_cols[j][r] for j in range(len(s_cols))] for r in range(qm)])
-    fact = NonnegFactorization(linalg.mat(t_rows), s)
+    lifts = [
+        lex_min_point(q_poly._derive(eqs=[(pm[r], x[r] - p0[r]) for r in range(ext.target_dim)]))
+        for x in points.vertices
+    ]
+    fact = NonnegFactorization(linalg.mat(t_rows), linalg.mat(_slacks(q_poly, lifts)))
     check = verify_factorization(phi, fact)
     if not check.ok:
         raise InvariantViolationError(f"factorization failed validation: {check}")

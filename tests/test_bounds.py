@@ -160,7 +160,6 @@ def plain_slack(rows):
         m,
         tuple(f"r{i}" for i in range(len(m))),
         tuple(f"c{j}" for j in range(len(m[0]) if m else 0)),
-        (),
     )
 
 

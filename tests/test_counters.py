@@ -49,8 +49,9 @@ def test_factorization_martin4_solves_and_pivots(monkeypatch):
     assert (len(fact.t), len(fact.s), len(fact.s[0])) == (16, 30, 16)
     # one lexicographic solve per vertex lift; a solve per coordinate made
     # 500 solves and 2963 pivots.  Every row of Martin(4)'s system has a zero
-    # slack at a vertex, so the binding check takes no LP (36/772 with one)
-    assert counts == {"solves": 35, "pivots": 730}
+    # slack at a vertex, so the binding check takes no LP (36/772 with one),
+    # and slack_matrix computes no affine hull (35/730 when it did)
+    assert counts == {"solves": 34, "pivots": 710}
 
 
 def test_fm_project_bubble3_solves_and_pivots(monkeypatch):
@@ -193,9 +194,8 @@ def test_xc_bounds_reads_binding_rows_off_the_slack_matrix(monkeypatch):
     for h, v in cases:
         counts = _count_solves(monkeypatch)
         bounds.xc_bounds(h, v)
-        # every row has a zero slack at a vertex, so the one solve is
-        # slack_matrix's affine-hull LP
-        assert counts["solves"] == 1
+        # every row has a zero slack at a vertex, and slack_matrix solves no LP
+        assert counts["solves"] == 0
     # x0 <= 2 is tight at no vertex of the cube: its LP finds it not binding
     cube3 = zoo.cube_hrep(3)
     loose = HPoly(3, cube3.ineqs + (((1, 0, 0), 2),))
@@ -203,7 +203,7 @@ def test_xc_bounds_reads_binding_rows_off_the_slack_matrix(monkeypatch):
     counts = _count_solves(monkeypatch)
     with pytest.raises(ValidationError, match="binding"):
         bounds.xc_bounds(loose, v3)
-    assert counts["solves"] == 2
+    assert counts["solves"] == 1
 
 
 def test_face_lattice_takes_no_rank(monkeypatch):

@@ -56,7 +56,7 @@ def reference_fm_project(poly, keep):
             ineqs = [([ZERO] * dim, F(-1))]
             eqs = []
             return
-        keep_flags = _nonredundant(dim, current.ineqs, current.eqs)
+        keep_flags = _nonredundant(current)
         ineqs = [row for row, k in zip(ineqs, keep_flags) if k]
 
     while to_drop and not empty:

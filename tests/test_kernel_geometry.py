@@ -3,9 +3,10 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polylift import linalg
-from polylift.errors import EmptyPolyhedronError, UnboundedPolyhedronError
+from polylift.errors import EmptyPolyhedronError, InputError, UnboundedPolyhedronError
 from polylift.kernel import (
     AffineMap,
     HPoly,
@@ -591,3 +592,61 @@ def test_apply_cache_is_invisible():
     assert m.apply((2, F(1, 3))) == (F(2), F(3))
     # equality, hashing and repr see only the dataclass fields
     assert m == fresh and hash(m) == hash(fresh) and repr(m) == repr(fresh)
+
+
+entries = st.one_of(st.just(0), st.just(F(0)), st.integers(-3, 3), st.builds(F, st.integers(-4, 4), st.integers(1, 5)))
+
+
+@st.composite
+def derivations(draw):
+    """(base, keep, appended equations): a base with labels or without,
+    keep None (every inequality) or an increasing selection, possibly
+    empty, and appended rows of ints and Fractions with zero entries."""
+    dim = draw(st.integers(0, 4))
+    row = st.tuples(st.lists(entries, min_size=dim, max_size=dim), entries)
+    ineqs = draw(st.lists(row, max_size=5))
+    eqs = draw(st.lists(row, max_size=2))
+    labels = [f"r{i}" for i in range(len(ineqs))] if draw(st.booleans()) else None
+    base = HPoly(dim, ineqs, eqs, ineq_labels=labels)
+    keep = draw(st.one_of(st.none(), st.sets(st.integers(0, len(ineqs) - 1)).map(sorted) if ineqs else st.just([])))
+    return base, keep, draw(st.lists(row, max_size=3))
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(derivations())
+def test_derived_hpoly_equals_a_fresh_build(case):
+    base, keep, extra = case
+    base.contains((0,) * base.dim)  # the base's integer rows already built
+    got = base._derive(keep, extra)
+    kept = base.ineqs if keep is None else [base.ineqs[i] for i in keep]
+    want = HPoly(base.dim, kept, list(base.eqs) + extra)
+    assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+    assert got._int_rows() == want._int_rows()
+
+
+def test_derived_hpoly_checks_appended_rows():
+    with pytest.raises(InputError, match="equation row has length 1, expected 2"):
+        cube(2)._derive(eqs=[((1,), 0)])
+    with pytest.raises(InputError, match="equation row has length 3, expected 2"):
+        cube(2)._derive([0], [((1, 0), 1), ((1, 0, 0), 0)])
+
+
+@st.composite
+def maps_and_forms(draw):
+    """(map, a) with zero rows and zero entries in the matrix and in a."""
+    in_dim, out_dim = draw(st.integers(1, 6)), draw(st.integers(0, 4))
+    zero_row = st.just([0] * in_dim)
+    rows = draw(st.lists(st.one_of(zero_row, st.lists(entries, min_size=in_dim, max_size=in_dim)),
+                         min_size=out_dim, max_size=out_dim))
+    m = AffineMap(rows, draw(st.lists(entries, min_size=out_dim, max_size=out_dim)))
+    return m, linalg.vec(draw(st.lists(entries, min_size=out_dim, max_size=out_dim)))
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(maps_and_forms())
+def test_pull_back_matches_dense_dot_products(case):
+    m, a = case
+    out = m.pull_back(a)
+    # the dense form: one dot product of a with each column of the matrix
+    assert out == tuple(linalg.dot(a, col) for col in zip(*m.matrix))
+    assert type(out) is tuple and all(type(x) is F for x in out)

@@ -262,3 +262,104 @@ def test_results_are_fractions():
     [res] = simplex.solve_standard([[3, 2, 3]], [6], [[F(1), ZERO]])
     assert res == StandardResult(OPTIMAL, point=[ZERO, F(3, 2)], value=ZERO)
     assert all(type(x) is Fraction for x in res.point)
+
+
+# ---------------------------------------------------------------------------
+# Lex mode on a one-point face
+# ---------------------------------------------------------------------------
+
+def lex_every_phase2(rows, scales, costs):
+    """`solve_standard(rows, scales, costs, lex=True)` as it was before it
+    stopped at a one-point face: the same integer phase 1 and drive-out,
+    then one `_phase2` per cost, however small the optimal face."""
+    tab = rows
+    n = len(costs[0])
+    basis = [n + i for i in range(len(tab))]
+    common = lcm(*scales)
+    obj1 = [0] * (n + 1)
+    for row, d in zip(tab, scales):
+        for j, x in enumerate(row):
+            if x:
+                obj1[j] -= common // d * x
+    assert simplex._run_phase(tab, obj1, basis, range(n)) is None
+    if obj1[-1] < 0:
+        return [StandardResult(status=INFEASIBLE) for _ in costs]
+    i = 0
+    while i < len(tab):
+        if basis[i] >= n:
+            enter = next((j for j in range(n) if tab[i][j]), None)
+            if enter is None:
+                del tab[i], basis[i]
+                continue
+            simplex._pivot(tab, [], basis, i, enter)
+        i += 1
+    out = []
+    cols = list(range(n))
+    for cost in costs:
+        out.append(simplex._phase2(tab, basis, cost, cols))
+        if out[-1].status == UNBOUNDED:
+            break
+    return out
+
+
+def _assert_lex_same(rows, rhs, costs):
+    """solve_standard(lex=True) and lex_every_phase2 give equal results and
+    make the same pivots; returns the results and the phase 2 count of
+    solve_standard."""
+    phase2, calls = simplex._phase2, []
+
+    def counted(*args):
+        calls.append(1)
+        return phase2(*args)
+
+    simplex._phase2 = counted
+    try:
+        got = _recorded(simplex, simplex.solve_standard, *_integer_rows(rows, rhs), [list(c) for c in costs], lex=True)
+    finally:
+        simplex._phase2 = phase2
+    want = _recorded(simplex, lambda *a, lex: lex_every_phase2(*a), *_integer_rows(rows, rhs),
+                     [list(c) for c in costs], lex=True)
+    assert got == want
+    return got[0], len(calls)
+
+
+@st.composite
+def lex_problems(draw):
+    """Feasible systems with repeated columns (a nonbasic copy of a basic
+    column keeps a zero reduced cost) and zero rows in the costs, and cost
+    lists that run past the point where the optimal face is one point: the
+    unit costs of lex_min_point, zero costs, and costs of any sign."""
+    n = draw(st.integers(1, 7))
+    m = draw(st.integers(0, 5))
+    rows = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(m)]
+    for _ in range(draw(st.integers(0, 2)) if n > 1 else 0):
+        src, dst = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        for row in rows:
+            row[dst] = row[src]
+    z0 = draw(st.lists(st.one_of(st.just(ZERO), fractions.map(abs)), min_size=n, max_size=n))
+    rhs = [sum((a * z for a, z in zip(row, z0)), ZERO) for row in rows]
+    unit = lambda j: [ONE if k == j else ZERO for k in range(n)]
+    pool = st.one_of(st.integers(0, n - 1).map(unit), st.just([ZERO] * n), st.lists(entries, min_size=n, max_size=n))
+    costs = draw(st.lists(pool, min_size=1, max_size=n + 3))
+    return rows, rhs, costs
+
+
+@settings(deadline=None, derandomize=True, max_examples=400)
+@given(lex_problems())
+def test_lex_point_stop_matches_every_phase2(case):
+    _assert_lex_same(*case)
+
+
+def test_lex_point_stop_skips_phase2():
+    # z0 + z1 = 1, z2 + z3 = 1: min z0 bars z0, min z1 bars nothing, min z2
+    # bars z2, and the face {z1 = z3 = 1} is a point, so min z3 takes no phase 2
+    rows = [[ONE, ONE, ZERO, ZERO], [ZERO, ZERO, ONE, ONE]]
+    costs = [[ONE if k == j else ZERO for k in range(4)] for j in range(4)]
+    results, phase2s = _assert_lex_same(rows, [ONE, ONE], costs)
+    assert phase2s == 3
+    assert results[3] == StandardResult(OPTIMAL, point=[ZERO, ONE, ZERO, ONE], value=ONE)
+    # one feasible point from the start: no phase 2 at all, and no list shared
+    results, phase2s = _assert_lex_same([[F(1, 2), ZERO], [ZERO, F(2)]], [ONE, ONE], [[ONE, ONE], [ONE, -ONE]])
+    assert phase2s == 0
+    assert [(r.point, r.value) for r in results] == [([F(2), F(1, 2)], F(5, 2)), ([F(2), F(1, 2)], F(3, 2))]
+    assert results[0].point is not results[1].point

@@ -114,11 +114,12 @@ def test_slack_columns_lie_in_the_affine_space():
         (zoo.permutahedron_hrep(3), zoo.permutahedron_vrep(3)),
         (zoo.matching_hrep(4), zoo.matching_vrep(4)),
     ):
+        # factorization_to_extension cuts Q out by the equations of that
+        # image: with Phi = Phi I, lambda = e_j is column j of Phi, so each
+        # unit vector lies in Q
         sm = slack_matrix(h, v)
-        for j in range(sm.ncols):
-            col = tuple(sm.entries[i][j] for i in range(sm.nrows))
-            for e, g in sm.affine_space:
-                assert linalg.dot(e, col) == g
+        q = factorization_to_extension(NonnegFactorization(sm.entries, linalg.identity(sm.ncols)), sm, h).q
+        assert q.eqs and all(q.contains(linalg.unit(sm.ncols, j)) for j in range(sm.ncols))
 
 
 def test_verify_factorization_trivial_and_perturbed():
