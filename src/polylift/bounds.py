@@ -74,13 +74,18 @@ def face_lattice(hrep: HPoly, vrep: VPoly, *, max_facets: int = 10, max_vertices
     for v in vrep.vertices:
         if not hrep.contains(v):
             raise InputError("a listed vertex violates the inequality description")
-    nv = len(vrep.vertices)
     points = [linalg.homogeneous(v) for v in vrep.vertices]
     facet_masks = []
     for nz, b, _ in hrep._int_rows()[0]:
         facet_masks.append(
             sum(1 << j for j, p in enumerate(points) if sum(x * p[r] for r, x in nz) == b * p[-1])
         )
+    return _lattice(len(points), facet_masks)
+
+
+def _lattice(nv: int, facet_masks: list) -> FaceLattice:
+    """The face lattice of a polytope with nv vertices from its facet masks:
+    `face_lattice` without its checks, for a caller that holds the masks."""
     faces = _closed_sets(facet_masks) | {(1 << nv) - 1, 0}
     ordered = sorted(faces, key=lambda m: (m.bit_count(), m))
     dim = {0: -1}
@@ -438,13 +443,16 @@ def xc_bounds(
         raise ValidationError("xc_bounds requires a binding inequality system")
     bounds: dict[str, tuple] = {}
     bounds["rank"] = (rank_bound(sm), True)
-    try:
-        lat = face_lattice(
-            hrep, vrep, max_facets=lattice_limits[0], max_vertices=lattice_limits[1]
-        )
-        bounds["log_faces"] = (log_face_bound(lat), True)
-    except SizeLimitError:
-        pass
+    nv = len(vrep.vertices)
+    if len(hrep.ineqs) <= lattice_limits[0] or nv <= lattice_limits[1]:
+        # face_lattice's membership check and facet masks, read off sm:
+        # slack_matrix has checked every inequality at every point, so only
+        # the equations are left, and a row's mask is its zero pattern
+        on_eqs = hrep._derive(())
+        if not all(on_eqs.contains(v) for v in vrep.vertices):
+            raise InputError("a listed vertex violates the inequality description")
+        masks = [sum(1 << j for j, s in enumerate(row) if not s) for row in sm.entries]
+        bounds["log_faces"] = (log_face_bound(_lattice(nv, masks)), True)
     cov = rectangle_cover_min(sm, budget=cover_budget)
     if cov.is_exact():
         bounds["rectangle_cover"] = (cov.size, True)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
 from .errors import InputError
 from .kernel import AffineMap, HPoly, VPoly
@@ -16,7 +17,9 @@ from .constructions import Extension
 from . import linalg
 
 F = Fraction
-_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+# a canonical rational: no sign but a leading minus, no leading zero; the
+# checks after the match reject -0, a denominator 1 and an unreduced pair
+_RATIONAL = re.compile(r"(-?)(0|[1-9][0-9]*)(?:/([1-9][0-9]*))?")
 
 
 class ParseError(InputError):
@@ -39,12 +42,23 @@ def _tokens(text):
 
 
 def _parse_frac(tok, lineno):
-    """An entry: a canonical rational in ASCII digits, such as 3 or -1/2."""
+    """An entry: a canonical rational in ASCII digits, such as 3 or -1/2.
+
+    Built from the match's digit groups, so only the pattern reads the
+    string, and an exponent such as 1e999999999 never reaches int()."""
+    m = _RATIONAL.fullmatch(tok)
     try:
-        # the pattern comes first: Fraction() would expand an exponent such as 1e999999999
-        if _RATIONAL.fullmatch(tok) and str(x := Fraction(tok)) == tok:
-            return x
-    except (ValueError, ZeroDivisionError):
+        if m:
+            sign, num, den = m.groups()
+            n = -int(num) if sign else int(num)
+            if den is None:
+                if n or not sign:
+                    return Fraction(n)
+            else:
+                d = int(den)
+                if d > 1 and gcd(n, d) == 1:
+                    return Fraction(n, d)
+    except ValueError:  # more digits than int() converts
         pass
     raise ParseError(f"bad rational {tok!r}, expected a canonical rational such as 3 or -1/2", lineno)
 

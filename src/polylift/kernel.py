@@ -3,7 +3,9 @@
 Everything here is pure and exact: polyhedra are immutable, and Fractions go
 in and come out.  A row becomes integers in one place, `HPoly._int_rows`,
 whose form the presolve, the simplex tableau, `contains` and `vertices`
-share; the double description core runs on integers too.  Every LP goes
+share.  `hull` and `vertices` run on integers from the homogeneous points
+to the facet rows (`_hull_int`): the affine set-up, the polar seed simplex
+(one fraction-free inverse) and the double description core.  Every LP goes
 through `optimize_all`: its answers carry points, and rays when unbounded,
 and every internal verdict rests on them.  `lp_solve` adds a dual vector or
 a Farkas vector, the solution of a second LP over the same rows, which
@@ -763,55 +765,108 @@ def _dd_run(k: int, rows, verts: list, tights: list, start_idx: int) -> list:
 # same algorithm run on the polar
 # ---------------------------------------------------------------------------
 
-def hull(points: VPoly) -> HPoly:
-    """Irredundant H-description (facets + affine-hull equations) of conv(points)."""
-    if not points.vertices:
-        raise InputError("hull of an empty point list")
-    dim = points.dim
-    pts = list(points.vertices)
-    if len(pts) == 1:
-        p = pts[0]
-        eqs = tuple(linalg.canon_eq(linalg.unit(dim, i), p[i]) for i in range(dim))
-        return HPoly(dim, (), eqs)
-    p0 = pts[0]
-    diffs = [linalg.vsub(p, p0) for p in pts[1:]]
-    basis_idx = linalg.independent_rows(linalg.mat(diffs))
-    dirs = [diffs[i] for i in basis_idx]
+def _polar_seeds(dense) -> list[tuple[int, ...]]:
+    """The vertices of the simplex cut out by the k+1 integer rows
+    a_j·y <= b_j of dense, as primitive homogeneous vectors (Y..., w), w > 0.
+
+    The vertex that leaves out row l solves a_j·Y - b_j·w = 0 for every
+    j != l, so it is column l of adj(M) for M = [a_j | -b_j], because
+    M·adj(M) = det(M)·I.  One fraction-free Gauss-Jordan of [M | I] ends at
+    [d·I | d·M^-1], d = ±det(M), whose columns are those of adj(M) up to a
+    common sign; each is signed so that w > 0 and divided by its gcd.
+    """
+    n = len(dense)
+    m = [[*a, -b] + [int(i == j) for j in range(n)] for i, (a, b) in enumerate(dense)]
+    rows, pivots = linalg._eliminate(m)
+    if pivots != list(range(n)):
+        raise InvariantViolationError("polar simplex is degenerate")
+    seeds = []
+    for leave in range(n):
+        v = [row[n + leave] for row in rows]
+        if not v[-1]:
+            raise InvariantViolationError("polar simplex is degenerate")
+        g = gcd(*v) if v[-1] > 0 else -gcd(*v)
+        seeds.append(tuple([x // g for x in v]))
+    return seeds
+
+
+def _hull_int(dim: int, hom: list) -> tuple[list, list]:
+    """Facets and affine-hull equations of the convex hull of distinct
+    points, each given as its primitive homogeneous integer vector (P..., q)
+    with q > 0: (ineqs, eqs), lists of integer rows (a..., b) meaning
+    a·x <= b and a·x = b, each divided by its gcd; an equation's first
+    nonzero coefficient is positive.  Both lists are sorted, except the
+    equations that pin a single point, which come coordinate by coordinate.
+    Everything from the points to the rows is an integer.
+    """
+    p0 = hom[0]
+    big_p0, q0 = p0[:dim], p0[dim]
+    if len(hom) == 1:
+        out = []
+        for i, x in enumerate(big_p0):
+            g = gcd(q0, x)
+            out.append((*[q0 // g if j == i else 0 for j in range(dim)], x // g))
+        return [], out
+    # e = q0·P - q·P0 = q·q0·(p - p0): the differences, as integers; a
+    # positive multiple of each, so the same rows are independent
+    diffs = [[q0 * x - h[dim] * y for x, y in zip(h, big_p0)] for h in hom]
+    basis_idx = linalg.independent_rows(diffs[1:])
+    dirs = [diffs[i + 1] for i in basis_idx]
     k = len(dirs)
     if k == 0:
         raise InvariantViolationError("distinct points with no direction span")
+    # One fraction-free Gauss-Jordan of [dirs | I] ends at [R | X] with
+    # R = X·dirs and every pivot entry of R equal to d: the pivot columns
+    # piv, the nullspace of dirs (the equations), and X, which inverts dirs
+    # on piv.  The left inverse of the direction matrix N (columns dirs)
+    # that is zero off piv, as `linalg.left_inverse` builds it, is L = X^T/d
+    # on piv; lcols[j] is column piv[j] of l_den·L.  dirs_j is q0·q_j times
+    # the Fraction difference, so L is that diagonal scaling times the
+    # Fraction left inverse, and the scaling cancels in every facet row
+    red, piv = linalg._eliminate([dj + [int(i == j) for j in range(k)] for i, dj in enumerate(dirs)])
+    d = red[0][piv[0]]
+    sign, l_den = (1, d) if d > 0 else (-1, -d)
+    lcols = [[sign * x for x in row[dim:]] for row in red]
     eqs = []
-    if k < dim:
-        for c in linalg.nullspace(linalg.mat(dirs)):
-            eqs.append(linalg.canon_eq(c, linalg.dot(c, p0)))
-    # coordinates of every point in the dirs-basis, t = L(p - p0), over
-    # integers: with p = P/q, L = l_int/l_den and e = q0·P - q·P0, the point
-    # has t = T/(q·q0·l_den) for T = l_int·e, and lies in aff(dirs) + p0
-    # exactly when N t = p - p0, i.e. n_int·T = n_den·l_den·e
-    n_mat = linalg.mat([[dirs[j][i] for j in range(k)] for i in range(dim)])
-    l_int, l_den = _int_matrix(linalg.left_inverse(n_mat))
-    l_nz = [[(c, x) for c, x in enumerate(row) if x] for row in l_int]
-    n_int, n_den = _int_matrix(n_mat)
-    scale = n_den * l_den
-    hom = [linalg.homogeneous(p) for p in pts]
-    big_p0 = hom[0][:dim]
-    q0 = hom[0][dim]
+    on_piv = set(piv)
+    for f in range(dim):
+        if f in on_piv:
+            continue
+        c = [0] * dim
+        c[f] = d
+        for rrow, pc in zip(red, piv):
+            c[pc] = -rrow[f]
+        eq = [q0 * x for x in c] + [sum(x * y for x, y in zip(c, big_p0))]
+        g = gcd(*eq)
+        if next(x for x in c if x) < 0:
+            g = -g
+        eqs.append(tuple([x // g for x in eq]))
+    eqs.sort()
+    # coordinates of every point, t = L(p - p0) = T/(q·q0·l_den) with
+    # T = (l_den·L)·e; the point lies in aff(dirs) + p0 exactly when
+    # N·T = l_den·e
     coords = []
-    for h in hom:
-        q = h[dim]
-        e = [q0 * x - q * y for x, y in zip(h, big_p0)]
-        t = [sum(x * e[c] for c, x in row) for row in l_nz]
-        if any(sum(x * y for x, y in zip(n_row, t)) != scale * ei for n_row, ei in zip(n_int, e)):
+    for h, e in zip(hom, diffs):
+        t = [0] * k
+        for j, c in enumerate(piv):
+            if e[c]:
+                t = [x + e[c] * y for x, y in zip(t, lcols[j])]
+        back = [0] * dim
+        for tj, dj in zip(t, dirs):
+            if tj:
+                back = [x + tj * y for x, y in zip(back, dj)]
+        if back != [l_den * x for x in e]:
             raise InvariantViolationError("point outside its own affine hull")
-        coords.append((t, q * q0 * l_den))
+        coords.append((t, h[dim] * q0 * l_den))
     # Polar dual around the centroid of an affinely independent point subset:
     # the polar of that point simplex is again a simplex, which seeds the
     # double description with real geometry (no artificial bounding box).
     base_pts = [0] + [i + 1 for i in basis_idx]
-    centroid = linalg.homogeneous(tuple(
-        sum(Fraction(coords[i][0][r], coords[i][1]) for i in base_pts) / (k + 1) for r in range(k)
-    ))
-    big_c, hc = centroid[:k], centroid[k]
+    den = lcm(*[coords[i][1] for i in base_pts])
+    centroid = [sum(coords[i][0][r] * (den // coords[i][1]) for i in base_pts) for r in range(k)]
+    centroid.append(den * (k + 1))
+    g = gcd(*centroid)
+    big_c, hc = [x // g for x in centroid[:k]], centroid[k] // g
     order = base_pts + [i for i in range(len(coords)) if i not in set(base_pts)]
     # polar row (t_i - c)·y <= 1 with t_i = T_i/h_i and c = C/hc, times
     # h_i·hc and divided by its gcd; the DD reads its nonzeros
@@ -822,14 +877,9 @@ def hull(points: VPoly) -> HPoly:
         g = gcd(h * hc, *a)
         dense.append(([x // g for x in a], h * hc // g))
     rows = [([(r, x) for r, x in enumerate(a) if x], b) for a, b in dense]
-    init_verts: list[tuple[int, ...]] = []
-    init_tights: list[int] = []
-    for leave in range(k + 1):
-        seed = [dense[j] for j in range(k + 1) if j != leave]
-        y = linalg.solve(linalg.mat([a for a, _ in seed]), linalg.vec([b for _, b in seed]))
-        if y is None:
-            raise InvariantViolationError("polar simplex is degenerate")
-        v = linalg.homogeneous(y)
+    init_verts = _polar_seeds(dense[:k + 1])
+    init_tights = []
+    for v in init_verts:
         mask = 0
         for j in range(k + 1):
             s = _int_slack(rows[j], v)
@@ -837,29 +887,54 @@ def hull(points: VPoly) -> HPoly:
                 mask |= 1 << j
             elif s < 0:
                 raise InvariantViolationError("polar simplex vertex infeasible")
-        init_verts.append(v)
         init_tights.append(mask)
     dual_verts = _dd_run(k, rows, init_verts, init_tights, k + 1)
     # a facet y = Y/w of the polar is y·L(x - p0) <= 1 + y·c; times
-    # w·l_den·hc·q0 it reads
-    # hc·q0·(Y·l_int)·x <= w·l_den·hc·q0 + l_den·q0·(Y·C) + hc·(Y·l_int)·P0
+    # w·l_den·hc·q0, with YL = Y·(l_den·L), zero off piv, it reads
+    # hc·q0·YL·x <= w·l_den·hc·q0 + l_den·q0·(Y·C) + hc·YL·P0
     out = []
+    p0_piv = [big_p0[c] for c in piv]
+    lrows = list(zip(*lcols))
     for v in dual_verts:
         big_y, w = v[:k], v[k]
         if not any(big_y):
             raise InvariantViolationError("origin listed as a polar vertex")
-        yl = [sum(yr * row[c] for yr, row in zip(big_y, l_int)) for c in range(dim)]
-        a = [hc * q0 * x for x in yl]
+        yl = [0] * k
+        for y, lrow in zip(big_y, lrows):
+            if y:
+                yl = [x + y * z for x, z in zip(yl, lrow)]
         rhs = (
             w * l_den * hc * q0
             + l_den * q0 * sum(x * y for x, y in zip(big_y, big_c))
-            + hc * sum(x * y for x, y in zip(yl, big_p0))
+            + hc * sum(x * y for x, y in zip(yl, p0_piv))
         )
-        g = gcd(rhs, *a)
-        out.append((tuple(Fraction(x // g) for x in a), Fraction(rhs // g)))
+        yl = [hc * q0 * x for x in yl]
+        g = gcd(rhs, *yl)
+        a = [0] * dim
+        for c, x in zip(piv, yl):
+            a[c] = x // g
+        a.append(rhs // g)
+        out.append(tuple(a))
     out.sort()
-    eqs.sort()
-    return HPoly(dim, tuple(out), tuple(eqs))
+    return out, eqs
+
+
+def hull(points: VPoly) -> HPoly:
+    """Irredundant H-description (facets + affine-hull equations) of conv(points).
+
+    The points become homogeneous integers once and the facet rows Fractions
+    once, after `_hull_int` has sorted them as integer tuples: the order is
+    that of the Fraction rows, since every entry is an integer.
+    """
+    if not points.vertices:
+        raise InputError("hull of an empty point list")
+    dim = points.dim
+    ineqs, eqs = _hull_int(dim, [linalg.homogeneous(p) for p in points.vertices])
+
+    def fractions(rows):
+        return tuple([(tuple([Fraction(x) for x in row[:dim]]), Fraction(row[dim])) for row in rows])
+
+    return HPoly(dim, fractions(ineqs), fractions(eqs))
 
 
 def vertices(poly: HPoly) -> VPoly:
@@ -869,6 +944,8 @@ def vertices(poly: HPoly) -> VPoly:
     to the t-polytope {A t <= b}, the rows map to the points a/(b - a·t_c),
     and each facet a·y <= rhs of their hull is the vertex t_c + a/rhs.  t_c is
     0 when x0 is slack on every row, and otherwise a max-common-slack point.
+    The polar points go to `_hull_int` as homogeneous integers and its facet
+    rows come back as integers, so only the vertices are made Fractions.
     Raises EmptyPolyhedronError on empty input and UnboundedPolyhedronError
     when the polar hull is not a polytope with the origin in its interior.
     """
@@ -907,24 +984,25 @@ def vertices(poly: HPoly) -> VPoly:
             raise InvariantViolationError("t-polytope has no interior point")
         htc = linalg.homogeneous(t_c)
         big_tc, qc = htc[:k], htc[k]
-    # with t_c = Tc/qc, the polar point a/(b - a·t_c) is qc·a/(qc·b - a·Tc)
+    # with t_c = Tc/qc, the polar point a/(b - a·t_c) is qc·a/(qc·b - a·Tc),
+    # whose denominator is positive because t_c is interior
     polar = []
     for row in t_rows:
-        a = row[:k]
-        s = qc * row[k] - sum(x * y for x, y in zip(a, big_tc))
-        polar.append(tuple(Fraction(qc * x, s) for x in a))
-    facets = hull(VPoly(k, polar))
-    if facets.eqs or any(rhs <= 0 for _, rhs in facets.ineqs):
+        pt = [qc * x for x in row[:k]]
+        pt.append(qc * row[k] - sum(x * y for x, y in zip(row, big_tc)))
+        g = gcd(*pt)
+        polar.append(tuple([x // g for x in pt]))
+    facets, eqs = _hull_int(k, polar)
+    if eqs or any(row[k] <= 0 for row in facets):
         raise UnboundedPolyhedronError("the origin is not interior to the polar")
-    # t = t_c + a/rhs = U/(qc·rhs) with U = rhs·Tc + qc·a (facet rows are
-    # integral), so x = x0 + N t is
+    # t = t_c + a/rhs = U/(qc·rhs) with U = rhs·Tc + qc·a, so x = x0 + N t is
     # (n_den·qc·rhs·X0 + q0·Σ_j U_j·n_int_j) / (q0·n_den·qc·rhs)
     out = []
-    for a, rhs in facets.ineqs:
-        r = rhs.numerator
+    for row in facets:
+        r = row[k]
         num = [n_den * qc * r * x for x in big_x0]
-        for tc, aj, n in zip(big_tc, a, n_int):
-            u = r * tc + qc * aj.numerator
+        for tc, aj, n in zip(big_tc, row, n_int):
+            u = r * tc + qc * aj
             if u:
                 num = [x + q0 * u * y for x, y in zip(num, n)]
         den = q0 * n_den * qc * r

@@ -8,7 +8,10 @@ so no wrapper type is introduced.
 All elimination happens in one routine, `_eliminate`: fraction-free
 (Bareiss) Gauss-Jordan on an integer scaling of the rows.  `rref` and `rank`
 read its result directly, `independent_rows` runs it on the transpose, and
-`solve`, `nullspace`, `inverse` and `left_inverse` are built on `rref`.
+`solve`, `nullspace`, `inverse` and `left_inverse` are built on `rref`.  It
+takes integer rows as they are, and the kernel's convex hull reads its
+integer result directly for the equations, the left inverse and the polar
+seed simplex.
 """
 
 from __future__ import annotations

@@ -165,16 +165,22 @@ def verify_factorization(slack: SlackMatrix, fact: NonnegFactorization) -> Facto
             for j, v in enumerate(row):
                 if v < 0:
                     return FactorizationCheck(False, negative_entry=(name, i, j))
-    if len(fact.t) != slack.nrows or (
-        fact.t and fact.s and len(fact.t[0]) != len(fact.s)
-    ):
+    if len(fact.t) != slack.nrows or (fact.t and len(fact.t[0]) != len(fact.s)):
         return FactorizationCheck(False, first_mismatch=(-1, -1))
     if fact.s and len(fact.s[0]) != slack.ncols:
         return FactorizationCheck(False, first_mismatch=(-1, -1))
-    prod = linalg.mat_mul(fact.t, fact.s)
-    for i in range(slack.nrows):
-        for j in range(slack.ncols):
-            if prod[i][j] != slack.entries[i][j]:
+    # row i of T·S is the sum of t_ik·(row k of S) over the nonzero t_ik,
+    # each over the nonzeros of that row of S; rows and columns are compared
+    # in order, so the first mismatch is the first in row-major order
+    s_nz = [[(j, v) for j, v in enumerate(row) if v] for row in fact.s]
+    for i, (t_row, phi_row) in enumerate(zip(fact.t, slack.entries)):
+        prod = [ZERO] * slack.ncols
+        for tk, nz in zip(t_row, s_nz):
+            if tk:
+                for j, v in nz:
+                    prod[j] += tk * v
+        for j, (x, y) in enumerate(zip(prod, phi_row)):
+            if x != y:
                 return FactorizationCheck(False, first_mismatch=(i, j))
     return FactorizationCheck(True)
 

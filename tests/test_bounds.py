@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from polylift import bounds as bd
 from polylift import constructions as cx
 from polylift import linalg, zoo
-from polylift.errors import EmptyPolyhedronError, SizeLimitError, ValidationError
+from polylift.errors import EmptyPolyhedronError, InputError, SizeLimitError, ValidationError
 from polylift.kernel import AffineMap, HPoly, VPoly, hull, vertices
 from polylift.slack import NonnegFactorization, SlackMatrix, slack_matrix
 from polylift.slack import factorization_to_extension
@@ -189,6 +189,39 @@ def test_face_lattice_size_guard():
     h = zoo.permutahedron_hrep(4)  # 14 facets
     with pytest.raises(SizeLimitError):
         bd.face_lattice(h, v)
+
+
+def _zoo_pairs():
+    cube3, cube4, b3 = zoo.cube_hrep(3), zoo.cube_hrep(4), zoo.birkhoff_hrep(3)
+    cross3 = zoo.cross_polytope_vrep(3)
+    return [
+        (cube3, vertices(cube3)), (cube4, vertices(cube4)), (b3, vertices(b3)),
+        (hull(cross3), cross3), (zoo.simplex_hrep(4), vertices(zoo.simplex_hrep(4))),
+        (zoo.permutahedron_hrep(3), zoo.permutahedron_vrep(3)),
+        (zoo.permutahedron_hrep(4), zoo.permutahedron_vrep(4)),
+        (zoo.matching_hrep(4), zoo.matching_vrep(4)),
+        (zoo.spanning_tree_hrep(4), zoo.spanning_tree_vrep(4)),
+    ]
+
+
+def test_lattice_from_slack_zero_pattern_equals_face_lattice():
+    # the masks xc_bounds reads off its slack matrix give face_lattice's lattice
+    for h, v in _zoo_pairs():
+        sm = slack_matrix(h, v)
+        masks = [sum(1 << j for j, s in enumerate(row) if not s) for row in sm.entries]
+        lat = bd.face_lattice(h, v, max_facets=100, max_vertices=100)
+        assert bd._lattice(len(v.vertices), masks) == lat
+        if len(h.ineqs) <= 10 or len(v.vertices) <= 12:
+            rep = bd.xc_bounds(h, v, fooling_budget=2_000)
+            assert rep.bounds["log_faces"] == (bd.log_face_bound(lat), True)
+
+
+def test_xc_bounds_rejects_a_point_off_the_equations():
+    # (4, 4, 4) meets every inequality of the permutahedron but not x1+x2+x3 = 6
+    h = zoo.permutahedron_hrep(3)
+    v = VPoly(3, zoo.permutahedron_vrep(3).vertices + ((4, 4, 4),))
+    with pytest.raises(InputError, match="violates"):
+        bd.xc_bounds(h, v)
 
 
 def test_face_lattice_intersection_closed_and_graded():

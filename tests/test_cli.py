@@ -1,7 +1,9 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polylift import constructions as cx
 from polylift import fileio, zoo
@@ -114,6 +116,42 @@ def test_entries_must_be_canonical_rationals(parse, template, line, bad):
     with pytest.raises(fileio.ParseError) as info:
         parse(template.format(bad))
     assert info.value.line == line
+
+
+def _parse_frac_reference(tok, lineno):
+    """The entry parser before the digit groups were read directly: Fraction
+    parses the token again, and its str must give the token back."""
+    try:
+        if re.fullmatch(r"-?[0-9]+(/[0-9]+)?", tok) and str(x := Fraction(tok)) == tok:
+            return x
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise fileio.ParseError(f"bad rational {tok!r}, expected a canonical rational such as 3 or -1/2", lineno)
+
+
+def _parse_outcome(parse, tok):
+    try:
+        x = parse(tok, 7)
+    except fileio.ParseError as e:
+        return "error", str(e), e.line
+    return type(x), x
+
+
+@settings(deadline=None, derandomize=True, max_examples=500)
+@given(st.one_of(
+    st.text(alphabet="0123456789-/+e._ \u0663", max_size=8),
+    st.builds(lambda n, d, form: form.format(n=n, d=d), st.integers(-30, 30), st.integers(-3, 12),
+              st.sampled_from(["{n}", "{n}/{d}", "-{n}", "0{n}", "{n}/0{d}", "-0/{d}"])),
+    st.builds(str, st.fractions(max_denominator=50)),
+))
+def test_parse_frac_matches_reference(tok):
+    assert _parse_outcome(fileio._parse_frac, tok) == _parse_outcome(_parse_frac_reference, tok)
+
+
+def test_parse_frac_on_more_digits_than_int_reads_by_default():
+    # past int()'s default digit limit both reject with a ParseError
+    for tok in ("1" * 5000, "1/" + "3" * 5000):
+        assert _parse_outcome(fileio._parse_frac, tok) == _parse_outcome(_parse_frac_reference, tok)
 
 
 def test_canonical_entries_parse():
@@ -307,3 +345,18 @@ def test_cli_subprocess_determinism(tmp_path):
     assert r1.returncode == r2.returncode == 0
     assert r1.stdout == r2.stdout
     assert r1.stdout.strip()
+
+
+def test_python_m_polylift_runs_the_cli():
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+    r = subprocess.run([sys.executable, "-m", "polylift", "zoo", "cube", "2"],
+                       capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip()

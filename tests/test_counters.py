@@ -123,8 +123,26 @@ def test_hull_eliminates_once_per_call_not_per_point(monkeypatch):
     monkeypatch.setattr(linalg, "_eliminate", counted)
     h = kernel.hull(zoo.permutahedron_vrep(5))
     assert len(h.ineqs) == 30
-    # 120 points: a per-point solve would add one elimination per point
-    assert counts["eliminate"] == 9
+    # 120 points: a per-point solve would add one elimination per point.
+    # One each for the independent differences, [dirs | I] (the equations
+    # and the left inverse) and [M | I] (all five polar seeds); a solve per
+    # seed and a Fraction left inverse made 9
+    assert counts["eliminate"] == 3
+
+
+def test_hull_and_vertices_take_no_solve(monkeypatch):
+    counts = {"solve": 0}
+    solve = linalg.solve
+
+    def counted(a, b):
+        counts["solve"] += 1
+        return solve(a, b)
+
+    monkeypatch.setattr(linalg, "solve", counted)
+    assert len(kernel.hull(zoo.permutahedron_vrep(5)).ineqs) == 30
+    assert len(kernel.vertices(zoo.permutahedron_hrep(5)).vertices) == 120
+    # the polar seeds come from one adjugate, not one solve per seed
+    assert counts["solve"] == 0
 
 
 def test_vertices_one_lp_when_the_feasible_point_is_interior(monkeypatch):

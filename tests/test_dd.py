@@ -8,16 +8,25 @@ Both must give identical results, and so must any order of the input.
 
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from polylift import linalg
+from polylift import linalg, zoo
 from polylift.errors import (
     EmptyPolyhedronError,
     InputError,
     InvariantViolationError,
     UnboundedPolyhedronError,
 )
-from polylift.kernel import HPoly, VPoly, _aff_directions, _max_common_slack, hull, vertices
+from polylift.kernel import (
+    HPoly,
+    VPoly,
+    _aff_directions,
+    _max_common_slack,
+    _polar_seeds,
+    hull,
+    vertices,
+)
 
 F = Fraction
 ONE = F(1)
@@ -265,3 +274,41 @@ def test_results_do_not_depend_on_insertion_order(points, rng):
         rng.shuffle(rows)
         rng.shuffle(eqs)
         assert vertices(HPoly(h.dim, rows, eqs)) == v
+
+
+@st.composite
+def integer_simplices(draw):
+    """k+1 integer rows a_j·y <= b_j, k in 1..4, with [a_j | -b_j]
+    nonsingular and every k of the a_j independent, so that each k of the
+    rows meet in one point, as the rows of a nondegenerate simplex do."""
+    k = draw(st.integers(1, 4))
+    small = st.integers(-4, 4)
+    row = st.tuples(st.lists(small, min_size=k, max_size=k), small)
+    rows = draw(st.lists(row, min_size=k + 1, max_size=k + 1))
+    assume(linalg.rank(linalg.mat([[*a, -b] for a, b in rows])) == k + 1)
+    for leave in range(k + 1):
+        assume(linalg.rank(linalg.mat([a for j, (a, _) in enumerate(rows) if j != leave])) == k)
+    return rows
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(integer_simplices())
+def test_adjugate_seeds_equal_one_solve_per_left_out_row(rows):
+    expected = []
+    for leave in range(len(rows)):
+        rest = [r for j, r in enumerate(rows) if j != leave]
+        y = linalg.solve(linalg.mat([a for a, _ in rest]), linalg.vec([b for _, b in rest]))
+        expected.append(linalg.homogeneous(y))
+    assert _polar_seeds(rows) == expected
+
+
+@pytest.mark.parametrize("points", [
+    zoo.permutahedron_vrep(4),
+    zoo.spanning_tree_vrep(4),
+    zoo.matching_vrep(5),
+    zoo.matching_vrep(6, 3),  # perfect matchings: lower-dimensional
+], ids=["permutahedron(4)", "spanning_tree(4)", "matching(5)", "perfect_matching(6)"])
+def test_zoo_hull_and_vertices_match_fraction_dd(points):
+    h = hull(points)
+    assert h == _hull_reference(points)
+    assert vertices(h) == _vertices_reference(h)

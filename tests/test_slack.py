@@ -8,6 +8,7 @@ from polylift import linalg, zoo
 from polylift.errors import ValidationError
 from polylift.kernel import AffineMap, HPoly, VPoly, hull, poly_equal, vertices
 from polylift.slack import (
+    FactorizationCheck,
     NonnegFactorization,
     extension_to_factorization,
     factorization_to_extension,
@@ -135,6 +136,46 @@ def test_verify_factorization_trivial_and_perturbed():
     assert chk.first_mismatch == (0, 0)
     neg = NonnegFactorization([[-1]], [[1]])
     assert verify_factorization(SlackLike11(), neg).negative_entry == ("t", 0, 0)
+
+
+def _verify_factorization_reference(slack, fact):
+    """The check before it went sparse: T·S formed densely with
+    linalg.mat_mul, then compared entry by entry."""
+    for name, mtx in (("t", fact.t), ("s", fact.s)):
+        for i, row in enumerate(mtx):
+            for j, v in enumerate(row):
+                if v < 0:
+                    return FactorizationCheck(False, negative_entry=(name, i, j))
+    if len(fact.t) != slack.nrows or (fact.t and fact.s and len(fact.t[0]) != len(fact.s)):
+        return FactorizationCheck(False, first_mismatch=(-1, -1))
+    if fact.s and len(fact.s[0]) != slack.ncols:
+        return FactorizationCheck(False, first_mismatch=(-1, -1))
+    prod = linalg.mat_mul(fact.t, fact.s)
+    for i in range(slack.nrows):
+        for j in range(slack.ncols):
+            if prod[i][j] != slack.entries[i][j]:
+                return FactorizationCheck(False, first_mismatch=(i, j))
+    return FactorizationCheck(True)
+
+
+@pytest.fixture(scope="module")
+def pi3_factorization():
+    h, v = zoo.permutahedron_hrep(3), zoo.permutahedron_vrep(3)
+    return slack_matrix(h, v), extension_to_factorization(cx.birkhoff_extension(3), h, v)
+
+
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(st.data())
+def test_verify_factorization_matches_dense_product_on_perturbed_factors(pi3_factorization, data):
+    sm, fact = pi3_factorization
+    t, s = [list(r) for r in fact.t], [list(r) for r in fact.s]
+    for _ in range(data.draw(st.integers(0, 3))):
+        m = data.draw(st.sampled_from([t, s]))
+        i = data.draw(st.integers(0, len(m) - 1))
+        j = data.draw(st.integers(0, len(m[0]) - 1))
+        m[i][j] += data.draw(st.sampled_from([F(1), F(-1), F(1, 2), -m[i][j] - 1]))
+    perturbed = NonnegFactorization(t, s)
+    assert verify_factorization(sm, perturbed) == _verify_factorization_reference(sm, perturbed)
 
 
 class SlackLike11:
