@@ -19,6 +19,12 @@ from .slack import SlackMatrix, _binding_given_slacks, slack_matrix
 EXACT = "exact"
 GREEDY = "greedy"
 EXCEEDS_BUDGET = "exceeds_budget"
+# size guards: `xc_bounds` builds the face lattice when hrep has at most
+# LATTICE_LIMITS[0] inequalities or vrep at most LATTICE_LIMITS[1] points,
+# and `rectangle_cover_min` searches exactly on at most EXACT_SUPPORT_LIMIT
+# support entries
+LATTICE_LIMITS = (10, 12)
+EXACT_SUPPORT_LIMIT = 60
 
 
 # ---------------------------------------------------------------------------
@@ -180,13 +186,11 @@ def _greedy_fooling(entry_list, entries):
     return chosen
 
 
-def rectangle_cover_min(
-    slack: SlackMatrix, budget: int = 200_000, exact_support_limit: int = 60
-) -> CoverResult:
+def rectangle_cover_min(slack: SlackMatrix, budget: int = 200_000) -> CoverResult:
     """Minimum number of support rectangles covering the support of the slack
     matrix (exact branch and bound within budget; greedy fallback flagged).
 
-    A support of more than exact_support_limit entries gets the greedy cover
+    A support of more than EXACT_SUPPORT_LIMIT entries gets the greedy cover
     at once; otherwise the search branches over the maximal rectangles
     (`_maximal_rectangles`), bounded below by a greedy fooling set of the
     uncovered entries.  Only an exact result is a valid lower bound on
@@ -198,7 +202,7 @@ def rectangle_cover_min(
     if not support:
         return CoverResult(EXACT, 0, RectangleCover(()))
     n = slack.ncols
-    if len(support) > exact_support_limit:
+    if len(support) > EXACT_SUPPORT_LIMIT:
         cover = _greedy_cover(support, entries, n)
         return CoverResult(GREEDY, len(cover), RectangleCover(tuple(cover)))
     rects = _maximal_rectangles(entries)
@@ -425,15 +429,14 @@ def xc_bounds(
     *,
     cover_budget: int = 200_000,
     fooling_budget: int = 500_000,
-    lattice_limits: tuple = (10, 12),
 ) -> BoundReport:
     """Sandwich [max lower bound, min certified upper bound] on extension
     complexity.
 
     Lower bounds: slack-matrix rank, exact rectangle cover number, any fooling
-    set, and the log face-count bound (when the lattice is within desk
-    bounds).  Upper bounds: the given description sizes and every supplied
-    extension that verifies.  conv(vrep) must be the polytope (caller
+    set, and the log face-count bound (when the lattice is within
+    LATTICE_LIMITS).  Upper bounds: the given description sizes and every
+    supplied extension that verifies.  conv(vrep) must be the polytope (caller
     contract for the trivial |X| bound).  hrep must be binding; only the rows
     with no zero slack at a listed point of P take an LP to check it, so a
     point outside P is reported before a non-binding row.
@@ -444,7 +447,7 @@ def xc_bounds(
     bounds: dict[str, tuple] = {}
     bounds["rank"] = (rank_bound(sm), True)
     nv = len(vrep.vertices)
-    if len(hrep.ineqs) <= lattice_limits[0] or nv <= lattice_limits[1]:
+    if len(hrep.ineqs) <= LATTICE_LIMITS[0] or nv <= LATTICE_LIMITS[1]:
         # face_lattice's membership check and facet masks, read off sm:
         # slack_matrix has checked every inequality at every point, so only
         # the equations are left, and a row's mask is its zero pattern

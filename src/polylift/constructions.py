@@ -26,7 +26,7 @@ from .kernel import (
     optimize_all,
     vertices,
 )
-from .zoo import GraphEdgeIndex, birkhoff_hrep, matching_label
+from .zoo import GraphEdgeIndex, _matchings, birkhoff_hrep, matching_label
 
 F = Fraction
 ZERO = F(0)
@@ -698,7 +698,7 @@ def colorful_matchings(n: int, k: int, zeta: Coloring) -> VPoly:
     ei = GraphEdgeIndex(n)
     pts = []
     labels = []
-    for m in _k_matchings(n, k):
+    for m in _matchings(n, k):
         ends = [v for e in m for v in e]
         if zeta.rainbow(ends):
             x = [0] * len(ei)
@@ -708,25 +708,6 @@ def colorful_matchings(n: int, k: int, zeta: Coloring) -> VPoly:
             labels.append(matching_label(m))
     order = sorted(range(len(pts)), key=lambda i: pts[i])
     return VPoly(len(ei), [pts[i] for i in order], [labels[i] for i in order])
-
-
-def _k_matchings(n, k):
-    edges = list(combinations(range(n), 2))
-
-    def extend(start, used, cur):
-        if len(cur) == k:
-            yield tuple(cur)
-            return
-        for i in range(start, len(edges)):
-            v, w = edges[i]
-            if v not in used and w not in used:
-                cur.append(edges[i])
-                used.update((v, w))
-                yield from extend(i + 1, used, cur)
-                used.difference_update((v, w))
-                cur.pop()
-
-    yield from extend(0, set(), [])
 
 
 @dataclass

@@ -3,9 +3,13 @@
 Everything here is pure and exact: polyhedra are immutable, and Fractions go
 in and come out.  A row becomes integers in one place, `HPoly._int_rows`,
 whose form the presolve, the simplex tableau, `contains` and `vertices`
-share.  `hull` and `vertices` run on integers from the homogeneous points
-to the facet rows (`_hull_int`): the affine set-up, the polar seed simplex
-(one fraction-free inverse) and the double description core.  Every LP goes
+share.  The affine hull has one parametrization, `_affine_frame`: one
+fraction-free elimination of the equations gives both the canonical
+equations of aff(P) and its integer direction basis, which `affine_hull`,
+`vertices` and the slack maps read.  `hull` and `vertices` run on integers
+from the homogeneous points to the facet rows (`_hull_int`): the affine
+set-up, the polar seed simplex (one fraction-free inverse) and the double
+description core.  Every LP goes
 through `optimize_all`: its answers carry points, and rays when unbounded,
 and every internal verdict rests on them.  `lp_solve` adds a dual vector or
 a Farkas vector, the solution of a second LP over the same rows, which
@@ -624,31 +628,37 @@ def _max_common_slack(poly: HPoly) -> tuple[Fraction, Vec]:
     return r.optimum, tuple(r.primal_point[:dim])
 
 
-def _affine_hull_data(poly: HPoly):
-    """Returns (equations, feasible point).  Raises on empty input."""
+def _affine_frame(poly: HPoly):
+    """(eqs, x0, basis, den): aff(P) = {x0 + N t} with x0 a point of P and
+    N's columns basis/den, integer vectors over den > 0, and eqs the
+    canonical equations of aff(P).  Raises on empty input.
+
+    One fraction-free elimination of [C | d] over the explicit and implicit
+    equations gives both: each pivot row divided by its gcd, signed so its
+    pivot (its first nonzero) is positive, is `linalg.canon_eq` of the RREF
+    row, and the same rows give the direction basis.  A system without
+    equations takes no elimination: N is the identity.
+    """
     # One LP decides full-dimensionality: maximize the common slack eps.
     eps, point = _max_common_slack(poly)
     implicit = [] if eps > 0 else _implicit_equalities(poly)
     rows = [(tuple(c), d) for c, d in poly.eqs] + implicit
+    dim = poly.dim
     if not rows:
-        return [], point
-    reduced, _ = linalg.rref(linalg.mat([tuple(a) + (b,) for a, b in rows]))
+        return [], point, [[int(i == j) for j in range(dim)] for i in range(dim)], 1
+    red, piv = linalg._eliminate([(*a, b) for a, b in rows])
     eqs = []
-    for row in reduced:
-        if any(row):
-            a, b = linalg.canon_eq(row[:-1], row[-1])
-            eqs.append((a, b))
-    return eqs, point
+    for row, c in zip(red, piv):
+        g = gcd(*row) if row[c] > 0 else -gcd(*row)
+        eqs.append((tuple([Fraction(x // g) for x in row[:dim]]), Fraction(row[dim] // g)))
+    return (eqs, point, *linalg._nullspace_int(red, piv, dim))
 
 
 def _aff_directions(poly: HPoly):
-    """(point of P, direction basis of aff(P) as column vectors)."""
-    eqs, x0 = _affine_hull_data(poly)
-    if eqs:
-        null = linalg.nullspace(linalg.mat([a for a, _ in eqs]))
-    else:
-        null = [linalg.unit(poly.dim, i) for i in range(poly.dim)]
-    return x0, null
+    """(point of P, direction basis of aff(P) as column vectors), the exact
+    Fraction view of `_affine_frame`."""
+    _, x0, basis, den = _affine_frame(poly)
+    return x0, [tuple([Fraction(x, den) for x in v]) for v in basis]
 
 
 def _implicit_equalities(poly: HPoly):
@@ -667,19 +677,12 @@ def affine_hull(poly: HPoly) -> list[tuple[Vec, Fraction]]:
     input.  Rows are canonical: coprime integer coefficients, first nonzero
     coefficient positive.
     """
-    eqs, _ = _affine_hull_data(poly)
-    return eqs
+    return _affine_frame(poly)[0]
 
 
 # ---------------------------------------------------------------------------
 # Double description core, in integers
 # ---------------------------------------------------------------------------
-
-def _int_matrix(m) -> tuple[list[list[int]], int]:
-    """(M, den) with m = M/den, den > 0 the lcm of m's denominators."""
-    den = lcm(*(x.denominator for row in m for x in row))
-    return [[x.numerator * (den // x.denominator) for x in row] for row in m], den
-
 
 def _int_slack(row, v) -> int:
     """b·w - a·V for the integer row (nonzeros of a, b) and the homogeneous
@@ -824,18 +827,11 @@ def _hull_int(dim: int, hom: list) -> tuple[list, list]:
     # the Fraction difference, so L is that diagonal scaling times the
     # Fraction left inverse, and the scaling cancels in every facet row
     red, piv = linalg._eliminate([dj + [int(i == j) for j in range(k)] for i, dj in enumerate(dirs)])
-    d = red[0][piv[0]]
-    sign, l_den = (1, d) if d > 0 else (-1, -d)
+    normals, l_den = linalg._nullspace_int(red, piv, dim)
+    sign = 1 if red[0][piv[0]] > 0 else -1
     lcols = [[sign * x for x in row[dim:]] for row in red]
     eqs = []
-    on_piv = set(piv)
-    for f in range(dim):
-        if f in on_piv:
-            continue
-        c = [0] * dim
-        c[f] = d
-        for rrow, pc in zip(red, piv):
-            c[pc] = -rrow[f]
+    for c in normals:
         eq = [q0 * x for x in c] + [sum(x * y for x, y in zip(c, big_p0))]
         g = gcd(*eq)
         if next(x for x in c if x) < 0:
@@ -949,15 +945,14 @@ def vertices(poly: HPoly) -> VPoly:
     Raises EmptyPolyhedronError on empty input and UnboundedPolyhedronError
     when the polar hull is not a polytope with the origin in its interior.
     """
-    x0, null = _aff_directions(poly)
+    _, x0, n_int, n_den = _affine_frame(poly)
     dim = poly.dim
-    k = len(null)
+    k = len(n_int)
     if k == 0:
         return VPoly(dim, (x0,))
     # inequality rows in t-coordinates, x = x0 + N t with N = n_int/n_den and
     # x0 = X0/q0: a row a·x <= b, scaled to integers, becomes
     # q0·(a·n_int)·t <= n_den·(q0·b - a·X0)
-    n_int, n_den = _int_matrix(null)
     hx = linalg.homogeneous(x0)
     big_x0, q0 = hx[:dim], hx[dim]
     t_rows = []

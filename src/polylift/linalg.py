@@ -7,11 +7,13 @@ so no wrapper type is introduced.
 
 All elimination happens in one routine, `_eliminate`: fraction-free
 (Bareiss) Gauss-Jordan on an integer scaling of the rows.  `rref` and `rank`
-read its result directly, `independent_rows` runs it on the transpose, and
-`solve`, `nullspace`, `inverse` and `left_inverse` are built on `rref`.  It
-takes integer rows as they are, and the kernel's convex hull reads its
-integer result directly for the equations, the left inverse and the polar
-seed simplex.
+read its result directly, `independent_rows` runs it on the transpose,
+`_nullspace_int` reads the integer nullspace basis off its rows, and
+`nullspace` is a Fraction view of that basis; `solve`, `inverse` and
+`left_inverse` are built on `rref`.  It takes integer rows as they are, and
+the kernel reads its integer result directly: the affine frame of a
+polyhedron (equations and direction basis), and the convex hull's
+equations, left inverse and polar seed simplex.
 """
 
 from __future__ import annotations
@@ -178,21 +180,36 @@ def solve(a: Mat, b: Sequence[Fraction]) -> Vec | None:
     return tuple(x)
 
 
+def _nullspace_int(rows, pivots, ncols) -> tuple[list[list[int]], int]:
+    """The nullspace of the first ncols columns of a matrix, read off
+    `_eliminate`'s rows and pivots (every pivot among those columns), as
+    integer vectors over a common denominator: (basis, d) with d > 0.
+
+    Every pivot row's pivot entry is the last pivot, ±d, so the reduced row
+    echelon form is rows/±d.  The vector of the free column f is d at f and
+    ∓row[f] at each pivot row's column: d times the RREF nullspace vector.
+    """
+    d = rows[0][pivots[0]] if pivots else 1
+    sign = 1 if d > 0 else -1
+    on_piv = set(pivots)
+    basis = []
+    for f in range(ncols):
+        if f in on_piv:
+            continue
+        v = [0] * ncols
+        v[f] = sign * d
+        for row, c in zip(rows, pivots):
+            v[c] = -sign * row[f]
+        basis.append(v)
+    return basis, sign * d
+
+
 def nullspace(m: Mat) -> list[Vec]:
     """Basis of {x : M x = 0}; empty matrix means the whole space is unknown."""
     if not m:
         raise ValueError("nullspace of an empty matrix is ambiguous; pass dims explicitly")
-    ncols = len(m[0])
-    rows, pivots = rref(m)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [ZERO] * ncols
-        v[f] = ONE
-        for r, c in enumerate(pivots):
-            v[c] = -rows[r][f]
-        basis.append(tuple(v))
-    return basis
+    basis, d = _nullspace_int(*_eliminate(m), len(m[0]))
+    return [tuple([Fraction(x, d) for x in v]) for v in basis]
 
 
 def independent_rows(m: Mat) -> list[int]:

@@ -89,19 +89,26 @@ class FactorizationCheck:
         return self.ok
 
 
+def _slack_frame(hrep: HPoly):
+    """(x0, N, u0, AN): aff(P) = {x0 + N t}, N the list of its direction
+    vectors, and the slack map on it, u = b - A(x0 + N t) = u0 + AN t with
+    u0 = b - A x0 and AN = -A N (one row per inequality)."""
+    x0, null = _aff_directions(hrep)
+    u0 = tuple(b - linalg.dot(a, x0) for a, b in hrep.ineqs)
+    an = tuple(tuple(-linalg.dot(a, n) for n in null) for a, _ in hrep.ineqs)
+    return x0, null, u0, an
+
+
 def slack_map(hrep: HPoly) -> AffineMap:
     """The affine map x -> b - Ax over the inequality system of hrep.
 
     Raises ValidationError when the map is not injective on aff(P) (then no
     inverse slack map exists).
     """
-    a_rows = [a for a, _ in hrep.ineqs]
-    b = [bb for _, bb in hrep.ineqs]
-    _, null = _aff_directions(hrep)
-    an = linalg.mat([[linalg.dot(a, n) for n in null] for a in a_rows])
+    _, null, _, an = _slack_frame(hrep)
     if null and linalg.rank(an) < len(null):
         raise ValidationError("slack map is not injective on the affine hull")
-    return AffineMap([[-x for x in a] for a in a_rows], b)
+    return AffineMap([[-x for x in a] for a, _ in hrep.ineqs], [b for _, b in hrep.ineqs])
 
 
 def is_binding(hrep: HPoly) -> bool:
@@ -123,7 +130,8 @@ def _binding_given_slacks(hrep: HPoly, sm: SlackMatrix, points: VPoly) -> bool:
     """`is_binding(hrep)`, given the slack matrix sm of hrep at points: a
     row with a zero slack at a listed point of P is tight there, so only
     the other rows take an LP (one batch)."""
-    on_p = [hrep.contains(x) for x in points.vertices]
+    on_eqs = hrep._derive(())  # slack_matrix has checked every inequality
+    on_p = [on_eqs.contains(x) for x in points.vertices]
     tight = [any(ok and s == 0 for s, ok in zip(row, on_p)) for row in sm.entries]
     return _tight_somewhere(hrep, [r for r, t in zip(hrep.ineqs, tight) if not t])
 
@@ -200,17 +208,13 @@ def factorization_to_extension(
     t = fact.t
     f = fact.inner_dim
     m = slack.nrows
-    a_rows = [a for a, _ in original.ineqs]
-    bvec = [b for _, b in original.ineqs]
-    if len(a_rows) != m:
+    if len(original.ineqs) != m:
         raise ValidationError("original system row count does not match the slack matrix")
-    x0, null = _aff_directions(original)
+    x0, null, u0, an = _slack_frame(original)
     n = original.dim
     k = len(null)
-    an = linalg.mat([[-linalg.dot(a, nn) for nn in null] for a in a_rows])  # m x k
     if k and linalg.rank(an) < k:
         raise ValidationError("slack map is not injective on the affine hull")
-    u0 = tuple(bb - linalg.dot(a, x0) for a, bb in zip(a_rows, bvec))
 
     # the slack image is u0 plus the span of AN's columns: e·u = e·u0 for
     # each normal e of that span, so Q's equations are e·(T lambda) = e·u0
@@ -225,33 +229,17 @@ def factorization_to_extension(
     ]
     q = HPoly(f, ineqs, eqs, ineq_labels=tuple(f"lambda{c}>=0" for c in range(f)))
 
-    # inverse slack map: x = x0 + N G ((b - A x0) - u) with u = T lambda
+    # inverse slack map: x = x0 + NG(u - u0) with u = T lambda and G (AN) = I,
+    # so NG maps slack movement back
     if k:
-        g_left = linalg.left_inverse(an)  # k x m with G (AN) = I
-        n_mat = linalg.mat([[null[j][i] for j in range(k)] for i in range(n)])  # n x k
-        ng = linalg.mat_mul(n_mat, g_left)  # n x m
-        proj_mat = [
-            [
-                sum(ng[r][i] * (t[i][col]) for i in range(m))
-                for col in range(f)
-            ]
-            for r in range(n)
-        ]
-        offset = tuple(
-            x0[r] - sum(ng[r][i] * u0[i] for i in range(m)) for r in range(n)
-        )
-        # x = x0 + NG(u - u0) with u = T lambda; NG maps slack movement back
-        proj = AffineMap(proj_mat, offset)
+        ng = linalg.mat_mul(linalg.transpose(null), linalg.left_inverse(an))  # n x m
+        proj = AffineMap(linalg.mat_mul(ng, t), linalg.vsub(x0, linalg.mat_vec(ng, u0)))
     else:
         proj = AffineMap([[ZERO] * f for _ in range(n)], x0)
 
-    col_lift = {}
-    for j in range(slack.ncols):
-        col_lift[j] = tuple(fact.s[r][j] for r in range(f))
-    point_of = {}
-    # reconstruct the original point for each column via the inverse map
-    for j, lam in col_lift.items():
-        point_of[proj.apply(lam)] = lam
+    # each point is the projection of its column of S
+    s_cols = [tuple(row[j] for row in fact.s) for j in range(slack.ncols)]
+    point_of = {proj.apply(lam): lam for lam in s_cols}
 
     def lift(v):
         return point_of.get(tuple(v))
@@ -280,15 +268,11 @@ def extension_to_factorization(
 
     q_poly = ext.q
     proj = ext.proj
-    stacked = [a for a, _ in q_poly.ineqs] + [c for c, _ in q_poly.eqs]
-    lin = linalg.nullspace(linalg.mat(stacked)) if stacked else [
-        linalg.unit(q_poly.dim, i) for i in range(q_poly.dim)
-    ]
-    if lin:
-        # quotient by the lineality space: restrict to span of the row space
-        rows_m = linalg.mat(stacked)
-        keep = linalg.independent_rows(rows_m)
-        basis = [rows_m[i] for i in keep]  # rows spanning the orthogonal complement
+    stacked = linalg.mat([a for a, _ in q_poly.ineqs] + [c for c, _ in q_poly.eqs])
+    keep = linalg.independent_rows(stacked)
+    if len(keep) < q_poly.dim:
+        # quotient by the lineality space: restrict to the span of the rows
+        basis = [stacked[i] for i in keep]  # rows spanning the orthogonal complement
         bcols = linalg.mat([[basis[j][i] for j in range(len(basis))] for i in range(q_poly.dim)])
         new_ineqs = [
             (tuple(linalg.dot(a, col) for col in zip(*bcols)), b) for a, b in q_poly.ineqs
@@ -300,14 +284,10 @@ def extension_to_factorization(
         proj = AffineMap(linalg.mat_mul(proj.matrix, bcols), proj.offset)
     pm, p0 = proj.matrix, proj.offset
 
-    y0, null = _aff_directions(q_poly)
+    y0, null, sigma0, an = _slack_frame(q_poly)
     qm = len(q_poly.ineqs)
     k = len(null)
-    a_rows = [a for a, _ in q_poly.ineqs]
-    sigma0 = tuple(b - linalg.dot(a, y0) for a, b in q_poly.ineqs)
-    sigma_cols = [
-        tuple(-linalg.dot(a_rows[i], nn) for i in range(qm)) for nn in null
-    ]  # k vectors in R^qm
+    sigma_cols = [tuple(row[j] for row in an) for j in range(k)]  # k vectors in R^qm
 
     # every t_rows LP is these rows plus its own equations, derived from them
     nonneg = HPoly(qm, [(tuple(-ONE if c == col else ZERO for c in range(qm)), ZERO) for col in range(qm)])

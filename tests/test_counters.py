@@ -12,25 +12,30 @@ from polylift.errors import ValidationError
 from polylift.kernel import HPoly, PolyEqualResult
 
 
-def _count_solves_and_pivots(monkeypatch):
-    counts = {"solves": 0, "pivots": 0}
-    pivot, solve = simplex._pivot, simplex.solve_standard
+def _count_calls(monkeypatch, **targets):
+    """Count the calls of each target, a (module, function name) pair, under
+    its keyword, from here to the end of the test."""
+    counts = dict.fromkeys(targets, 0)
 
-    def counted_pivot(*args):
-        counts["pivots"] += 1
-        return pivot(*args)
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
 
-    def counted_solve(*args, **kwargs):
-        counts["solves"] += 1
-        return solve(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(simplex, "_pivot", counted_pivot)
-    monkeypatch.setattr(simplex, "solve_standard", counted_solve)
+    for key, (module, name) in targets.items():
+        monkeypatch.setattr(module, name, counted(key, getattr(module, name)))
     return counts
 
 
+SOLVES = (simplex, "solve_standard")
+PIVOTS = (simplex, "_pivot")
+ELIMINATIONS = (linalg, "_eliminate")
+
+
 def test_verify_martin4_solves_and_pivots(monkeypatch):
-    counts = _count_solves_and_pivots(monkeypatch)
+    counts = _count_calls(monkeypatch, solves=SOLVES, pivots=PIVOTS)
     rep = cx.verify_extension(
         zoo.spanning_tree_hrep(4),
         cx.martin_spanning_tree_extension(4),
@@ -42,7 +47,7 @@ def test_verify_martin4_solves_and_pivots(monkeypatch):
 
 
 def test_factorization_martin4_solves_and_pivots(monkeypatch):
-    counts = _count_solves_and_pivots(monkeypatch)
+    counts = _count_calls(monkeypatch, solves=SOLVES, pivots=PIVOTS, eliminations=ELIMINATIONS)
     fact = slack.extension_to_factorization(
         cx.martin_spanning_tree_extension(4), zoo.spanning_tree_hrep(4), zoo.spanning_tree_vrep(4)
     )
@@ -50,13 +55,16 @@ def test_factorization_martin4_solves_and_pivots(monkeypatch):
     # one lexicographic solve per vertex lift; a solve per coordinate made
     # 500 solves and 2963 pivots.  Every row of Martin(4)'s system has a zero
     # slack at a vertex, so the binding check takes no LP (36/772 with one),
-    # and slack_matrix computes no affine hull (35/730 when it did)
-    assert counts == {"solves": 34, "pivots": 710}
+    # and slack_matrix computes no affine hull (35/730 when it did).  One
+    # elimination decides Q's lineality (the independent rows) and one gives
+    # Q's affine frame; a separate nullspace for the lineality and a second
+    # elimination for the direction basis made 3
+    assert counts == {"solves": 34, "pivots": 710, "eliminations": 2}
 
 
 def test_fm_project_bubble3_solves_and_pivots(monkeypatch):
     q = cx.sorting_network_extension(3, cx.bubble_network(3)).q
-    counts = _count_solves_and_pivots(monkeypatch)
+    counts = _count_calls(monkeypatch, solves=SOLVES, pivots=PIVOTS)
     h = kernel.fm_project(q, range(3))
     assert (len(h.ineqs), len(h.eqs)) == (6, 1)
     # the LP pruning after each FM step, as in the describe workload; an
@@ -64,20 +72,8 @@ def test_fm_project_bubble3_solves_and_pivots(monkeypatch):
     assert counts == {"solves": 15, "pivots": 134}
 
 
-def _count_solves(monkeypatch):
-    counts = {"solves": 0}
-    solve = simplex.solve_standard
-
-    def counted_solve(*args, **kwargs):
-        counts["solves"] += 1
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(simplex, "solve_standard", counted_solve)
-    return counts
-
-
 def test_lex_min_point_one_solve(monkeypatch):
-    counts = _count_solves(monkeypatch)
+    counts = _count_calls(monkeypatch, solves=SOLVES)
     assert kernel.lex_min_point(zoo.spanning_tree_hrep(4)) == (0, 0, 1, 0, 1, 1)
     assert counts["solves"] == 1
 
@@ -86,12 +82,12 @@ def test_lp_solve_adds_one_dual_lp_to_optimize(monkeypatch):
     square = HPoly(2, [((-1, 0), 0), ((0, -1), 0), ((1, 1), 1)])
     empty = HPoly(1, [((-1,), -1), ((1,), 0)])
     half_plane = HPoly(2, [((-1, 0), 0)])
-    counts = _count_solves(monkeypatch)
+    counts = _count_calls(monkeypatch, solves=SOLVES)
     assert kernel.optimize(square, (1, 1), "max").status == "optimal"
     assert counts["solves"] == 1
     # a ray needs no dual LP
     for poly, status, solves in ((square, "optimal", 2), (empty, "infeasible", 2), (half_plane, "unbounded", 1)):
-        counts = _count_solves(monkeypatch)
+        counts = _count_calls(monkeypatch, solves=SOLVES)
         assert kernel.lp_solve((1,) * poly.dim, "max", poly).status == status
         assert counts["solves"] == solves
 
@@ -106,39 +102,34 @@ def test_poly_equal_one_lp_batch_per_h_side(monkeypatch):
         (zoo.cube_hrep(2), empty, PolyEqualResult(False, (F(1), F(1)), 1), 2),
     ]
     for p1, p2, expected, solves in cases:
-        counts = _count_solves(monkeypatch)
+        counts = _count_calls(monkeypatch, solves=SOLVES)
         # the emptiness test and the fallback witness come from the batch
         assert kernel.poly_equal(p1, p2) == expected
         assert counts["solves"] == solves
 
 
 def test_hull_eliminates_once_per_call_not_per_point(monkeypatch):
-    counts = {"eliminate": 0}
-    eliminate = linalg._eliminate
-
-    def counted(m):
-        counts["eliminate"] += 1
-        return eliminate(m)
-
-    monkeypatch.setattr(linalg, "_eliminate", counted)
+    counts = _count_calls(monkeypatch, eliminations=ELIMINATIONS)
     h = kernel.hull(zoo.permutahedron_vrep(5))
     assert len(h.ineqs) == 30
     # 120 points: a per-point solve would add one elimination per point.
     # One each for the independent differences, [dirs | I] (the equations
     # and the left inverse) and [M | I] (all five polar seeds); a solve per
     # seed and a Fraction left inverse made 9
-    assert counts["eliminate"] == 3
+    assert counts["eliminations"] == 3
+
+
+def test_vertices_eliminates_once_for_the_affine_frame(monkeypatch):
+    counts = _count_calls(monkeypatch, eliminations=ELIMINATIONS)
+    assert len(kernel.vertices(zoo.birkhoff_hrep(4)).vertices) == 24
+    # one elimination of the equations gives both the affine hull and its
+    # direction basis, and the hull core of the polar makes 3; a second
+    # elimination for the nullspace of the equations made 5
+    assert counts["eliminations"] == 4
 
 
 def test_hull_and_vertices_take_no_solve(monkeypatch):
-    counts = {"solve": 0}
-    solve = linalg.solve
-
-    def counted(a, b):
-        counts["solve"] += 1
-        return solve(a, b)
-
-    monkeypatch.setattr(linalg, "solve", counted)
+    counts = _count_calls(monkeypatch, solve=(linalg, "solve"))
     assert len(kernel.hull(zoo.permutahedron_vrep(5)).ineqs) == 30
     assert len(kernel.vertices(zoo.permutahedron_hrep(5)).vertices) == 120
     # the polar seeds come from one adjugate, not one solve per seed
@@ -149,7 +140,7 @@ def test_vertices_one_lp_when_the_feasible_point_is_interior(monkeypatch):
     # x0 of the max-common-slack LP is slack on every row, so t = 0 is
     # interior to the t-polytope and no second LP is needed
     for poly, n_vertices in ((zoo.birkhoff_hrep(4), 24), (zoo.permutahedron_hrep(5), 120)):
-        counts = _count_solves(monkeypatch)
+        counts = _count_calls(monkeypatch, solves=SOLVES)
         assert len(kernel.vertices(poly).vertices) == n_vertices
         assert counts["solves"] == 1
     # 0 <= x <= 1, x + y = 1 as two inequalities, 0 <= z <= 2: the implicit
@@ -157,7 +148,7 @@ def test_vertices_one_lp_when_the_feasible_point_is_interior(monkeypatch):
     # after the one that finds the implicit equalities
     poly = HPoly(3, [((1, 1, 0), 1), ((-1, -1, 0), -1), ((1, 0, 0), 1), ((-1, 0, 0), 0),
                      ((0, 0, 1), 2), ((0, 0, -1), 0)])
-    counts = _count_solves(monkeypatch)
+    counts = _count_calls(monkeypatch, solves=SOLVES)
     assert kernel.vertices(poly).vertices == ((0, 1, 0), (0, 1, 2), (1, 0, 0), (1, 0, 2))
     assert counts["solves"] == 3
 
@@ -210,7 +201,7 @@ def test_xc_bounds_reads_binding_rows_off_the_slack_matrix(monkeypatch):
     cube4 = zoo.cube_hrep(4)
     cases = ((cube4, kernel.vertices(cube4)), (zoo.permutahedron_hrep(4), zoo.permutahedron_vrep(4)))
     for h, v in cases:
-        counts = _count_solves(monkeypatch)
+        counts = _count_calls(monkeypatch, solves=SOLVES)
         bounds.xc_bounds(h, v)
         # every row has a zero slack at a vertex, and slack_matrix solves no LP
         assert counts["solves"] == 0
@@ -218,21 +209,14 @@ def test_xc_bounds_reads_binding_rows_off_the_slack_matrix(monkeypatch):
     cube3 = zoo.cube_hrep(3)
     loose = HPoly(3, cube3.ineqs + (((1, 0, 0), 2),))
     v3 = kernel.vertices(cube3)
-    counts = _count_solves(monkeypatch)
+    counts = _count_calls(monkeypatch, solves=SOLVES)
     with pytest.raises(ValidationError, match="binding"):
         bounds.xc_bounds(loose, v3)
     assert counts["solves"] == 1
 
 
 def test_face_lattice_takes_no_rank(monkeypatch):
-    counts = {"rank": 0}
-    rank = linalg.rank
-
-    def counted(m):
-        counts["rank"] += 1
-        return rank(m)
-
-    monkeypatch.setattr(linalg, "rank", counted)
+    counts = _count_calls(monkeypatch, rank=(linalg, "rank"))
     cube4 = zoo.cube_hrep(4)
     lat = bounds.face_lattice(cube4, kernel.vertices(cube4))
     # dimensions come from the lattice grading

@@ -5,7 +5,7 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polylift import linalg
+from polylift import kernel, linalg
 from polylift.errors import EmptyPolyhedronError, InputError, UnboundedPolyhedronError
 from polylift.kernel import (
     AffineMap,
@@ -650,3 +650,83 @@ def test_pull_back_matches_dense_dot_products(case):
     # the dense form: one dot product of a with each column of the matrix
     assert out == tuple(linalg.dot(a, col) for col in zip(*m.matrix))
     assert type(out) is tuple and all(type(x) is F for x in out)
+
+
+def _fraction_frame(poly):
+    """The Fraction route that `kernel._affine_frame` replaces: the RREF of
+    the explicit and implicit equations, each nonzero row made canonical,
+    and the nullspace of those rows from a second RREF (identity columns
+    when there is no equation)."""
+    eps, point = kernel._max_common_slack(poly)
+    implicit = [] if eps > 0 else kernel._implicit_equalities(poly)
+    rows = [(tuple(c), d) for c, d in poly.eqs] + implicit
+    eqs = []
+    if rows:
+        reduced, _ = linalg.rref(linalg.mat([tuple(a) + (b,) for a, b in rows]))
+        eqs = [linalg.canon_eq(row[:-1], row[-1]) for row in reduced if any(row)]
+    if not eqs:
+        return eqs, point, [linalg.unit(poly.dim, i) for i in range(poly.dim)]
+    m, pivots = linalg.rref(linalg.mat([a for a, _ in eqs]))
+    basis = []
+    for f in range(poly.dim):
+        if f not in pivots:
+            v = [F(0)] * poly.dim
+            v[f] = F(1)
+            for r, c in enumerate(pivots):
+                v[c] = -m[r][f]
+            basis.append(tuple(v))
+    return eqs, point, basis
+
+
+@st.composite
+def frame_systems(draw):
+    """Systems through a drawn point p: equations c·x = c·p, some of them
+    combinations of earlier ones (dependent), implicit equalities a·x <= a·p
+    with -a·x <= -a·p, and inequalities a·x <= a·p + s, s >= 0; or none of
+    the equations (full-dimensional); sometimes a contradictory pair that
+    makes the system empty."""
+    dim = draw(st.integers(0, 4))
+    vector = st.lists(entries, min_size=dim, max_size=dim).map(linalg.vec)
+    p = draw(vector)
+    eqs = []
+    for _ in range(draw(st.integers(0, 3))):
+        if eqs and draw(st.booleans()):
+            (c1, _), (c2, _) = draw(st.sampled_from(eqs)), draw(st.sampled_from(eqs))
+            s1, s2 = draw(entries), draw(entries)
+            c = tuple(s1 * x + s2 * y for x, y in zip(c1, c2))
+        else:
+            c = draw(vector)
+        eqs.append((c, linalg.dot(c, p)))
+    ineqs = []
+    for _ in range(draw(st.integers(0, 2))):
+        a = draw(vector)
+        ineqs += [(a, linalg.dot(a, p)), (tuple(-x for x in a), -linalg.dot(a, p))]
+    for _ in range(draw(st.integers(0, 4))):
+        a = draw(vector)
+        ineqs.append((a, linalg.dot(a, p) + abs(draw(entries))))
+    if dim and draw(st.integers(0, 4)) == 0:
+        a = linalg.unit(dim, draw(st.integers(0, dim - 1)))
+        if draw(st.booleans()):
+            eqs += [(a, p[0]), (a, p[0] + 1)]
+        else:
+            ineqs += [(a, p[0]), (tuple(-x for x in a), -p[0] - 1)]
+    rows = draw(st.permutations(ineqs))
+    return HPoly(dim, rows, draw(st.permutations(eqs)))
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(frame_systems())
+def test_affine_frame_matches_the_fraction_route(poly):
+    try:
+        want_eqs, want_point, want_basis = _fraction_frame(poly)
+    except EmptyPolyhedronError as want:
+        with pytest.raises(EmptyPolyhedronError) as got:
+            kernel._affine_frame(poly)
+        assert str(got.value) == str(want)
+        return
+    eqs, point, basis, den = kernel._affine_frame(poly)
+    assert eqs == want_eqs and point == want_point
+    assert type(den) is int and den > 0 and all(type(x) is int for v in basis for x in v)
+    assert [tuple(F(x, den) for x in v) for v in basis] == want_basis
+    assert kernel._aff_directions(poly) == (want_point, want_basis)
+    assert affine_hull(poly) == want_eqs
