@@ -68,12 +68,9 @@ def _cmd_zoo(args) -> int:
     hpoly = None
     vpoly = None
     if fam == "matching":
-        n = args.n
-        if args.cardinality is not None:
-            vpoly = zoo.matching_vrep(n, args.cardinality)
-        else:
-            vpoly = zoo.matching_vrep(n)
-        hpoly = zoo.matching_hrep(n)
+        vpoly = zoo.matching_vrep(args.n, args.cardinality)
+        if args.cardinality is None:  # matching_hrep describes all matchings
+            hpoly = zoo.matching_hrep(args.n)
     elif fam == "permutahedron":
         hpoly = zoo.permutahedron_hrep(args.n)
         if args.vrep:

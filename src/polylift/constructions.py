@@ -729,10 +729,10 @@ def covering_coloring_family(
 
     Greedy set cover over seeded random colorings, completed by targeted
     colorings; the certificate is checked exhaustively over all C(n, 2k)
-    subsets.  Desk guards: n <= 12, k <= 3.
+    subsets.  Needs 1 <= k, 2k <= n; desk guards: n <= 12, k <= 3.
     """
-    if 2 * k > n:
-        raise InputError("need 2k <= n")
+    if not 1 <= k <= n // 2:
+        raise InputError("need 1 <= k and 2k <= n")
     if n > 12 or k > 3:
         raise SizeLimitError("covering_coloring_family is desk-bounded: n <= 12, k <= 3")
     colors = 2 * k

@@ -2,11 +2,13 @@
 
 Everything here is pure and exact: polyhedra are immutable, and Fractions go
 in and come out.  A row becomes integers in one place, `HPoly._int_rows`,
-whose form the presolve, the simplex tableau, `contains` and `vertices`
-share.  The affine hull has one parametrization, `_affine_frame`: one
-fraction-free elimination of the equations gives both the canonical
-equations of aff(P) and its integer direction basis, which `affine_hull`,
-`vertices` and the slack maps read.  `hull` and `vertices` run on integers
+whose form the presolve, the simplex tableau, `contains`, `vertices` and
+`fm_project` share; the presolve and `fm_project` eliminate a variable
+through an equation by one fraction-free substitution, `_substitute`.  The
+affine hull has one parametrization, `_affine_frame`: one fraction-free
+elimination of the equations gives both the canonical equations of aff(P)
+and its integer direction basis, which `affine_hull`, `vertices` and the
+slack maps read.  `hull` and `vertices` run on integers
 from the homogeneous points to the facet rows (`_hull_int`): the affine
 set-up, the polar seed simplex (one fraction-free inverse) and the double
 description core.  Every LP goes
@@ -383,6 +385,38 @@ class _Reduction:
         return tuple(full)
 
 
+def _substitute(row, j, eq):
+    """The integer row (a, b, d), a an {index: int} dict, with x_j
+    eliminated through the equation eq = (c, e, _), c_j != 0: the one
+    substitution of the presolve and of `fm_project`, fraction-free.  With s
+    the sign of c_j and f the row's entry on j, the row becomes
+    |c_j|·row - s·f·eq, with scale |c_j|·d, then divided by gcd(d, rhs,
+    entries), so d stays the least and the row's values a/d are those of
+    row - (f/c_j)·eq.  Takes a dict of its own (it may change it).  An
+    inequality eq with c_j > 0 is substituted into one with f < 0 as
+    c_j·row - f·eq, a positive combination: the FM step of `fm_project`."""
+    a, b, d = row
+    c, e, _ = eq
+    cj = c[j]
+    f = a.pop(j)
+    if cj < 0:
+        cj, f = -cj, -f
+    if cj != 1:
+        a, b, d = {t: x * cj for t, x in a.items()}, b * cj, d * cj
+    for t, ct in c.items():
+        if t != j:
+            v = a.get(t, 0) - f * ct
+            if v:
+                a[t] = v
+            else:
+                del a[t]
+    b -= f * e
+    g = gcd(d, b, *a.values())
+    if g != 1:
+        a, b, d = {t: x // g for t, x in a.items()}, b // g, d // g
+    return a, b, d
+
+
 def _presolve(poly: HPoly) -> _Reduction:
     """Eliminate variables fixed or tied by short equations; the eliminations
     depend on the rows only, so objectives are reduced afterwards.
@@ -393,10 +427,8 @@ def _presolve(poly: HPoly) -> _Reduction:
     -c x_j <= 0 is dropped and marks x_j nonnegative; eliminating a
     nonnegative x_j appends its sign row -x_j <= 0, substituted.  Rows are
     `HPoly._int_rows` rows with {index: int} dicts, so an elimination
-    updates (and screens again) only the rows that hold its variable.  The
-    substitution is fraction-free: through the equation C with entry c_j of
-    sign s, a row R with entry f on j becomes |c_j|·R - s·f·C, with scale
-    |c_j|·d, then divided by gcd(d, rhs, entries), so d stays the least.
+    updates (and screens again) only the rows that hold its variable, by
+    `_substitute`.
     """
     dim = poly.dim
     int_ineqs, int_eqs = poly._int_rows()
@@ -433,7 +465,8 @@ def _presolve(poly: HPoly) -> _Reduction:
         idx = next((i for i, (c, _, _) in enumerate(eqs) if len(c) <= 2), None)
         if idx is None:
             break
-        c, dc, _ = eqs.pop(idx)
+        eq = eqs.pop(idx)
+        c, dc, _ = eq
         if not c:
             if dc != 0:
                 return infeasible()
@@ -444,38 +477,16 @@ def _presolve(poly: HPoly) -> _Reduction:
         else:
             (k, ck), (j, cj) = sorted(c.items())  # eliminate the higher index
             pairs = ((k, Fraction(-ck, cj)),)
-        sj = 1 if cj > 0 else -1
-        cj_abs = cj * sj
-
-        def substitute(row):
-            """|c_j|·row - s·f·c over the least integral scale."""
-            a, b, d = row
-            f = a.pop(j) * sj
-            if cj_abs != 1:
-                a, b, d = {t: x * cj_abs for t, x in a.items()}, b * cj_abs, d * cj_abs
-            for t, ct in c.items():
-                if t != j:
-                    v = a.get(t, 0) - f * ct
-                    if v:
-                        a[t] = v
-                    else:
-                        del a[t]
-            b -= f * dc
-            g = gcd(d, b, *a.values())
-            if g != 1:
-                a, b, d = {t: x // g for t, x in a.items()}, b // g, d // g
-            return a, b, d
-
         for rows in (ineqs, eqs):
             for i, row in enumerate(rows):
                 if row is None or j not in row[0]:
                     continue
-                rows[i] = substitute(row)
+                rows[i] = _substitute(row, j, eq)
                 if rows is ineqs and not screen(i):
                     return infeasible()
         if nonneg[j]:
             # keep the sign constraint of the eliminated variable
-            ineqs.append(substitute(({j: -1}, 0, 1)))
+            ineqs.append(_substitute(({j: -1}, 0, 1), j, eq))
             if not screen(len(ineqs) - 1):
                 return infeasible()
         alive[j] = False
@@ -1164,104 +1175,94 @@ def fm_project(poly: HPoly, keep: Iterable[int]) -> HPoly:
     passes (zero rows, canonical dedup, sort).  A substitution is an affine
     bijection of the polyhedron, and of the one of any subset of its rows,
     so a nonempty irredundant system stays so.
+
+    It runs on `HPoly._int_rows` rows with {index: int} dicts: an equation
+    substitution and an FM step, rows P and N as (-n_j)·P + p_j·N, are
+    `_substitute`, and a prune keys a row by its gcd-reduced form.  Only the
+    LP prune and the output build Fractions; output equations are canonical.
+    With nothing to eliminate, the inequalities come back as given.
     """
     keep_set = sorted(set(keep))
     if any(j < 0 or j >= poly.dim for j in keep_set):
         raise InputError("keep indices out of range")
     dim = poly.dim
-    ineqs = [(list(a), b) for a, b in poly.ineqs]
-    eqs = [(list(c), d) for c, d in poly.eqs]
+    int_ineqs, int_eqs = poly._int_rows()
+    ineqs = [(dict(nz), b, d) for nz, b, d in int_ineqs]
+    eqs = [(dict(nz), b, d) for nz, b, d in int_eqs]
     to_drop = [j for j in range(dim) if j not in keep_set]
     empty = False
     irredundant = False
 
+    def fractions(rows, cols):
+        return [(tuple([Fraction(a[t], d) if t in a else ZERO for t in cols]), Fraction(b, d))
+                for a, b, d in rows]
+
     def prune(cheap=False):
         nonlocal ineqs, eqs, empty, irredundant
         kept_eqs = []
-        for c, d in eqs:
-            if any(c):
-                kept_eqs.append((c, d))
-            elif d != 0:
+        for row in eqs:
+            if row[0]:
+                kept_eqs.append(row)
+            elif row[1] != 0:
                 empty = True
         eqs = kept_eqs
         # cheap passes first: zero rows, exact duplicates, dominated rhs
-        best: dict[tuple, Fraction] = {}
-        for a, b in ineqs:
-            if not any(a):
+        best: dict[tuple, int] = {}
+        for a, b, _ in ineqs:
+            if not a:
                 if b < 0:
                     empty = True
                 continue
-            ca, cb = linalg.canon_ineq(a, b)
-            key = ca
-            if key not in best or cb < best[key]:
-                best[key] = cb
+            g = gcd(b, *a.values())
+            key = tuple([a[t] // g if t in a else 0 for t in range(dim)])
+            b //= g
+            if key not in best or b < best[key]:
+                best[key] = b
+        ineqs = [({t: x for t, x in enumerate(key) if x}, b, 1) for key, b in sorted(best.items())]
+        if not (empty or cheap):
+            current = HPoly(dim, fractions(ineqs, range(dim)), fractions(eqs, range(dim)))
+            if feasible_point(current) is None:
+                empty = True
+            else:
+                ineqs = [row for row, k in zip(ineqs, _nonredundant(current)) if k]
+                irredundant = True
         if empty:
-            ineqs = [([ZERO] * dim, Fraction(-1))]
-            eqs = []
-            return
-        ineqs = [(list(a), b) for a, b in sorted(best.items())]
-        if cheap:
-            return
-        current = HPoly(dim, [(tuple(a), b) for a, b in ineqs], [(tuple(c), d) for c, d in eqs])
-        if feasible_point(current) is None:
-            empty = True
-            ineqs = [([ZERO] * dim, Fraction(-1))]
-            eqs = []
-            return
-        keep_flags = _nonredundant(current)
-        ineqs = [row for row, k in zip(ineqs, keep_flags) if k]
-        irredundant = True
+            ineqs, eqs = [({}, -1, 1)], []
 
     while to_drop and not empty:
         # substitute via an equation when one mentions a variable to eliminate
-        sub = next(((ei, j) for ei, (c, _) in enumerate(eqs) for j in to_drop if c[j]), None)
+        sub = next(((ei, j) for ei, (c, _, _) in enumerate(eqs) for j in to_drop if j in c), None)
         if sub:
             ei, j = sub
-            c, d = eqs.pop(ei)
-            cj = c[j]
+            eq = eqs.pop(ei)
             for rows in (ineqs, eqs):
-                for idx, (a, b) in enumerate(rows):
-                    f = a[j]
-                    if f:
-                        ratio = f / cj
-                        na = [ak - ratio * ck for ak, ck in zip(a, c)]
-                        na[j] = ZERO
-                        rows[idx] = (na, b - ratio * d)
+                for idx, row in enumerate(rows):
+                    if j in row[0]:
+                        rows[idx] = _substitute(row, j, eq)
             to_drop.remove(j)
             prune(cheap=irredundant)
             continue
         # plain FM step on the cheapest variable
         j = min(to_drop, key=lambda j: (
-            sum(1 for a, _ in ineqs if a[j] > 0) * sum(1 for a, _ in ineqs if a[j] < 0), j))
-        pos = [(a, b) for a, b in ineqs if a[j] > 0]
-        neg = [(a, b) for a, b in ineqs if a[j] < 0]
-        zero = [(a, b) for a, b in ineqs if a[j] == 0]
-        new_rows = list(zero)
-        for ap, bp in pos:
-            for an, bn in neg:
-                lp = -an[j]
-                ln = ap[j]
-                row = [lp * x + ln * y for x, y in zip(ap, an)]
-                row[j] = ZERO
-                new_rows.append((row, lp * bp + ln * bn))
+            sum(1 for a, _, _ in ineqs if a.get(j, 0) > 0) * sum(1 for a, _, _ in ineqs if a.get(j, 0) < 0), j))
+        pos = [row for row in ineqs if row[0].get(j, 0) > 0]
+        neg = [row for row in ineqs if row[0].get(j, 0) < 0]
+        new_rows = [row for row in ineqs if j not in row[0]]
+        for p in pos:
+            new_rows += [_substitute((dict(a), b, d), j, p) for a, b, d in neg]
         ineqs = new_rows
         to_drop.remove(j)
         prune()
 
-    out_ineqs = []
-    for a, b in ineqs:
-        if any(a[j] for j in range(dim) if j not in keep_set):
-            raise InvariantViolationError("eliminated variable survived")
-        out_ineqs.append((tuple(a[j] for j in keep_set), b))
+    if any(j not in keep_set for a, _, _ in ineqs + eqs for j in a):
+        raise InvariantViolationError("eliminated variable survived")
     out_eqs = []
-    for c, d in eqs:
-        if any(c[j] for j in range(dim) if j not in keep_set):
-            raise InvariantViolationError("eliminated variable survived in equation")
-        row = (tuple(c[j] for j in keep_set), d)
-        if any(row[0]):
-            out_eqs.append(linalg.canon_eq(*row))
-        elif d != 0:
-            out_ineqs = [((ZERO,) * len(keep_set), Fraction(-1))]
-            out_eqs = []
+    for c, e, _ in eqs:
+        if c:
+            g = gcd(e, *c.values())
+            g = -g if c[min(c)] < 0 else g
+            out_eqs.append(({t: x // g for t, x in c.items()}, e // g, 1))
+        elif e != 0:
+            ineqs, out_eqs = [({}, -1, 1)], []
             break
-    return HPoly(len(keep_set), tuple(out_ineqs), tuple(out_eqs))
+    return HPoly(len(keep_set), tuple(fractions(ineqs, keep_set)), tuple(fractions(out_eqs, keep_set)))

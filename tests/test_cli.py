@@ -239,6 +239,23 @@ def test_cli_zoo_counts(capsys):
     assert "2 inequalities" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_cli_construct_colorful_k_below_one_exit2(capsys, k):
+    assert main(["construct", "colorful", "4", "--k", k]) == 2
+    assert "need 1 <= k" in capsys.readouterr().err
+
+
+def test_cli_zoo_matching_cardinality_has_no_hrep(tmp_path, capsys):
+    # matching_hrep(4) describes the whole matching polytope, not conv of
+    # the 2-matchings, so no H-representation is reported or written
+    assert main(["zoo", "matching", "4", "--cardinality", "2", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"] == {"points": 3}
+    out = tmp_path / "m42.hpoly"
+    assert main(["zoo", "matching", "4", "--cardinality", "2", "--hrep", str(out)]) == 2
+    assert "no direct H-representation" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_bounds_cube3_reports_fooling_six(tmp_path, capsys):
     h = tmp_path / "c3.hpoly"
     v = tmp_path / "c3.vpoly"

@@ -72,6 +72,22 @@ def test_fm_project_bubble3_solves_and_pivots(monkeypatch):
     assert counts == {"solves": 15, "pivots": 134}
 
 
+def test_fm_project_birkhoff3_graph_solves_and_pivots(monkeypatch):
+    # the describe workload's other FM job: the graph {(x, y) : y in Q,
+    # x = p(y)} of Birkhoff(3)'s extension, x first, projected onto x
+    ext = cx.birkhoff_extension(3)
+    n = ext.target_dim
+    z = (F(0),) * n
+    eqs = [(z + c, d) for c, d in ext.q.eqs]
+    for i, (row, off) in enumerate(zip(ext.proj.matrix, ext.proj.offset)):
+        eqs.append((linalg.unit(n, i) + tuple(-x for x in row), off))
+    graph = HPoly(n + ext.q.dim, [(z + a, b) for a, b in ext.q.ineqs], eqs)
+    counts = _count_calls(monkeypatch, solves=SOLVES, pivots=PIVOTS)
+    h = kernel.fm_project(graph, range(n))
+    assert (len(h.ineqs), len(h.eqs)) == (6, 1)
+    assert counts == {"solves": 30, "pivots": 300}
+
+
 def test_lex_min_point_one_solve(monkeypatch):
     counts = _count_calls(monkeypatch, solves=SOLVES)
     assert kernel.lex_min_point(zoo.spanning_tree_hrep(4)) == (0, 0, 1, 0, 1, 1)

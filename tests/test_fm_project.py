@@ -151,7 +151,9 @@ def systems(draw):
         # an empty system: a row and its negation pushed past it
         a, b = draw(st.sampled_from(rows + eqs))
         rows.append((tuple(-x for x in a), -b - 1))
-    keep = draw(st.lists(st.integers(0, dim - 1), max_size=dim - 1, unique=True))
+    # keeping every coordinate eliminates nothing: the rows come back as
+    # given, unscaled and unpruned
+    keep = draw(st.lists(st.integers(0, dim - 1), max_size=dim, unique=True))
     return HPoly(dim, draw(st.permutations(rows)), eqs), sorted(keep)
 
 
