@@ -1021,14 +1021,69 @@ def vertices(poly: HPoly) -> VPoly:
 # Redundancy removal, equality test, membership
 # ---------------------------------------------------------------------------
 
+def _ray_certified(poly: HPoly, z: Vec) -> set[int]:
+    """The rows that a ray from z, a point strictly slack on every row, hits
+    first and alone: just past that hit only the row is violated.  One ray
+    per row i, along a_i projected orthogonally onto {x : Cx = 0}, C the
+    equations.  In integers: each ray's dot products are streamed, and hit
+    times compared by cross-multiplying."""
+    ineqs, _ = poly._int_rows()
+    *big_z, q = linalg.homogeneous(z)
+    # q times row j's integer slack at z; slack[j]/(row j·d) is its hit time
+    # up to a factor common to every row
+    slack = [q * b - sum([x * big_z[t] for t, x in nz]) for nz, b, _ in ineqs]
+    # one elimination of [C C^T | C] solves C C^T y = C a for every a: with
+    # W_k the C-part of pivot row k, s_k its column and p the pivot,
+    # p·a - Σ_k (W_k·a) c_{s_k} is p times a's projection onto {x : Cx = 0}
+    cs = [linalg.homogeneous(c)[:-1] for c, _ in poly.eqs]
+    red, piv = linalg._eliminate([[sum([x * y for x, y in zip(c, e)]) for e in cs] + list(c) for c in cs])
+    p = red[0][piv[0]] if piv else 1
+    proj = [(red[k][len(cs):], cs[s]) for k, s in enumerate(piv)]
+    certified = set()
+    for nz, _, _ in ineqs:
+        d = [0] * poly.dim
+        for t, x in nz:
+            d[t] = p * x
+        for w, c in proj:
+            f = sum([x * w[t] for t, x in nz])
+            d = [x - f * y for x, y in zip(d, c)]
+        if not any(d):
+            continue  # a_i is constant on aff(P)
+        g = gcd(*d) if p > 0 else -gcd(*d)
+        d = [x // g for x in d]
+        hit, hit_dot, tied = None, 0, False
+        for j, (nzj, _, _) in enumerate(ineqs):
+            dot = sum([x * d[t] for t, x in nzj])
+            if dot > 0:
+                # diff > 0: row j is hit before the earliest so far; 0: with it
+                diff = slack[hit] * dot - slack[j] * hit_dot if hit is not None else 1
+                if diff >= 0:
+                    hit, hit_dot, tied = j, dot, not diff
+        if not tied:
+            certified.add(hit)
+    return certified
+
+
 def _nonredundant(poly: HPoly) -> list[bool]:
-    """Keep flags for the inequalities of a nonempty polyhedron, in row
-    order: row i is dropped when the kept rows so far, all later rows and
-    the equations imply it (one LP per row, each over rows derived from
-    poly's)."""
+    """Keep flags for the inequalities, in row order: row i is dropped when
+    the kept rows so far, all later rows and the equations imply it.
+    Raises EmptyPolyhedronError on empty input.
+
+    One max-common-slack LP gives eps and a point z.  With eps > 0 the rows
+    `_ray_certified` returns are kept with no LP, since no other rows imply
+    them.  A tie certifies nothing, so duplicates, and rows that differ by a
+    multiple of an equation, reach the LP, and the last copy survives.  Each
+    other row takes one LP over rows derived from poly's, in row order
+    against the same flags, so the flags are those of one LP per row.  With
+    eps <= 0 (implicit equalities) every row takes its LP.
+    """
+    eps, z = _max_common_slack(poly)
+    certified = _ray_certified(poly, z) if eps > 0 else set()
     rows = poly.ineqs
     keep = [True] * len(rows)
     for i, (a, b) in enumerate(rows):
+        if i in certified:
+            continue
         r = optimize(poly._derive([j for j in range(len(rows)) if keep[j] and j != i]), a, "max")
         if r.status == OPTIMAL and r.optimum <= b:
             keep[i] = False
@@ -1040,11 +1095,11 @@ def _nonredundant(poly: HPoly) -> list[bool]:
 def remove_redundancy(poly: HPoly) -> HPoly:
     """Drop inequalities implied by the rest; the point set never changes.
 
-    Each surviving row is certified non-redundant by an LP over the others.
-    Raises EmptyPolyhedronError on empty input.
+    Rows an exact ray from an interior point certifies are kept with no LP,
+    and every other row by an LP over the rest (`_nonredundant`), so the
+    output is that of one LP per row.  Raises EmptyPolyhedronError on empty
+    input.
     """
-    if feasible_point(poly) is None:
-        raise EmptyPolyhedronError("polyhedron is empty")
     rows = list(poly.ineqs)
     labels = list(poly.ineq_labels) if poly.ineq_labels is not None else None
     keep = _nonredundant(poly)
@@ -1169,17 +1224,19 @@ def fm_project(poly: HPoly, keep: Iterable[int]) -> HPoly:
     """Coordinate projection by Fourier-Motzkin elimination.
 
     keep holds 0-based coordinate indices; the output is over those
-    coordinates in ascending order.  Redundant rows are pruned by LP after
-    each elimination step to contain the blowup, except after an equation
-    substitution once a full prune has run: that prune runs only the cheap
-    passes (zero rows, canonical dedup, sort).  A substitution is an affine
-    bijection of the polyhedron, and of the one of any subset of its rows,
-    so a nonempty irredundant system stays so.
+    coordinates in ascending order.  Redundant rows are pruned by
+    `_nonredundant` after each elimination step to contain the blowup: rows
+    an exact ray certifies take no LP, the rest one LP each, with the flags
+    of one LP per row.  After an equation substitution once a full prune
+    has run, the prune runs only the cheap passes (zero rows, canonical
+    dedup, sort).  A substitution is an affine bijection of the polyhedron,
+    and of the one of any subset of its rows, so a nonempty irredundant
+    system stays so.
 
     It runs on `HPoly._int_rows` rows with {index: int} dicts: an equation
     substitution and an FM step, rows P and N as (-n_j)·P + p_j·N, are
     `_substitute`, and a prune keys a row by its gcd-reduced form.  Only the
-    LP prune and the output build Fractions; output equations are canonical.
+    full prune and the output build Fractions; output equations are canonical.
     With nothing to eliminate, the inequalities come back as given.
     """
     keep_set = sorted(set(keep))
@@ -1221,10 +1278,12 @@ def fm_project(poly: HPoly, keep: Iterable[int]) -> HPoly:
         ineqs = [({t: x for t, x in enumerate(key) if x}, b, 1) for key, b in sorted(best.items())]
         if not (empty or cheap):
             current = HPoly(dim, fractions(ineqs, range(dim)), fractions(eqs, range(dim)))
-            if feasible_point(current) is None:
+            try:
+                flags = _nonredundant(current)
+            except EmptyPolyhedronError:
                 empty = True
             else:
-                ineqs = [row for row, k in zip(ineqs, _nonredundant(current)) if k]
+                ineqs = [row for row, k in zip(ineqs, flags) if k]
                 irredundant = True
         if empty:
             ineqs, eqs = [({}, -1, 1)], []

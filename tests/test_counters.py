@@ -67,9 +67,11 @@ def test_fm_project_bubble3_solves_and_pivots(monkeypatch):
     counts = _count_calls(monkeypatch, solves=SOLVES, pivots=PIVOTS)
     h = kernel.fm_project(q, range(3))
     assert (len(h.ineqs), len(h.eqs)) == (6, 1)
-    # the LP pruning after each FM step, as in the describe workload; an
-    # equation substitution after the first full prune takes no LP
-    assert counts == {"solves": 15, "pivots": 134}
+    # the pruning after each FM step, as in the describe workload; an
+    # equation substitution after the first full prune takes no LP, and a
+    # row an exact ray certifies takes none (15 solves and 134 pivots with
+    # an emptiness LP and one LP per row)
+    assert counts == {"solves": 3, "pivots": 28}
 
 
 def test_fm_project_birkhoff3_graph_solves_and_pivots(monkeypatch):
@@ -85,7 +87,19 @@ def test_fm_project_birkhoff3_graph_solves_and_pivots(monkeypatch):
     counts = _count_calls(monkeypatch, solves=SOLVES, pivots=PIVOTS)
     h = kernel.fm_project(graph, range(n))
     assert (len(h.ineqs), len(h.eqs)) == (6, 1)
-    assert counts == {"solves": 30, "pivots": 300}
+    # 30 solves and 300 pivots with one LP per row
+    assert counts == {"solves": 12, "pivots": 137}
+
+
+def test_remove_redundancy_solves_and_pivots(monkeypatch):
+    # one max-common-slack LP, then one LP per row no exact ray certifies:
+    # every facet of ST(6) is some ray's first hit; with an emptiness LP and
+    # one LP per row these took 72 / 8,441 and 63 / 5,477
+    cases = ((zoo.spanning_tree_hrep(6), 1, 296), (zoo.permutahedron_hrep(6), 49, 4_257))
+    for poly, solves, pivots in cases:
+        counts = _count_calls(monkeypatch, solves=SOLVES, pivots=PIVOTS)
+        assert kernel.remove_redundancy(poly) == poly
+        assert counts == {"solves": solves, "pivots": pivots}
 
 
 def test_lex_min_point_one_solve(monkeypatch):

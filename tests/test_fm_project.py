@@ -3,9 +3,10 @@
 The reference below is the projection as it was before an equation
 substitution stopped taking the LP prune: after every step, substitution or
 FM, it drops zero rows, dedups canonical rows, checks emptiness by LP and
-removes redundant rows by LP.  Once one full prune has run, a substitution is
-an affine bijection and cannot make a row redundant, so both must give
-identical systems.
+removes redundant rows by one LP per row (`reference_nonredundant`, with no
+ray certificates).  Once one full prune has run, a substitution is an affine
+bijection and cannot make a row redundant, so both must give identical
+systems.
 """
 
 from fractions import Fraction
@@ -13,7 +14,8 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from polylift import linalg
-from polylift.kernel import HPoly, _nonredundant, feasible_point, fm_project
+from polylift.kernel import HPoly, feasible_point, fm_project
+from test_redundancy import reference_nonredundant
 
 F = Fraction
 ZERO = F(0)
@@ -56,7 +58,7 @@ def reference_fm_project(poly, keep):
             ineqs = [([ZERO] * dim, F(-1))]
             eqs = []
             return
-        keep_flags = _nonredundant(current)
+        keep_flags = reference_nonredundant(current)
         ineqs = [row for row, k in zip(ineqs, keep_flags) if k]
 
     while to_drop and not empty:
