@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__, bounds, constructions as cx, fileio, slack as sl, zoo
-from .errors import BudgetExceededError, InputError, PolyliftError, SizeLimitError
+from .errors import BudgetExceededError, InputError, PolyliftError
 from .kernel import hull, vertices
 
 EXIT_OK = 0
@@ -352,13 +352,10 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except (BudgetExceededError,) as e:
+    except BudgetExceededError as e:
         print(f"budget exceeded: {e}", file=sys.stderr)
         return EXIT_BUDGET
-    except (fileio.ParseError, InputError, SizeLimitError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except PolyliftError as e:
+    except (PolyliftError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
 

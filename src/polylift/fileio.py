@@ -3,12 +3,19 @@
 All rationals are written canonically ("3", "-1/2") and parse back exactly;
 lines starting with '#' are comments.  parse(serialize(x)) == x for every
 format here.
+
+One reader serves every format: _document frames a file (empty file,
+header, body, trailing content), _header reads a header line's word and
+counts, and _block reads every block of rows.  A row with no token (a point
+of dimension 0, a matrix row with no column) is written as a blank line,
+which the reader skips, so such a row takes no line.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import partial
 from math import gcd
 
 from .errors import InputError
@@ -16,7 +23,6 @@ from .kernel import AffineMap, HPoly, VPoly
 from .constructions import Extension
 from . import linalg
 
-F = Fraction
 # a canonical rational: no sign but a leading minus, no leading zero; the
 # checks after the match reject -0, a denominator 1 and an unreduced pair
 _RATIONAL = re.compile(r"(-?)(0|[1-9][0-9]*)(?:/([1-9][0-9]*))?")
@@ -27,10 +33,6 @@ class ParseError(InputError):
         self.line = line
         where = f" (line {line})" if line is not None else ""
         super().__init__(f"{message}{where}")
-
-
-def _fmt(x: Fraction) -> str:
-    return str(x)
 
 
 def _tokens(text):
@@ -63,88 +65,89 @@ def _parse_frac(tok, lineno):
     raise ParseError(f"bad rational {tok!r}, expected a canonical rational such as 3 or -1/2", lineno)
 
 
-def _parse_count(tok, lineno):
-    """A header count or dimension: a nonnegative decimal integer."""
-    if not (tok.isascii() and tok.isdigit()):
-        raise ParseError(f"bad count {tok!r}, expected a nonnegative integer", lineno)
-    return int(tok)
+def _document(text, parse_body):
+    """A whole file.  parse_body(lines, header) reads all that follows the
+    header and returns the value's constructor, called once no content
+    trails, so a file's shape is checked before its value."""
+    lines = _tokens(text)
+    header = next(lines, None)
+    if header is None:
+        raise ParseError("empty file")
+    build = parse_body(lines, header)
+    extra = next(lines, None)
+    if extra is not None:
+        raise ParseError("trailing content", extra[0])
+    return build()
+
+
+def _header(header, usage):
+    """The counts of a header line shaped like usage, e.g. 'VPOLY <dim> <#pts>';
+    each is a nonnegative decimal integer."""
+    lineno, toks = header
+    if len(toks) != len(usage.split()) or toks[0] != usage.split()[0]:
+        raise ParseError(f"expected '{usage}'", lineno)
+    for tok in toks[1:]:
+        if not (tok.isascii() and tok.isdigit()):
+            raise ParseError(f"bad count {tok!r}, expected a nonnegative integer", lineno)
+    return [int(tok) for tok in toks[1:]]
+
+
+def _block(lines, count, what, width, expected, sep=None):
+    """count rows of a block: width rationals each, or, given sep, pairs of
+    width coefficients and the rhs that follows sep.  A row with no token
+    reads no line."""
+    size = width + 2 if sep else width
+    rows = []
+    for _ in range(count):
+        if not size:
+            rows.append([])
+            continue
+        lineno, toks = next(lines, (None, None))
+        if toks is None:
+            raise ParseError(f"unexpected end of file in {what} block")
+        if len(toks) != size or (sep and toks[width] != sep):
+            raise ParseError(f"expected {expected}", lineno)
+        if sep:
+            del toks[width]
+        row = [_parse_frac(t, lineno) for t in toks]
+        rows.append((row[:width], row[width]) if sep else row)
+    return rows
 
 
 def serialize_hpoly(poly: HPoly) -> str:
     out = [f"HPOLY {poly.dim} {len(poly.ineqs)} {len(poly.eqs)}"]
     for a, b in poly.ineqs:
-        out.append(" ".join(_fmt(x) for x in a) + f" <= {_fmt(b)}")
+        out.append(" ".join(str(x) for x in a) + f" <= {b}")
     for c, d in poly.eqs:
-        out.append(" ".join(_fmt(x) for x in c) + f" = {_fmt(d)}")
+        out.append(" ".join(str(x) for x in c) + f" = {d}")
     return "\n".join(out) + "\n"
 
 
-def _parse_hpoly_lines(lines, header):
-    lineno, toks = header
-    if len(toks) != 4 or toks[0] != "HPOLY":
-        raise ParseError("expected 'HPOLY <dim> <#ineq> <#eq>'", lineno)
-    dim, ni, ne = (_parse_count(t, lineno) for t in toks[1:])
-    ineqs = []
-    eqs = []
-    for _ in range(ni):
-        lineno, toks = next(lines, (None, None))
-        if toks is None:
-            raise ParseError("unexpected end of file in inequality block")
-        if len(toks) != dim + 2 or toks[dim] != "<=":
-            raise ParseError(f"expected {dim} coefficients, '<=', rhs", lineno)
-        a = [_parse_frac(t, lineno) for t in toks[:dim]]
-        ineqs.append((a, _parse_frac(toks[dim + 1], lineno)))
-    for _ in range(ne):
-        lineno, toks = next(lines, (None, None))
-        if toks is None:
-            raise ParseError("unexpected end of file in equation block")
-        if len(toks) != dim + 2 or toks[dim] != "=":
-            raise ParseError(f"expected {dim} coefficients, '=', rhs", lineno)
-        c = [_parse_frac(t, lineno) for t in toks[:dim]]
-        eqs.append((c, _parse_frac(toks[dim + 1], lineno)))
-    return HPoly(dim, ineqs, eqs)
+def _hpoly(lines, header):
+    dim, ni, ne = _header(header, "HPOLY <dim> <#ineq> <#eq>")
+    ineqs = _block(lines, ni, "inequality", dim, f"{dim} coefficients, '<=', rhs", "<=")
+    eqs = _block(lines, ne, "equation", dim, f"{dim} coefficients, '=', rhs", "=")
+    return partial(HPoly, dim, ineqs, eqs)
 
 
 def parse_hpoly(text: str) -> HPoly:
-    lines = _tokens(text)
-    header = next(lines, None)
-    if header is None:
-        raise ParseError("empty file")
-    poly = _parse_hpoly_lines(lines, header)
-    extra = next(lines, None)
-    if extra is not None:
-        raise ParseError("trailing content", extra[0])
-    return poly
+    return _document(text, _hpoly)
 
 
 def serialize_vpoly(poly: VPoly) -> str:
     out = [f"VPOLY {poly.dim} {len(poly.vertices)}"]
     for p in poly.vertices:
-        out.append(" ".join(_fmt(x) for x in p))
+        out.append(" ".join(str(x) for x in p))
     return "\n".join(out) + "\n"
 
 
+def _vpoly(lines, header):
+    dim, npts = _header(header, "VPOLY <dim> <#pts>")
+    return partial(VPoly, dim, _block(lines, npts, "point", dim, f"{dim} coordinates"))
+
+
 def parse_vpoly(text: str) -> VPoly:
-    lines = _tokens(text)
-    header = next(lines, None)
-    if header is None:
-        raise ParseError("empty file")
-    lineno, toks = header
-    if len(toks) != 3 or toks[0] != "VPOLY":
-        raise ParseError("expected 'VPOLY <dim> <#pts>'", lineno)
-    dim, np_ = (_parse_count(t, lineno) for t in toks[1:])
-    pts = []
-    for _ in range(np_):
-        lineno, toks = next(lines, (None, None))
-        if toks is None:
-            raise ParseError("unexpected end of file in point block")
-        if len(toks) != dim:
-            raise ParseError(f"expected {dim} coordinates", lineno)
-        pts.append([_parse_frac(t, lineno) for t in toks])
-    extra = next(lines, None)
-    if extra is not None:
-        raise ParseError("trailing content", extra[0])
-    return VPoly(dim, pts)
+    return _document(text, _vpoly)
 
 
 def serialize_extension(ext: Extension) -> str:
@@ -154,43 +157,26 @@ def serialize_extension(ext: Extension) -> str:
     out.append(serialize_hpoly(ext.q).rstrip("\n"))
     out.append("PROJ")
     for row, off in zip(ext.proj.matrix, ext.proj.offset):
-        out.append(" ".join(_fmt(x) for x in row) + f" {_fmt(off)}")
+        out.append(" ".join(str(x) for x in row) + f" {off}")
     return "\n".join(out) + "\n"
 
 
 def parse_extension(text: str, name: str = "file") -> Extension:
-    lines = _tokens(text)
-    header = next(lines, None)
-    if header is None:
-        raise ParseError("empty file")
-    lineno, toks = header
-    if len(toks) != 3 or toks[0] != "EXT":
-        raise ParseError("expected 'EXT <d> <n>'", lineno)
-    d, n = (_parse_count(t, lineno) for t in toks[1:])
-    hheader = next(lines, None)
-    if hheader is None:
-        raise ParseError("missing HPOLY block")
-    q = _parse_hpoly_lines(lines, hheader)
-    if q.dim != d:
-        raise ParseError(f"EXT declares d={d} but HPOLY has dim {q.dim}")
-    lineno, toks = next(lines, (None, None))
-    if toks is None or toks != ["PROJ"]:
-        raise ParseError("expected 'PROJ'", lineno)
-    rows = []
-    offs = []
-    for _ in range(n):
+    def body(lines, header):
+        d, n = _header(header, "EXT <d> <n>")
+        hheader = next(lines, None)
+        if hheader is None:
+            raise ParseError("missing HPOLY block")
+        q = _hpoly(lines, hheader)()
+        if q.dim != d:
+            raise ParseError(f"EXT declares d={d} but HPOLY has dim {q.dim}", hheader[0])
         lineno, toks = next(lines, (None, None))
-        if toks is None:
-            raise ParseError("unexpected end of file in projection block")
-        if len(toks) != d + 1:
-            raise ParseError(f"expected {d}+1 rationals", lineno)
-        vals = [_parse_frac(t, lineno) for t in toks]
-        rows.append(vals[:d])
-        offs.append(vals[d])
-    extra = next(lines, None)
-    if extra is not None:
-        raise ParseError("trailing content", extra[0])
-    return Extension(q, AffineMap(rows, offs), n, name)
+        if toks != ["PROJ"]:
+            raise ParseError("expected 'PROJ'", lineno)
+        rows = _block(lines, n, "projection", d + 1, f"{d}+1 rationals")
+        return partial(Extension, q, AffineMap([r[:d] for r in rows], [r[d] for r in rows]), n, name)
+
+    return _document(text, body)
 
 
 def serialize_matrix(m, row_labels=None, col_labels=None) -> str:
@@ -205,39 +191,25 @@ def serialize_matrix(m, row_labels=None, col_labels=None) -> str:
         for j, lab in enumerate(col_labels):
             out.append(f"# col {j}: {lab}")
     for row in mm:
-        out.append(" ".join(_fmt(x) for x in row))
+        out.append(" ".join(str(x) for x in row))
     return "\n".join(out) + "\n"
 
 
 def parse_matrix(text: str):
-    lines = _tokens(text)
-    header = next(lines, None)
-    if header is None:
-        raise ParseError("empty file")
-    lineno, toks = header
-    if len(toks) != 3 or toks[0] != "MATRIX":
-        raise ParseError("expected 'MATRIX <rows> <cols>'", lineno)
-    rows, cols = (_parse_count(t, lineno) for t in toks[1:])
-    out = []
-    for _ in range(rows):
-        lineno, toks = next(lines, (None, None))
-        if toks is None:
-            raise ParseError("unexpected end of file in matrix block")
-        if len(toks) != cols:
-            raise ParseError(f"expected {cols} entries", lineno)
-        out.append([_parse_frac(t, lineno) for t in toks])
-    extra = next(lines, None)
-    if extra is not None:
-        raise ParseError("trailing content", extra[0])
-    return linalg.mat(out)
+    def body(lines, header):
+        rows, cols = _header(header, "MATRIX <rows> <cols>")
+        return partial(linalg.mat, _block(lines, rows, "matrix", cols, f"{cols} entries"))
+
+    return _document(text, body)
 
 
 def sniff_poly(text: str):
     """Parse an .hpoly or .vpoly file by its header token."""
-    for _lineno, toks in _tokens(text):
-        if toks[0] == "HPOLY":
-            return parse_hpoly(text)
-        if toks[0] == "VPOLY":
-            return parse_vpoly(text)
-        raise ParseError(f"unknown header {toks[0]!r}")
-    raise ParseError("empty file")
+    def body(lines, header):
+        lineno, toks = header
+        parse_body = {"HPOLY": _hpoly, "VPOLY": _vpoly}.get(toks[0])
+        if parse_body is None:
+            raise ParseError(f"unknown header {toks[0]!r}", lineno)
+        return parse_body(lines, header)
+
+    return _document(text, body)
