@@ -509,19 +509,16 @@ def embedding_check(
     ext: Extension,
     *,
     ext_vrep: VPoly | None = None,
-    max_facets: int = 12,
-    max_vertices: int = 12,
 ) -> bool:
     """Mapping each face of P to its preimage in Q embeds L(P) into L(Q).
 
     Confirms that every preimage is a face of Q and that the map is injective
-    and strictly order-preserving on the computed lattices.
+    and strictly order-preserving on the computed lattices, each of at most
+    12 facets or at most 12 vertices.
     """
-    lp = face_lattice(
-        target_hrep, target_vrep, max_facets=max_facets, max_vertices=max_vertices
-    )
+    lp = face_lattice(target_hrep, target_vrep, max_facets=12, max_vertices=12)
     qv = ext_vrep if ext_vrep is not None else vertices(ext.q)
-    lq = face_lattice(ext.q, qv, max_facets=max_facets, max_vertices=max_vertices)
+    lq = face_lattice(ext.q, qv, max_facets=12, max_vertices=12)
     q_faces = set(lq.faces)
 
     nv = len(target_vrep.vertices)

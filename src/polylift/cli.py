@@ -58,8 +58,11 @@ def _write(path: str, text: str):
 
 
 def _read(path: str) -> str:
-    with open(path) as fh:
-        return fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise InputError(f"{path} is not UTF-8 text: {e.reason} at byte {e.start}") from None
 
 
 def _cmd_zoo(args) -> int:

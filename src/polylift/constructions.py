@@ -21,8 +21,10 @@ from .kernel import (
     AffineMap,
     HPoly,
     VPoly,
+    _image_violations,
+    _outside_image,
     hull,
-    optimize,
+    optimize,  # unused here, but perfbench's tracer test reads constructions.optimize
     optimize_all,
     vertices,
 )
@@ -77,100 +79,58 @@ class VerifyReport:
     projection_bounded: bool = True
 
 
-def verify_extension(
-    target,
-    ext: Extension,
-    *,
-    target_vrep: VPoly | None = None,
-    target_hrep: HPoly | None = None,
-) -> VerifyReport:
+def verify_extension(target, ext: Extension, *, target_vrep: VPoly | None = None) -> VerifyReport:
     """Certify p(Q) = target exactly.
 
     target may be an HPoly or a VPoly; whichever representation is missing is
-    computed (hull / vertex enumeration), or supplied via the keyword hints to
-    avoid recomputation.  Direction (a), target inside the projection, checks
-    one preimage per target vertex (lift hint by substitution, else an exact
-    feasibility LP).  Direction (b), projection inside the target, solves one
-    exact LP per target row and per equation direction.
+    computed (hull / vertex enumeration), or, for an HPoly target, supplied
+    as target_vrep to avoid recomputation.  Direction (a), target inside the
+    projection, checks one preimage per target vertex (lift hint by
+    substitution, else an exact feasibility LP, `kernel._outside_image`).
+    Direction (b), projection inside the target, solves one exact LP per
+    target row and per equation direction (`kernel._image_violations`).
     """
-    if isinstance(target, HPoly):
-        hrep = target
-        vrep = target_vrep
-    elif isinstance(target, VPoly):
-        vrep = target
-        hrep = target_hrep
-    else:
+    if not isinstance(target, (HPoly, VPoly)):
         raise InputError("target must be an HPoly or a VPoly")
-    if (hrep.dim if hrep else vrep.dim) != ext.target_dim:
+    if target.dim != ext.target_dim:
         raise InputError("target dimension does not match the extension")
-    if hrep is None:
-        hrep = hull(vrep)
-    if vrep is None:
-        vrep = vertices(hrep)
+    if isinstance(target, HPoly):
+        hrep, vrep = target, target_vrep if target_vrep is not None else vertices(target)
+    else:
+        hrep, vrep = hull(target), target
     if hrep.dim != vrep.dim:
         raise InputError("target descriptions disagree on dimension")
 
-    report = VerifyReport(
-        name=ext.name, passed=True, size=ext.size(), target_dim=ext.target_dim
-    )
-    q = ext.q
-    pm = ext.proj.matrix
-    poff = ext.proj.offset
+    report = VerifyReport(name=ext.name, passed=True, size=ext.size(), target_dim=ext.target_dim,
+                          checked_vertices=len(vrep.vertices))
+    q, proj = ext.q, ext.proj
 
     # (a) every vertex of the target has a preimage in Q
+    missed = []
     for v in vrep.vertices:
-        report.checked_vertices += 1
-        ok = False
-        if ext.lift is not None:
-            y = ext.lift(v)
-            if y is not None:
-                y = linalg.vec(y)
-                if len(y) == q.dim and q.contains(y) and ext.proj.apply(y) == v:
-                    ok = True
-                    report.lift_hits += 1
-        if not ok:
-            rows = [(pm[i], v[i] - poff[i]) for i in range(ext.target_dim)]
-            fr = optimize(q._derive(eqs=rows), linalg.zeros(q.dim), "min")
-            ok = fr.status != "infeasible"
-        if not ok:
-            report.vertex_failures.append(v)
-            report.passed = False
+        y = ext.lift(v) if ext.lift is not None else None
+        if y is not None:
+            y = linalg.vec(y)
+            if len(y) == q.dim and q.contains(y) and proj.apply(y) == v:
+                report.lift_hits += 1
+                continue
+        missed.append(v)
+    report.vertex_failures = list(_outside_image(q, proj, missed))
 
-    # (b) the projection satisfies every row of the target description: one
-    # LP per row over Q, all in one batch after a zero objective that decides
-    # whether Q is empty
-    checks = []
-    for idx, (a, b) in enumerate(hrep.ineqs):
-        checks.append((hrep.row_label(idx), a, b, "max"))
-    for idx, (c, d) in enumerate(hrep.eqs):
-        label = hrep.eq_labels[idx] if hrep.eq_labels else f"eq{idx}"
-        checks.append((label, c, d, "max"))
-        checks.append((label, c, d, "min"))
-    objectives = [(linalg.zeros(q.dim), "min")]
-    for _, a, _, sense in checks:
-        cy = ext.proj.pull_back(a) if pm else linalg.zeros(q.dim)
-        objectives.append((cy, sense))
-    first, *results = optimize_all(q, objectives)
-    if first.status == "infeasible":
+    # (b) the projection satisfies every row of the target description
+    point, fails = _image_violations(q, proj, hrep)
+    if point is None:
         report.extension_empty = True
-        if vrep.vertices:
-            report.passed = False
+        report.passed = not vrep.vertices
         return report
-
-    for (label, a, bound, sense), r in zip(checks, results):
-        report.checked_rows += 1
-        shift = linalg.dot(a, poff)
-        if r.status == "unbounded":
-            report.projection_bounded = False
-            report.row_failures.append((label, "unbounded", bound, r.dual_certificate))
-            report.passed = False
-            continue
-        val = r.optimum + shift
-        bad = val > bound if sense == "max" else val < bound
-        if bad:
-            witness = ext.proj.apply(r.primal_point)
-            report.row_failures.append((label, val, bound, witness))
-            report.passed = False
+    report.checked_rows = len(hrep.ineqs) + 2 * len(hrep.eqs)
+    rows, m = hrep.ineqs + hrep.eqs, len(hrep.ineqs)
+    for i, r, value in fails:
+        label = hrep.row_label(i) if i < m else hrep.eq_labels[i - m] if hrep.eq_labels else f"eq{i - m}"
+        witness = r.dual_certificate if value is None else proj.apply(r.primal_point)
+        report.row_failures.append((label, "unbounded" if value is None else value, rows[i][1], witness))
+    report.projection_bounded = all(value is not None for _, _, value in fails)
+    report.passed = not report.vertex_failures and not fails
     return report
 
 

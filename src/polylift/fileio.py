@@ -92,17 +92,16 @@ def _header(header, usage):
     return [int(tok) for tok in toks[1:]]
 
 
-def _block(lines, count, what, width, expected, sep=None):
+def _block(lines, count, what, width, expected, sep=None, at=None):
     """count rows of a block: width rationals each, or, given sep, pairs of
     width coefficients and the rhs that follows sep.  A row with no token
-    reads no line."""
+    reads no line.  Each row's line number (None when it has none) goes to at."""
     size = width + 2 if sep else width
     rows = []
     for _ in range(count):
-        if not size:
-            rows.append([])
-            continue
-        lineno, toks = next(lines, (None, None))
+        lineno, toks = next(lines, (None, None)) if size else (None, [])
+        if at is not None:
+            at.append(lineno)
         if toks is None:
             raise ParseError(f"unexpected end of file in {what} block")
         if len(toks) != size or (sep and toks[width] != sep):
@@ -143,7 +142,17 @@ def serialize_vpoly(poly: VPoly) -> str:
 
 def _vpoly(lines, header):
     dim, npts = _header(header, "VPOLY <dim> <#pts>")
-    return partial(VPoly, dim, _block(lines, npts, "point", dim, f"{dim} coordinates"))
+    at = []
+    pts = _block(lines, npts, "point", dim, f"{dim} coordinates", at=at)
+
+    def build():
+        first = {}
+        for i, p in enumerate(map(tuple, pts)):
+            if first.setdefault(p, i) != i:  # a point of dimension 0 has no line of its own
+                raise ParseError("duplicate vertices are not allowed", at[i] or header[0])
+        return VPoly(dim, pts)
+
+    return build
 
 
 def parse_vpoly(text: str) -> VPoly:

@@ -13,9 +13,12 @@ from the homogeneous points to the facet rows (`_hull_int`): the affine
 set-up, the polar seed simplex (one fraction-free inverse) and the double
 description core.  Every LP goes
 through `optimize_all`: its answers carry points, and rays when unbounded,
-and every internal verdict rests on them.  `lp_solve` adds a dual vector or
-a Farkas vector, the solution of a second LP over the same rows, which
-exact dot products alone can check.
+and every internal verdict rests on them.  The two containment questions
+of `verify_extension`, `poly_equal` and `is_vertex` (is x in proj(Q)? does
+proj(Q) lie in P?) are asked in one place each, `_outside_image` and
+`_image_violations`.  `lp_solve` adds a dual vector or a Farkas vector, the
+solution of a second LP over the same rows, which exact dot products alone
+can check.
 Operations are safe to call concurrently on shared inputs; the only hidden
 state is that integer row form, which an `HPoly` builds on first use (or
 takes from the `HPoly` it is derived from, for an LP over the same rows plus
@@ -1108,65 +1111,72 @@ def remove_redundancy(poly: HPoly) -> HPoly:
     return HPoly(poly.dim, new_rows, poly.eqs, new_labels, poly.eq_labels)
 
 
-def _point_in_vpoly(x: Vec, v: VPoly) -> bool:
-    """Exact membership of x in conv(v) by feasibility LP over the weights."""
-    nv = len(v.vertices)
-    eqs = []
-    for r in range(v.dim):
-        eqs.append((tuple(p[r] for p in v.vertices), x[r]))
-    eqs.append(((ONE,) * nv, ONE))
-    ineqs = [(tuple(-ONE if j == i else ZERO for j in range(nv)), ZERO) for i in range(nv)]
-    return feasible_point(HPoly(nv, ineqs, eqs)) is not None
+# ---------------------------------------------------------------------------
+# Containment of an image proj(q): the LPs of verify_extension and poly_equal
+# ---------------------------------------------------------------------------
+
+def _outside_image(q: HPoly, proj: AffineMap, points):
+    """Yield, in order and lazily, each point x of points with no y in q and
+    proj(y) = x: one feasibility LP per point, over q plus the equations
+    proj's rows · y = x - offset."""
+    for x in points:
+        rows = [(row, xi - o) for row, xi, o in zip(proj.matrix, x, proj.offset)]
+        if optimize(q._derive(eqs=rows), linalg.zeros(q.dim), "min").status == INFEASIBLE:
+            yield x
+
+
+def _image_violations(q: HPoly, proj: AffineMap, p: HPoly):
+    """Does proj(q) lie in p?  One LP batch over q: a zero objective, which
+    decides whether q is empty, then each inequality of p maximized and each
+    equation maximized and minimized, pulled back through proj.
+
+    Returns a point of q (None when q is empty) and the failing rows in that
+    order, each as (i, LPResult, value): i indexes p.ineqs + p.eqs, and value
+    is the row's optimum over proj(q), or None when the row is unbounded
+    there (the LPResult then carries a ray of q)."""
+    checks = [(i, a, b, "max") for i, (a, b) in enumerate(p.ineqs)]
+    for i, (c, d) in enumerate(p.eqs, len(p.ineqs)):
+        checks += [(i, c, d, "max"), (i, c, d, "min")]
+    zero = linalg.zeros(q.dim)
+    first, *results = optimize_all(
+        q, [(zero, "min")] + [(proj.pull_back(a) if proj.matrix else zero, s) for _, a, _, s in checks]
+    )
+    if first.status == INFEASIBLE:
+        return None, []
+    fails = []
+    for (i, a, b, sense), r in zip(checks, results):
+        value = None if r.status == UNBOUNDED else r.optimum + linalg.dot(a, proj.offset)
+        if value is None or (value > b if sense == "max" else value < b):
+            fails.append((i, r, value))
+    return first.primal_point, fails
+
+
+def _conv(dim: int, pts) -> tuple[HPoly, AffineMap]:
+    """conv(pts) as the image of the standard simplex {λ >= 0, Σλ = 1} under
+    λ ↦ Vλ, the columns of V the points."""
+    n = len(pts)
+    std = HPoly(n, [(tuple(-x for x in linalg.unit(n, i)), ZERO) for i in range(n)], [((ONE,) * n, ONE)])
+    return std, AffineMap(linalg.transpose(pts), linalg.zeros(dim))
 
 
 def is_vertex(points: VPoly, index: int) -> bool:
     """True iff points.vertices[index] is a vertex of the hull of all points."""
-    rest = VPoly(
-        points.dim,
-        tuple(p for i, p in enumerate(points.vertices) if i != index),
-    )
-    if not rest.vertices:
+    rest = [p for i, p in enumerate(points.vertices) if i != index]
+    if not rest:
         return True
-    return not _point_in_vpoly(points.vertices[index], rest)
+    return next(_outside_image(*_conv(points.dim, rest), [points.vertices[index]]), None) is not None
 
 
-def _hpoly_subset(a: HPoly, b: HPoly):
-    """Is the point set of a contained in b?
-
-    Returns (point of a or None when a is empty, bool, witness in a\\b).
-    One LP per row of b (two per equation) over a, all in one batch after a
-    zero objective that decides emptiness and gives the point of a; the
-    first failing row in b's row order gives the witness."""
-    checks = [(row, rhs, "max") for row, rhs in b.ineqs]
-    for c, d in b.eqs:
-        checks += [(c, d, "max"), (c, d, "min")]
-    first, *results = optimize_all(
-        a, [(linalg.zeros(a.dim), "min")] + [(rowvec, sense) for rowvec, _, sense in checks]
-    )
-    if first.status == INFEASIBLE:
-        return None, True, None
-    for (rowvec, rhs, sense), r in zip(checks, results):
-        if r.status == UNBOUNDED:
-            # walk along the improving ray until this row of b is violated
-            point, ray = r.primal_point, r.dual_certificate
-            base = linalg.dot(rowvec, point)
-            step = linalg.dot(rowvec, ray)
-            t = max((rhs - base) / step + 1, ONE)
-            witness = tuple(p + t * q for p, q in zip(point, ray))
-            return first.primal_point, False, witness
-        if r.status == OPTIMAL and (r.optimum > rhs if sense == "max" else r.optimum < rhs):
-            return first.primal_point, False, r.primal_point
-    return first.primal_point, True, None
-
-
-def _one_side_empty(x1, x2) -> PolyEqualResult | None:
-    """The answer when a side is empty, from a point of each side (None for
-    an empty side); None when both sides are nonempty."""
-    if x1 is None:
-        return PolyEqualResult(True) if x2 is None else PolyEqualResult(False, x2, 2)
-    if x2 is None:
-        return PolyEqualResult(False, x1, 1)
-    return None
+def _row_witness(p: HPoly, fail) -> Vec:
+    """A point outside p from a failing row of `_image_violations` under the
+    identity map: the row's optimal point, or one far enough along its ray."""
+    i, r, value = fail
+    if value is not None:
+        return r.primal_point
+    a, b = (p.ineqs + p.eqs)[i]
+    point, ray = r.primal_point, r.dual_certificate
+    t = max((b - linalg.dot(a, point)) / linalg.dot(a, ray) + 1, ONE)
+    return tuple(x + t * d for x, d in zip(point, ray))
 
 
 def poly_equal(p1: HPoly | VPoly, p2: HPoly | VPoly) -> PolyEqualResult:
@@ -1174,46 +1184,40 @@ def poly_equal(p1: HPoly | VPoly, p2: HPoly | VPoly) -> PolyEqualResult:
 
     On failure the result carries a point lying in exactly one of them and
     which side (1 or 2) contains it.  Each H-described side takes one LP
-    batch, whose leading zero objective also decides its emptiness.
+    batch, whose leading zero objective also decides its emptiness; a
+    V-described side is the image of a simplex, one LP per point tested.
     """
     if p1.dim != p2.dim:
         raise InputError("dimension mismatch")
-
-    if isinstance(p1, HPoly) and isinstance(p2, HPoly):
-        x1, ok1, w1 = _hpoly_subset(p1, p2)
-        x2, ok2, w2 = _hpoly_subset(p2, p1)
-        res = _one_side_empty(x1, x2)
-        if res is not None:
-            return res
-        if not ok1:
-            return PolyEqualResult(False, w1, 1)
-        if not ok2:
-            return PolyEqualResult(False, w2, 2)
-        return PolyEqualResult(True)
-
-    if isinstance(p1, VPoly) and isinstance(p2, VPoly):
-        res = _one_side_empty(p1.vertices[0] if p1.vertices else None,
-                              p2.vertices[0] if p2.vertices else None)
-        if res is not None:
-            return res
-        for v in p1.vertices:
-            if not _point_in_vpoly(v, p2):
-                return PolyEqualResult(False, v, 1)
-        for v in p2.vertices:
-            if not _point_in_vpoly(v, p1):
-                return PolyEqualResult(False, v, 2)
-        return PolyEqualResult(True)
-
-    (v, v_side), (h, h_side) = ((p1, 1), (p2, 2)) if isinstance(p1, VPoly) else ((p2, 2), (p1, 1))
-    if not v.vertices:
-        x = feasible_point(h)
-        return PolyEqualResult(True) if x is None else PolyEqualResult(False, x, h_side)
-    # An empty h fails here at v's first vertex.
-    for p in v.vertices:
-        if not h.contains(p):
-            return PolyEqualResult(False, p, v_side)
-    _, ok, w = _hpoly_subset(h, hull(v))
-    return PolyEqualResult(True) if ok else PolyEqualResult(False, w, h_side)
+    ident = AffineMap.linear(linalg.identity(p1.dim))
+    if isinstance(p1, VPoly) != isinstance(p2, VPoly):
+        (v, v_side), (h, h_side) = ((p1, 1), (p2, 2)) if isinstance(p1, VPoly) else ((p2, 2), (p1, 1))
+        if not v.vertices:
+            x = feasible_point(h)
+            return PolyEqualResult(True) if x is None else PolyEqualResult(False, x, h_side)
+        # An empty h fails here at v's first vertex.
+        for p in v.vertices:
+            if not h.contains(p):
+                return PolyEqualResult(False, p, v_side)
+        hv = hull(v)
+        _, fails = _image_violations(h, ident, hv)
+        return PolyEqualResult(False, _row_witness(hv, fails[0]), h_side) if fails else PolyEqualResult(True)
+    # a point of each side (None for an empty side), then the points outside
+    # the other side, lazily for V-described sides
+    if isinstance(p1, HPoly):
+        (x1, fails1), (x2, fails2) = _image_violations(p1, ident, p2), _image_violations(p2, ident, p1)
+        outside = [(_row_witness(p, f[0]), side) for p, f, side in ((p2, fails1, 1), (p1, fails2, 2)) if f]
+    else:
+        x1, x2 = (p.vertices[0] if p.vertices else None for p in (p1, p2))
+        outside = ((x, side) for p, other, side in ((p1, p2, 1), (p2, p1, 2))
+                   for x in _outside_image(*_conv(other.dim, other.vertices), p.vertices))
+    if x1 is None:
+        return PolyEqualResult(True) if x2 is None else PolyEqualResult(False, x2, 2)
+    if x2 is None:
+        return PolyEqualResult(False, x1, 1)
+    for x, side in outside:
+        return PolyEqualResult(False, x, side)
+    return PolyEqualResult(True)
 
 
 # ---------------------------------------------------------------------------

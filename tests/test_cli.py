@@ -222,6 +222,20 @@ def test_cli_parse_error_exit2(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("which", ["target", "extension"])
+@pytest.mark.parametrize("raw", [b"\xff\xfeH\x00P\x00", b"HPOLY 1 1 0\n1 <= 1 # caf\xe9\n"])
+def test_cli_non_utf8_input_exit2(tmp_path, capsys, which, raw):
+    # exit 1 would mean "verified-false"; an unreadable file is an input error
+    hfile, efile = tmp_path / "b1.hpoly", tmp_path / "b1.ext"
+    main(["zoo", "permutahedron", "1", "--hrep", str(hfile)])
+    main(["construct", "birkhoff", "1", "--out", str(efile)])
+    bad = hfile if which == "target" else efile
+    bad.write_bytes(raw)
+    capsys.readouterr()
+    assert main(["verify", str(hfile), str(efile)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad} is not UTF-8 text: invalid")
+
+
 def test_cli_construct_knapsack_and_martin(capsys):
     assert main(["construct", "knapsack", "--w", "2,3,4", "--W", "6"]) == 0
     assert "size 11" in capsys.readouterr().out

@@ -183,6 +183,7 @@ CHANGED_CASES = (
     "zero-width rows take no line",
     "unknown header names its line",
     "EXT dimension mismatch names the HPOLY header line",
+    "a repeated point is a ParseError at its line",
 )
 
 
@@ -194,6 +195,21 @@ def _zero_width_header(text):
         return False
     word, a, b = first[1][0], int(first[1][1]), int(first[1][2])
     return (word == "VPOLY" and a == 0 and b > 0) or (word == "MATRIX" and a > 0 and b == 0)
+
+
+def _first_repeat_line(text):
+    """In a VPOLY file whose shape is right, the line of the first point equal
+    to an earlier one (entries are canonical, so equal points have equal
+    tokens), or the header line when the points have dimension 0."""
+    (head, toks), *rows = fileio._tokens(text)
+    if int(toks[1]) == 0:
+        return head
+    seen = set()
+    for lineno, row in rows:
+        if tuple(row) in seen:
+            return lineno
+        seen.add(tuple(row))
+    return None
 
 
 def changed_case(text, old, new):
@@ -209,6 +225,9 @@ def changed_case(text, old, new):
         lines = [n for n, _ in fileio._tokens(text)]
         if old[1].startswith("EXT declares d=") and new[2] == lines[1]:
             return CHANGED_CASES[2]
+    if old == ("InputError", "duplicate vertices are not allowed") and new[0] == "ParseError" \
+            and new[1] == f"{old[1]} (line {new[2]})" and new[2] == _first_repeat_line(text):
+        return CHANGED_CASES[3]
     return None
 
 
@@ -292,6 +311,8 @@ def test_readers_match_reference_on_mutated_files(seed, data):
     ("parse_matrix", "MATRIX 2 0\n1\n", CHANGED_CASES[0]),
     ("sniff_poly", "# c\nX 1\n", CHANGED_CASES[1]),
     ("parse_extension", "EXT 2 0\n\nHPOLY 1 0 0\nPROJ\n", CHANGED_CASES[2]),
+    ("parse_vpoly", "VPOLY 1 2\n0\n0\n", CHANGED_CASES[3]),
+    ("sniff_poly", "VPOLY 1 3\n0\n# c\n1\n0\n", CHANGED_CASES[3]),
 ])
 def test_each_changed_case_differs_from_reference(name, text, case):
     ref, parse = PARSERS[name]
@@ -315,6 +336,16 @@ def test_trailing_content_is_reported_before_the_value_is_checked():
     with pytest.raises(ParseError) as info:
         fileio.parse_vpoly("VPOLY 1 2\n0\n0\n1\n")
     assert str(info.value) == "trailing content (line 4)"
+
+
+def test_a_repeated_point_names_its_line():
+    with pytest.raises(ParseError) as info:
+        fileio.parse_vpoly("VPOLY 1 2\n0\n0\n")
+    assert (str(info.value), info.value.line) == ("duplicate vertices are not allowed (line 3)", 3)
+    # points of dimension 0 take no line, so the header's count is at fault
+    with pytest.raises(ParseError) as info:
+        fileio.sniff_poly("# c\nVPOLY 0 2\n")
+    assert info.value.line == 2
 
 
 def test_unknown_header_names_its_line():
