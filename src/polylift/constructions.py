@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Callable, Sequence
 
 from . import linalg
-from .errors import InputError, InvariantViolationError, SizeLimitError
+from .errors import EmptyPolyhedronError, InputError, InvariantViolationError, SizeLimitError
 from .kernel import (
     AffineMap,
     HPoly,
@@ -84,7 +84,9 @@ def verify_extension(target, ext: Extension, *, target_vrep: VPoly | None = None
 
     target may be an HPoly or a VPoly; whichever representation is missing is
     computed (hull / vertex enumeration), or, for an HPoly target, supplied
-    as target_vrep to avoid recomputation.  Direction (a), target inside the
+    as target_vrep to avoid recomputation.  An empty target has no vertices,
+    and an empty VPoly target is described by the one row 0·x <= -1, so
+    either passes exactly when Q is empty.  Direction (a), target inside the
     projection, checks one preimage per target vertex (lift hint by
     substitution, else an exact feasibility LP, `kernel._outside_image`).
     Direction (b), projection inside the target, solves one exact LP per
@@ -95,9 +97,15 @@ def verify_extension(target, ext: Extension, *, target_vrep: VPoly | None = None
     if target.dim != ext.target_dim:
         raise InputError("target dimension does not match the extension")
     if isinstance(target, HPoly):
-        hrep, vrep = target, target_vrep if target_vrep is not None else vertices(target)
+        hrep, vrep = target, target_vrep
+        if vrep is None:
+            try:
+                vrep = vertices(target)
+            except EmptyPolyhedronError:
+                vrep = VPoly(target.dim, [])
     else:
-        hrep, vrep = hull(target), target
+        hrep = hull(target) if target.vertices else HPoly(target.dim, [((ZERO,) * target.dim, -ONE)])
+        vrep = target
     if hrep.dim != vrep.dim:
         raise InputError("target descriptions disagree on dimension")
 

@@ -289,19 +289,22 @@ class PolyEqualResult:
 
 
 # ---------------------------------------------------------------------------
-# LP layer: each optimize_all or lex_min_point call makes one
+# LP layer: each optimize_all or _lex_fibers call makes one
 # simplex.solve_standard call, which runs phase 1 once and gives each
-# objective its own phase 2 (lex_min_point: one per coordinate, each on the
-# optimal face of the coordinates before it); lp_solve is two optimize calls
+# objective its own phase 2 (_lex_fibers: one per coordinate, each on the
+# optimal face of the coordinates before it, for each right-hand side in
+# turn); lp_solve is two optimize calls
 # ---------------------------------------------------------------------------
 
-def _assemble_standard(dim, ineqs, eqs, costs_min, nonneg):
+def _assemble_standard(dim, ineqs, eqs, costs_min, nonneg, units=0):
     """Standard form min cost·z, rows·z = rhs, z >= 0 of integer rows
     (nonzero pairs, rhs, d) as `HPoly._int_rows` and `_presolve` give them;
     returns (rows, scales, costs, var_cols).  Entries are only placed: x_j
     free is z_p - z_q, x_j >= 0 is z_p, inequality s gets a slack column
-    with entry d, the rhs goes last and the row is negated when it is < 0,
-    as `simplex.solve_standard` takes it, with scale d.  Costs stay Fractions.
+    with entry d, and each of the last `units` equations a unit column with
+    entry d after the slacks; the rhs goes last and the row is negated when
+    it is < 0, as `simplex.solve_standard` takes it, with scale d.  Costs
+    stay Fractions.
     """
     var_cols = []
     ncol = 0
@@ -326,10 +329,12 @@ def _assemble_standard(dim, ineqs, eqs, costs_min, nonneg):
     both = (*ineqs, *eqs)
     rows = []
     for s, (nz, b, d) in enumerate(both):
-        row = place([0] * (total + 1), nz)
+        row = place([0] * (total + units + 1), nz)
         if s < nslack:
             row[ncol + s] = d
-        row[total] = b
+        elif s >= len(both) - units:
+            row[total + units - len(both) + s] = d
+        row[-1] = b
         rows.append([-x for x in row] if b < 0 else row)
     costs = [place([ZERO] * total, [(j, c) for j, c in enumerate(cost) if c]) for cost in costs_min]
     return rows, [d for _, _, d in both], costs, var_cols
@@ -594,32 +599,52 @@ def lex_min_point(poly: HPoly) -> Vec:
     """Lexicographically smallest point: x_0 minimized, then x_1 over the
     points attaining that minimum, and so on.
 
-    One presolve and one lexicographic simplex call (phase 1 once, then one
-    phase 2 per coordinate on the optimal face of the coordinates before it,
-    until that face is one point, which fixes the coordinates left).
-    Raises EmptyPolyhedronError, or UnboundedPolyhedronError naming the first
+    `_lex_fibers` with one fiber, the polyhedron itself.  Raises
+    EmptyPolyhedronError, or UnboundedPolyhedronError naming the first
     coordinate with no minimum.
     """
-    red = _presolve(poly)
-    if red.infeasible:
-        raise EmptyPolyhedronError("polyhedron is empty")
-    if poly.dim == 0:
-        return ()
+    [x] = _lex_fibers(poly, (), [()])
+    if isinstance(x, Exception):
+        raise x
+    return x
+
+
+def _lex_fibers(q: HPoly, matrix, rhss) -> list:
+    """The lexicographically smallest point of each fiber q ∩ {matrix·y = r},
+    r in rhss, or the error `lex_min_point` raises on that fiber, in order.
+
+    One presolve of q, through which the fiber rows and the unit costs are
+    reduced once, and one lexicographic simplex batch: phase 1 for the first
+    r, then for each later r its new b on the basis the last one left,
+    dual pivots back to feasibility and the lex phase 2.
+    """
+    red = _presolve(q)
+    if red.infeasible or not rhss:
+        return [EmptyPolyhedronError("polyhedron is empty") for _ in rhss]
+    if q.dim == 0:
+        return [EmptyPolyhedronError("polyhedron is empty") if any(r) else () for r in rhss]
     k = len(red.alive)
-    objs = [red.objective(linalg.unit(poly.dim, j)) for j in range(poly.dim)]
+    objs = [red.objective(linalg.unit(q.dim, j)) for j in range(q.dim)]
+    fiber = [red.objective(row) for row in matrix]
+    bs = [[x - c for x, (_, c) in zip(r, fiber)] for r in rhss]
+    eqs = [_sparse_int_row(a, b) for (a, _), b in zip(fiber, bs[0])]
     rows, scales, costs, var_cols = _assemble_standard(
-        k, red.ineqs, red.eqs, [obj for obj, _ in objs], red.nonneg
+        k, red.ineqs, red.eqs + eqs, [obj for obj, _ in objs], red.nonneg, len(eqs)
     )
-    fixed: list[Fraction] = []
-    for j, res in enumerate(simplex.solve_standard(rows, scales, costs, lex=True)):
+    shifts = [[x - y for x, y in zip(b, bs[0])] for b in bs[1:]]
+    out = []
+    for results in simplex.solve_standard(rows, scales, costs, lex=True, shifts=shifts):
+        res = results[-1]  # a list of results ends at its first unbounded one
         if res.status == simplex.INFEASIBLE:
-            raise EmptyPolyhedronError("polyhedron is empty")
-        if res.status == simplex.UNBOUNDED:
-            raise UnboundedPolyhedronError(f"coordinate {j} unbounded below")
-        fixed.append(res.value + objs[j][1])
-    if red.back(_recover_vector(res.point, var_cols, k)) != tuple(fixed):
-        raise InvariantViolationError("lexicographic point disagrees with its coordinate minima")
-    return tuple(fixed)
+            out.append(EmptyPolyhedronError("polyhedron is empty"))
+        elif res.status == simplex.UNBOUNDED:
+            out.append(UnboundedPolyhedronError(f"coordinate {len(results) - 1} unbounded below"))
+        else:
+            fixed = tuple([r.value + c for r, (_, c) in zip(results, objs)])
+            if red.back(_recover_vector(res.point, var_cols, k)) != fixed:
+                raise InvariantViolationError("lexicographic point disagrees with its coordinate minima")
+            out.append(fixed)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Exact two-phase primal simplex on standard-form problems.
+"""Exact two-phase simplex on standard-form problems.
 
 Solves  min c·z  subject to  A z = b,  z >= 0  exactly, with Bland's
 smallest-index rule for both the entering and the leaving variable, which
@@ -13,6 +13,20 @@ starts from the current basis, so each cost is minimized over the optimal
 face of the costs before it.  Once every nonbasic column is barred, that
 face is the current point, and each cost left is read off it with no
 phase 2.
+
+A lex call may also be a batch over right-hand sides that share A (Lemke
+1954; Applegate, Cook, Dash and Espinoza 2007 on exact LP through basis
+reuse).  Each row whose b varies carries a unit column, which every pivot
+updates as it does the others, so each tableau row holds in those columns
+its multipliers of the varying rows, and a new b moves each row's rhs by
+those multipliers times the change.  Phase 1 runs for the first right-hand
+side only (again for the next one while none has been feasible).  A later
+one starts from the basis the last lex solve left, which is optimal for
+cost 0, since a lex phase 2 enters only columns with a zero reduced cost
+under cost 0; dual-simplex pivots under cost 0 restore feasibility, or show
+that a row cannot reach its negative rhs, and the lex phase 2 follows.  A
+row phase 1 dropped as dependent reads 0 = its multipliers times the
+change, which must stay 0.
 
 The tableau is integer, and so is its input: each row comes in as a
 positive integer multiple of the true row, right-hand side last and negated
@@ -33,9 +47,9 @@ row's scale; Fractions are built from it once per result entry.
 
 Artificial variables are kept implicit: phase 1 starts from the all-artificial
 basis, their columns are never stored, and after phase 1 remaining zero-level
-artificials are pivoted out or their (dependent) rows dropped.  The simplex
-is primal only: a result carries a point, a value or a ray, never a dual
-vector; certificates are solutions of a dual LP (see `kernel.lp_solve`).
+artificials are pivoted out or their (dependent) rows dropped.  A result
+carries a point, a value or a ray, never a dual vector; certificates are
+solutions of a dual LP (see `kernel.lp_solve`).
 """
 
 from __future__ import annotations
@@ -136,7 +150,7 @@ def _run_phase(tab, obj, basis, cols):
         _pivot(tab, objs, basis, leave, enter)
 
 
-def solve_standard(rows, scales, costs, lex: bool = False) -> list[StandardResult]:
+def solve_standard(rows, scales, costs, lex: bool = False, shifts=None) -> list:
     """Solve min cost·z s.t. A z = b, z >= 0 exactly, for each cost.
 
     `rows[i]` is d_i·(row i of A, b_i) in integers, negated when b_i < 0,
@@ -152,15 +166,53 @@ def solve_standard(rows, scales, costs, lex: bool = False) -> list[StandardResul
     and the list ends at the first UNBOUNDED result.  A cost whose face is a
     single point gets that point and its value with no phase 2, the result
     and pivots phase 2 would give.
-    """
-    tab = rows
-    n = len(costs[0])
-    basis = [n + i for i in range(len(tab))]  # one artificial id per row, from n
 
-    # Phase 1: minimize the sum of artificials, i.e. of the true rows: the
-    # row scales differ, so each row counts divided by its own.
+    With `shifts`, a lex call is a batch over right-hand sides and returns
+    one such list per right-hand side, the rows' own first.  Each row whose
+    b_i varies owns a unit column, placed after A's columns with entry d_i
+    as a slack's; each shift lists, per unit column, how far that b_i moves
+    from the rows as given.
+    """
+    n = len(costs[0])
+    if not lex:
+        basis = _phase1(rows, scales, n, [])
+        if basis is None:
+            return [StandardResult(status=INFEASIBLE) for _ in costs]
+        return [_phase2([row[:] for row in rows], basis[:], cost, list(range(n))) for cost in costs]
+    out, tab, given = [], None, [row[:] for row in rows] if shifts else rows
+    at = [ZERO] * (len(rows[0]) - n - 1 if rows else 0)
+    for shift in [at, *(shifts or ())]:
+        if tab is None:
+            # no feasible basis yet: phase 1 on the rows as given, moved to
+            # this b (a row _shift scales still counts with a positive
+            # weight, which is all phase 1 needs)
+            tab, dropped = [row[:] for row in given] if out else rows, []
+            _shift(tab, n, shift)
+            for row in tab:
+                if row[-1] < 0:
+                    row[:] = [-x for x in row]
+            basis = _phase1(tab, scales, n, dropped)
+            ok = basis is not None
+            if not ok:
+                tab = None
+        else:
+            # a dropped row reads 0 = its unit entries · the move of b
+            _shift(tab + dropped, n, [x - y for x, y in zip(shift, at)])
+            ok = not any(row[-1] for row in dropped) and _dual(tab, basis, n)
+        at = shift
+        out.append(_lex(tab, basis, costs, n) if ok else [StandardResult(status=INFEASIBLE) for _ in costs])
+    return out if shifts is not None else out[0]
+
+
+def _phase1(tab, scales, n, dropped):
+    """Phase 1 from the all-artificial basis: the basis it leaves, or None
+    when the rows are infeasible.  It minimizes the sum of artificials, i.e.
+    of the true rows: the row scales differ, so each row counts divided by
+    its own.  Zero-level artificials are then pivoted out, or their
+    (dependent) rows moved from tab to dropped."""
+    basis = [n + i for i in range(len(tab))]  # one artificial id per row, from n
     common = lcm(*scales)
-    obj1 = [0] * (n + 1)
+    obj1 = [0] * (len(tab[0]) if tab else n + 1)
     for row, d in zip(tab, scales):
         k = common // d
         for j, x in enumerate(row):
@@ -170,36 +222,75 @@ def solve_standard(rows, scales, costs, lex: bool = False) -> list[StandardResul
     if hit is not None:
         raise InvariantViolationError("phase 1 cannot be unbounded")
     if obj1[-1] < 0:
-        return [StandardResult(status=INFEASIBLE) for _ in costs]
-
-    # Drive zero-level artificials out of the basis; drop dependent rows.
+        return None
     i = 0
     while i < len(tab):
         if basis[i] >= n:
             row = tab[i]
             enter = next((j for j in range(n) if row[j]), None)
             if enter is None:
-                del tab[i], basis[i]
+                dropped.append(tab.pop(i))
+                del basis[i]
                 continue
             _pivot(tab, [], basis, i, enter)
         i += 1
+    return basis
 
-    if lex:
-        out = []
-        cols = list(range(n))
-        for cost in costs:
-            if len(cols) == len(basis):
-                # basic columns are never barred, so every nonbasic one is:
-                # the optimal face is the current point, and no column enters
-                point = out[-1].point if out else _point(tab, basis, n)
-                value = sum((cost[v] * point[v] for i, v in enumerate(basis) if tab[i][-1] and cost[v]), ZERO)
-                out.append(StandardResult(status=OPTIMAL, point=point[:], value=value))
-                continue
-            out.append(_phase2(tab, basis, cost, cols))
-            if out[-1].status == UNBOUNDED:
-                break
-        return out
-    return [_phase2([row[:] for row in tab], basis[:], cost, list(range(n))) for cost in costs]
+
+def _shift(rows, n, delta):
+    """Move b by delta, the change of the true b_i of the unit-column rows.
+    A tableau row holds c_k in unit column n+k when it is c_k times row k
+    plus rows whose b is fixed, so its rhs moves by the sum of c_k·delta_k;
+    the row is first multiplied by the least integer that keeps it integral."""
+    den = lcm(*[x.denominator for x in delta])
+    moves = [(n + k, x.numerator * (den // x.denominator)) for k, x in enumerate(delta) if x]
+    for row in rows:
+        s = 0
+        for j, x in moves:
+            if row[j]:
+                s += row[j] * x
+        if s:
+            g = den // gcd(s, den)
+            if g != 1:
+                for j, x in enumerate(row):
+                    if x:
+                        row[j] = x * g
+            row[-1] += s * g // den
+
+
+def _dual(tab, basis, n) -> bool:
+    """Dual simplex pivots to a feasible basis under cost 0, for which every
+    basis is optimal, so every ratio of the dual ratio test is 0.  Bland's
+    rule: the row of the least basic variable below 0 leaves, and the first
+    column with a negative entry there enters.  False when that row has no
+    negative entry: it reads a nonnegative sum equal to a negative rhs."""
+    while True:
+        leave = min((i for i, row in enumerate(tab) if row[-1] < 0), key=basis.__getitem__, default=None)
+        if leave is None:
+            return True
+        row = tab[leave]
+        enter = next((j for j in range(n) if row[j] < 0), None)
+        if enter is None:
+            return False
+        _pivot(tab, [], basis, leave, enter)
+
+
+def _lex(tab, basis, costs, n) -> list[StandardResult]:
+    """Lex mode's phase 2 from a feasible basis (see `solve_standard`)."""
+    out = []
+    cols = list(range(n))
+    for cost in costs:
+        if len(cols) == len(basis):
+            # basic columns are never barred, so every nonbasic one is:
+            # the optimal face is the current point, and no column enters
+            point = out[-1].point if out else _point(tab, basis, n)
+            value = sum((cost[v] * point[v] for i, v in enumerate(basis) if tab[i][-1] and cost[v]), ZERO)
+            out.append(StandardResult(status=OPTIMAL, point=point[:], value=value))
+            continue
+        out.append(_phase2(tab, basis, cost, cols))
+        if out[-1].status == UNBOUNDED:
+            break
+    return out
 
 
 def _phase2(tab, basis, cost, cols) -> StandardResult:
@@ -215,7 +306,7 @@ def _phase2(tab, basis, cost, cols) -> StandardResult:
     icost = [x.numerator * (w // x.denominator) for x in cost]
     common = lcm(*[tab[i][v] for i, v in enumerate(basis) if icost[v]])
     obj2 = [common * x for x in icost]
-    obj2.append(0)
+    obj2 += [0] * (len(tab[0]) - n) if tab else [0]  # unit columns, rhs
     for i, v in enumerate(basis):
         if obj2[v]:
             row = tab[i]

@@ -13,7 +13,7 @@ The two directions of the bridge:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import linalg
@@ -24,7 +24,7 @@ from .kernel import (
     HPoly,
     VPoly,
     _aff_directions,
-    lex_min_point,
+    _lex_fibers,
     optimize,
     optimize_all,
 )
@@ -257,19 +257,19 @@ def extension_to_factorization(
     space (same inequality count).  Each row of T
     comes from an exact LP expressing the row's slack over Q as a nonnegative
     combination of Q's inequality slacks; S evaluates Q's slacks at the
-    lexicographically minimal lift of each point.
+    lexicographically minimal lift of each point.  The lifts come first, from
+    one LP batch over Q, and serve as verify's lift hints, which it checks
+    exactly; S is built only when it accepts every one.
     """
     phi = slack_matrix(hrep, points)
     if not _binding_given_slacks(hrep, phi, points):
         raise ValidationError("inequality system is not binding")
-    rep = verify_extension(hrep, ext, target_vrep=points)
-    if not rep.passed:
-        raise ValidationError("extension does not project onto the target")
 
     q_poly = ext.q
     proj = ext.proj
     stacked = linalg.mat([a for a, _ in q_poly.ineqs] + [c for c, _ in q_poly.eqs])
     keep = linalg.independent_rows(stacked)
+    bcols = None
     if len(keep) < q_poly.dim:
         # quotient by the lineality space: restrict to the span of the rows
         basis = [stacked[i] for i in keep]  # rows spanning the orthogonal complement
@@ -283,6 +283,17 @@ def extension_to_factorization(
         q_poly = HPoly(len(basis), new_ineqs, new_eqs)
         proj = AffineMap(linalg.mat_mul(proj.matrix, bcols), proj.offset)
     pm, p0 = proj.matrix, proj.offset
+
+    # the hints are in Q's own coordinates; a point whose lift failed gets
+    # none, and its error is raised where S needs the lift
+    lifts = _lex_fibers(q_poly, pm, [[x[r] - p0[r] for r in range(ext.target_dim)] for x in points.vertices])
+    hints = {x: y if bcols is None else linalg.mat_vec(bcols, y)
+             for x, y in zip(points.vertices, lifts) if not isinstance(y, Exception)}
+    rep = verify_extension(hrep, replace(ext, lift=hints.get), target_vrep=points)
+    if not rep.passed:
+        raise ValidationError("extension does not project onto the target")
+    if rep.lift_hits != len(hints):
+        raise InvariantViolationError("a lexicographic lift fails the extension's check")
 
     y0, null, sigma0, an = _slack_frame(q_poly)
     qm = len(q_poly.ineqs)
@@ -307,10 +318,9 @@ def extension_to_factorization(
             )
         t_rows.append(r.primal_point)
 
-    lifts = [
-        lex_min_point(q_poly._derive(eqs=[(pm[r], x[r] - p0[r]) for r in range(ext.target_dim)]))
-        for x in points.vertices
-    ]
+    for y in lifts:
+        if isinstance(y, Exception):
+            raise y
     fact = NonnegFactorization(linalg.mat(t_rows), linalg.mat(_slacks(q_poly, lifts)))
     check = verify_factorization(phi, fact)
     if not check.ok:

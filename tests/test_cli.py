@@ -212,6 +212,34 @@ def test_cli_verify_dim_mismatch_exit2(tmp_path, capsys):
     assert main(["verify", str(hfile), str(efile)]) == 2
 
 
+@pytest.mark.parametrize("target", [
+    "HPOLY 3 1 2\n1 0 0 <= 0\n1 0 0 = 7\n1 1 1 = 6\n",  # x0 <= 0, x0 = 7: empty
+    "VPOLY 3 0\n",
+])
+def test_cli_verify_empty_target(tmp_path, capsys, target):
+    # an empty target is the projection of an empty Q only; the report is
+    # the library's with target_vrep=VPoly(3, []) (an empty VPOLY target:
+    # the row 0·x <= -1)
+    tfile = tmp_path / "empty.poly"
+    tfile.write_text(target)
+    ext = cx.birkhoff_extension(3)
+    y0 = tuple(Fraction(int(i == 0)) for i in range(9))
+    empty_q = cx.Extension(HPoly(9, ext.q.ineqs + ((y0, -1),), ext.q.eqs), ext.proj, 3, "empty")
+    poly = fileio.sniff_poly(target)
+    h = poly if isinstance(poly, HPoly) else HPoly(3, [((0, 0, 0), -1)])
+    for e, code in ((ext, 1), (empty_q, 0)):
+        efile = tmp_path / "q.ext"
+        efile.write_text(fileio.serialize_extension(e))
+        capsys.readouterr()
+        assert main(["verify", str(tfile), str(efile), "--json"]) == code
+        results = json.loads(capsys.readouterr().out)["results"]
+        rep = cx.verify_extension(h, e, target_vrep=VPoly(3, []))
+        assert (results["passed"], results["checked_vertices"]) == (rep.passed, 0)
+        assert [(f["row"], f["value"], f["bound"]) for f in results["row_failures"]] == [
+            (lab, str(val), str(bnd)) for lab, val, bnd, _ in rep.row_failures]
+        assert bool(rep.row_failures) == (code == 1)
+
+
 def test_cli_parse_error_exit2(tmp_path, capsys):
     bad = tmp_path / "bad.hpoly"
     bad.write_text("HPOLY 1 1 0\nnope <= 1\n")

@@ -52,14 +52,32 @@ def test_factorization_martin4_solves_and_pivots(monkeypatch):
         cx.martin_spanning_tree_extension(4), zoo.spanning_tree_hrep(4), zoo.spanning_tree_vrep(4)
     )
     assert (len(fact.t), len(fact.s), len(fact.s[0])) == (16, 30, 16)
-    # one lexicographic solve per vertex lift; a solve per coordinate made
-    # 500 solves and 2963 pivots.  Every row of Martin(4)'s system has a zero
-    # slack at a vertex, so the binding check takes no LP (36/772 with one),
-    # and slack_matrix computes no affine hull (35/730 when it did).  One
+    # one LP per row of T, one lexicographic batch for every vertex lift
+    # (phase 1 once, then dual pivots per vertex), and verify's row batch,
+    # which the lifts spare every feasibility LP.  One lexicographic solve
+    # per vertex made 34 solves and 710 pivots; a solve per coordinate made
+    # 500 and 2963.  Every row of Martin(4)'s system has a zero slack at a
+    # vertex, so the binding check takes no LP (36/772 with one), and
+    # slack_matrix computes no affine hull (35/730 when it did).  One
     # elimination decides Q's lineality (the independent rows) and one gives
     # Q's affine frame; a separate nullspace for the lineality and a second
     # elimination for the direction basis made 3
-    assert counts == {"solves": 34, "pivots": 710, "eliminations": 2}
+    assert counts == {"solves": 19, "pivots": 468, "eliminations": 2}
+
+
+@pytest.mark.parametrize("ext, hrep, vrep, solves, pivots", [
+    (cx.birkhoff_extension(4), zoo.permutahedron_hrep(4), zoo.permutahedron_vrep(4), 17, 346),
+    (cx.martin_spanning_tree_extension(4), zoo.spanning_tree_hrep(4), zoo.spanning_tree_vrep(4), 19, 468),
+])
+def test_factorization_without_lift_hints(monkeypatch, ext, hrep, vrep, solves, pivots):
+    # an extension read from a file carries no lift; the lexicographic lifts
+    # are verify's hints, so the work is that of the hinted extension (with
+    # one feasibility LP per vertex and one lexicographic solve per vertex:
+    # Birkhoff(4) 64 / 1,424, Martin(4) 50 / 960)
+    ext = cx.Extension(ext.q, ext.proj, ext.target_dim, ext.name)
+    counts = _count_calls(monkeypatch, solves=SOLVES, pivots=PIVOTS)
+    slack.extension_to_factorization(ext, hrep, vrep)
+    assert counts == {"solves": solves, "pivots": pivots}
 
 
 def test_fm_project_bubble3_solves_and_pivots(monkeypatch):

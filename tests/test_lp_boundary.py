@@ -1,7 +1,10 @@
 """The LP layer has one entrance.  Only `kernel` imports `simplex` or builds a
 standard form (`_presolve`, `_assemble_standard`), and `verify_extension`
 and `poly_equal` ask their LP questions through the kernel's containment
-functions, never through `optimize`/`optimize_all` themselves."""
+functions, never through `optimize`/`optimize_all` themselves.  `slack`
+lifts its points through the kernel's lexicographic batch and never names
+`lex_min_point`, so a loop of one lexicographic LP per point cannot come back
+unnoticed."""
 
 import ast
 from pathlib import Path
@@ -10,6 +13,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "polylift"
 STANDARD_FORM = {"_presolve", "_assemble_standard"}
 LP_CALLS = {"optimize", "optimize_all"}
 CONTAINMENT_CALLERS = {"constructions.py": "verify_extension", "kernel.py": "poly_equal"}
+BATCHED = {"slack.py": "lex_min_point"}
 
 
 def _called(node):
@@ -46,6 +50,13 @@ def _direct_lp_calls(tree, function):
     return None
 
 
+def _names(tree, name):
+    """Lines where the name is imported, read or called, in line order."""
+    return sorted({n.lineno for n in ast.walk(tree) if (isinstance(n, ast.Name) and n.id == name)
+                   or (isinstance(n, ast.Attribute) and n.attr == name)
+                   or (isinstance(n, ast.ImportFrom) and any(a.name == name for a in n.names))})
+
+
 def _tree(path):
     return ast.parse(path.read_text(), str(path))
 
@@ -61,6 +72,11 @@ def test_only_kernel_reaches_the_simplex():
 def test_containment_callers_build_no_lp():
     for name, function in CONTAINMENT_CALLERS.items():
         assert _direct_lp_calls(_tree(SRC / name), function) == [], (name, function)
+
+
+def test_slack_lifts_points_in_one_batch():
+    for name, function in BATCHED.items():
+        assert _names(_tree(SRC / name), function) == [], (name, function)
 
 
 def test_the_checks_see_a_violation(tmp_path):
@@ -80,3 +96,16 @@ def test_the_checks_see_a_violation(tmp_path):
         (1, "simplex"), (2, "polylift.simplex"), (3, "_presolve"), (5, "_assemble_standard")]
     assert _direct_lp_calls(tree, "verify_extension") == [(6, "optimize"), (6, "optimize_all")]
     assert _direct_lp_calls(tree, "poly_equal") is None
+
+
+def test_the_batch_check_sees_a_per_point_loop(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "from .kernel import (\n"
+        "    lex_min_point,\n"
+        ")\n"
+        "def lifts(q, pts):\n"
+        "    return [kernel.lex_min_point(q._derive(eqs=x)) for x in pts]\n"
+        "f = lex_min_point\n"
+    )
+    assert _names(_tree(path), "lex_min_point") == [1, 5, 6]

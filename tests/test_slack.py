@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polylift import constructions as cx
-from polylift import linalg, zoo
-from polylift.errors import ValidationError
+from polylift import linalg, slack, zoo
+from polylift.errors import InvariantViolationError, UnboundedPolyhedronError, ValidationError
 from polylift.kernel import AffineMap, HPoly, VPoly, hull, poly_equal, vertices
 from polylift.slack import (
     FactorizationCheck,
@@ -291,6 +291,36 @@ def test_non_pointed_extension_is_quotiented():
     fact = extension_to_factorization(ext, segment(), VPoly(1, [(0,), (1,)]))
     assert fact.inner_dim == 2
     assert verify_factorization(slack_matrix(segment(), VPoly(1, [(0,), (1,)])), fact).ok
+
+
+def test_unbounded_lift_is_reported_after_verification():
+    # Q = {(x, w): 0 <= x <= 1, w <= 0} projects onto [0, 1] and is pointed,
+    # but no lift has a least w: verify passes with no hint, and the lift's
+    # error follows it
+    q = HPoly(2, [([-1, 0], 0), ([1, 0], 1), ([0, 1], 0)])
+    ext = cx.Extension(q, AffineMap.linear([[1, 0]]), 1, "down")
+    with pytest.raises(UnboundedPolyhedronError, match="^coordinate 1 unbounded below$"):
+        extension_to_factorization(ext, segment(), VPoly(1, [(0,), (1,)]))
+
+
+def test_a_lift_that_fails_verify_never_reaches_s(monkeypatch):
+    # a lexicographic lift moved outside Q misses verify's exact check; the
+    # feasibility LP then finds the vertex covered and verify passes, but S
+    # must not be built from that lift
+    real, slacks = slack._lex_fibers, slack._slacks
+
+    def one_bad(q, matrix, rhss):
+        lifts = real(q, matrix, rhss)
+        lifts[2] = tuple(x - 1 for x in lifts[2])
+        return lifts
+
+    built = []
+    monkeypatch.setattr(slack, "_lex_fibers", one_bad)
+    monkeypatch.setattr(slack, "_slacks", lambda *args: built.append(args) or slacks(*args))
+    h, v = zoo.permutahedron_hrep(3), zoo.permutahedron_vrep(3)
+    with pytest.raises(InvariantViolationError, match="lexicographic lift"):
+        extension_to_factorization(cx.birkhoff_extension(3), h, v)
+    assert built == [(h, v.vertices)]  # only slack_matrix's own call
 
 
 def test_factorization_roundtrip_knapsack():
