@@ -3,8 +3,8 @@
 Every construction returns an Extension: a polyhedron Q, an affine projection
 p, and a name.  Constructions also attach a lift callable producing, for a
 target vertex, an explicit preimage in Q; verify_extension checks such hints
-by exact substitution (a complete certificate) and falls back to feasibility
-LPs when a hint is missing or fails.
+by exact substitution (a complete certificate) and sends the vertices whose
+hint is missing or fails to one LP batch.
 """
 
 from __future__ import annotations
@@ -87,8 +87,9 @@ def verify_extension(target, ext: Extension, *, target_vrep: VPoly | None = None
     as target_vrep to avoid recomputation.  An empty target has no vertices,
     and an empty VPoly target is described by the one row 0·x <= -1, so
     either passes exactly when Q is empty.  Direction (a), target inside the
-    projection, checks one preimage per target vertex (lift hint by
-    substitution, else an exact feasibility LP, `kernel._outside_image`).
+    projection, checks one preimage per target vertex by substituting its
+    lift hint; the vertices no hint covers go to one exact LP batch over Q
+    (`kernel._outside_image`).
     Direction (b), projection inside the target, solves one exact LP per
     target row and per equation direction (`kernel._image_violations`).
     """
@@ -123,7 +124,7 @@ def verify_extension(target, ext: Extension, *, target_vrep: VPoly | None = None
                 report.lift_hits += 1
                 continue
         missed.append(v)
-    report.vertex_failures = list(_outside_image(q, proj, missed))
+    report.vertex_failures = _outside_image(q, proj, missed)
 
     # (b) the projection satisfies every row of the target description
     point, fails = _image_violations(q, proj, hrep)

@@ -16,9 +16,11 @@ through `optimize_all`: its answers carry points, and rays when unbounded,
 and every internal verdict rests on them.  The two containment questions
 of `verify_extension`, `poly_equal` and `is_vertex` (is x in proj(Q)? does
 proj(Q) lie in P?) are asked in one place each, `_outside_image` and
-`_image_violations`.  `lp_solve` adds a dual vector or a Farkas vector, the
-solution of a second LP over the same rows, which exact dot products alone
-can check.
+`_image_violations`; every fiber question, Q ∩ {proj(y) = x} for many x,
+is one `_lex_fibers` batch, with no cost for `_outside_image` and with the
+coordinates as lex costs for the lifts.  `lp_solve` adds a dual vector or
+a Farkas vector, the solution of a second LP over the same rows, which
+exact dot products alone can check.
 Operations are safe to call concurrently on shared inputs; the only hidden
 state is that integer row form, which an `HPoly` builds on first use (or
 takes from the `HPoly` it is derived from, for an LP over the same rows plus
@@ -291,9 +293,9 @@ class PolyEqualResult:
 # ---------------------------------------------------------------------------
 # LP layer: each optimize_all or _lex_fibers call makes one
 # simplex.solve_standard call, which runs phase 1 once and gives each
-# objective its own phase 2 (_lex_fibers: one per coordinate, each on the
-# optimal face of the coordinates before it, for each right-hand side in
-# turn); lp_solve is two optimize calls
+# objective its own phase 2 (_lex_fibers: one per leading coordinate, each
+# on the optimal face of the coordinates before it, or one zero cost, for
+# each right-hand side in turn); lp_solve is two optimize calls
 # ---------------------------------------------------------------------------
 
 def _assemble_standard(dim, ineqs, eqs, costs_min, nonneg, units=0):
@@ -603,35 +605,39 @@ def lex_min_point(poly: HPoly) -> Vec:
     EmptyPolyhedronError, or UnboundedPolyhedronError naming the first
     coordinate with no minimum.
     """
-    [x] = _lex_fibers(poly, (), [()])
+    [x] = _lex_fibers(poly, (), [()], poly.dim)
     if isinstance(x, Exception):
         raise x
     return x
 
 
-def _lex_fibers(q: HPoly, matrix, rhss) -> list:
-    """The lexicographically smallest point of each fiber q ∩ {matrix·y = r},
-    r in rhss, or the error `lex_min_point` raises on that fiber, in order.
+def _lex_fibers(q: HPoly, matrix, rhss, lead: int) -> list:
+    """A point of each fiber q ∩ {matrix·y = r}, r in rhss, or the error
+    `lex_min_point` raises on that fiber, in order.  The point is the
+    lexicographically smallest in its first `lead` coordinates; lead = 0
+    asks only whether each fiber is empty (one zero cost).
 
-    One presolve of q, through which the fiber rows and the unit costs are
+    One presolve of q, through which the fiber rows and the costs are
     reduced once, and one lexicographic simplex batch: phase 1 for the first
-    r, then for each later r its new b on the basis the last one left,
+    r, then for each later r its new b on the basis the one before left,
     dual pivots back to feasibility and the lex phase 2.
     """
+    if not rhss:
+        return []
     red = _presolve(q)
-    if red.infeasible or not rhss:
+    if red.infeasible:
         return [EmptyPolyhedronError("polyhedron is empty") for _ in rhss]
     if q.dim == 0:
         return [EmptyPolyhedronError("polyhedron is empty") if any(r) else () for r in rhss]
     k = len(red.alive)
-    objs = [red.objective(linalg.unit(q.dim, j)) for j in range(q.dim)]
+    objs = [red.objective(linalg.unit(q.dim, j)) for j in range(lead)] or [red.objective(linalg.zeros(q.dim))]
     fiber = [red.objective(row) for row in matrix]
     bs = [[x - c for x, (_, c) in zip(r, fiber)] for r in rhss]
     eqs = [_sparse_int_row(a, b) for (a, _), b in zip(fiber, bs[0])]
     rows, scales, costs, var_cols = _assemble_standard(
         k, red.ineqs, red.eqs + eqs, [obj for obj, _ in objs], red.nonneg, len(eqs)
     )
-    shifts = [[x - y for x, y in zip(b, bs[0])] for b in bs[1:]]
+    shifts = [[x - y for x, y in zip(b, a)] for a, b in zip(bs, bs[1:])]
     out = []
     for results in simplex.solve_standard(rows, scales, costs, lex=True, shifts=shifts):
         res = results[-1]  # a list of results ends at its first unbounded one
@@ -640,10 +646,10 @@ def _lex_fibers(q: HPoly, matrix, rhss) -> list:
         elif res.status == simplex.UNBOUNDED:
             out.append(UnboundedPolyhedronError(f"coordinate {len(results) - 1} unbounded below"))
         else:
-            fixed = tuple([r.value + c for r, (_, c) in zip(results, objs)])
-            if red.back(_recover_vector(res.point, var_cols, k)) != fixed:
+            point = red.back(_recover_vector(res.point, var_cols, k))
+            if point[:lead] != tuple([r.value + c for r, (_, c) in zip(results, objs[:lead])]):
                 raise InvariantViolationError("lexicographic point disagrees with its coordinate minima")
-            out.append(fixed)
+            out.append(point)
     return out
 
 
@@ -1140,14 +1146,12 @@ def remove_redundancy(poly: HPoly) -> HPoly:
 # Containment of an image proj(q): the LPs of verify_extension and poly_equal
 # ---------------------------------------------------------------------------
 
-def _outside_image(q: HPoly, proj: AffineMap, points):
-    """Yield, in order and lazily, each point x of points with no y in q and
-    proj(y) = x: one feasibility LP per point, over q plus the equations
-    proj's rows · y = x - offset."""
-    for x in points:
-        rows = [(row, xi - o) for row, xi, o in zip(proj.matrix, x, proj.offset)]
-        if optimize(q._derive(eqs=rows), linalg.zeros(q.dim), "min").status == INFEASIBLE:
-            yield x
+def _outside_image(q: HPoly, proj: AffineMap, points) -> list:
+    """The points x of points with no y in q and proj(y) = x, in order: one
+    `_lex_fibers` batch with no cost over q, whose fibers are proj's rows ·
+    y = x - offset."""
+    fibers = _lex_fibers(q, proj.matrix, [[xi - o for xi, o in zip(x, proj.offset)] for x in points], 0)
+    return [x for x, y in zip(points, fibers) if isinstance(y, EmptyPolyhedronError)]
 
 
 def _image_violations(q: HPoly, proj: AffineMap, p: HPoly):
@@ -1186,10 +1190,10 @@ def _conv(dim: int, pts) -> tuple[HPoly, AffineMap]:
 
 def is_vertex(points: VPoly, index: int) -> bool:
     """True iff points.vertices[index] is a vertex of the hull of all points."""
+    if not 0 <= index < len(points.vertices):
+        raise InputError("vertex index out of range")
     rest = [p for i, p in enumerate(points.vertices) if i != index]
-    if not rest:
-        return True
-    return next(_outside_image(*_conv(points.dim, rest), [points.vertices[index]]), None) is not None
+    return not rest or bool(_outside_image(*_conv(points.dim, rest), [points.vertices[index]]))
 
 
 def _row_witness(p: HPoly, fail) -> Vec:
@@ -1210,7 +1214,8 @@ def poly_equal(p1: HPoly | VPoly, p2: HPoly | VPoly) -> PolyEqualResult:
     On failure the result carries a point lying in exactly one of them and
     which side (1 or 2) contains it.  Each H-described side takes one LP
     batch, whose leading zero objective also decides its emptiness; a
-    V-described side is the image of a simplex, one LP per point tested.
+    V-described side is the image of a simplex, which the other side's
+    points are tested against in one `_outside_image` batch.
     """
     if p1.dim != p2.dim:
         raise InputError("dimension mismatch")
@@ -1228,7 +1233,7 @@ def poly_equal(p1: HPoly | VPoly, p2: HPoly | VPoly) -> PolyEqualResult:
         _, fails = _image_violations(h, ident, hv)
         return PolyEqualResult(False, _row_witness(hv, fails[0]), h_side) if fails else PolyEqualResult(True)
     # a point of each side (None for an empty side), then the points outside
-    # the other side, lazily for V-described sides
+    # the other side (for V sides, side 2's batch only if side 1's finds none)
     if isinstance(p1, HPoly):
         (x1, fails1), (x2, fails2) = _image_violations(p1, ident, p2), _image_violations(p2, ident, p1)
         outside = [(_row_witness(p, f[0]), side) for p, f, side in ((p2, fails1, 1), (p1, fails2, 2)) if f]

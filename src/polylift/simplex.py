@@ -19,14 +19,14 @@ A lex call may also be a batch over right-hand sides that share A (Lemke
 reuse).  Each row whose b varies carries a unit column, which every pivot
 updates as it does the others, so each tableau row holds in those columns
 its multipliers of the varying rows, and a new b moves each row's rhs by
-those multipliers times the change.  Phase 1 runs for the first right-hand
-side only (again for the next one while none has been feasible).  A later
-one starts from the basis the last lex solve left, which is optimal for
-cost 0, since a lex phase 2 enters only columns with a zero reduced cost
-under cost 0; dual-simplex pivots under cost 0 restore feasibility, or show
-that a row cannot reach its negative rhs, and the lex phase 2 follows.  A
-row phase 1 dropped as dependent reads 0 = its multipliers times the
-change, which must stay 0.
+those multipliers times the change.  Phase 1 runs once, for the first
+right-hand side, and every artificial it leaves in the basis is then
+pivoted out, whatever its level, so each later b starts from a basis of
+A's columns: the one the solve before it left, feasible or not.  Under
+cost 0 every basis is optimal, so dual-simplex pivots under cost 0 restore
+feasibility, or show that a row cannot reach its negative rhs, and the lex
+phase 2 follows.  A row dropped as dependent reads 0 = its rhs, moved by
+its multipliers times the change, so that b is feasible only if it reads 0.
 
 The tableau is integer, and so is its input: each row comes in as a
 positive integer multiple of the true row, right-hand side last and negated
@@ -46,8 +46,9 @@ of a row in its basic column is 1, so that column's stored entry is the
 row's scale; Fractions are built from it once per result entry.
 
 Artificial variables are kept implicit: phase 1 starts from the all-artificial
-basis, their columns are never stored, and after phase 1 remaining zero-level
-artificials are pivoted out or their (dependent) rows dropped.  A result
+basis, their columns are never stored, and after a feasible phase 1, or
+before a later right-hand side, the artificials left in the basis are
+pivoted out or their (dependent) rows dropped (`_drive_out`).  A result
 carries a point, a value or a ray, never a dual vector; certificates are
 solutions of a dual LP (see `kernel.lp_solve`).
 """
@@ -150,7 +151,7 @@ def _run_phase(tab, obj, basis, cols):
         _pivot(tab, objs, basis, leave, enter)
 
 
-def solve_standard(rows, scales, costs, lex: bool = False, shifts=None) -> list:
+def solve_standard(rows, scales, costs, lex: bool = False, shifts=()) -> list:
     """Solve min cost·z s.t. A z = b, z >= 0 exactly, for each cost.
 
     `rows[i]` is d_i·(row i of A, b_i) in integers, negated when b_i < 0,
@@ -165,51 +166,33 @@ def solve_standard(rows, scales, costs, lex: bool = False, shifts=None) -> list:
     costs[0..j-1] (lexicographic optimization): the costs share one tableau,
     and the list ends at the first UNBOUNDED result.  A cost whose face is a
     single point gets that point and its value with no phase 2, the result
-    and pivots phase 2 would give.
-
-    With `shifts`, a lex call is a batch over right-hand sides and returns
-    one such list per right-hand side, the rows' own first.  Each row whose
-    b_i varies owns a unit column, placed after A's columns with entry d_i
-    as a slack's; each shift lists, per unit column, how far that b_i moves
-    from the rows as given.
+    and pivots phase 2 would give.  A lex call is a batch over right-hand
+    sides and returns one such list per right-hand side: the rows' own b
+    first, then one per shift.  Each row whose b_i varies owns a unit
+    column, placed after A's columns with entry d_i as a slack's; each shift
+    lists, per unit column, how far that b_i moves from the right-hand side
+    before it.
     """
     n = len(costs[0])
+    basis, ok = _phase1(rows, scales, n)
+    dropped = _drive_out(rows, basis, n) if ok or shifts else []
     if not lex:
-        basis = _phase1(rows, scales, n, [])
-        if basis is None:
-            return [StandardResult(status=INFEASIBLE) for _ in costs]
-        return [_phase2([row[:] for row in rows], basis[:], cost, list(range(n))) for cost in costs]
-    out, tab, given = [], None, [row[:] for row in rows] if shifts else rows
-    at = [ZERO] * (len(rows[0]) - n - 1 if rows else 0)
-    for shift in [at, *(shifts or ())]:
-        if tab is None:
-            # no feasible basis yet: phase 1 on the rows as given, moved to
-            # this b (a row _shift scales still counts with a positive
-            # weight, which is all phase 1 needs)
-            tab, dropped = [row[:] for row in given] if out else rows, []
-            _shift(tab, n, shift)
-            for row in tab:
-                if row[-1] < 0:
-                    row[:] = [-x for x in row]
-            basis = _phase1(tab, scales, n, dropped)
-            ok = basis is not None
-            if not ok:
-                tab = None
-        else:
-            # a dropped row reads 0 = its unit entries · the move of b
-            _shift(tab + dropped, n, [x - y for x, y in zip(shift, at)])
-            ok = not any(row[-1] for row in dropped) and _dual(tab, basis, n)
-        at = shift
-        out.append(_lex(tab, basis, costs, n) if ok else [StandardResult(status=INFEASIBLE) for _ in costs])
-    return out if shifts is not None else out[0]
+        return [_phase2([row[:] for row in rows], basis[:], cost, list(range(n))) if ok
+                else StandardResult(status=INFEASIBLE) for cost in costs]
+    out = [_lex(rows, basis, costs, n) if ok else [StandardResult(status=INFEASIBLE) for _ in costs]]
+    for shift in shifts:
+        # a dropped row reads 0 = its rhs, moved by its unit entries · shift
+        _shift(rows + dropped, n, shift)
+        ok = not any(row[-1] for row in dropped) and _dual(rows, basis, n)
+        out.append(_lex(rows, basis, costs, n) if ok else [StandardResult(status=INFEASIBLE) for _ in costs])
+    return out
 
 
-def _phase1(tab, scales, n, dropped):
-    """Phase 1 from the all-artificial basis: the basis it leaves, or None
-    when the rows are infeasible.  It minimizes the sum of artificials, i.e.
-    of the true rows: the row scales differ, so each row counts divided by
-    its own.  Zero-level artificials are then pivoted out, or their
-    (dependent) rows moved from tab to dropped."""
+def _phase1(tab, scales, n):
+    """Phase 1 from the all-artificial basis: the basis it leaves, and
+    whether the rows are feasible.  It minimizes the sum of artificials,
+    i.e. of the true rows: the row scales differ, so each row counts divided
+    by its own."""
     basis = [n + i for i in range(len(tab))]  # one artificial id per row, from n
     common = lcm(*scales)
     obj1 = [0] * (len(tab[0]) if tab else n + 1)
@@ -221,8 +204,15 @@ def _phase1(tab, scales, n, dropped):
     hit = _run_phase(tab, obj1, basis, range(n))
     if hit is not None:
         raise InvariantViolationError("phase 1 cannot be unbounded")
-    if obj1[-1] < 0:
-        return None
+    return basis, obj1[-1] >= 0
+
+
+def _drive_out(tab, basis, n) -> list:
+    """Pivot each artificial left in the basis out, whatever its level, on
+    the first nonzero entry of its row in A's columns, or drop its row, then
+    dependent, from tab and the basis; returns the rows dropped.  An rhs may
+    turn negative only after an infeasible phase 1."""
+    dropped = []
     i = 0
     while i < len(tab):
         if basis[i] >= n:
@@ -234,7 +224,7 @@ def _phase1(tab, scales, n, dropped):
                 continue
             _pivot(tab, [], basis, i, enter)
         i += 1
-    return basis
+    return dropped
 
 
 def _shift(rows, n, delta):

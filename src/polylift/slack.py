@@ -286,7 +286,7 @@ def extension_to_factorization(
 
     # the hints are in Q's own coordinates; a point whose lift failed gets
     # none, and its error is raised where S needs the lift
-    lifts = _lex_fibers(q_poly, pm, [[x[r] - p0[r] for r in range(ext.target_dim)] for x in points.vertices])
+    lifts = _lex_fibers(q_poly, pm, [[a - b for a, b in zip(x, p0)] for x in points.vertices], q_poly.dim)
     hints = {x: y if bcols is None else linalg.mat_vec(bcols, y)
              for x, y in zip(points.vertices, lifts) if not isinstance(y, Exception)}
     rep = verify_extension(hrep, replace(ext, lift=hints.get), target_vrep=points)

@@ -3,9 +3,12 @@
 their own LPs (`_point_in_vpoly`, `_hpoly_subset` and verify's inline
 batches).  Reports must agree field by field; where both sides ask the
 simplex the same questions (verify, and poly_equal with an H side), the
-`simplex.solve_standard` inputs must also agree call for call.  A V side's
-membership LP now lists the weights' sum row before the point rows, so
-is_vertex and V/V poly_equal are compared on their answers only.
+`simplex.solve_standard` inputs must also agree call for call.  Verify's
+direction (a) is the one exception: its missed vertices now take one
+lexicographic batch where the reference took one LP per vertex, and every
+other call still agrees.  A V side's membership LP now lists the weights'
+sum row before the point rows and is a batch too, so is_vertex and V/V
+poly_equal are compared on their answers only.
 """
 
 from __future__ import annotations
@@ -208,12 +211,13 @@ def ref_poly_equal(p1, p2):
 
 @contextlib.contextmanager
 def solve_inputs():
-    """The repr of every simplex.solve_standard call's arguments, in order
-    (taken before the call, which pivots its lists in place)."""
+    """Whether each simplex.solve_standard call is lexicographic, and the
+    repr of its arguments, in order (taken before the call, which pivots its
+    lists in place)."""
     seen, orig = [], simplex.solve_standard
 
     def recording(*args, **kwargs):
-        seen.append(repr((args, kwargs)))
+        seen.append((kwargs.get("lex", False), repr((args, kwargs))))
         return orig(*args, **kwargs)
 
     simplex.solve_standard = recording
@@ -244,6 +248,33 @@ def assert_same(ref, new, *args, same_lps=True, **kwargs):
     assert fields(got) == fields(want)
     if same_lps:
         assert got_lps == want_lps
+    return got
+
+
+def assert_same_verify(*args, **kwargs):
+    """verify_extension against its reference: the same report, and the same
+    solve_standard calls, except that the reference's one feasibility LP per
+    missed vertex (those without a lift hit) is one lex batch here, which
+    runs unless Q's presolve alone proves Q empty or Q has no coordinate."""
+    (want, want_lps), (got, got_lps) = (run(fn, *args, **kwargs) for fn in (ref_verify_extension, cx.verify_extension))
+    assert fields(got) == fields(want)
+    lex = [i for i, (is_lex, _) in enumerate(got_lps) if is_lex]
+    missed = got.checked_vertices - got.lift_hits if isinstance(got, cx.VerifyReport) else 0
+    q = args[1].q
+    assert len(lex) == (missed > 0 and q.dim > 0 and not kernel._presolve(q).infeasible)
+    if not lex:
+        assert got_lps == want_lps
+        return got
+    # the calls before the batch (the missing target description) and after
+    # it (direction (b)) agree; in between the reference made at most one
+    # non-lex LP per missed vertex
+    [i] = lex
+    after = len(got_lps) - i - 1
+    assert got_lps[:i] == want_lps[:i]
+    assert got_lps[i + 1:] == want_lps[len(want_lps) - after:]
+    between = want_lps[i:len(want_lps) - after]
+    assert len(between) <= missed
+    assert not any(is_lex for is_lex, _ in between)
     return got
 
 
@@ -283,9 +314,9 @@ CONSTRUCTIONS = _construction_cases()
 
 def test_verify_matches_reference_on_every_construction():
     for ext, h, v in CONSTRUCTIONS:
-        assert assert_same(ref_verify_extension, cx.verify_extension, h, ext, target_vrep=v).passed
-        assert_same(ref_verify_extension, cx.verify_extension, v, ext)
-        assert_same(ref_verify_extension, cx.verify_extension, h, ext)
+        assert assert_same_verify(h, ext, target_vrep=v).passed
+        assert_same_verify(v, ext)
+        assert_same_verify(h, ext)
 
 
 def _refutations():
@@ -316,7 +347,7 @@ def _refutations():
 def test_verify_matches_reference_on_refutations():
     outcomes = []
     for h, ext, v in _refutations():
-        rep = assert_same(ref_verify_extension, cx.verify_extension, h, ext, target_vrep=v)
+        rep = assert_same_verify(h, ext, target_vrep=v)
         outcomes.append((ext.name, rep.passed, bool(rep.vertex_failures), bool(rep.row_failures),
                          rep.extension_empty, rep.projection_bounded))
     assert outcomes == [

@@ -156,6 +156,36 @@ def test_poly_equal_one_lp_batch_per_h_side(monkeypatch):
         assert counts["solves"] == solves
 
 
+def _shifted_sortnet4():
+    """The verify workload's first refutation: Batcher's sorting network on
+    4 inputs with its projection's first offset moved by one, so no lift
+    hint hits and every vertex of the permutahedron is outside the image."""
+    ext = cx.sorting_network_extension(4, cx.batcher_network(4))
+    off = (ext.proj.offset[0] + 1,) + ext.proj.offset[1:]
+    return cx.Extension(ext.q, kernel.AffineMap(ext.proj.matrix, off), 4, "sortnet(4)+shift", ext.lift)
+
+
+def test_fiber_questions_take_one_batch(monkeypatch):
+    # every missed vertex or tested point is one right-hand side of one
+    # _lex_fibers batch with no cost: phase 1 once, then dual pivots.  One
+    # feasibility LP per point made 25 / 320, 17 / 335 and 48 / 597
+    p4h, p4v = zoo.permutahedron_hrep(4), zoo.permutahedron_vrep(4)
+    counts = _count_calls(monkeypatch, solves=SOLVES, pivots=PIVOTS)
+    rep = cx.verify_extension(p4h, _shifted_sortnet4(), target_vrep=p4v)
+    assert rep.vertex_failures == list(p4v.vertices)
+    assert counts == {"solves": 2, "pivots": 59}
+
+    ext = cx.martin_spanning_tree_extension(4)
+    no_lift = cx.Extension(ext.q, ext.proj, ext.target_dim, ext.name)
+    counts = _count_calls(monkeypatch, solves=SOLVES, pivots=PIVOTS)
+    assert cx.verify_extension(zoo.spanning_tree_hrep(4), no_lift, target_vrep=zoo.spanning_tree_vrep(4)).passed
+    assert counts == {"solves": 2, "pivots": 131}
+
+    counts = _count_calls(monkeypatch, solves=SOLVES, pivots=PIVOTS)
+    assert kernel.poly_equal(p4v, kernel.VPoly(4, tuple(reversed(p4v.vertices)))).equal
+    assert counts == {"solves": 2, "pivots": 190}
+
+
 def test_hull_eliminates_once_per_call_not_per_point(monkeypatch):
     counts = _count_calls(monkeypatch, eliminations=ELIMINATIONS)
     h = kernel.hull(zoo.permutahedron_vrep(5))

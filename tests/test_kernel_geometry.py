@@ -311,6 +311,19 @@ def test_is_vertex():
     assert not is_vertex(pts, 3)
 
 
+def test_is_vertex_index_out_of_range():
+    # a negative index once dropped no point, so (1, 1) tested against the
+    # whole square read as no vertex; len(vertices) raised a bare IndexError
+    square = VPoly(2, [(0, 0), (1, 0), (0, 1), (1, 1)])
+    assert is_vertex(square, 3)
+    for index in (-1, -4, 4, 5):
+        with pytest.raises(InputError, match="vertex index out of range"):
+            is_vertex(square, index)
+    with pytest.raises(InputError, match="vertex index out of range"):
+        is_vertex(VPoly(2, [(0, 0)]), 1)
+    assert is_vertex(VPoly(2, [(0, 0)]), 0)
+
+
 def test_fm_project_identity_coupling():
     p = HPoly(2, [([0, -1], 0), ([0, 1], 1)], [([1, -1], 0)])
     q = fm_project(p, [0])

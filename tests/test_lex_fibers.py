@@ -4,7 +4,9 @@ against a loop of one lexicographic solve per fiber.
 The reference is `lex_min_point` as it was before it became a batch of one:
 presolve, standard form and one lexicographic simplex call per polyhedron,
 here q plus the fiber rows matrix·y = r.  For every r the batch must give
-the same point, or an error of the same type and message.
+the same point, or an error of the same type and message.  `_outside_image`,
+the batch with no cost, must find the same points outside the image as one
+feasibility LP per point.
 """
 
 from fractions import Fraction
@@ -13,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from polylift import kernel, linalg, simplex
 from polylift.errors import EmptyPolyhedronError, InvariantViolationError, UnboundedPolyhedronError
-from polylift.kernel import HPoly
+from polylift.kernel import INFEASIBLE, AffineMap, HPoly, optimize
 
 F = Fraction
 ZERO = F(0)
@@ -31,7 +33,8 @@ def reference_lex_min_point(poly: HPoly):
         k, red.ineqs, red.eqs, [obj for obj, _ in objs], red.nonneg
     )
     fixed = []
-    for j, res in enumerate(simplex.solve_standard(rows, scales, costs, lex=True)):
+    [results] = simplex.solve_standard(rows, scales, costs, lex=True)
+    for j, res in enumerate(results):
         if res.status == simplex.INFEASIBLE:
             raise EmptyPolyhedronError("polyhedron is empty")
         if res.status == simplex.UNBOUNDED:
@@ -53,8 +56,8 @@ def _reference(q, matrix, r):
         return _outcome(e)
 
 
-def _batch(q, matrix, rhss, budget=5_000):
-    """`_lex_fibers` under a pivot budget: a batch that cycles fails here
+def _under_budget(fn, *args, budget=5_000):
+    """fn(*args) under a pivot budget: a batch that cycles fails here
     instead of running on."""
     pivot, count = simplex._pivot, [0]
 
@@ -65,9 +68,14 @@ def _batch(q, matrix, rhss, budget=5_000):
 
     simplex._pivot = counted
     try:
-        return kernel._lex_fibers(q, matrix, rhss)
+        return fn(*args)
     finally:
         simplex._pivot = pivot
+
+
+def _batch(q, matrix, rhss):
+    """`_lex_fibers`, lexicographic in every coordinate, under the budget."""
+    return _under_budget(kernel._lex_fibers, q, matrix, rhss, q.dim)
 
 
 def _assert_same(q, matrix, rhss):
@@ -173,8 +181,13 @@ def test_short_fiber_rows_and_repeated_points():
     assert _status(got) == ["point", "point", "point", "EmptyPolyhedronError", "point", "point"]
 
 
-def test_no_right_hand_sides():
-    assert kernel._lex_fibers(TRIANGLE, DIFF, []) == []
+def test_no_right_hand_sides(monkeypatch):
+    def no_presolve(poly):
+        raise AssertionError("an empty batch presolves nothing")
+
+    monkeypatch.setattr(kernel, "_presolve", no_presolve)
+    assert kernel._lex_fibers(TRIANGLE, DIFF, [], 2) == []
+    assert kernel._outside_image(TRIANGLE, AffineMap.linear(DIFF), []) == []
 
 
 # ---------------------------------------------------------------------------
@@ -244,3 +257,65 @@ def fiber_cases(draw):
 @given(fiber_cases())
 def test_batch_matches_one_lex_solve_per_fiber(case):
     _assert_same(*case)
+
+
+# ---------------------------------------------------------------------------
+# `_outside_image`: the batch with no cost, against one feasibility LP per
+# point
+# ---------------------------------------------------------------------------
+
+def reference_outside_image(q, proj, points):
+    """`_outside_image` as it was before it became a batch: one `optimize`
+    of q plus the equations proj's rows · y = x - offset per point."""
+    out = []
+    for x in points:
+        rows = [(row, xi - o) for row, xi, o in zip(proj.matrix, x, proj.offset)]
+        if optimize(q._derive(eqs=rows), linalg.zeros(q.dim), "min").status == INFEASIBLE:
+            out.append(x)
+    return out
+
+
+def _assert_outside_same(q, matrix, points):
+    """The batch and the reference give the same points; returns them."""
+    proj = AffineMap.linear(matrix)
+    got = _under_budget(kernel._outside_image, q, proj, points)
+    assert got == reference_outside_image(q, proj, points)
+    return got
+
+
+def test_outside_every_point():
+    pts = [(F(3),), (F(-3),), (F(7, 2),)]
+    assert _assert_outside_same(TRIANGLE, DIFF, pts) == pts
+
+
+def test_outside_first_point_then_inside():
+    # phase 1 finds the first fiber empty; the later ones start from the
+    # basis its artificials were driven out of
+    pts = [(F(3),), (F(1),), (F(-5),), (F(0),), (F(3),), (F(-2),)]
+    assert _assert_outside_same(TRIANGLE, DIFF, pts) == [(F(3),), (F(-5),), (F(3),)]
+
+
+def test_outside_empty_q():
+    empty = HPoly(3, [((1, 1, 1), -1), ((-1, -1, -1), 0), ((-1, 0, 0), 0)])
+    pts = [(F(0),), (F(1),)]
+    assert _assert_outside_same(empty, [(F(1), F(0), F(2))], pts) == pts
+    assert _assert_outside_same(HPoly(1, [((0,), -1)]), [(F(1),)], pts) == pts
+
+
+def test_outside_output_dimension_zero():
+    # every fiber is q itself
+    assert _assert_outside_same(TRIANGLE, [], [(), ()]) == []
+    empty = HPoly(2, [((1, 1), -1), ((-1, 0), 0), ((0, -1), 0)])
+    assert _assert_outside_same(empty, [], [(), ()]) == [(), ()]
+
+
+def test_outside_dimension_zero():
+    pts = [(ZERO, ZERO), (ZERO, F(1)), (F(-1), ZERO)]
+    assert _assert_outside_same(HPoly(0, [((), 1)]), [(), ()], pts) == pts[1:]
+    assert _assert_outside_same(HPoly(0, [((), -1)]), [(), ()], pts) == pts
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(fiber_cases())
+def test_outside_image_matches_one_lp_per_point(case):
+    _assert_outside_same(*case)

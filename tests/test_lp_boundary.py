@@ -1,9 +1,10 @@
 """The LP layer has one entrance.  Only `kernel` imports `simplex` or builds a
 standard form (`_presolve`, `_assemble_standard`), and `verify_extension`
 and `poly_equal` ask their LP questions through the kernel's containment
-functions, never through `optimize`/`optimize_all` themselves.  `slack`
-lifts its points through the kernel's lexicographic batch and never names
-`lex_min_point`, so a loop of one lexicographic LP per point cannot come back
+functions, never through `optimize`/`optimize_all` themselves.  Neither
+does `_outside_image`, which asks its fiber questions in one `_lex_fibers`
+batch; `slack` lifts its points through that batch and never names
+`lex_min_point`.  So a loop of one LP per point cannot come back
 unnoticed."""
 
 import ast
@@ -12,7 +13,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "polylift"
 STANDARD_FORM = {"_presolve", "_assemble_standard"}
 LP_CALLS = {"optimize", "optimize_all"}
-CONTAINMENT_CALLERS = {"constructions.py": "verify_extension", "kernel.py": "poly_equal"}
+CONTAINMENT_CALLERS = [("constructions.py", "verify_extension"), ("kernel.py", "poly_equal"),
+                       ("kernel.py", "_outside_image")]
 BATCHED = {"slack.py": "lex_min_point"}
 
 
@@ -70,7 +72,7 @@ def test_only_kernel_reaches_the_simplex():
 
 
 def test_containment_callers_build_no_lp():
-    for name, function in CONTAINMENT_CALLERS.items():
+    for name, function in CONTAINMENT_CALLERS:
         assert _direct_lp_calls(_tree(SRC / name), function) == [], (name, function)
 
 
@@ -90,12 +92,15 @@ def test_the_checks_see_a_violation(tmp_path):
         "    return optimize(q, (), 'min'), kernel.optimize_all(q, [])\n"
         "def other(q):\n"
         "    return optimize(q, (), 'min')\n"
+        "def _outside_image(q, proj, points):\n"
+        "    return [x for x in points if kernel.optimize(q._derive(eqs=x), (), 'min').status]\n"
     )
     tree = _tree(path)
     assert _simplex_uses(tree) == [
         (1, "simplex"), (2, "polylift.simplex"), (3, "_presolve"), (5, "_assemble_standard")]
     assert _direct_lp_calls(tree, "verify_extension") == [(6, "optimize"), (6, "optimize_all")]
     assert _direct_lp_calls(tree, "poly_equal") is None
+    assert _direct_lp_calls(tree, "_outside_image") == [(10, "optimize")]
 
 
 def test_the_batch_check_sees_a_per_point_loop(tmp_path):

@@ -181,8 +181,15 @@ def _recorded(module, solve, *args, lex):
         module._pivot = pivot
 
 
+def _solve_one_rhs(*args, lex):
+    """solve_standard on one right-hand side: a lex call returns one result
+    list per right-hand side, here the only one."""
+    results = simplex.solve_standard(*args, lex=lex)
+    return results[0] if lex else results
+
+
 def _assert_same(rows, rhs, costs, lex=False):
-    got = _recorded(simplex, simplex.solve_standard, *_integer_rows(rows, rhs), [list(c) for c in costs], lex=lex)
+    got = _recorded(simplex, _solve_one_rhs, *_integer_rows(rows, rhs), [list(c) for c in costs], lex=lex)
     want = _recorded(
         sys.modules[__name__], reference_solve, [list(r) for r in rows], list(rhs), [list(c) for c in costs], lex=lex
     )
@@ -314,7 +321,7 @@ def _assert_lex_same(rows, rhs, costs):
 
     simplex._phase2 = counted
     try:
-        got = _recorded(simplex, simplex.solve_standard, *_integer_rows(rows, rhs), [list(c) for c in costs], lex=True)
+        got = _recorded(simplex, _solve_one_rhs, *_integer_rows(rows, rhs), [list(c) for c in costs], lex=True)
     finally:
         simplex._phase2 = phase2
     want = _recorded(simplex, lambda *a, lex: lex_every_phase2(*a), *_integer_rows(rows, rhs),

@@ -309,8 +309,8 @@ def test_a_lift_that_fails_verify_never_reaches_s(monkeypatch):
     # must not be built from that lift
     real, slacks = slack._lex_fibers, slack._slacks
 
-    def one_bad(q, matrix, rhss):
-        lifts = real(q, matrix, rhss)
+    def one_bad(q, matrix, rhss, lead):
+        lifts = real(q, matrix, rhss, lead)
         lifts[2] = tuple(x - 1 for x in lifts[2])
         return lifts
 
