@@ -14,7 +14,7 @@ from . import linalg
 from .constructions import Extension, verify_extension
 from .errors import InputError, InvariantViolationError, SizeLimitError, ValidationError
 from .kernel import HPoly, VPoly, vertices
-from .slack import SlackMatrix, _binding_given_slacks, slack_matrix
+from .slack import SlackMatrix, _binding_given_slacks, _slacks, slack_matrix
 
 EXACT = "exact"
 GREEDY = "greedy"
@@ -53,12 +53,8 @@ class FaceLattice:
 def face_lattice(hrep: HPoly, vrep: VPoly, *, max_facets: int = 10, max_vertices: int = 12) -> FaceLattice:
     """All faces of the polytope: P itself, the empty face, and every
     nonempty intersection of the facet masks (`_closed_sets`), where a facet
-    mask holds the vertices tight at one inequality.
-
-    The tightness test runs in integers: each vertex v is scaled once to its
-    homogeneous (X, w) with v = X/w, and each row is read in its integer
-    form (A, B, d) from `HPoly._int_rows`, so the row is tight at v exactly
-    when A·X == B·w.
+    mask holds the vertices tight at one inequality: the zero pattern of the
+    row's slacks (`_zero_masks`).
 
     Dimensions come from the grading, by size: dim(empty) = -1 and dim(F) =
     1 + max dim(F & m) over the facet masks m with F & m != F (0 for a point
@@ -80,13 +76,12 @@ def face_lattice(hrep: HPoly, vrep: VPoly, *, max_facets: int = 10, max_vertices
     for v in vrep.vertices:
         if not hrep.contains(v):
             raise InputError("a listed vertex violates the inequality description")
-    points = [linalg.homogeneous(v) for v in vrep.vertices]
-    facet_masks = []
-    for nz, b, _ in hrep._int_rows()[0]:
-        facet_masks.append(
-            sum(1 << j for j, p in enumerate(points) if sum(x * p[r] for r, x in nz) == b * p[-1])
-        )
-    return _lattice(len(points), facet_masks)
+    return _lattice(len(vrep.vertices), _zero_masks(_slacks(hrep, vrep.vertices)))
+
+
+def _zero_masks(rows) -> list[int]:
+    """Each row's zero pattern: bit j is set when row[j] is 0."""
+    return [sum(1 << j for j, s in enumerate(row) if not s) for row in rows]
 
 
 def _lattice(nv: int, facet_masks: list) -> FaceLattice:
@@ -438,8 +433,9 @@ def xc_bounds(
     LATTICE_LIMITS).  Upper bounds: the given description sizes and every
     supplied extension that verifies.  conv(vrep) must be the polytope (caller
     contract for the trivial |X| bound).  hrep must be binding; only the rows
-    with no zero slack at a listed point of P take an LP to check it, so a
-    point outside P is reported before a non-binding row.
+    with no zero slack at a listed point take an LP to check it, so a listed
+    point outside P is reported before a non-binding row: off an inequality
+    as a ValidationError, off an equation as an InputError.
     """
     sm = slack_matrix(hrep, vrep)
     if not _binding_given_slacks(hrep, sm, vrep):
@@ -448,14 +444,9 @@ def xc_bounds(
     bounds["rank"] = (rank_bound(sm), True)
     nv = len(vrep.vertices)
     if len(hrep.ineqs) <= LATTICE_LIMITS[0] or nv <= LATTICE_LIMITS[1]:
-        # face_lattice's membership check and facet masks, read off sm:
-        # slack_matrix has checked every inequality at every point, so only
-        # the equations are left, and a row's mask is its zero pattern
-        on_eqs = hrep._derive(())
-        if not all(on_eqs.contains(v) for v in vrep.vertices):
-            raise InputError("a listed vertex violates the inequality description")
-        masks = [sum(1 << j for j, s in enumerate(row) if not s) for row in sm.entries]
-        bounds["log_faces"] = (log_face_bound(_lattice(nv, masks)), True)
+        # face_lattice's facet masks, read off sm: the binding check has
+        # placed every point in P, and a row's mask is its zero pattern
+        bounds["log_faces"] = (log_face_bound(_lattice(nv, _zero_masks(sm.entries))), True)
     cov = rectangle_cover_min(sm, budget=cover_budget)
     if cov.is_exact():
         bounds["rectangle_cover"] = (cov.size, True)
@@ -528,25 +519,19 @@ def embedding_check(
     # empty face, whose preimage is empty whatever Q projects to
     if nv and not all(target_hrep.contains(x) for x in proj_pts):
         return False
+    # each row's zero pattern at P's vertices and at the projected vertices
+    tight_p = _zero_masks(_slacks(target_hrep, target_vrep.vertices))
+    tight_q = _zero_masks(_slacks(target_hrep, proj_pts))
     images = []
     for fmask in lp.faces:
         if fmask == 0:
             images.append(0)  # the preimage of the empty face is empty
             continue
         # the face equals {x in P : rows tight}, rows = its full tight row set
-        rows = [
-            (a, b)
-            for a, b in target_hrep.ineqs
-            if all(
-                linalg.dot(a, target_vrep.vertices[j]) == b
-                for j in range(nv)
-                if fmask >> j & 1
-            )
-        ]
-        gmask = 0
-        for uidx in range(nq):
-            if all(linalg.dot(a, proj_pts[uidx]) == b for a, b in rows):
-                gmask |= 1 << uidx
+        gmask = (1 << nq) - 1
+        for tp, tq in zip(tight_p, tight_q):
+            if tp & fmask == fmask:
+                gmask &= tq
         if gmask not in q_faces:
             return False
         images.append(gmask)

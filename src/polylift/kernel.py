@@ -10,8 +10,9 @@ elimination of the equations gives both the canonical equations of aff(P)
 and its integer direction basis, which `affine_hull`, `vertices` and the
 slack maps read.  `hull` and `vertices` run on integers
 from the homogeneous points to the facet rows (`_hull_int`): the affine
-set-up, the polar seed simplex (one fraction-free inverse) and the double
-description core.  Every LP goes
+set-up (the library's one left inverse, `linalg._left_inverse_int`), the
+polar seed simplex (one fraction-free inverse) and the double description
+core.  Every LP goes
 through `optimize_all`: its answers carry points, and rays when unbounded,
 and every internal verdict rests on them.  The two containment questions
 of `verify_extension`, `poly_equal` and `is_vertex` (is x in proj(Q)? does
@@ -699,13 +700,6 @@ def _affine_frame(poly: HPoly):
     return (eqs, point, *linalg._nullspace_int(red, piv, dim))
 
 
-def _aff_directions(poly: HPoly):
-    """(point of P, direction basis of aff(P) as column vectors), the exact
-    Fraction view of `_affine_frame`."""
-    _, x0, basis, den = _affine_frame(poly)
-    return x0, [tuple([Fraction(x, den) for x in v]) for v in basis]
-
-
 def _implicit_equalities(poly: HPoly):
     found = []
     results = optimize_all(poly, [(a, "min") for a, _ in poly.ineqs])
@@ -863,18 +857,11 @@ def _hull_int(dim: int, hom: list) -> tuple[list, list]:
     k = len(dirs)
     if k == 0:
         raise InvariantViolationError("distinct points with no direction span")
-    # One fraction-free Gauss-Jordan of [dirs | I] ends at [R | X] with
-    # R = X·dirs and every pivot entry of R equal to d: the pivot columns
-    # piv, the nullspace of dirs (the equations), and X, which inverts dirs
-    # on piv.  The left inverse of the direction matrix N (columns dirs)
-    # that is zero off piv, as `linalg.left_inverse` builds it, is L = X^T/d
-    # on piv; lcols[j] is column piv[j] of l_den·L.  dirs_j is q0·q_j times
-    # the Fraction difference, so L is that diagonal scaling times the
-    # Fraction left inverse, and the scaling cancels in every facet row
-    red, piv = linalg._eliminate([dj + [int(i == j) for j in range(k)] for i, dj in enumerate(dirs)])
-    normals, l_den = linalg._nullspace_int(red, piv, dim)
-    sign = 1 if red[0][piv[0]] > 0 else -1
-    lcols = [[sign * x for x in row[dim:]] for row in red]
+    # the equations are the nullspace of dirs, and lcols[j] is column piv[j]
+    # of l_den·L, L the left inverse of N (columns dirs) that is zero off
+    # piv; dirs_j is q0·q_j times the Fraction difference, so that diagonal
+    # scaling of L cancels in every facet row
+    piv, normals, l_den, lcols = linalg._left_inverse_int(dirs, dim)
     eqs = []
     for c in normals:
         eq = [q0 * x for x in c] + [sum(x * y for x, y in zip(c, big_p0))]

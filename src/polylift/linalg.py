@@ -6,14 +6,17 @@ denominator), which is exactly the invariant the rest of the package needs,
 so no wrapper type is introduced.
 
 All elimination happens in one routine, `_eliminate`: fraction-free
-(Bareiss) Gauss-Jordan on an integer scaling of the rows.  `rref` and `rank`
-read its result directly, `independent_rows` runs it on the transpose,
-`_nullspace_int` reads the integer nullspace basis off its rows, and
-`nullspace` is a Fraction view of that basis; `solve`, `inverse` and
-`left_inverse` are built on `rref`.  It takes integer rows as they are, and
-the kernel reads its integer result directly: the affine frame of a
-polyhedron (equations and direction basis), and the convex hull's
-equations, left inverse and polar seed simplex.
+(Bareiss) Gauss-Jordan on an integer scaling of the rows, which takes
+integer rows as they are.  `rref` and `rank` read its result directly,
+`independent_rows` runs it on the transpose, `_nullspace_int` reads the
+integer nullspace basis off its rows, `nullspace` is a Fraction view of
+that basis, and `solve` is built on `rref`.  The one left inverse,
+`_left_inverse_int`, reads the pivot columns, the integer nullspace and the
+integer left inverse off one elimination of [rows | I]; `left_inverse` and
+`inverse` are its Fraction views.  The kernel and `slack` read the integer
+results directly: the affine frame of a polyhedron (equations and
+direction basis), the convex hull's equations, left inverse and polar seed
+simplex, and the inverse slack map.
 """
 
 from __future__ import annotations
@@ -221,39 +224,53 @@ def independent_rows(m: Mat) -> list[int]:
     return _eliminate(transpose(m))[1]
 
 
+def _left_inverse_int(rows, ncols: int):
+    """One fraction-free Gauss-Jordan of [rows | I], for N the matrix whose
+    columns are the rows (each of length ncols): (piv, normals, den, lcols),
+    or None when the rows are dependent.  It ends at [R | X] with R = X·rows
+    for the rows as given (each is scaled to integers with its identity
+    entry) and every pivot entry of R equal to ±den.  piv are the pivot
+    columns, the first independent rows of N; normals is the integer
+    nullspace of the rows over den; and lcols[j] is column piv[j] of den·L,
+    for the left inverse L of N that is zero off piv: ±X^T there.
+    """
+    k = len(rows)
+    red, piv = _eliminate([(*r, *[int(i == j) for j in range(k)]) for i, r in enumerate(rows)])
+    if piv and piv[-1] >= ncols:
+        return None
+    normals, den = _nullspace_int(red, piv, ncols)
+    sign = 1 if not piv or red[0][piv[0]] > 0 else -1
+    return piv, normals, den, [[sign * x for x in row[ncols:]] for row in red]
+
+
 def left_inverse(m: Mat) -> Mat:
     """Left inverse of a matrix with full column rank: L @ M = I.
 
-    Built from an invertible square row-subset, so L has zero columns on the
-    dependent rows; any left inverse serves the callers here.
+    The Fraction view of `_left_inverse_int` on M's columns: L is zero on
+    the columns of the rows that depend on earlier ones, and inverts the
+    square subset of the others; any left inverse serves the callers here.
     """
     if not m:
         return ()
-    ncols = len(m[0])
-    idx = independent_rows(m)
-    if len(idx) != ncols:
-        raise ValueError("matrix does not have full column rank")
-    sub = tuple(m[i] for i in idx)  # ncols x ncols invertible
-    subinv = inverse(sub)
     nrows = len(m)
-    out = []
-    for r in range(ncols):
-        row = [ZERO] * nrows
-        for k, i in enumerate(idx):
-            row[i] = subinv[r][k]
-        out.append(tuple(row))
-    return tuple(out)
+    inv = _left_inverse_int(transpose(m), nrows)
+    if inv is None:
+        raise ValueError("matrix does not have full column rank")
+    piv, _, den, lcols = inv
+    cols = dict(zip(piv, lcols))
+    return tuple(tuple(Fraction(cols[c][r], den) if c in cols else ZERO for c in range(nrows))
+                 for r in range(len(m[0])))
 
 
 def inverse(m: Mat) -> Mat:
-    """Exact inverse of a square matrix."""
+    """Exact inverse of a square matrix: its left inverse."""
     n = len(m)
     if any(len(r) != n for r in m):
         raise ValueError("inverse of non-square matrix")
-    rows, pivots = rref([tuple(r) + unit(n, i) for i, r in enumerate(m)])
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    return tuple(tuple(r[n:]) for r in rows)
+    try:
+        return left_inverse(m)
+    except ValueError:
+        raise ValueError("matrix is singular") from None
 
 
 def canon_ineq(a: Sequence[Fraction], b: Fraction) -> tuple[Vec, Fraction]:

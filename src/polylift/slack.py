@@ -18,12 +18,12 @@ from fractions import Fraction
 
 from . import linalg
 from .constructions import Extension, verify_extension
-from .errors import EmptyPolyhedronError, InvariantViolationError, ValidationError
+from .errors import EmptyPolyhedronError, InputError, InvariantViolationError, ValidationError
 from .kernel import (
     AffineMap,
     HPoly,
     VPoly,
-    _aff_directions,
+    _affine_frame,
     _lex_fibers,
     optimize,
     optimize_all,
@@ -91,11 +91,14 @@ class FactorizationCheck:
 
 def _slack_frame(hrep: HPoly):
     """(x0, N, u0, AN): aff(P) = {x0 + N t}, N the list of its direction
-    vectors, and the slack map on it, u = b - A(x0 + N t) = u0 + AN t with
-    u0 = b - A x0 and AN = -A N (one row per inequality)."""
-    x0, null = _aff_directions(hrep)
-    u0 = tuple(b - linalg.dot(a, x0) for a, b in hrep.ineqs)
-    an = tuple(tuple(-linalg.dot(a, n) for n in null) for a, _ in hrep.ineqs)
+    vectors n_j, and the slack map on it, u = b - A(x0 + N t) = u0 + AN t,
+    AN given as its columns.  `_slacks` reads both: u0 is the slack at x0,
+    and AN's column j the change of slack from x0 to x0 + n_j."""
+    _, x0, basis, den = _affine_frame(hrep)
+    null = [tuple([F(x, den) for x in v]) for v in basis]
+    rows = _slacks(hrep, [x0] + [linalg.vadd(x0, n) for n in null])
+    u0 = tuple([r[0] for r in rows])
+    an = [tuple([r[j] - r[0] for r in rows]) for j in range(1, len(null) + 1)]
     return x0, null, u0, an
 
 
@@ -105,8 +108,8 @@ def slack_map(hrep: HPoly) -> AffineMap:
     Raises ValidationError when the map is not injective on aff(P) (then no
     inverse slack map exists).
     """
-    _, null, _, an = _slack_frame(hrep)
-    if null and linalg.rank(an) < len(null):
+    an = _slack_frame(hrep)[3]
+    if linalg._left_inverse_int(an, len(hrep.ineqs)) is None:
         raise ValidationError("slack map is not injective on the affine hull")
     return AffineMap([[-x for x in a] for a, _ in hrep.ineqs], [b for _, b in hrep.ineqs])
 
@@ -127,13 +130,16 @@ def _tight_somewhere(hrep: HPoly, rows) -> bool:
 
 
 def _binding_given_slacks(hrep: HPoly, sm: SlackMatrix, points: VPoly) -> bool:
-    """`is_binding(hrep)`, given the slack matrix sm of hrep at points: a
-    row with a zero slack at a listed point of P is tight there, so only
-    the other rows take an LP (one batch)."""
-    on_eqs = hrep._derive(())  # slack_matrix has checked every inequality
-    on_p = [on_eqs.contains(x) for x in points.vertices]
-    tight = [any(ok and s == 0 for s, ok in zip(row, on_p)) for row in sm.entries]
-    return _tight_somewhere(hrep, [r for r, t in zip(hrep.ineqs, tight) if not t])
+    """`is_binding(hrep)`, given the slack matrix sm of hrep at points.
+    slack_matrix has checked every inequality, so a listed point off the
+    equations is the input error left; then every listed point is in P, a
+    row with a zero slack is tight there, and only the other rows take an
+    LP (one batch)."""
+    on_eqs = hrep._derive(())
+    for j, x in enumerate(points.vertices):
+        if not on_eqs.contains(x):
+            raise InputError(f"point {points.point_label(j)} violates an equation of the system")
+    return _tight_somewhere(hrep, [r for r, row in zip(hrep.ineqs, sm.entries) if ZERO not in row])
 
 
 def _slacks(hrep: HPoly, pts) -> list[tuple]:
@@ -211,31 +217,28 @@ def factorization_to_extension(
     if len(original.ineqs) != m:
         raise ValidationError("original system row count does not match the slack matrix")
     x0, null, u0, an = _slack_frame(original)
-    n = original.dim
-    k = len(null)
-    if k and linalg.rank(an) < k:
+    inv = linalg._left_inverse_int(an, m)
+    if inv is None:
         raise ValidationError("slack map is not injective on the affine hull")
+    piv, normals, den, gcols = inv
 
     # the slack image is u0 plus the span of AN's columns: e·u = e·u0 for
     # each normal e of that span, so Q's equations are e·(T lambda) = e·u0
-    dirs = linalg.transpose(an)
-    normals = linalg.nullspace(linalg.mat(dirs)) if dirs else [linalg.unit(m, i) for i in range(m)]
+    tmap = AffineMap.linear(t)
     eqs = []
     for nv in normals:
         e, g = linalg.canon_eq(nv, linalg.dot(nv, u0))
-        eqs.append(([linalg.dot(e, tuple(t[i][col] for i in range(m))) for col in range(f)], g))
-    ineqs = [
-        (tuple(-ONE if c == col else ZERO for c in range(f)), ZERO) for col in range(f)
-    ]
+        eqs.append((tmap.pull_back(e), g))
+    ineqs = [(tuple(-ONE if c == col else ZERO for c in range(f)), ZERO) for col in range(f)]
     q = HPoly(f, ineqs, eqs, ineq_labels=tuple(f"lambda{c}>=0" for c in range(f)))
 
-    # inverse slack map: x = x0 + NG(u - u0) with u = T lambda and G (AN) = I,
-    # so NG maps slack movement back
-    if k:
-        ng = linalg.mat_mul(linalg.transpose(null), linalg.left_inverse(an))  # n x m
-        proj = AffineMap(linalg.mat_mul(ng, t), linalg.vsub(x0, linalg.mat_vec(ng, u0)))
-    else:
-        proj = AffineMap([[ZERO] * f for _ in range(n)], x0)
+    # inverse slack map: x = x0 + NG(u - u0) with u = T lambda and G (AN) = I;
+    # G is zero off the columns piv, and gcols[l] is den times its column piv[l]
+    ng = [[ZERO] * m for _ in x0]
+    for c, col in zip(piv, gcols):
+        for r, row in enumerate(ng):
+            row[c] = sum([x * n[r] for x, n in zip(col, null) if x], ZERO) / den
+    proj = AffineMap([tmap.pull_back(row) for row in ng], [x - linalg.dot(row, u0) for x, row in zip(x0, ng)])
 
     # each point is the projection of its column of S
     s_cols = [tuple(row[j] for row in fact.s) for j in range(slack.ncols)]
@@ -244,7 +247,7 @@ def factorization_to_extension(
     def lift(v):
         return point_of.get(tuple(v))
 
-    return Extension(q, proj, n, f"slack_extension(f={f})", lift)
+    return Extension(q, proj, original.dim, f"slack_extension(f={f})", lift)
 
 
 def extension_to_factorization(
@@ -252,9 +255,9 @@ def extension_to_factorization(
 ) -> NonnegFactorization:
     """Nonnegative factorization Phi = T S from a verified extension.
 
-    Requires hrep binding (a point outside P is reported first) and the
-    extension verified; a non-pointed Q is first quotiented by its lineality
-    space (same inequality count).  Each row of T
+    Requires hrep binding (a listed point outside P is reported first, as
+    in xc_bounds) and the extension verified; a non-pointed Q is first
+    quotiented by its lineality space (same inequality count).  Each row of T
     comes from an exact LP expressing the row's slack over Q as a nonnegative
     combination of Q's inequality slacks; S evaluates Q's slacks at the
     lexicographically minimal lift of each point.  The lifts come first, from
@@ -265,29 +268,23 @@ def extension_to_factorization(
     if not _binding_given_slacks(hrep, phi, points):
         raise ValidationError("inequality system is not binding")
 
-    q_poly = ext.q
-    proj = ext.proj
+    q_poly, proj = ext.q, ext.proj
     stacked = linalg.mat([a for a, _ in q_poly.ineqs] + [c for c, _ in q_poly.eqs])
     keep = linalg.independent_rows(stacked)
-    bcols = None
+    quotient = None
     if len(keep) < q_poly.dim:
-        # quotient by the lineality space: restrict to the span of the rows
-        basis = [stacked[i] for i in keep]  # rows spanning the orthogonal complement
-        bcols = linalg.mat([[basis[j][i] for j in range(len(basis))] for i in range(q_poly.dim)])
-        new_ineqs = [
-            (tuple(linalg.dot(a, col) for col in zip(*bcols)), b) for a, b in q_poly.ineqs
-        ]
-        new_eqs = [
-            (tuple(linalg.dot(c, col) for col in zip(*bcols)), d) for c, d in q_poly.eqs
-        ]
-        q_poly = HPoly(len(basis), new_ineqs, new_eqs)
-        proj = AffineMap(linalg.mat_mul(proj.matrix, bcols), proj.offset)
+        # quotient by the lineality space: y = B z, B's columns the rows
+        # kept, which span the orthogonal complement
+        quotient = AffineMap.linear(linalg.transpose([stacked[i] for i in keep]))
+        q_poly = HPoly(len(keep), [(quotient.pull_back(a), b) for a, b in q_poly.ineqs],
+                       [(quotient.pull_back(c), d) for c, d in q_poly.eqs])
+        proj = proj.compose(quotient)
     pm, p0 = proj.matrix, proj.offset
 
     # the hints are in Q's own coordinates; a point whose lift failed gets
     # none, and its error is raised where S needs the lift
     lifts = _lex_fibers(q_poly, pm, [[a - b for a, b in zip(x, p0)] for x in points.vertices], q_poly.dim)
-    hints = {x: y if bcols is None else linalg.mat_vec(bcols, y)
+    hints = {x: y if quotient is None else quotient.apply(y)
              for x, y in zip(points.vertices, lifts) if not isinstance(y, Exception)}
     rep = verify_extension(hrep, replace(ext, lift=hints.get), target_vrep=points)
     if not rep.passed:
@@ -295,21 +292,18 @@ def extension_to_factorization(
     if rep.lift_hits != len(hints):
         raise InvariantViolationError("a lexicographic lift fails the extension's check")
 
-    y0, null, sigma0, an = _slack_frame(q_poly)
+    # row i of T solves sigma0·t = f0 and (column j of AN)·t = fj for each
+    # direction n_j of aff(Q), with f0 and f0 + fj hrep's slacks at p(y0)
+    # and p(y0 + n_j)
+    y0, null, sigma0, sigma_cols = _slack_frame(q_poly)
     qm = len(q_poly.ineqs)
-    k = len(null)
-    sigma_cols = [tuple(row[j] for row in an) for j in range(k)]  # k vectors in R^qm
+    rhs = _slacks(hrep, [proj.apply(y0)] + [proj.apply(linalg.vadd(y0, n)) for n in null])
 
     # every t_rows LP is these rows plus its own equations, derived from them
     nonneg = HPoly(qm, [(tuple(-ONE if c == col else ZERO for c in range(qm)), ZERO) for col in range(qm)])
     t_rows = []
-    for a, b in hrep.ineqs:
-        apm = proj.pull_back(a) if pm else [ZERO] * q_poly.dim
-        f0 = b - (linalg.dot(apm, y0) + linalg.dot(a, p0))
-        eqs = [(sigma0, f0)]
-        for j in range(k):
-            fj = -linalg.dot(apm, null[j])
-            eqs.append((sigma_cols[j], fj))
+    for at in rhs:
+        eqs = [(sigma0, at[0])] + [(col, fj - at[0]) for col, fj in zip(sigma_cols, at[1:])]
         r = optimize(nonneg._derive(eqs=eqs), (ONE,) * qm, "min")
         if r.status != "optimal":
             raise InvariantViolationError(

@@ -398,13 +398,22 @@ def test_xc_bounds_pi3_with_birkhoff_upper():
 
 
 def test_xc_bounds_binding_rows_need_a_point_on_the_equations():
-    # on the segment x + y = 1, 0 <= x, 0 <= y, the row x <= 2 has a zero
-    # slack only at (2, 5), which is off the equation: it takes the LP,
-    # whose maximum 1 shows that it is tight nowhere on P
+    # on the segment x + y = 1, 0 <= x, 0 <= y, the point (2, 5) holds every
+    # inequality but is off the equation: an input error, reported before
+    # the row x <= 2, whose only zero slack is there, is found not binding
     eq = [((1, 1), 1)]
     h = HPoly(2, [((-1, 0), 0), ((0, -1), 0), ((1, 0), 2)], eq)
-    with pytest.raises(ValidationError, match="binding"):
+    with pytest.raises(InputError, match="^point pt2 violates an equation of the system$"):
         bd.xc_bounds(h, VPoly(2, [(0, 1), (1, 0), (2, 5)]))
+    # without it, the row takes the LP, whose maximum 1 shows that it is
+    # tight nowhere on P
+    with pytest.raises(ValidationError, match="binding"):
+        bd.xc_bounds(h, VPoly(2, [(0, 1), (1, 0)]))
+    # past LATTICE_LIMITS (14 rows, 25 points) as well: (4, 4, 4, 4) would
+    # raise the slack matrix's rank from 4 to 5
+    p4v = zoo.permutahedron_vrep(4).vertices
+    with pytest.raises(InputError, match="violates"):
+        bd.xc_bounds(zoo.permutahedron_hrep(4), VPoly(4, p4v + ((4, 4, 4, 4),)))
     # an empty system is still reported as empty, not as a non-binding one
     empty = HPoly(2, [((-1, 0), 0), ((0, -1), 0), ((1, 0), 2)], [((1, 1), -1)])
     with pytest.raises(EmptyPolyhedronError):

@@ -319,6 +319,17 @@ def test_cli_bounds_square(tmp_path, capsys):
     assert doc["results"]["pinned"] is True
 
 
+def test_cli_bounds_point_off_the_equations_exit2(tmp_path, capsys):
+    # (4, 4, 4, 4) holds every inequality of Π4 but not x1 + ... + x4 = 10
+    h = tmp_path / "pi4.hpoly"
+    v = tmp_path / "pi4.vpoly"
+    h.write_text(fileio.serialize_hpoly(zoo.permutahedron_hrep(4)))
+    p4v = zoo.permutahedron_vrep(4).vertices
+    v.write_text(fileio.serialize_vpoly(VPoly(4, p4v + ((4, 4, 4, 4),))))
+    assert main(["bounds", str(h), str(v)]) == 2
+    assert "violates" in capsys.readouterr().err
+
+
 def test_cli_bounds_pi3_with_extension_upper(tmp_path, capsys):
     h = tmp_path / "pi3.hpoly"
     v = tmp_path / "pi3.vpoly"

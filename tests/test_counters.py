@@ -65,6 +65,22 @@ def test_factorization_martin4_solves_and_pivots(monkeypatch):
     assert counts == {"solves": 19, "pivots": 468, "eliminations": 2}
 
 
+@pytest.mark.parametrize("hrep, vrep, eliminations", [
+    (zoo.permutahedron_hrep(4), zoo.permutahedron_vrep(4), 2),
+    (kernel.hull(zoo.cross_polytope_vrep(3)), zoo.cross_polytope_vrep(3), 1),
+])
+def test_factorization_to_extension_eliminations(monkeypatch, hrep, vrep, eliminations):
+    sm = slack.slack_matrix(hrep, vrep)
+    fact = slack.NonnegFactorization(linalg.identity(sm.nrows), sm.entries)
+    counts = _count_calls(monkeypatch, eliminations=ELIMINATIONS)
+    slack.factorization_to_extension(fact, sm, hrep)
+    # one for the affine frame of Π4 (cross(3) is full-dimensional and takes
+    # none) and one [AN^T | I] for injectivity, the slack image's equations
+    # and the left inverse G; a rank, a nullspace and an independent_rows
+    # plus an inverse for G made 5 and 4
+    assert counts["eliminations"] == eliminations
+
+
 @pytest.mark.parametrize("ext, hrep, vrep, solves, pivots", [
     (cx.birkhoff_extension(4), zoo.permutahedron_hrep(4), zoo.permutahedron_vrep(4), 17, 346),
     (cx.martin_spanning_tree_extension(4), zoo.spanning_tree_hrep(4), zoo.spanning_tree_vrep(4), 19, 468),

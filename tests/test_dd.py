@@ -3,7 +3,9 @@
 The reference below is the Fraction implementation the integer core
 replaced: every slack and edge point in Fraction, and each new vertex's
 tight set recomputed by one dot product per earlier row (`tight_mask`).
-Both must give identical results, and so must any order of the input.
+Its linear algebra is `test_linalg`'s Fraction Gauss-Jordan, which shares
+no code with the elimination `hull` reads its left inverse from.  Both must
+give identical results, and so must any order of the input.
 """
 
 from fractions import Fraction
@@ -21,12 +23,13 @@ from polylift.errors import (
 from polylift.kernel import (
     HPoly,
     VPoly,
-    _aff_directions,
+    _affine_frame,
     _max_common_slack,
     _polar_seeds,
     hull,
     vertices,
 )
+from test_linalg import ref_independent_rows, ref_left_inverse, ref_nullspace, ref_solve
 
 F = Fraction
 ONE = F(1)
@@ -96,15 +99,15 @@ def _hull_reference(points):
         return HPoly(dim, (), tuple(linalg.canon_eq(linalg.unit(dim, i), p[i]) for i in range(dim)))
     p0 = pts[0]
     diffs = [linalg.vsub(p, p0) for p in pts[1:]]
-    basis_idx = linalg.independent_rows(linalg.mat(diffs))
+    basis_idx = ref_independent_rows(diffs)
     dirs = [diffs[i] for i in basis_idx]
     k = len(dirs)
     eqs = []
     if k < dim:
-        for c in linalg.nullspace(linalg.mat(dirs)):
+        for c in ref_nullspace(dirs):
             eqs.append(linalg.canon_eq(c, linalg.dot(c, p0)))
     n_mat = linalg.mat([[dirs[j][i] for j in range(k)] for i in range(dim)])
-    lmat = linalg.left_inverse(n_mat)
+    lmat = ref_left_inverse(n_mat)
     coords = []
     for p in pts:
         d = linalg.vsub(p, p0)
@@ -118,7 +121,7 @@ def _hull_reference(points):
     all_rows = [(linalg.vsub(coords[i], centroid), ONE) for i in order]
     init_verts, init_tights = [], []
     for leave in range(k + 1):
-        y = linalg.solve(linalg.mat([all_rows[j][0] for j in range(k + 1) if j != leave]), (ONE,) * k)
+        y = ref_solve([all_rows[j][0] for j in range(k + 1) if j != leave], (ONE,) * k)
         if y is None:
             raise InvariantViolationError("polar simplex is degenerate")
         mask = 0
@@ -139,7 +142,8 @@ def _hull_reference(points):
 
 
 def _vertices_reference(poly):
-    x0, null = _aff_directions(poly)
+    _, x0, basis, den = _affine_frame(poly)
+    null = [tuple(F(x, den) for x in v) for v in basis]
     dim, k = poly.dim, len(null)
     if k == 0:
         return VPoly(dim, (x0,))
@@ -297,7 +301,7 @@ def test_adjugate_seeds_equal_one_solve_per_left_out_row(rows):
     expected = []
     for leave in range(len(rows)):
         rest = [r for j, r in enumerate(rows) if j != leave]
-        y = linalg.solve(linalg.mat([a for a, _ in rest]), linalg.vec([b for _, b in rest]))
+        y = ref_solve(linalg.mat([a for a, _ in rest]), linalg.vec([b for _, b in rest]))
         expected.append(linalg.homogeneous(y))
     assert _polar_seeds(rows) == expected
 

@@ -5,7 +5,9 @@ functions, never through `optimize`/`optimize_all` themselves.  Neither
 does `_outside_image`, which asks its fiber questions in one `_lex_fibers`
 batch; `slack` lifts its points through that batch and never names
 `lex_min_point`.  So a loop of one LP per point cannot come back
-unnoticed."""
+unnoticed.  Likewise the library has one left inverse: no module but
+`linalg` calls its Fraction eliminations, and `linalg.inverse` and
+`left_inverse` reach `_left_inverse_int`, never `rref`."""
 
 import ast
 from pathlib import Path
@@ -16,6 +18,7 @@ LP_CALLS = {"optimize", "optimize_all"}
 CONTAINMENT_CALLERS = [("constructions.py", "verify_extension"), ("kernel.py", "poly_equal"),
                        ("kernel.py", "_outside_image")]
 BATCHED = {"slack.py": "lex_min_point"}
+FRACTION_ELIMINATIONS = {"rref", "solve", "inverse", "left_inverse", "nullspace"}
 
 
 def _called(node):
@@ -63,6 +66,15 @@ def _tree(path):
     return ast.parse(path.read_text(), str(path))
 
 
+def _calls_in(tree, function):
+    """The names that the top-level function calls, or None when the file
+    defines no such function."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name == function:
+            return {_called(n) for n in ast.walk(node) if isinstance(n, ast.Call)}
+    return None
+
+
 def test_only_kernel_reaches_the_simplex():
     files = sorted(SRC.glob("*.py"))
     assert files
@@ -79,6 +91,16 @@ def test_containment_callers_build_no_lp():
 def test_slack_lifts_points_in_one_batch():
     for name, function in BATCHED.items():
         assert _names(_tree(SRC / name), function) == [], (name, function)
+
+
+def test_one_left_inverse():
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "linalg.py":
+            tree = _tree(path)
+            assert [(line, f) for f in sorted(FRACTION_ELIMINATIONS) for line in _names(tree, f)] == [], path.name
+    tree = _tree(SRC / "linalg.py")
+    assert _calls_in(tree, "left_inverse") & {"_eliminate", "rref", "_left_inverse_int"} == {"_left_inverse_int"}
+    assert _calls_in(tree, "inverse") & {"_eliminate", "rref", "left_inverse"} == {"left_inverse"}
 
 
 def test_the_checks_see_a_violation(tmp_path):
@@ -114,3 +136,17 @@ def test_the_batch_check_sees_a_per_point_loop(tmp_path):
         "f = lex_min_point\n"
     )
     assert _names(_tree(path), "lex_min_point") == [1, 5, 6]
+
+
+def test_the_left_inverse_check_sees_an_elimination(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "def left_inverse(m):\n"
+        "    return rref([r + e for r, e in zip(m, identity(len(m)))])\n"
+        "def g(an):\n"
+        "    return linalg.nullspace(an), linalg.left_inverse(an)\n"
+    )
+    tree = _tree(path)
+    assert _calls_in(tree, "left_inverse") == {"rref", "identity", "zip", "len"}
+    assert _calls_in(tree, "inverse") is None
+    assert [_names(tree, f) for f in ("nullspace", "left_inverse")] == [[4], [4]]

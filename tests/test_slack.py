@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polylift import constructions as cx
-from polylift import linalg, slack, zoo
-from polylift.errors import InvariantViolationError, UnboundedPolyhedronError, ValidationError
+from polylift import kernel, linalg, slack, zoo
+from polylift.errors import InputError, InvariantViolationError, UnboundedPolyhedronError, ValidationError
 from polylift.kernel import AffineMap, HPoly, VPoly, hull, poly_equal, vertices
 from polylift.slack import (
     FactorizationCheck,
@@ -17,6 +17,7 @@ from polylift.slack import (
     slack_matrix,
     verify_factorization,
 )
+from test_linalg import ref_left_inverse, ref_nullspace, ref_rref
 
 F = Fraction
 
@@ -275,6 +276,11 @@ def test_extension_to_factorization_requires_binding():
     # the non-binding row, as in xc_bounds
     with pytest.raises(ValidationError, match="point outside"):
         extension_to_factorization(seg_ext, loose, VPoly(1, [(0,), (2,)]))
+    # and a listed point off the equations is an input error, before the
+    # extension is verified
+    h, v = zoo.permutahedron_hrep(3), zoo.permutahedron_vrep(3)
+    with pytest.raises(InputError, match="violates"):
+        extension_to_factorization(cx.birkhoff_extension(3), h, VPoly(3, v.vertices + ((2, 2, 3),)))
 
 
 def test_extension_to_factorization_rejects_unverified():
@@ -387,3 +393,90 @@ def test_slack_matrix_matches_dense_reference(case):
     else:
         got = slack_matrix(h, v).entries
         assert got == ref and all(type(x) is F for row in got for x in row)
+
+
+# ---------------------------------------------------------------------------
+# Differential test: the slack bridge against the Fraction construction
+# ---------------------------------------------------------------------------
+
+def reference_slack_extension(fact, sm, h):
+    """`factorization_to_extension`'s (Q, projection, lifts) by the Fraction
+    route it replaced: u0 and AN by dense dot products, injectivity by rank,
+    Q's equations from the Fraction nullspace of AN's columns, and the
+    inverse slack map from a Fraction left inverse of AN, all on
+    `test_linalg`'s Gauss-Jordan.  None when the slack map is not injective."""
+    _, x0, basis, den = kernel._affine_frame(h)
+    null = [tuple(F(x, den) for x in v) for v in basis]
+    u0 = tuple(b - linalg.dot(a, x0) for a, b in h.ineqs)
+    an = tuple(tuple(-linalg.dot(a, n) for n in null) for a, _ in h.ineqs)
+    t, f, m, k = fact.t, fact.inner_dim, len(h.ineqs), len(null)
+    if k and len(ref_rref(an)[1]) < k:
+        return None
+    dirs = linalg.transpose(an)
+    normals = ref_nullspace(dirs) if dirs else [linalg.unit(m, i) for i in range(m)]
+    eqs = []
+    for nv in normals:
+        e, g = linalg.canon_eq(nv, linalg.dot(nv, u0))
+        eqs.append(([linalg.dot(e, tuple(t[i][col] for i in range(m))) for col in range(f)], g))
+    ineqs = [(tuple(-1 if c == col else 0 for c in range(f)), 0) for col in range(f)]
+    q = HPoly(f, ineqs, eqs, ineq_labels=tuple(f"lambda{c}>=0" for c in range(f)))
+    if k:
+        ng = linalg.mat_mul(linalg.transpose(null), ref_left_inverse(an))
+        proj = AffineMap(linalg.mat_mul(ng, t), linalg.vsub(x0, linalg.mat_vec(ng, u0)))
+    else:
+        proj = AffineMap([[0] * f for _ in range(h.dim)], x0)
+    point_of = {proj.apply(lam): lam for lam in zip(*fact.s)}
+    return q, proj, point_of
+
+
+@st.composite
+def bridge_systems(draw):
+    """A point p, fractional equations through it (dependent ones too),
+    distinct points on their solution set near p, and fractional rows
+    a·x <= b with b at or above the largest a·x over the points.  The affine
+    frame's denominator is then mostly above 1 and AN's columns are not
+    integral; with fewer rows than directions the slack map is not
+    injective."""
+    dim = draw(st.integers(1, 4))
+    coef = st.builds(F, st.integers(-5, 5), st.sampled_from([1, 2, 3, 7]))
+    vector = st.lists(coef, min_size=dim, max_size=dim).map(linalg.vec)
+    p = draw(vector)
+    cs = draw(st.lists(vector, max_size=dim - 1))
+    eqs = [(c, linalg.dot(c, p)) for c in cs]
+    dirs = ref_nullspace(linalg.mat(cs)) if cs else [linalg.unit(dim, i) for i in range(dim)]
+    step = st.sampled_from([0, 1, -1, F(1, 2), F(-2, 3)])
+    pts = [p]
+    for _ in range(draw(st.integers(0, 4))):
+        x = p
+        for d in dirs:
+            s = draw(step)
+            x = linalg.vadd(x, tuple(s * y for y in d))
+        pts.append(x)
+    pts = list(dict.fromkeys(pts))
+    ineqs = []
+    for _ in range(draw(st.integers(0, 5))):
+        a = draw(vector)
+        ineqs.append((a, max(linalg.dot(a, x) for x in pts) + draw(st.sampled_from([0, 0, F(1, 3)]))))
+    return HPoly(dim, ineqs, eqs), VPoly(dim, pts)
+
+
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(bridge_systems(), st.booleans())
+def test_slack_bridge_matches_the_fraction_construction(case, t_is_identity):
+    h, v = case
+    sm = slack_matrix(h, v)
+    if t_is_identity:
+        fact = NonnegFactorization(linalg.identity(sm.nrows), sm.entries)
+    else:
+        fact = NonnegFactorization(sm.entries, linalg.identity(sm.ncols))
+    want = reference_slack_extension(fact, sm, h)
+    if want is None:
+        for run in (lambda: slack_map(h), lambda: factorization_to_extension(fact, sm, h)):
+            with pytest.raises(ValidationError, match="^slack map is not injective on the affine hull$"):
+                run()
+        return
+    slack_map(h)
+    ext = factorization_to_extension(fact, sm, h)
+    q, proj, point_of = want
+    assert ext.q == q and ext.proj == proj
+    assert [ext.lift(x) for x in v.vertices] == [point_of.get(x) for x in v.vertices]
