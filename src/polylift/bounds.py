@@ -109,9 +109,11 @@ def _closed_sets(masks) -> set:
 
 
 def log_face_bound(lattice: FaceLattice) -> int:
-    """ceil(log2(face count)): extension complexity is at least this."""
-    beta = lattice.face_count()
-    return (beta - 1).bit_length() if beta >= 1 else 0
+    """ceil(log2 f), f the number of nonempty faces: an extension with r
+    inequalities has at most 2^r nonempty faces, one per tight row set, and
+    P's nonempty faces have distinct nonempty preimages.  From dimension 1
+    up, ceil(log2 f) = ceil(log2(f + 1)) (f + 1 is even and at least 4)."""
+    return max(lattice.face_count() - 2, 0).bit_length()
 
 
 # ---------------------------------------------------------------------------
@@ -167,17 +169,33 @@ def _maximal_rectangles(entries):
     return sorted(((rows_of(jmask), jmask) for jmask in _closed_sets(row_support)), key=first_met)
 
 
-def _greedy_fooling(entry_list, entries):
-    """Greedy fooling set among the given support entries (valid lower bound)."""
+def _compatibility(slack: SlackMatrix, support) -> list[int]:
+    """For each support entry a, the mask of the entries b compatible with
+    it (never a): entries[ia][jb] or entries[ib][ja] is 0, so b lies in a
+    column where row ia is 0 or in a row where column ja is 0.  The masks
+    summed below are disjoint, so each sum is a union."""
+    entries = slack.entries
+    in_row = [0] * slack.nrows
+    in_col = [0] * slack.ncols
+    for t, (i, j) in enumerate(support):
+        in_row[i] |= 1 << t
+        in_col[j] |= 1 << t
+    by_row = [sum(in_col[j] for j, x in enumerate(row) if x == 0) for row in entries]
+    by_col = [
+        sum(in_row[i] for i, row in enumerate(entries) if row[j] == 0) for j in range(slack.ncols)
+    ]
+    return [by_row[i] | by_col[j] for i, j in support]
+
+
+def _greedy_clique(compat, cand_mask: int) -> list[int]:
+    """The greedy fooling set among the candidates, a valid lower bound:
+    lowest index first, each one compatible with all taken before it, by
+    taking the lowest candidate and keeping those compatible with it."""
     chosen = []
-    for (i, j) in entry_list:
-        ok = True
-        for (i2, j2) in chosen:
-            if entries[i][j2] != 0 and entries[i2][j] != 0:
-                ok = False
-                break
-        if ok:
-            chosen.append((i, j))
+    while cand_mask:
+        v = (cand_mask & -cand_mask).bit_length() - 1
+        chosen.append(v)
+        cand_mask &= compat[v]
     return chosen
 
 
@@ -190,8 +208,10 @@ def rectangle_cover_min(slack: SlackMatrix, budget: int = 200_000) -> CoverResul
     (`_maximal_rectangles`), bounded below by a greedy fooling set of the
     uncovered entries.  Only an exact result is a valid lower bound on
     extension complexity; a greedy cover is an upper bound on the cover
-    number and is flagged as such.
+    number and is flagged as such.  A negative budget is an InputError.
     """
+    if budget < 0:
+        raise InputError(f"search budget must be nonnegative, got {budget}")
     entries = slack.entries
     support = slack.support()
     if not support:
@@ -212,14 +232,11 @@ def rectangle_cover_min(slack: SlackMatrix, budget: int = 200_000) -> CoverResul
     ]
 
     greedy = _greedy_cover(support, entries, n)
+    compat = _compatibility(slack, support)
     best: list[int] = []
     best_size = len(greedy) + 1
     nodes = 0
     exceeded = False
-
-    def fooling_lb(uncovered_mask):
-        entry_list = [support[t] for t in range(len(support)) if uncovered_mask >> t & 1]
-        return len(_greedy_fooling(entry_list, entries))
 
     def bb(chosen, covered):
         nonlocal best, best_size, nodes, exceeded
@@ -237,8 +254,7 @@ def rectangle_cover_min(slack: SlackMatrix, budget: int = 200_000) -> CoverResul
         if len(chosen) + 1 >= best_size:
             return
         uncovered = full & ~covered
-        lb = fooling_lb(uncovered)
-        if len(chosen) + lb >= best_size:
+        if len(chosen) + len(_greedy_clique(compat, uncovered)) >= best_size:
             return
         # branch on the uncovered entry with the fewest covering rectangles
         pick = min(
@@ -314,31 +330,19 @@ def fooling_set_max(slack: SlackMatrix, budget: int = 500_000) -> FoolingResult:
     compatible candidates cannot.  Budget exhaustion (one node per call of
     the search) degrades to the best set found, flagged greedy: it is still
     a valid lower bound.  Nodes work on bitboards, as in BBMC (San Segundo
-    et al. 2011).
+    et al. 2011).  A negative budget is an InputError.
     """
-    entries = slack.entries
+    if budget < 0:
+        raise InputError(f"search budget must be nonnegative, got {budget}")
     support = slack.support()
     ne = len(support)
     if ne == 0:
         return FoolingResult(EXACT, FoolingSet(()))
-    # entries a and b are compatible when entries[ia][jb] or entries[ib][ja]
-    # is 0: b lies in a column where row ia is 0, or in a row where column
-    # ja is 0.  The masks summed below are disjoint, so each sum is a union.
-    in_row = [0] * slack.nrows
-    in_col = [0] * slack.ncols
-    for t, (i, j) in enumerate(support):
-        in_row[i] |= 1 << t
-        in_col[j] |= 1 << t
-    by_row = [sum(in_col[j] for j, x in enumerate(row) if x == 0) for row in entries]
-    by_col = [
-        sum(in_row[i] for i, row in enumerate(entries) if row[j] == 0) for j in range(slack.ncols)
-    ]
-    compat = [by_row[i] | by_col[j] for i, j in support]
+    compat = _compatibility(slack, support)
     full = (1 << ne) - 1
     # the candidates a color class can no longer take once it holds v
     shut = [full & ~(c | 1 << v) for v, c in enumerate(compat)]
-    best = list(_greedy_fooling(support, entries))
-    best_idx = [support.index(e) for e in best]
+    best_idx = _greedy_clique(compat, full)
     nodes = 0
     exceeded = False
 

@@ -3,18 +3,19 @@
 Everything here is pure and exact: polyhedra are immutable, and Fractions go
 in and come out.  A row becomes integers in one place, `HPoly._int_rows`,
 whose form the presolve, the simplex tableau, `contains`, `vertices` and
-`fm_project` share; the presolve and `fm_project` eliminate a variable
-through an equation by one fraction-free substitution, `_substitute`.  The
-affine hull has one parametrization, `_affine_frame`: one fraction-free
-elimination of the equations gives both the canonical equations of aff(P)
-and its integer direction basis, which `affine_hull`, `vertices` and the
-slack maps read.  `hull` and `vertices` run on integers
-from the homogeneous points to the facet rows (`_hull_int`): the affine
-set-up (the library's one left inverse, `linalg._left_inverse_int`), the
-polar seed simplex (one fraction-free inverse) and the double description
-core.  Every LP goes
-through `optimize_all`: its answers carry points, and rays when unbounded,
-and every internal verdict rests on them.  The two containment questions
+`fm_project` share, and is read at a point in one place, `_int_slack`; the
+presolve and `fm_project` eliminate a variable through an equation by one
+fraction-free substitution, `_substitute`.  The affine hull has one
+parametrization, `_affine_frame`: one fraction-free elimination of the
+equations gives both the canonical equations of aff(P) (every equation
+returned is in `linalg._canonical_eq`'s form) and its integer direction
+basis, which `affine_hull`, `vertices` and the slack maps read.  `hull` and
+`vertices` run on integers from the homogeneous points to the facet rows
+(`_hull_int`): the affine set-up and the polar seed simplex, both read off
+the one left inverse `linalg._left_inverse_int`, and the double description
+core.  Every LP is one `simplex.solve_standard` call, by `optimize_all` or
+`_lex_fibers`: its answers carry points, and rays when unbounded, and every
+internal verdict rests on them.  The two containment questions
 of `verify_extension`, `poly_equal` and `is_vertex` (is x in proj(Q)? does
 proj(Q) lie in P?) are asked in one place each, `_outside_image` and
 `_image_violations`; every fiber question, Q ∩ {proj(y) = x} for many x,
@@ -78,6 +79,16 @@ def _sparse_int_row(a, b) -> tuple[tuple[tuple[int, int], ...], int, int]:
     return ints, b.numerator * (d // b.denominator), d
 
 
+def _int_slack(nz, b, hom) -> int:
+    """b·w - a·X, the one evaluation of an integer row a·x <= b (or = b), a
+    as its nonzero (index, coefficient) pairs nz, at a homogeneous point hom
+    = (X..., w), w > 0: w times the slack at X/w, so it has the true sign."""
+    s = b * hom[-1]
+    for r, a in nz:
+        s -= a * hom[r]
+    return s
+
+
 @dataclass(frozen=True)
 class HPoly:
     """Polyhedron {x : a·x <= b for all ineqs, c·x = d for all eqs}.
@@ -110,20 +121,14 @@ class HPoly:
         if len(xv) != self.dim:
             raise InputError("point dimension mismatch")
         ineqs, eqs = self._int_rows()
-        # den x and every row are integral, and scaling a row by a positive
-        # integer keeps its sense: a·x <= b iff (d a)·(den x) <= (d b) den
-        den = lcm(*[v.denominator for v in xv])
-        xi = [v.numerator * (den // v.denominator) if v else 0 for v in xv]
-        for rows, is_eq in ((ineqs, False), (eqs, True)):
-            for nz, b, _ in rows:
-                s = 0
-                for j, a in nz:
-                    v = xi[j]
-                    if v:
-                        s += a * v
-                b *= den
-                if s > b or (is_eq and s != b):
-                    return False
+        # only the sign of each slack is read, and `_int_slack` keeps it
+        hom = linalg.homogeneous(xv)
+        for nz, b, _ in ineqs:
+            if _int_slack(nz, b, hom) < 0:
+                return False
+        for nz, b, _ in eqs:
+            if _int_slack(nz, b, hom):
+                return False
         return True
 
     def _int_rows(self) -> tuple[tuple, tuple]:
@@ -680,10 +685,10 @@ def _affine_frame(poly: HPoly):
     canonical equations of aff(P).  Raises on empty input.
 
     One fraction-free elimination of [C | d] over the explicit and implicit
-    equations gives both: each pivot row divided by its gcd, signed so its
-    pivot (its first nonzero) is positive, is `linalg.canon_eq` of the RREF
-    row, and the same rows give the direction basis.  A system without
-    equations takes no elimination: N is the identity.
+    equations gives both: each pivot row, whose first nonzero is its pivot,
+    in `linalg._canonical_eq`'s form is the canonical form of the RREF row,
+    and the same rows give the direction basis.  A system without equations
+    takes no elimination: N is the identity.
     """
     # One LP decides full-dimensionality: maximize the common slack eps.
     eps, point = _max_common_slack(poly)
@@ -694,9 +699,9 @@ def _affine_frame(poly: HPoly):
         return [], point, [[int(i == j) for j in range(dim)] for i in range(dim)], 1
     red, piv = linalg._eliminate([(*a, b) for a, b in rows])
     eqs = []
-    for row, c in zip(red, piv):
-        g = gcd(*row) if row[c] > 0 else -gcd(*row)
-        eqs.append((tuple([Fraction(x // g) for x in row[:dim]]), Fraction(row[dim] // g)))
+    for row in red[:len(piv)]:
+        *c, d = linalg._canonical_eq(row)
+        eqs.append((tuple([Fraction(x) for x in c]), Fraction(d)))
     return (eqs, point, *linalg._nullspace_int(red, piv, dim))
 
 
@@ -723,17 +728,6 @@ def affine_hull(poly: HPoly) -> list[tuple[Vec, Fraction]]:
 # Double description core, in integers
 # ---------------------------------------------------------------------------
 
-def _int_slack(row, v) -> int:
-    """b·w - a·V for the integer row (nonzeros of a, b) and the homogeneous
-    vertex (V, w): w times the slack of the rational vertex V/w, scaled by a
-    positive constant, so it has the sign of the true slack."""
-    nz, b = row
-    s = b * v[-1]
-    for r, a in nz:
-        s -= a * v[r]
-    return s
-
-
 def _dd_insert(kmin: int, row, bit: int, verts: list, tights: list) -> tuple[list, list]:
     """One double-description step: cut the polytope with vertices verts by
     row, whose tight-set bit is bit.  Returns the vertices and tight sets of
@@ -742,7 +736,8 @@ def _dd_insert(kmin: int, row, bit: int, verts: list, tights: list) -> tuple[lis
     Adjacency is the exact combinatorial test (no third vertex is tight on
     the common tight set), with the cardinality prefilter |common| >= kmin.
     """
-    slacks = [_int_slack(row, v) for v in verts]
+    nz, b = row
+    slacks = [_int_slack(nz, b, v) for v in verts]
     if all(s >= 0 for s in slacks):
         return verts, [t | bit if s == 0 else t for t, s in zip(tights, slacks)]
     inside = [i for i, s in enumerate(slacks) if s > 0]
@@ -813,18 +808,18 @@ def _polar_seeds(dense) -> list[tuple[int, ...]]:
 
     The vertex that leaves out row l solves a_j·Y - b_j·w = 0 for every
     j != l, so it is column l of adj(M) for M = [a_j | -b_j], because
-    M·adj(M) = det(M)·I.  One fraction-free Gauss-Jordan of [M | I] ends at
-    [d·I | d·M^-1], d = ±det(M), whose columns are those of adj(M) up to a
-    common sign; each is signed so that w > 0 and divided by its gcd.
+    M·adj(M) = det(M)·I.  `linalg._left_inverse_int` of M's rows gives the
+    columns of den·L, L = (M^T)^-1, which are the rows of den·M^-1 = ±adj(M);
+    column l is read across them, signed so w > 0 and divided by its gcd.
     """
     n = len(dense)
-    m = [[*a, -b] + [int(i == j) for j in range(n)] for i, (a, b) in enumerate(dense)]
-    rows, pivots = linalg._eliminate(m)
-    if pivots != list(range(n)):
+    inv = linalg._left_inverse_int([[*a, -b] for a, b in dense], n)
+    if inv is None:
         raise InvariantViolationError("polar simplex is degenerate")
+    lcols = inv[3]
     seeds = []
     for leave in range(n):
-        v = [row[n + leave] for row in rows]
+        v = [col[leave] for col in lcols]
         if not v[-1]:
             raise InvariantViolationError("polar simplex is degenerate")
         g = gcd(*v) if v[-1] > 0 else -gcd(*v)
@@ -844,11 +839,8 @@ def _hull_int(dim: int, hom: list) -> tuple[list, list]:
     p0 = hom[0]
     big_p0, q0 = p0[:dim], p0[dim]
     if len(hom) == 1:
-        out = []
-        for i, x in enumerate(big_p0):
-            g = gcd(q0, x)
-            out.append((*[q0 // g if j == i else 0 for j in range(dim)], x // g))
-        return [], out
+        return [], [linalg._canonical_eq([q0 if j == i else 0 for j in range(dim)] + [x])
+                    for i, x in enumerate(big_p0)]
     # e = q0·P - q·P0 = q·q0·(p - p0): the differences, as integers; a
     # positive multiple of each, so the same rows are independent
     diffs = [[q0 * x - h[dim] * y for x, y in zip(h, big_p0)] for h in hom]
@@ -862,14 +854,8 @@ def _hull_int(dim: int, hom: list) -> tuple[list, list]:
     # piv; dirs_j is q0·q_j times the Fraction difference, so that diagonal
     # scaling of L cancels in every facet row
     piv, normals, l_den, lcols = linalg._left_inverse_int(dirs, dim)
-    eqs = []
-    for c in normals:
-        eq = [q0 * x for x in c] + [sum(x * y for x, y in zip(c, big_p0))]
-        g = gcd(*eq)
-        if next(x for x in c if x) < 0:
-            g = -g
-        eqs.append(tuple([x // g for x in eq]))
-    eqs.sort()
+    eqs = sorted([linalg._canonical_eq([q0 * x for x in c] + [sum(x * y for x, y in zip(c, big_p0))])
+                  for c in normals])
     # coordinates of every point, t = L(p - p0) = T/(q·q0·l_den) with
     # T = (l_den·L)·e; the point lies in aff(dirs) + p0 exactly when
     # N·T = l_den·e
@@ -910,7 +896,7 @@ def _hull_int(dim: int, hom: list) -> tuple[list, list]:
     for v in init_verts:
         mask = 0
         for j in range(k + 1):
-            s = _int_slack(rows[j], v)
+            s = _int_slack(*rows[j], v)
             if s == 0:
                 mask |= 1 << j
             elif s < 0:
@@ -952,12 +938,14 @@ def hull(points: VPoly) -> HPoly:
 
     The points become homogeneous integers once and the facet rows Fractions
     once, after `_hull_int` has sorted them as integer tuples: the order is
-    that of the Fraction rows, since every entry is an integer.
+    that of the Fraction rows, since every entry is an integer.  The points
+    go in sorted as homogeneous vectors, whatever the caller's order: the
+    double description's intermediate size depends heavily on that order.
     """
     if not points.vertices:
         raise InputError("hull of an empty point list")
     dim = points.dim
-    ineqs, eqs = _hull_int(dim, [linalg.homogeneous(p) for p in points.vertices])
+    ineqs, eqs = _hull_int(dim, sorted([linalg.homogeneous(p) for p in points.vertices]))
 
     def fractions(rows):
         return tuple([(tuple([Fraction(x) for x in row[:dim]]), Fraction(row[dim])) for row in rows])
@@ -991,7 +979,7 @@ def vertices(poly: HPoly) -> VPoly:
     seen = set()
     for nz, b, _ in poly._int_rows()[0]:
         at = [q0 * sum(x * n[r] for r, x in nz) for n in n_int]
-        bt = n_den * (q0 * b - sum(x * big_x0[r] for r, x in nz))
+        bt = n_den * _int_slack(nz, b, hx)
         if not any(at):
             if bt < 0:
                 raise InvariantViolationError("feasible point violates a row")
@@ -1004,19 +992,19 @@ def vertices(poly: HPoly) -> VPoly:
     if not t_rows:
         raise UnboundedPolyhedronError("no inequality bounds the affine hull")
     if all(row[k] > 0 for row in t_rows):
-        big_tc, qc = (0,) * k, 1
+        htc = (0,) * k + (1,)
     else:
         eps, t_c = _max_common_slack(HPoly(k, [(row[:k], row[k]) for row in t_rows]))
         if eps <= 0:
             raise InvariantViolationError("t-polytope has no interior point")
         htc = linalg.homogeneous(t_c)
-        big_tc, qc = htc[:k], htc[k]
+    big_tc, qc = htc[:k], htc[k]
     # with t_c = Tc/qc, the polar point a/(b - a·t_c) is qc·a/(qc·b - a·Tc),
     # whose denominator is positive because t_c is interior
     polar = []
     for row in t_rows:
         pt = [qc * x for x in row[:k]]
-        pt.append(qc * row[k] - sum(x * y for x, y in zip(row, big_tc)))
+        pt.append(_int_slack(enumerate(row[:k]), row[k], htc))
         g = gcd(*pt)
         polar.append(tuple([x // g for x in pt]))
     facets, eqs = _hull_int(k, polar)
@@ -1049,10 +1037,10 @@ def _ray_certified(poly: HPoly, z: Vec) -> set[int]:
     equations.  In integers: each ray's dot products are streamed, and hit
     times compared by cross-multiplying."""
     ineqs, _ = poly._int_rows()
-    *big_z, q = linalg.homogeneous(z)
-    # q times row j's integer slack at z; slack[j]/(row j·d) is its hit time
-    # up to a factor common to every row
-    slack = [q * b - sum([x * big_z[t] for t, x in nz]) for nz, b, _ in ineqs]
+    hz = linalg.homogeneous(z)
+    # row j's integer slack at z; slack[j]/(row j·d) is its hit time up to a
+    # factor common to every row
+    slack = [_int_slack(nz, b, hz) for nz, b, _ in ineqs]
     # one elimination of [C C^T | C] solves C C^T y = C a for every a: with
     # W_k the C-part of pivot row k, s_k its column and p the pivot,
     # p·a - Σ_k (W_k·a) c_{s_k} is p times a's projection onto {x : Cx = 0}
@@ -1339,10 +1327,9 @@ def fm_project(poly: HPoly, keep: Iterable[int]) -> HPoly:
     out_eqs = []
     for c, e, _ in eqs:
         if c:
-            g = gcd(e, *c.values())
-            g = -g if c[min(c)] < 0 else g
-            out_eqs.append(({t: x // g for t, x in c.items()}, e // g, 1))
+            *a, b = linalg._canonical_eq([c.get(t, 0) for t in keep_set] + [e])
+            out_eqs.append((tuple([Fraction(x) for x in a]), Fraction(b)))
         elif e != 0:
             ineqs, out_eqs = [({}, -1, 1)], []
             break
-    return HPoly(len(keep_set), tuple(fractions(ineqs, keep_set)), tuple(fractions(out_eqs, keep_set)))
+    return HPoly(len(keep_set), tuple(fractions(ineqs, keep_set)), tuple(out_eqs))

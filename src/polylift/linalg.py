@@ -16,7 +16,9 @@ integer left inverse off one elimination of [rows | I]; `left_inverse` and
 `inverse` are its Fraction views.  The kernel and `slack` read the integer
 results directly: the affine frame of a polyhedron (equations and
 direction basis), the convex hull's equations, left inverse and polar seed
-simplex, and the inverse slack map.
+simplex, and the inverse slack map.  Every equation the library returns is
+put in one canonical form by `_canonical_eq`: coprime integers, first
+nonzero coefficient positive.
 """
 
 from __future__ import annotations
@@ -273,23 +275,12 @@ def inverse(m: Mat) -> Mat:
         raise ValueError("matrix is singular") from None
 
 
-def canon_ineq(a: Sequence[Fraction], b: Fraction) -> tuple[Vec, Fraction]:
-    """Scale a·x <= b by a positive rational so entries are coprime integers."""
-    ints = homogeneous((*a, b))[:-1]
-    g = gcd(*ints)
-    if g == 0:
-        return tuple(ZERO for _ in a), ZERO
-    return tuple(Fraction(v // g) for v in ints[:-1]), Fraction(ints[-1] // g)
-
-
-def canon_eq(c: Sequence[Fraction], d: Fraction) -> tuple[Vec, Fraction]:
-    """Like canon_ineq but also fixes the sign: first nonzero coefficient > 0."""
-    a, b = canon_ineq(c, d)
-    lead = next((x for x in a if x), None)
-    if lead is None:
-        if b < 0:
-            return a, -b
-        return a, b
-    if lead < 0:
-        return tuple(-x for x in a), -b
-    return a, b
+def _canonical_eq(row) -> tuple[int, ...]:
+    """The integer equation row (c..., d), meaning c·x = d with c nonzero,
+    divided by the gcd of its entries and signed so that its first nonzero
+    coefficient is positive: the one canonical form of every equation the
+    library returns."""
+    g = gcd(*row)
+    if next(x for x in row if x) < 0:
+        g = -g
+    return tuple([x // g for x in row])

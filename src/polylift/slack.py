@@ -24,6 +24,7 @@ from .kernel import (
     HPoly,
     VPoly,
     _affine_frame,
+    _int_slack,
     _lex_fibers,
     optimize,
     optimize_all,
@@ -146,12 +147,9 @@ def _slacks(hrep: HPoly, pts) -> list[tuple]:
     """b - a·x for each inequality row of hrep (one tuple per row) at each
     point of pts.  Each row is read in its integer form (A, B, d) from
     `HPoly._int_rows`, each point scaled to its homogeneous (X, w); then
-    b - a·x = (B w - A·X) / (d w), with A·X over the nonzeros of A."""
+    b - a·x = `_int_slack` / (d w)."""
     homs = [linalg.homogeneous(x) for x in pts]
-    return [
-        tuple([F(b * p[-1] - sum(x * p[r] for r, x in nz), d * p[-1]) for p in homs])
-        for nz, b, d in hrep._int_rows()[0]
-    ]
+    return [tuple([F(_int_slack(nz, b, p), d * p[-1]) for p in homs]) for nz, b, d in hrep._int_rows()[0]]
 
 
 def slack_matrix(hrep: HPoly, points: VPoly) -> SlackMatrix:
@@ -227,7 +225,8 @@ def factorization_to_extension(
     tmap = AffineMap.linear(t)
     eqs = []
     for nv in normals:
-        e, g = linalg.canon_eq(nv, linalg.dot(nv, u0))
+        r = linalg.dot(nv, u0)
+        *e, g = linalg._canonical_eq([r.denominator * x for x in nv] + [r.numerator])
         eqs.append((tmap.pull_back(e), g))
     ineqs = [(tuple(-ONE if c == col else ZERO for c in range(f)), ZERO) for col in range(f)]
     q = HPoly(f, ineqs, eqs, ineq_labels=tuple(f"lambda{c}>=0" for c in range(f)))

@@ -51,6 +51,17 @@ def reference_maximal_rectangles(entries):
     return rects
 
 
+def reference_greedy_fooling(entry_list, entries):
+    """Greedy fooling set among the given support entries, in order: an
+    entry is taken when no entry taken before it spans a rectangle of the
+    support with it."""
+    chosen = []
+    for i, j in entry_list:
+        if all(entries[i][j2] == 0 or entries[i2][j] == 0 for i2, j2 in chosen):
+            chosen.append((i, j))
+    return chosen
+
+
 def reference_fooling_set_max(slack, budget=500_000):
     """The search with the coloring placing each candidate in turn into the
     first class that admits it, and the compatibility graph built pair by
@@ -68,7 +79,7 @@ def reference_fooling_set_max(slack, budget=500_000):
             if entries[ia][jb] == 0 or entries[ib][ja] == 0:
                 compat[a] |= 1 << b
                 compat[b] |= 1 << a
-    best = [support.index(e) for e in bd._greedy_fooling(support, entries)]
+    best = [support.index(e) for e in reference_greedy_fooling(support, entries)]
     nodes = 0
     exceeded = False
 
@@ -249,6 +260,19 @@ def test_log_face_bound_values():
     lat = bd.face_lattice(hc, vc, max_facets=16)
     assert lat.face_count() == 82  # 3^4 + 1
     assert bd.log_face_bound(lat) == 7
+
+
+def test_log_face_bound_of_a_point_is_zero():
+    # a point has two faces, itself and the empty one; the empty face needs
+    # no tight set, and a point has an extension with no inequality
+    h = HPoly(1, [((1,), 0), ((-1,), 0)])
+    v = VPoly(1, [(0,)])
+    lat = bd.face_lattice(h, v)
+    assert lat.face_count() == 2
+    assert bd.log_face_bound(lat) == 0
+    rep = bd.xc_bounds(h, v)
+    assert rep.bounds["log_faces"] == (0, True)
+    assert (rep.lower, rep.upper) == (0, 1)
 
 
 def brute_min_cover(entries):

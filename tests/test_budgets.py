@@ -2,9 +2,12 @@
 
 import json
 
+import pytest
+
 from polylift import bounds as bd
 from polylift import zoo
 from polylift.cli import main
+from polylift.errors import InputError
 from polylift.kernel import vertices
 from polylift.slack import slack_matrix
 
@@ -76,3 +79,27 @@ def test_cli_construct_colorful_deterministic(capsys):
     assert first == second
     doc = json.loads(first)
     assert doc["provenance"]["seed"] == 2024
+
+
+def test_negative_budgets_are_input_errors():
+    sm = slack_matrix(zoo.permutahedron_hrep(3), zoo.permutahedron_vrep(3))
+    for search in (bd.rectangle_cover_min, bd.fooling_set_max):
+        with pytest.raises(InputError, match="nonnegative"):
+            search(sm, budget=-1)
+    with pytest.raises(InputError):
+        bd.xc_bounds(zoo.permutahedron_hrep(3), zoo.permutahedron_vrep(3), cover_budget=-5)
+    # a budget of 0 is still a budget: both searches stop at their first node
+    assert bd.rectangle_cover_min(sm, budget=0).status == bd.EXCEEDS_BUDGET
+    assert bd.fooling_set_max(sm, budget=0).status == bd.GREEDY
+
+
+@pytest.mark.parametrize("extra", [[], ["--exact"]])
+def test_cli_bounds_negative_cover_budget_exit2(tmp_path, capsys, extra):
+    h = tmp_path / "pi3.hpoly"
+    v = tmp_path / "pi3.vpoly"
+    main(["zoo", "permutahedron", "3", "--hrep", str(h), "--vrep", str(v)])
+    capsys.readouterr()
+    assert main(["bounds", str(h), str(v), "--cover-budget", "-5", *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "search budget must be nonnegative, got -5" in captured.err

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from polylift import constructions as cx
 from polylift import fileio, zoo
 from polylift.cli import main
-from polylift.kernel import HPoly, VPoly, vertices
+from polylift.kernel import HPoly, VPoly, hull, vertices
 
 F = Fraction
 
@@ -279,6 +279,106 @@ def test_cli_zoo_counts(capsys):
     assert doc["schema"] == 1
     assert main(["zoo", "cube", "1"]) == 0
     assert "2 inequalities" in capsys.readouterr().out
+
+
+def _birkhoff3():
+    h = zoo.birkhoff_hrep(3)
+    return h, vertices(h)
+
+
+def _simplex3():
+    h = zoo.simplex_hrep(3)
+    return h, vertices(h)
+
+
+def _knapsack():
+    v = zoo.knapsack_vrep([2, 3, 4], 6)
+    return hull(v), v
+
+
+def _cross3():
+    v = zoo.cross_polytope_vrep(3)
+    return hull(v), v
+
+
+@pytest.mark.parametrize("family, args, described", [
+    ("birkhoff", ["3"], _birkhoff3),
+    ("spanning-tree", ["4"], lambda: (zoo.spanning_tree_hrep(4), zoo.spanning_tree_vrep(4))),
+    ("knapsack", ["--w", "2,3,4", "--W", "6"], _knapsack),
+    ("cross", ["3"], _cross3),
+    ("simplex", ["3"], _simplex3),
+])
+def test_cli_zoo_families_write_their_descriptions(tmp_path, capsys, family, args, described):
+    # each file parses back to the generator's description, or to the
+    # vertices or hull of it
+    h, v = tmp_path / "p.hpoly", tmp_path / "p.vpoly"
+    assert main(["zoo", family, *args, "--hrep", str(h), "--vrep", str(v)]) == 0
+    hpoly, vpoly = described()
+    back_h, back_v = fileio.parse_hpoly(h.read_text()), fileio.parse_vpoly(v.read_text())
+    assert (back_h.dim, back_h.ineqs, back_h.eqs) == (hpoly.dim, hpoly.ineqs, hpoly.eqs)
+    assert (back_v.dim, back_v.vertices) == (vpoly.dim, vpoly.vertices)
+    assert capsys.readouterr().out == (
+        f"wrote {h}: {len(hpoly.ineqs)} inequalities, {len(hpoly.eqs)} equations\n"
+        f"wrote {v}: {len(vpoly.vertices)} points\n")
+
+
+def _balas_parts(tmp_path):
+    """Two unit squares side by side, as part files, and their union's hull."""
+    parts = [HPoly(2, [((1, 0), x + 1), ((-1, 0), -x), ((0, 1), 1), ((0, -1), 0)]) for x in (0, 2)]
+    paths = []
+    for i, part in enumerate(parts):
+        paths.append(tmp_path / f"part{i}.hpoly")
+        paths[-1].write_text(fileio.serialize_hpoly(part))
+    target = hull(VPoly(2, [p for part in parts for p in vertices(part).vertices]))
+    return [str(p) for p in paths], target
+
+
+@pytest.mark.parametrize("kind", ["sortnet-bubble", "sortnet-batcher", "balas"])
+def test_cli_construct_kinds_verify(tmp_path, capsys, kind):
+    efile, tfile = tmp_path / "q.ext", tmp_path / "target.hpoly"
+    if kind == "balas":
+        # the optional n comes before the part files
+        paths, target = _balas_parts(tmp_path)
+        argv = ["balas", "0", *paths]
+    else:
+        target = zoo.permutahedron_hrep(4)
+        argv = ["sortnet", "4", "--net", kind.partition("-")[2]]
+    tfile.write_text(fileio.serialize_hpoly(target))
+    assert main(["construct", *argv, "--out", str(efile)]) == 0
+    assert f"wrote {efile}" in capsys.readouterr().out
+    assert main(["verify", str(tfile), str(efile)]) == 0
+    assert "PASS" in capsys.readouterr().out
+
+
+def test_cli_verify_prints_the_uncovered_vertices(tmp_path, capsys):
+    # y00 <= 0 cuts the permutations with sigma(0) = 0 out of Birkhoff(3):
+    # the projection misses two vertices of the permutahedron and stays
+    # inside it
+    hfile, efile = tmp_path / "pi3.hpoly", tmp_path / "cut.ext"
+    main(["zoo", "permutahedron", "3", "--hrep", str(hfile)])
+    ext = cx.birkhoff_extension(3)
+    y00 = tuple(F(int(i == 0)) for i in range(9))
+    cut = cx.Extension(HPoly(9, ext.q.ineqs + ((y00, 0),), ext.q.eqs), ext.proj, 3, "cut")
+    efile.write_text(fileio.serialize_extension(cut))
+    capsys.readouterr()
+    assert main(["verify", str(hfile), str(efile)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    rep = cx.verify_extension(zoo.permutahedron_hrep(3), cut)
+    assert len(rep.vertex_failures) == 2 and not rep.row_failures
+    assert lines[0].startswith(f"verify {efile}: FAIL")
+    assert lines[1:] == [f"  vertex not covered: ({', '.join(map(str, v))})" for v in rep.vertex_failures]
+
+
+def test_cli_bounds_point_pinned_at_zero(tmp_path, capsys):
+    # Π1 is the point 1, given by x = 1 alone: its extension needs no
+    # inequality, and the face bound counts only its one nonempty face
+    h, v = tmp_path / "p1.hpoly", tmp_path / "p1.vpoly"
+    assert main(["zoo", "permutahedron", "1", "--hrep", str(h), "--vrep", str(v)]) == 0
+    capsys.readouterr()
+    assert main(["bounds", str(h), str(v), "--json"]) == 0
+    res = json.loads(capsys.readouterr().out)["results"]
+    assert (res["lower"], res["upper"], res["pinned"]) == (0, 0, True)
+    assert res["bounds"]["log_faces"] == {"value": 0, "exact": True}
 
 
 @pytest.mark.parametrize("k", ["0", "-1"])

@@ -2,6 +2,7 @@
 eliminations or search nodes fails here loudly, whatever the machine's
 speed."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -247,7 +248,9 @@ def test_vertices_one_lp_when_the_feasible_point_is_interior(monkeypatch):
     assert counts["solves"] == 3
 
 
-def test_dd_peak_birkhoff5(monkeypatch):
+def _dd_peak(monkeypatch, run):
+    """run()'s result and the most polar vertices alive after any one row
+    insertion of the double description."""
     peak = {"vertices": 0}
     insert = kernel._dd_insert
 
@@ -257,9 +260,28 @@ def test_dd_peak_birkhoff5(monkeypatch):
         return verts, tights
 
     monkeypatch.setattr(kernel, "_dd_insert", counted)
-    assert len(kernel.vertices(zoo.birkhoff_hrep(5)).vertices) == 120
-    # the most polar vertices alive after any one row insertion
-    assert peak["vertices"] == 625
+    out = run()
+    monkeypatch.setattr(kernel, "_dd_insert", insert)
+    return out, peak["vertices"]
+
+
+def test_dd_peak_birkhoff5(monkeypatch):
+    out, peak = _dd_peak(monkeypatch, lambda: kernel.vertices(zoo.birkhoff_hrep(5)))
+    assert len(out.vertices) == 120
+    assert peak == 625
+
+
+def test_dd_peak_of_a_shuffled_hull_is_the_sorted_one(monkeypatch):
+    # hull inserts the points in sorted order whatever the caller's order;
+    # inserted as given, this shuffle peaked at 747 polar vertices
+    st5 = zoo.spanning_tree_vrep(5)
+    shuffled = list(st5.vertices)
+    random.Random(1).shuffle(shuffled)
+    assert shuffled != list(st5.vertices)
+    sorted_out, sorted_peak = _dd_peak(monkeypatch, lambda: kernel.hull(st5))
+    out, peak = _dd_peak(monkeypatch, lambda: kernel.hull(kernel.VPoly(st5.dim, shuffled)))
+    assert (sorted_peak, peak) == (51, 51)
+    assert out == sorted_out
 
 
 def test_fooling_search_nodes():

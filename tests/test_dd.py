@@ -29,7 +29,14 @@ from polylift.kernel import (
     hull,
     vertices,
 )
-from test_linalg import ref_independent_rows, ref_left_inverse, ref_nullspace, ref_solve
+from test_linalg import (
+    ref_canon_eq,
+    ref_canon_ineq,
+    ref_independent_rows,
+    ref_left_inverse,
+    ref_nullspace,
+    ref_solve,
+)
 
 F = Fraction
 ONE = F(1)
@@ -96,7 +103,7 @@ def _hull_reference(points):
     pts = list(points.vertices)
     if len(pts) == 1:
         p = pts[0]
-        return HPoly(dim, (), tuple(linalg.canon_eq(linalg.unit(dim, i), p[i]) for i in range(dim)))
+        return HPoly(dim, (), tuple(ref_canon_eq(linalg.unit(dim, i), p[i]) for i in range(dim)))
     p0 = pts[0]
     diffs = [linalg.vsub(p, p0) for p in pts[1:]]
     basis_idx = ref_independent_rows(diffs)
@@ -105,7 +112,7 @@ def _hull_reference(points):
     eqs = []
     if k < dim:
         for c in ref_nullspace(dirs):
-            eqs.append(linalg.canon_eq(c, linalg.dot(c, p0)))
+            eqs.append(ref_canon_eq(c, linalg.dot(c, p0)))
     n_mat = linalg.mat([[dirs[j][i] for j in range(k)] for i in range(dim)])
     lmat = ref_left_inverse(n_mat)
     coords = []
@@ -137,7 +144,7 @@ def _hull_reference(points):
     for y in _dd_run_reference(k, all_rows, init_verts, init_tights, k + 1):
         a_x = tuple(linalg.dot(y, col) for col in zip(*lmat)) if dim else ()
         rhs = ONE + linalg.dot(y, centroid) + linalg.dot(a_x, p0)
-        rows.append(linalg.canon_ineq(a_x, rhs))
+        rows.append(ref_canon_ineq(a_x, rhs))
     return HPoly(dim, tuple(sorted(rows)), tuple(sorted(eqs)))
 
 
@@ -155,7 +162,7 @@ def _vertices_reference(poly):
             if bt < 0:
                 raise InvariantViolationError("feasible point violates a row")
             continue
-        row = linalg.canon_ineq(at, bt)
+        row = ref_canon_ineq(at, bt)
         if row not in t_rows:
             t_rows.append(row)
     if not t_rows:

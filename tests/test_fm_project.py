@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from polylift import linalg
 from polylift.kernel import HPoly, feasible_point, fm_project
+from test_linalg import ref_canon_eq, ref_canon_ineq
 from test_redundancy import reference_nonredundant
 
 F = Fraction
@@ -44,7 +45,7 @@ def reference_fm_project(poly, keep):
                 if b < 0:
                     empty = True
                 continue
-            ca, cb = linalg.canon_ineq(a, b)
+            ca, cb = ref_canon_ineq(a, b)
             if ca not in best or cb < best[ca]:
                 best[ca] = cb
         if empty:
@@ -113,7 +114,7 @@ def reference_fm_project(poly, keep):
         assert not any(c[j] for j in range(dim) if j not in keep_set)
         row = (tuple(c[j] for j in keep_set), d)
         if any(row[0]):
-            out_eqs.append(linalg.canon_eq(*row))
+            out_eqs.append(ref_canon_eq(*row))
         elif d != 0:
             out_ineqs = [((ZERO,) * len(keep_set), F(-1))]
             out_eqs = []

@@ -20,6 +20,7 @@ from polylift.kernel import (
     remove_redundancy,
     vertices,
 )
+from test_linalg import ref_canon_eq
 
 F = Fraction
 
@@ -676,7 +677,7 @@ def _fraction_frame(poly):
     eqs = []
     if rows:
         reduced, _ = linalg.rref(linalg.mat([tuple(a) + (b,) for a, b in rows]))
-        eqs = [linalg.canon_eq(row[:-1], row[-1]) for row in reduced if any(row)]
+        eqs = [ref_canon_eq(row[:-1], row[-1]) for row in reduced if any(row)]
     if not eqs:
         return eqs, point, [linalg.unit(poly.dim, i) for i in range(poly.dim)]
     m, pivots = linalg.rref(linalg.mat([a for a, _ in eqs]))

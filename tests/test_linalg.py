@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,11 +41,49 @@ def test_inverse_and_left_inverse():
     assert linalg.mat_mul(left, tall) == linalg.identity(2)
 
 
+def ref_canon_ineq(a, b):
+    """Reference: a·x <= b scaled by a positive rational so that its entries
+    are coprime integers (all zero stays zero), as Fractions."""
+    row = [F(x) for x in (*a, b)]
+    den = lcm(*[x.denominator for x in row])
+    ints = [int(x * den) for x in row]
+    g = gcd(*ints)
+    if g == 0:
+        return tuple(F(0) for _ in a), F(0)
+    return tuple(F(x // g) for x in ints[:-1]), F(ints[-1] // g)
+
+
+def ref_canon_eq(c, d):
+    """Reference: `ref_canon_ineq` signed so that the first nonzero
+    coefficient is positive (the right-hand side, when there is none)."""
+    a, b = ref_canon_ineq(c, d)
+    lead = next((x for x in a if x), b)
+    if lead < 0:
+        return tuple(-x for x in a), -b
+    return a, b
+
+
 def test_canon_rows():
-    a, b = linalg.canon_ineq(linalg.vec([F(2, 3), F(-4, 3)]), F(2))
+    a, b = ref_canon_ineq(linalg.vec([F(2, 3), F(-4, 3)]), F(2))
     assert (a, b) == (linalg.vec([1, -2]), F(3))
-    c, d = linalg.canon_eq(linalg.vec([-2, 4]), F(-6))
+    c, d = ref_canon_eq(linalg.vec([-2, 4]), F(-6))
     assert (c, d) == (linalg.vec([1, -2]), F(3))
+    assert linalg._canonical_eq([-2, 4, -6]) == (1, -2, 3)
+    assert linalg._canonical_eq([0, 0, -3, 6, 9]) == (0, 0, 1, -2, -3)
+    assert linalg._canonical_eq((0, 5, 0)) == (0, 1, 0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=7), min_size=1, max_size=5),
+       st.fractions(min_value=-6, max_value=6, max_denominator=7))
+def test_canonical_eq_matches_the_fraction_reference(c, d):
+    if not any(c):
+        return
+    row = linalg.homogeneous([*c, d])[:-1]
+    *a, b = linalg._canonical_eq(row)
+    assert (tuple(F(x) for x in a), F(b)) == ref_canon_eq(c, d)
+    # any positive or negative multiple of the row has the same form
+    assert linalg._canonical_eq([-3 * x for x in row]) == linalg._canonical_eq(row)
 
 
 def test_vec_returns_a_fraction_tuple_as_is():

@@ -6,8 +6,12 @@ does `_outside_image`, which asks its fiber questions in one `_lex_fibers`
 batch; `slack` lifts its points through that batch and never names
 `lex_min_point`.  So a loop of one LP per point cannot come back
 unnoticed.  Likewise the library has one left inverse: no module but
-`linalg` calls its Fraction eliminations, and `linalg.inverse` and
-`left_inverse` reach `_left_inverse_int`, never `rref`."""
+`linalg` calls its Fraction eliminations, and `linalg.inverse`,
+`left_inverse` and the polar seeds of the hull reach `_left_inverse_int`,
+never `rref` or an elimination of their own.  Each integer primitive has
+one reader: a row is evaluated at a point only by `kernel._int_slack`, and
+every equation the library returns is made canonical by
+`linalg._canonical_eq`."""
 
 import ast
 from pathlib import Path
@@ -19,6 +23,10 @@ CONTAINMENT_CALLERS = [("constructions.py", "verify_extension"), ("kernel.py", "
                        ("kernel.py", "_outside_image")]
 BATCHED = {"slack.py": "lex_min_point"}
 FRACTION_ELIMINATIONS = {"rref", "solve", "inverse", "left_inverse", "nullspace"}
+ROW_AT_POINT = [("kernel.py", "HPoly.contains"), ("kernel.py", "_ray_certified"), ("kernel.py", "vertices"),
+                ("kernel.py", "_dd_insert"), ("slack.py", "_slacks")]
+EQUATION_BUILDERS = [("kernel.py", "_affine_frame"), ("kernel.py", "_hull_int"), ("kernel.py", "fm_project"),
+                     ("slack.py", "factorization_to_extension")]
 
 
 def _called(node):
@@ -67,10 +75,14 @@ def _tree(path):
 
 
 def _calls_in(tree, function):
-    """The names that the top-level function calls, or None when the file
-    defines no such function."""
-    for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and node.name == function:
+    """The names that the top-level function, or the method "Class.name",
+    calls, or None when the file defines no such function."""
+    *cls, name = function.split(".")
+    body = tree.body
+    for c in cls:
+        body = next((n.body for n in body if isinstance(n, ast.ClassDef) and n.name == c), [])
+    for node in body:
+        if isinstance(node, ast.FunctionDef) and node.name == name:
             return {_called(n) for n in ast.walk(node) if isinstance(n, ast.Call)}
     return None
 
@@ -101,6 +113,26 @@ def test_one_left_inverse():
     tree = _tree(SRC / "linalg.py")
     assert _calls_in(tree, "left_inverse") & {"_eliminate", "rref", "_left_inverse_int"} == {"_left_inverse_int"}
     assert _calls_in(tree, "inverse") & {"_eliminate", "rref", "left_inverse"} == {"left_inverse"}
+
+
+def test_polar_seeds_read_the_one_left_inverse():
+    calls = _calls_in(_tree(SRC / "kernel.py"), "_polar_seeds")
+    assert "_left_inverse_int" in calls and "_eliminate" not in calls
+
+
+def test_one_row_at_a_point():
+    for name, function in ROW_AT_POINT:
+        assert "_int_slack" in _calls_in(_tree(SRC / name), function), (name, function)
+    # contains scales the point by `linalg.homogeneous`, not by its own lcm
+    assert "lcm" not in _calls_in(_tree(SRC / "kernel.py"), "HPoly.contains")
+
+
+def test_one_canonical_equation():
+    for name, function in EQUATION_BUILDERS:
+        assert "_canonical_eq" in _calls_in(_tree(SRC / name), function), (name, function)
+    for path in sorted(SRC.glob("*.py")):
+        tree = _tree(path)
+        assert [(f, line) for f in ("canon_ineq", "canon_eq") for line in _names(tree, f)] == [], path.name
 
 
 def test_the_checks_see_a_violation(tmp_path):
@@ -150,3 +182,18 @@ def test_the_left_inverse_check_sees_an_elimination(tmp_path):
     assert _calls_in(tree, "left_inverse") == {"rref", "identity", "zip", "len"}
     assert _calls_in(tree, "inverse") is None
     assert [_names(tree, f) for f in ("nullspace", "left_inverse")] == [[4], [4]]
+
+
+def test_the_call_check_reads_methods(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "class HPoly:\n"
+        "    def contains(self, x):\n"
+        "        return lcm(*x) and _int_slack((), 0, x)\n"
+        "def contains(x):\n"
+        "    return x\n"
+    )
+    tree = _tree(path)
+    assert _calls_in(tree, "HPoly.contains") == {"lcm", "_int_slack"}
+    assert _calls_in(tree, "contains") == set()
+    assert _calls_in(tree, "VPoly.contains") is None

@@ -17,7 +17,7 @@ from polylift.slack import (
     slack_matrix,
     verify_factorization,
 )
-from test_linalg import ref_left_inverse, ref_nullspace, ref_rref
+from test_linalg import ref_canon_eq, ref_left_inverse, ref_nullspace, ref_rref
 
 F = Fraction
 
@@ -416,7 +416,7 @@ def reference_slack_extension(fact, sm, h):
     normals = ref_nullspace(dirs) if dirs else [linalg.unit(m, i) for i in range(m)]
     eqs = []
     for nv in normals:
-        e, g = linalg.canon_eq(nv, linalg.dot(nv, u0))
+        e, g = ref_canon_eq(nv, linalg.dot(nv, u0))
         eqs.append(([linalg.dot(e, tuple(t[i][col] for i in range(m))) for col in range(f)], g))
     ineqs = [(tuple(-1 if c == col else 0 for c in range(f)), 0) for col in range(f)]
     q = HPoly(f, ineqs, eqs, ineq_labels=tuple(f"lambda{c}>=0" for c in range(f)))
