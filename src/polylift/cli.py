@@ -136,6 +136,13 @@ def _cmd_zoo(args) -> int:
 
 def _cmd_construct(args) -> int:
     kind = args.kind
+    try:
+        args.n = int(args.n)
+    except ValueError:
+        # balas takes no n: a word that is no integer is its first part file
+        if kind != "balas":
+            raise InputError(f"construct {kind}: n must be an integer, not {args.n!r}") from None
+        args.n, args.parts = 0, [args.n, *args.parts]
     seed = None
     if kind == "birkhoff":
         ext = cx.birkhoff_extension(args.n)
@@ -300,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("construct", help="build an extended formulation")
     c.add_argument("kind", choices=["birkhoff", "martin", "balas", "knapsack",
                                     "sortnet", "colorful"])
-    c.add_argument("n", type=int, nargs="?", default=0)
+    c.add_argument("n", nargs="?", default=0, help="size (balas takes none)")
     c.add_argument("parts", nargs="*", default=[], help="part .hpoly files (balas)")
     c.add_argument("--k", type=int, default=None, help="matching cardinality (colorful)")
     c.add_argument("--w", type=_int_list, default=None)

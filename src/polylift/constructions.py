@@ -22,6 +22,7 @@ from .kernel import (
     HPoly,
     VPoly,
     _image_violations,
+    _is_lift,
     _outside_image,
     hull,
     optimize,  # unused here, but perfbench's tracer test reads constructions.optimize
@@ -118,12 +119,10 @@ def verify_extension(target, ext: Extension, *, target_vrep: VPoly | None = None
     missed = []
     for v in vrep.vertices:
         y = ext.lift(v) if ext.lift is not None else None
-        if y is not None:
-            y = linalg.vec(y)
-            if len(y) == q.dim and q.contains(y) and proj.apply(y) == v:
-                report.lift_hits += 1
-                continue
-        missed.append(v)
+        if y is not None and _is_lift(q, proj, y, v):
+            report.lift_hits += 1
+        else:
+            missed.append(v)
     report.vertex_failures = _outside_image(q, proj, missed)
 
     # (b) the projection satisfies every row of the target description

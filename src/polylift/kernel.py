@@ -26,14 +26,15 @@ exact dot products alone can check.
 Operations are safe to call concurrently on shared inputs; the only hidden
 state is that integer row form, which an `HPoly` builds on first use (or
 takes from the `HPoly` it is derived from, for an LP over the same rows plus
-a few), and the sparse row form an `AffineMap` builds likewise, each the
-same whichever call builds it.
+a few), an `AffineMap`'s row forms and a result's point, built likewise on
+first use or read, each the same whichever call builds it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -120,9 +121,11 @@ class HPoly:
         xv = vec(x)
         if len(xv) != self.dim:
             raise InputError("point dimension mismatch")
+        return self._holds(linalg.homogeneous(xv))
+
+    def _holds(self, hom) -> bool:
+        """`contains` at a `linalg.homogeneous` point; `_int_slack` keeps each slack's sign."""
         ineqs, eqs = self._int_rows()
-        # only the sign of each slack is read, and `_int_slack` keeps it
-        hom = linalg.homogeneous(xv)
         for nz, b, _ in ineqs:
             if _int_slack(nz, b, hom) < 0:
                 return False
@@ -248,6 +251,15 @@ class AffineMap:
             object.__setattr__(self, "_sparse_rows_cache", rows)
         return rows
 
+    def _int_rows(self) -> tuple:
+        """Row i as `_sparse_int_row(row_i, -offset_i)`: `_int_slack` reads it at
+        (Y..., w) as -d·w·(image of Y/w)_i.  Built on first use, as `_sparse_rows`."""
+        rows = self.__dict__.get("_int_rows_cache")
+        if rows is None:
+            rows = tuple([_sparse_int_row(a, -o) for a, o in zip(self.matrix, self.offset)])
+            object.__setattr__(self, "_int_rows_cache", rows)
+        return rows
+
     def compose(self, inner: "AffineMap") -> "AffineMap":
         """(self ∘ inner)(x) = self(inner(x)); composition is associative."""
         m = linalg.mat_mul(self.matrix, inner.matrix)
@@ -278,11 +290,13 @@ class LPResult:
                 from optimize it is None.
     unbounded:  primal_point is feasible and dual_certificate is a ray r with
                 A r <= 0, C r = 0 and c·r improving for the given sense.
+    From optimize, primal_point is mapped back through the presolve when it
+    is first read (==, hash and repr read it too), to the same value always.
     """
 
     status: str
     optimum: Fraction | None = None
-    primal_point: Vec | None = None
+    primal_point: Vec | None = simplex._OnRead()
     dual_certificate: Vec | None = None
 
 
@@ -346,6 +360,11 @@ def _assemble_standard(dim, ineqs, eqs, costs_min, nonneg, units=0):
         rows.append([-x for x in row] if b < 0 else row)
     costs = [place([ZERO] * total, [(j, c) for j, c in enumerate(cost) if c]) for cost in costs_min]
     return rows, [d for _, _, d in both], costs, var_cols
+
+
+def _back_point(red, res, var_cols) -> Vec:
+    """A standard-form result's point in the variables before the presolve."""
+    return red.back(_recover_vector(res.point, var_cols, len(red.alive)))
 
 
 def _recover_vector(zvec, var_cols, dim):
@@ -550,7 +569,7 @@ def optimize_all(poly: HPoly, objectives: Sequence[tuple[Sequence, str]]) -> lis
         if res.status == simplex.INFEASIBLE:
             out.append(LPResult(status=INFEASIBLE))
             continue
-        pr = red.back(_recover_vector(res.point, var_cols, k))
+        pr = partial(_back_point, red, res, var_cols)
         if res.status == simplex.UNBOUNDED:
             rr = red.back(_recover_vector(res.ray, var_cols, k), ray=True)
             out.append(LPResult(status=UNBOUNDED, primal_point=pr, dual_certificate=rr))
@@ -652,7 +671,7 @@ def _lex_fibers(q: HPoly, matrix, rhss, lead: int) -> list:
         elif res.status == simplex.UNBOUNDED:
             out.append(UnboundedPolyhedronError(f"coordinate {len(results) - 1} unbounded below"))
         else:
-            point = red.back(_recover_vector(res.point, var_cols, k))
+            point = _back_point(red, res, var_cols)
             if point[:lead] != tuple([r.value + c for r, (_, c) in zip(results, objs[:lead])]):
                 raise InvariantViolationError("lexicographic point disagrees with its coordinate minima")
             out.append(point)
@@ -1127,6 +1146,16 @@ def _outside_image(q: HPoly, proj: AffineMap, points) -> list:
     y = x - offset."""
     fibers = _lex_fibers(q, proj.matrix, [[xi - o for xi, o in zip(x, proj.offset)] for x in points], 0)
     return [x for x, y in zip(points, fibers) if isinstance(y, EmptyPolyhedronError)]
+
+
+def _is_lift(q: HPoly, proj: AffineMap, y, v) -> bool:
+    """Is y, a lift hint for v, in q with proj(y) = v?  y once as a
+    homogeneous point (Y..., w), read by q's rows and by proj's, where
+    proj(y)_i = v_i is -d·w·proj(y)_i = -d·w·v_i times v_i's denominator."""
+    hom = linalg.homogeneous(vec(y))
+    w = hom[-1]
+    return len(hom) == q.dim + 1 and q._holds(hom) and not any(
+        _int_slack(nz, b, hom) * x.denominator + x.numerator * d * w for (nz, b, d), x in zip(proj._int_rows(), v))
 
 
 def _image_violations(q: HPoly, proj: AffineMap, p: HPoly):

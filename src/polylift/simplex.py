@@ -50,13 +50,16 @@ basis, their columns are never stored, and after a feasible phase 1, or
 before a later right-hand side, the artificials left in the basis are
 pivoted out or their (dependent) rows dropped (`_drive_out`).  A result
 carries a point, a value or a ray, never a dual vector; certificates are
-solutions of a dual LP (see `kernel.lp_solve`).
+solutions of a dual LP (see `kernel.lp_solve`).  Its point is kept as the
+basic variables' (rhs, entry) pairs, which give the value, and is built as
+Fractions only when read: most results are read for their value alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
 
 from .errors import InvariantViolationError
@@ -69,10 +72,28 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
+class _OnRead:
+    """A dataclass field that may be given a `functools.partial`: the first
+    read calls it and keeps the value, which equality, hash and repr read."""
+
+    def __set_name__(self, owner, name):
+        self.key = "_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return None  # the field's default
+        if type(x := obj.__dict__[self.key]) is partial:
+            x = obj.__dict__[self.key] = x()
+        return x
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.key] = value
+
+
 @dataclass
 class StandardResult:
     status: str
-    point: list[Fraction] | None = None
+    point: list[Fraction] | None = _OnRead()  # built on first read
     value: Fraction | None = None
     ray: list[Fraction] | None = None  # unbounded: improving ray in z
 
@@ -273,9 +294,9 @@ def _lex(tab, basis, costs, n) -> list[StandardResult]:
         if len(cols) == len(basis):
             # basic columns are never barred, so every nonbasic one is:
             # the optimal face is the current point, and no column enters
-            point = out[-1].point if out else _point(tab, basis, n)
-            value = sum((cost[v] * point[v] for i, v in enumerate(basis) if tab[i][-1] and cost[v]), ZERO)
-            out.append(StandardResult(status=OPTIMAL, point=point[:], value=value))
+            basic = _basic(tab, basis)
+            value = sum((cost[v] * Fraction(x, e) for v, x, e in basic if cost[v]), ZERO)
+            out.append(StandardResult(status=OPTIMAL, point=partial(_point, basic, n), value=value))
             continue
         out.append(_phase2(tab, basis, cost, cols))
         if out[-1].status == UNBOUNDED:
@@ -305,7 +326,8 @@ def _phase2(tab, basis, cost, cols) -> StandardResult:
                 if x:
                     obj2[j] -= k * x
     hit = _run_phase(tab, obj2, basis, cols)
-    point = _point(tab, basis, n)
+    basic = _basic(tab, basis)
+    point = partial(_point, basic, n)
 
     if hit is not None:
         ray = [ZERO] * n
@@ -318,16 +340,18 @@ def _phase2(tab, basis, cost, cols) -> StandardResult:
 
     # a nonbasic column with a positive reduced cost is 0 on the optimal face
     cols[:] = [j for j in cols if not obj2[j]]
-    value = sum((cost[v] * point[v] for i, v in enumerate(basis) if icost[v] and tab[i][-1]), ZERO)
+    value = sum((cost[v] * Fraction(x, e) for v, x, e in basic if icost[v]), ZERO)
     return StandardResult(status=OPTIMAL, point=point, value=value)
 
 
-def _point(tab, basis, n) -> list[Fraction]:
-    """The basic solution: each basic variable is its row's rhs over its
-    row's entry in its column, every other one is 0."""
+def _basic(tab, basis) -> list[tuple[int, int, int]]:
+    """(v, rhs, entry) per basic v with rhs != 0: the basic solution, v = rhs/entry."""
+    return [(v, row[-1], row[v]) for row, v in zip(tab, basis) if row[-1]]
+
+
+def _point(basic, n) -> list[Fraction]:
+    """The basic solution as Fractions; every variable not in basic is 0."""
     point = [ZERO] * n
-    for i, v in enumerate(basis):
-        x = tab[i][-1]
-        if x:
-            point[v] = Fraction(x, tab[i][v])
+    for v, x, e in basic:
+        point[v] = Fraction(x, e)
     return point

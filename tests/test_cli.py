@@ -381,6 +381,26 @@ def test_cli_bounds_point_pinned_at_zero(tmp_path, capsys):
     assert res["bounds"]["log_faces"] == {"value": 0, "exact": True}
 
 
+def test_cli_construct_balas_needs_no_n(tmp_path, capsys):
+    # the part files may follow the kind directly, or a (dummy) n; both give
+    # the same .ext file and the same report
+    paths, _ = _balas_parts(tmp_path)
+    efile = tmp_path / "u.ext"
+    outputs = []
+    for argv in (["balas", *paths], ["balas", "0", *paths]):
+        assert main(["construct", *argv, "--out", str(efile), "--json"]) == 0
+        outputs.append((efile.read_bytes(), capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0][1])["inputs"]["parts"] == paths
+
+
+@pytest.mark.parametrize("kind", ["birkhoff", "martin", "sortnet", "colorful", "knapsack"])
+def test_cli_construct_non_integer_n_exit2(tmp_path, capsys, kind):
+    paths, _ = _balas_parts(tmp_path)
+    assert main(["construct", kind, paths[0]]) == 2
+    assert "n must be an integer" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("k", ["0", "-1"])
 def test_cli_construct_colorful_k_below_one_exit2(capsys, k):
     assert main(["construct", "colorful", "4", "--k", k]) == 2

@@ -33,6 +33,8 @@ def _count_calls(monkeypatch, **targets):
 SOLVES = (simplex, "solve_standard")
 PIVOTS = (simplex, "_pivot")
 ELIMINATIONS = (linalg, "_eliminate")
+BACKS = (kernel._Reduction, "back")
+POINTS = (simplex, "_point")
 
 
 def test_verify_martin4_solves_and_pivots(monkeypatch):
@@ -45,6 +47,23 @@ def test_verify_martin4_solves_and_pivots(monkeypatch):
     assert rep.passed and rep.lift_hits == rep.checked_vertices
     # one simplex call per Q: phase 1 once, one phase 2 per target row
     assert counts == {"solves": 1, "pivots": 85}
+
+
+def test_verify_maps_back_only_the_points_it_reads(monkeypatch):
+    hrep, vrep = zoo.spanning_tree_hrep(4), zoo.spanning_tree_vrep(4)
+    ext = cx.martin_spanning_tree_extension(4)
+    counts = _count_calls(monkeypatch, backs=BACKS, points=POINTS)
+    assert cx.verify_extension(hrep, ext, target_vrep=vrep).passed
+    # the zero objective's point, which decides that Q is not empty (19 and
+    # 19 when every row LP built and mapped back its point)
+    assert counts == {"backs": 1, "points": 1}
+    # two rows cut by 1: the lift hints still hit, and each failing row's
+    # point is read for its witness
+    cut = HPoly(hrep.dim, [(a, b - 1 if i in (0, 3) else b) for i, (a, b) in enumerate(hrep.ineqs)], hrep.eqs)
+    counts = _count_calls(monkeypatch, backs=BACKS, points=POINTS)
+    rep = cx.verify_extension(cut, ext, target_vrep=vrep)
+    assert len(rep.row_failures) == 2 and rep.lift_hits == rep.checked_vertices
+    assert counts == {"backs": 3, "points": 3}
 
 
 def test_factorization_martin4_solves_and_pivots(monkeypatch):
@@ -64,6 +83,20 @@ def test_factorization_martin4_solves_and_pivots(monkeypatch):
     # Q's affine frame; a separate nullspace for the lineality and a second
     # elimination for the direction basis made 3
     assert counts == {"solves": 19, "pivots": 468, "eliminations": 2}
+
+
+def test_factorization_martin4_builds_one_lex_point_per_vertex(monkeypatch):
+    ext, hrep, vrep = cx.martin_spanning_tree_extension(4), zoo.spanning_tree_hrep(4), zoo.spanning_tree_vrep(4)
+    counts = _count_calls(monkeypatch, backs=BACKS, points=POINTS)
+    kernel._lex_fibers(ext.q, ext.proj.matrix, [list(v) for v in vrep.vertices], ext.q.dim)
+    # one point per right-hand side, not one per lex cost (240)
+    assert counts == {"backs": 16, "points": 16}
+    counts = _count_calls(monkeypatch, backs=BACKS, points=POINTS)
+    slack.extension_to_factorization(ext, hrep, vrep)
+    # the max-common-slack point, one per row of T, one lift per vertex and
+    # verify's zero objective; 52 mapped back and 276 built when every LP
+    # result and every lex cost built its point
+    assert counts == {"backs": 34, "points": 34}
 
 
 @pytest.mark.parametrize("hrep, vrep, eliminations", [

@@ -1,0 +1,129 @@
+"""The lift-hint check of `verify_extension` direction (a), `kernel._is_lift`,
+against the Fraction check it replaced: y as Fractions, every row of Q
+evaluated by a Fraction dot product, and proj(y) == v compared as a tuple.
+
+The extension is a box: Q = {0 <= y0 <= a, 0 <= y1 <= b, m·y2 - m·y0 =
+m·c, 0 <= y3 <= 1} and p(y) = (y0 + o0, s·y1 + o1), so P = p(Q) is a
+rectangle, and one more target point lies outside it.  Each target point
+gets a hint of a drawn kind: its true lift, no hint, the lift off one
+inequality or the equation by 1/k, a lift whose image is off by 1/k in one
+coordinate, the lift as a list of ints or of Fractions, or a lift of the
+wrong length.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from polylift import constructions as cx
+from polylift import linalg
+from polylift.kernel import AffineMap, HPoly, VPoly, _is_lift
+
+F = Fraction
+ZERO, ONE = F(0), F(1)
+KINDS = ("hit", "none", "off_ineq", "off_eq", "off_image", "ints", "list", "long", "short")
+
+
+def fraction_check(q, proj, y, v):
+    """The Fraction check the integer one replaced."""
+    y = linalg.vec(y)
+    dot = lambda a: sum((x * z for x, z in zip(a, y)), ZERO)
+    return (len(y) == q.dim and all(dot(a) <= b for a, b in q.ineqs) and all(dot(c) == d for c, d in q.eqs)
+            and tuple(dot(row) + o for row, o in zip(proj.matrix, proj.offset)) == v)
+
+
+def box(a, b, c, m, s, o0, o1):
+    """The extension, the target's rows and its points: the rectangle's four
+    vertices, then one point outside it."""
+    unit = lambda j: tuple(ONE if i == j else ZERO for i in range(4))
+    neg = lambda j: tuple(-x for x in unit(j))
+    q = HPoly(4, [(neg(0), ZERO), (unit(0), a), (neg(1), ZERO), (unit(1), b), (neg(3), ZERO), (unit(3), ONE)],
+              [((-m, ZERO, m, ZERO), m * c)])
+    proj = AffineMap([(ONE, ZERO, ZERO, ZERO), (ZERO, s, ZERO, ZERO)], (o0, o1))
+    lo, hi = sorted((o1, o1 + s * b))
+    hrep = HPoly(2, [((-ONE, ZERO), -o0), ((ONE, ZERO), o0 + a), ((ZERO, -ONE), -lo), ((ZERO, ONE), hi)])
+    points = [(o0 + x, o1 + s * y) for x in (ZERO, a) for y in (ZERO, b)] + [(o0 + a + 1, o1)]
+    return q, proj, hrep, points
+
+
+def hint(kind, k, v, q, proj):
+    """A hint of the given kind for the target point v."""
+    (o0, o1), s = proj.offset, proj.matrix[1][1]
+    c = q.eqs[0][1] / q.eqs[0][0][2]
+    y0, y1 = v[0] - o0, (v[1] - o1) / s
+    y = [y0, y1, y0 + c, ZERO]
+    if kind == "none":
+        return None
+    if kind == "off_ineq":
+        y[3] = -ONE / k if k % 2 else ONE + ONE / k
+    elif kind == "off_eq":
+        y[2] += ONE / k
+    elif kind == "off_image":
+        # inward along y0, with y2 following it: y stays in Q
+        step = ONE / k if y0 == 0 else -ONE / k
+        y[0] += step
+        y[2] += step
+    elif kind == "ints":
+        return [int(x) for x in y]
+    elif kind == "long":
+        y.append(ZERO)
+    elif kind == "short":
+        y.pop()
+    return y if kind == "list" else tuple(y)
+
+
+def verify_with(check, hrep, ext, vrep):
+    saved = cx._is_lift
+    cx._is_lift = check
+    try:
+        return cx.verify_extension(hrep, ext, target_vrep=vrep)
+    finally:
+        cx._is_lift = saved
+
+
+fractions = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3]))
+sizes = st.builds(F, st.integers(1, 6), st.sampled_from([1, 1, 2]))
+
+
+@st.composite
+def cases(draw):
+    a, b, m = draw(sizes), draw(sizes), draw(sizes)
+    c, o0, o1 = draw(fractions), draw(fractions), draw(fractions)
+    s = draw(sizes) * draw(st.sampled_from([1, -1]))
+    kinds = draw(st.lists(st.sampled_from(KINDS), min_size=5, max_size=5))
+    ks = draw(st.lists(st.integers(1, 4), min_size=5, max_size=5))
+    return (a, b, c, m, s, o0, o1), kinds, ks
+
+
+def check_case(params, kinds, ks):
+    q, proj, hrep, points = box(*params)
+    hints = {v: hint(kind, k, v, q, proj) for v, kind, k in zip(points, kinds, ks)}
+    for v, y in hints.items():
+        if y is not None:
+            assert _is_lift(q, proj, y, v) == fraction_check(q, proj, y, v), (v, y)
+    ext = cx.Extension(q, proj, 2, "box", hints.get)
+    vrep = VPoly(2, points)
+    got, want = verify_with(_is_lift, hrep, ext, vrep), verify_with(fraction_check, hrep, ext, vrep)
+    assert (got.lift_hits, got.vertex_failures) == (want.lift_hits, want.vertex_failures)
+    assert got == want
+    return got
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(cases())
+def test_lift_hint_check_matches_fraction_check(case):
+    check_case(*case)
+
+
+def test_each_kind_of_hint():
+    # rational Q, map and offsets: the true lifts hit, and so do they as a
+    # list; every other kind misses
+    params = (F(3, 2), F(2), F(-1, 3), F(2, 3), F(-1, 2), F(1, 2), F(-2, 3))
+    for kind, hits in (("hit", 4), ("list", 4), ("none", 0), ("off_ineq", 0), ("off_eq", 0),
+                       ("off_image", 0), ("long", 0), ("short", 0)):
+        for k in (1, 2, 3):
+            rep = check_case(params, [kind] * 5, [k] * 5)
+            assert (rep.lift_hits, rep.vertex_failures) == (hits, [(F(3), F(-2, 3))]), (kind, k)
+    # integer data: the lifts as lists of ints hit
+    rep = check_case((F(2), F(3), F(1), F(1), F(1), F(1), F(-1)), ["ints"] * 5, [1] * 5)
+    assert rep.lift_hits == 4 and rep.passed is False

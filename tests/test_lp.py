@@ -195,6 +195,43 @@ def test_fast_path_agrees_with_unpresolved_reference():
             assert poly.contains(fast.primal_point)
 
 
+def test_lp_result_is_the_same_value():
+    # optimize maps a result's point back through the presolve on its first
+    # read; whichever read comes first (==, repr, hash or the attribute), the
+    # result is the value an eager build gives
+    def fresh():
+        square, half_plane, empty = unit_square(), HPoly(2, [([-1, 0], 0)]), HPoly(1, [([-1], -1), ([1], 0)])
+        return optimize_all(square, [([1, 2], "max"), ([1, 1], "min")]) + [
+            optimize(half_plane, [1, 0], "max"), optimize(empty, [1], "min"), lp_solve([1, 2], "max", square)]
+
+    zero = (F(0), F(0))
+    want = [kernel.LPResult("optimal", F(2), (F(0), F(1))),
+            kernel.LPResult(status="optimal", optimum=F(0), primal_point=zero),
+            kernel.LPResult("unbounded", None, zero, (F(1), F(0))),
+            kernel.LPResult("infeasible"),
+            kernel.LPResult("optimal", F(2), (F(0), F(1)), dual_certificate=(F(1), F(0), F(2)))]
+    assert fresh() == want and want == fresh()
+    assert [repr(r) for r in fresh()] == [
+        "LPResult(status='optimal', optimum=Fraction(2, 1), primal_point=(Fraction(0, 1), Fraction(1, 1)), "
+        "dual_certificate=None)",
+        "LPResult(status='optimal', optimum=Fraction(0, 1), primal_point=(Fraction(0, 1), Fraction(0, 1)), "
+        "dual_certificate=None)",
+        "LPResult(status='unbounded', optimum=None, primal_point=(Fraction(0, 1), Fraction(0, 1)), "
+        "dual_certificate=(Fraction(1, 1), Fraction(0, 1)))",
+        "LPResult(status='infeasible', optimum=None, primal_point=None, dual_certificate=None)",
+        "LPResult(status='optimal', optimum=Fraction(2, 1), primal_point=(Fraction(0, 1), Fraction(1, 1)), "
+        "dual_certificate=(Fraction(1, 1), Fraction(0, 1), Fraction(2, 1)))",
+    ]
+    fields = lambda r: (r.status, r.optimum, r.primal_point, r.dual_certificate)
+    assert [hash(r) for r in fresh()] == [hash(w) for w in want] == [hash(fields(w)) for w in want]
+    assert [r.primal_point for r in fresh()] == [w.primal_point for w in want]
+    for r in fresh():
+        for name in ("status", "optimum", "primal_point", "dual_certificate"):
+            with pytest.raises(AttributeError):
+                setattr(r, name, None)
+        assert fields(r) == fields(kernel.LPResult(*fields(r)))
+
+
 def test_lp_solve_raises_when_the_dual_lp_disagrees(monkeypatch):
     calls = []
     solve = kernel.optimize

@@ -23,8 +23,8 @@ CONTAINMENT_CALLERS = [("constructions.py", "verify_extension"), ("kernel.py", "
                        ("kernel.py", "_outside_image")]
 BATCHED = {"slack.py": "lex_min_point"}
 FRACTION_ELIMINATIONS = {"rref", "solve", "inverse", "left_inverse", "nullspace"}
-ROW_AT_POINT = [("kernel.py", "HPoly.contains"), ("kernel.py", "_ray_certified"), ("kernel.py", "vertices"),
-                ("kernel.py", "_dd_insert"), ("slack.py", "_slacks")]
+ROW_AT_POINT = [("kernel.py", "HPoly._holds"), ("kernel.py", "_is_lift"), ("kernel.py", "_ray_certified"),
+                ("kernel.py", "vertices"), ("kernel.py", "_dd_insert"), ("slack.py", "_slacks")]
 EQUATION_BUILDERS = [("kernel.py", "_affine_frame"), ("kernel.py", "_hull_int"), ("kernel.py", "fm_project"),
                      ("slack.py", "factorization_to_extension")]
 
@@ -123,8 +123,11 @@ def test_polar_seeds_read_the_one_left_inverse():
 def test_one_row_at_a_point():
     for name, function in ROW_AT_POINT:
         assert "_int_slack" in _calls_in(_tree(SRC / name), function), (name, function)
-    # contains scales the point by `linalg.homogeneous`, not by its own lcm
-    assert "lcm" not in _calls_in(_tree(SRC / "kernel.py"), "HPoly.contains")
+    # contains and the lift-hint check share the row loop `_holds`, and
+    # scale the point by `linalg.homogeneous`, not by an lcm of their own
+    for function in ("HPoly.contains", "_is_lift"):
+        calls = _calls_in(_tree(SRC / "kernel.py"), function)
+        assert {"_holds", "homogeneous"} <= calls and "lcm" not in calls, function
 
 
 def test_one_canonical_equation():
