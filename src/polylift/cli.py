@@ -226,6 +226,9 @@ def _cmd_bounds(args) -> int:
     vpoly = fileio.parse_vpoly(_read(args.vpoly))
     exts = [fileio.parse_extension(_read(p), name=p) for p in (args.ext or [])]
     rep = bounds.xc_bounds(hpoly, vpoly, exts, cover_budget=args.cover_budget)
+    if args.exact and "rectangle_cover_greedy" in rep.bounds:
+        raise BudgetExceededError(f"exact rectangle cover not searched: the slack support has more than "
+                                  f"{bounds.EXACT_SUPPORT_LIMIT} entries, so no cover node was searched")
     if args.exact and "rectangle_cover" not in rep.bounds:
         raise BudgetExceededError(
             f"exact rectangle cover not reached within {args.cover_budget} nodes"

@@ -4,7 +4,7 @@ Everything here is pure and exact: polyhedra are immutable, and Fractions go
 in and come out.  A row becomes integers in one place, `HPoly._int_rows`,
 whose form the presolve, the simplex tableau, `contains`, `vertices` and
 `fm_project` share, and is read at a point in one place, `_int_slack`; the
-presolve and `fm_project` eliminate a variable through an equation by one
+presolve, its objectives and `fm_project` eliminate a variable by one
 fraction-free substitution, `_substitute`.  The affine hull has one
 parametrization, `_affine_frame`: one fraction-free elimination of the
 equations gives both the canonical equations of aff(P) (every equation
@@ -312,10 +312,10 @@ class PolyEqualResult:
 
 # ---------------------------------------------------------------------------
 # LP layer: each optimize_all or _lex_fibers call makes one
-# simplex.solve_standard call, which runs phase 1 once and gives each
-# objective its own phase 2 (_lex_fibers: one per leading coordinate, each
-# on the optimal face of the coordinates before it, or one zero cost, for
-# each right-hand side in turn); lp_solve is two optimize calls
+# simplex.solve_standard call on integer rows and costs, which runs phase 1
+# once and gives each objective its own phase 2 (_lex_fibers: one per
+# leading coordinate, each on the optimal face of the coordinates before
+# it, or one zero cost, for each right-hand side); lp_solve is two optimizes
 # ---------------------------------------------------------------------------
 
 def _assemble_standard(dim, ineqs, eqs, costs_min, nonneg, units=0):
@@ -325,8 +325,8 @@ def _assemble_standard(dim, ineqs, eqs, costs_min, nonneg, units=0):
     free is z_p - z_q, x_j >= 0 is z_p, inequality s gets a slack column
     with entry d, and each of the last `units` equations a unit column with
     entry d after the slacks; the rhs goes last and the row is negated when
-    it is < 0, as `simplex.solve_standard` takes it, with scale d.  Costs
-    stay Fractions.
+    it is < 0, as `simplex.solve_standard` takes it, with scale d.  A cost
+    (integer pairs, scale) is placed as (integer list, scale).
     """
     var_cols = []
     ncol = 0
@@ -358,7 +358,7 @@ def _assemble_standard(dim, ineqs, eqs, costs_min, nonneg, units=0):
             row[total + units - len(both) + s] = d
         row[-1] = b
         rows.append([-x for x in row] if b < 0 else row)
-    costs = [place([ZERO] * total, [(j, c) for j, c in enumerate(cost) if c]) for cost in costs_min]
+    costs = [(place([0] * total, pairs), w) for pairs, w in costs_min]
     return rows, [d for _, _, d in both], costs, var_cols
 
 
@@ -381,6 +381,8 @@ class _Reduction:
     elim lists (j, pairs, const) in elimination order, meaning
     x_j = sum(coef * x_k for k, coef in pairs) + const; pairs holds the
     nonzero terms, at most one, and its k may be eliminated by a later entry.
+    subs lists (j, eq) in the same order, eq the integer equation x_j was
+    eliminated through, which `reduce` substitutes into a row or a cost.
     ineqs and eqs hold the reduced rows over the survivors' positions, in the
     integer form of `HPoly._int_rows`: (nonzero pairs, rhs, d).
     """
@@ -388,24 +390,24 @@ class _Reduction:
     def __init__(self, dim):
         self.dim = dim
         self.alive = list(range(dim))
+        self.pos = {j: j for j in self.alive}  # survivor -> its position
         self.elim: list[tuple[int, tuple[tuple[int, Fraction], ...], Fraction]] = []
+        self.subs: list[tuple[int, tuple[dict, int, int]]] = []
         self.infeasible = False
         self.ineqs: list[tuple[list[tuple[int, int]], int, int]] = []
         self.eqs: list[tuple[list[tuple[int, int]], int, int]] = []
         self.nonneg: list[bool] = []
 
-    def objective(self, c: Sequence[Fraction]) -> tuple[list[Fraction], Fraction]:
-        """(survivor coefficients, constant) of c·x after the eliminations."""
-        obj = list(c)
-        const = ZERO
-        for j, pairs, ej in self.elim:
-            f = obj[j]
-            if f:
-                obj[j] = ZERO
-                for k, ek in pairs:
-                    obj[k] += f * ek
-                const += f * ej
-        return [obj[j] for j in self.alive], const
+    def reduce(self, pairs, b: int, d: int) -> tuple[list[tuple[int, int]], int, int]:
+        """The integer row (pairs, b, d), pairs its nonzero (index, int) terms,
+        through the eliminations by `_substitute` on a dict of its own, which
+        keeps (a·x - b)/d: (pairs over the survivors' positions, b', d'), so
+        a cost (c, 0, w) reads c·x/w as pairs·x'/d' - b'/d'."""
+        a = dict(pairs)
+        for j, eq in self.subs:
+            if j in a:
+                a, b, d = _substitute((a, b, d), j, eq)
+        return [(self.pos[j], x) for j, x in a.items()], b, d
 
     def back(self, xr, ray: bool = False) -> Vec:
         """Full-dimensional vector from survivor values; a ray drops the constants."""
@@ -454,7 +456,7 @@ def _substitute(row, j, eq):
 
 def _presolve(poly: HPoly) -> _Reduction:
     """Eliminate variables fixed or tied by short equations; the eliminations
-    depend on the rows only, so objectives are reduced afterwards.
+    depend on the rows only, so objectives are reduced afterwards (`reduce`).
 
     Repeatedly takes the first equation with at most two variables, solves it
     for the higher index and substitutes.  Inequalities that lose every
@@ -471,7 +473,7 @@ def _presolve(poly: HPoly) -> _Reduction:
     eqs = [(dict(nz), b, d) for nz, b, d in int_eqs]
     nonneg = [False] * dim
     alive = [True] * dim
-    elim = []
+    elim, subs = [], []
 
     def screen(i) -> bool:
         """Drop ineqs[i] (set it to None) when it has no variable left or is
@@ -526,11 +528,12 @@ def _presolve(poly: HPoly) -> _Reduction:
                 return infeasible()
         alive[j] = False
         elim.append((j, pairs, Fraction(dc, cj)))
+        subs.append((j, eq))
 
     red = _Reduction(dim)
     red.alive = [j for j in range(dim) if alive[j]]
-    pos = {j: p for p, j in enumerate(red.alive)}
-    red.elim = elim
+    red.pos = pos = {j: p for p, j in enumerate(red.alive)}
+    red.elim, red.subs = elim, subs
     red.ineqs = [([(pos[j], x) for j, x in a.items()], b, d) for a, b, d in filter(None, ineqs)]
     red.eqs = [([(pos[j], x) for j, x in c.items()], b, d) for c, b, d in eqs]
     red.nonneg = [nonneg[j] for j in red.alive]
@@ -542,30 +545,30 @@ def optimize_all(poly: HPoly, objectives: Sequence[tuple[Sequence, str]]) -> lis
     an unbounded result carries an improving ray as its dual_certificate.
 
     Presolve, standard form and phase 1 are shared; each objective gets its
-    own phase 2, so result i equals optimize(poly, *objectives[i]).
+    own phase 2, so result i equals optimize(poly, *objectives[i]).  Each
+    objective becomes integers once, negated for max, and is `reduce`d.
     """
     cs = []
     for objective, sense in objectives:
         if sense not in ("max", "min"):
             raise InputError("sense must be 'max' or 'min'")
-        c = vec(objective)
+        c = [x if type(x) is int or type(x) is Fraction else frac(x) for x in objective]
         if len(c) != poly.dim:
             raise InputError("objective dimension mismatch")
-        cs.append((c, sense))
+        w = lcm(*[x.denominator for x in c])
+        s = -w if sense == "max" else w
+        cs.append(([(j, x.numerator * (s // x.denominator)) for j, x in enumerate(c) if x], w, sense))
     if not cs:
         return []
     red = _presolve(poly)
     if red.infeasible:
         return [LPResult(status=INFEASIBLE) for _ in cs]
     k = len(red.alive)
-    costs_min, consts = [], []
-    for c, sense in cs:
-        obj, const = red.objective(c)
-        costs_min.append([-x for x in obj] if sense == "max" else obj)
-        consts.append(const)
-    rows, scales, costs, var_cols = _assemble_standard(k, red.ineqs, red.eqs, costs_min, red.nonneg)
+    reduced = [red.reduce(pairs, 0, w) for pairs, w, _ in cs]
+    rows, scales, costs, var_cols = _assemble_standard(
+        k, red.ineqs, red.eqs, [(a, d) for a, _, d in reduced], red.nonneg)
     out = []
-    for (_, sense), const, res in zip(cs, consts, simplex.solve_standard(rows, scales, costs)):
+    for (_, _, sense), (_, b, d), res in zip(cs, reduced, simplex.solve_standard(rows, scales, costs)):
         if res.status == simplex.INFEASIBLE:
             out.append(LPResult(status=INFEASIBLE))
             continue
@@ -574,8 +577,8 @@ def optimize_all(poly: HPoly, objectives: Sequence[tuple[Sequence, str]]) -> lis
             rr = red.back(_recover_vector(res.ray, var_cols, k), ray=True)
             out.append(LPResult(status=UNBOUNDED, primal_point=pr, dual_certificate=rr))
         else:
-            value = (-res.value if sense == "max" else res.value) + const
-            out.append(LPResult(status=OPTIMAL, optimum=value, primal_point=pr))
+            value = res.value - Fraction(b, d) if b else res.value  # the minimum
+            out.append(LPResult(status=OPTIMAL, optimum=-value if sense == "max" else value, primal_point=pr))
     return out
 
 
@@ -642,10 +645,10 @@ def _lex_fibers(q: HPoly, matrix, rhss, lead: int) -> list:
     lexicographically smallest in its first `lead` coordinates; lead = 0
     asks only whether each fiber is empty (one zero cost).
 
-    One presolve of q, through which the fiber rows and the costs are
-    reduced once, and one lexicographic simplex batch: phase 1 for the first
-    r, then for each later r its new b on the basis the one before left,
-    dual pivots back to feasibility and the lex phase 2.
+    One presolve of q, through which the fiber rows (for the first r) and
+    the unit costs are reduced once, and one lexicographic simplex batch:
+    phase 1 for the first r, then for each later r its new b on the basis
+    the one before left, dual pivots back to feasibility and the lex phase 2.
     """
     if not rhss:
         return []
@@ -655,14 +658,12 @@ def _lex_fibers(q: HPoly, matrix, rhss, lead: int) -> list:
     if q.dim == 0:
         return [EmptyPolyhedronError("polyhedron is empty") if any(r) else () for r in rhss]
     k = len(red.alive)
-    objs = [red.objective(linalg.unit(q.dim, j)) for j in range(lead)] or [red.objective(linalg.zeros(q.dim))]
-    fiber = [red.objective(row) for row in matrix]
-    bs = [[x - c for x, (_, c) in zip(r, fiber)] for r in rhss]
-    eqs = [_sparse_int_row(a, b) for (a, _), b in zip(fiber, bs[0])]
+    objs = [red.reduce(((j, 1),), 0, 1) for j in range(lead)] or [([], 0, 1)]
+    eqs = [red.reduce(*_sparse_int_row(a, b)) for a, b in zip(matrix, rhss[0])]
     rows, scales, costs, var_cols = _assemble_standard(
-        k, red.ineqs, red.eqs + eqs, [obj for obj, _ in objs], red.nonneg, len(eqs)
+        k, red.ineqs, red.eqs + eqs, [(a, d) for a, _, d in objs], red.nonneg, len(eqs)
     )
-    shifts = [[x - y for x, y in zip(b, a)] for a, b in zip(bs, bs[1:])]
+    shifts = [[x - y for x, y in zip(b, a)] for a, b in zip(rhss, rhss[1:])]
     out = []
     for results in simplex.solve_standard(rows, scales, costs, lex=True, shifts=shifts):
         res = results[-1]  # a list of results ends at its first unbounded one
@@ -672,7 +673,7 @@ def _lex_fibers(q: HPoly, matrix, rhss, lead: int) -> list:
             out.append(UnboundedPolyhedronError(f"coordinate {len(results) - 1} unbounded below"))
         else:
             point = _back_point(red, res, var_cols)
-            if point[:lead] != tuple([r.value + c for r, (_, c) in zip(results, objs[:lead])]):
+            if point[:lead] != tuple([r.value - Fraction(b, d) for r, (_, b, d) in zip(results, objs[:lead])]):
                 raise InvariantViolationError("lexicographic point disagrees with its coordinate minima")
             out.append(point)
     return out
@@ -1166,21 +1167,36 @@ def _image_violations(q: HPoly, proj: AffineMap, p: HPoly):
     Returns a point of q (None when q is empty) and the failing rows in that
     order, each as (i, LPResult, value): i indexes p.ineqs + p.eqs, and value
     is the row's optimum over proj(q), or None when the row is unbounded
-    there (the LPResult then carries a ray of q)."""
-    checks = [(i, a, b, "max") for i, (a, b) in enumerate(p.ineqs)]
-    for i, (c, d) in enumerate(p.eqs, len(p.ineqs)):
-        checks += [(i, c, d, "max"), (i, c, d, "min")]
-    zero = linalg.zeros(q.dim)
-    first, *results = optimize_all(
-        q, [(zero, "min")] + [(proj.pull_back(a) if proj.matrix else zero, s) for _, a, _, s in checks]
-    )
+    there (the LPResult then carries a ray of q).  On integer rows, p's
+    (a, B, D) and proj's (P_r, O_r, d_r), with L the lcm of the d_r a uses
+    and m_r = a_r·L/d_r: L·a·proj(y) = cost·y - K, cost = Σ m_r·P_r and K =
+    Σ m_r·O_r, so the row holds where max (or min) cost·y is <= (>=) K + L·B."""
+    ineqs, eqs = p._int_rows()
+    prows = proj._int_rows()
+    objectives, checks = [([0] * q.dim, "min")], []
+    for i, (nz, b, d) in enumerate(ineqs + eqs):
+        big = lcm(*[prows[r][2] for r, _ in nz])
+        cost, k = [0] * q.dim, 0
+        for r, x in nz:
+            pnz, o, pd = prows[r]
+            m = x * (big // pd)
+            for j, y in pnz:
+                cost[j] += m * y
+            k += m * o
+        for sense in ("max",) if i < len(ineqs) else ("max", "min"):
+            objectives.append((cost, sense))
+            checks.append((i, sense, k, k + big * b, big * d))
+    first, *results = optimize_all(q, objectives)
     if first.status == INFEASIBLE:
         return None, []
     fails = []
-    for (i, a, b, sense), r in zip(checks, results):
-        value = None if r.status == UNBOUNDED else r.optimum + linalg.dot(a, proj.offset)
-        if value is None or (value > b if sense == "max" else value < b):
-            fails.append((i, r, value))
+    for (i, sense, k, t, scale), r in zip(checks, results):
+        if r.status == UNBOUNDED:
+            fails.append((i, r, None))
+            continue
+        over = r.optimum.numerator - t * r.optimum.denominator  # the sign of optimum - t
+        if over > 0 if sense == "max" else over < 0:
+            fails.append((i, r, (r.optimum - k) / scale))
     return first.primal_point, fails
 
 

@@ -30,13 +30,13 @@ its multipliers times the change, so that b is feasible only if it reads 0.
 
 The tableau is integer, and so is its input: each row comes in as a
 positive integer multiple of the true row, right-hand side last and negated
-where that is negative, with the multiple as its scale.
-`kernel._assemble_standard` builds them from `HPoly._int_rows`, so no
-Fraction enters the tableau.  Each row stays a positive multiple of the
-true row, and each objective row a positive multiple of the true reduced
-costs (its value entry last).  The pivot rules read only signs, zeros and
-ratios within a row, which such multiples keep, so the pivots are those of
-the same simplex over Fractions.  A pivot on entry p > 0 (the pivot row's
+where that is negative, with the multiple as its scale, and each cost as
+integers with a scale.  `kernel._assemble_standard` builds them from
+`HPoly._int_rows` and `_Reduction.reduce`, so no Fraction enters the
+tableau.  Each row stays a positive multiple of the true row, and each
+objective row of the true reduced costs (its value entry last).  The pivot
+rules read only signs, zeros and ratios within a row, which such multiples
+keep, so the pivots are those of the same simplex over Fractions.  A pivot on entry p > 0 (the pivot row's
 sign is flipped first, and the row divided by the gcd of its entries)
 updates a row whose entry in the pivot column is f as
 `row - (f // p) * prow` when p divides f, and otherwise as
@@ -178,10 +178,10 @@ def solve_standard(rows, scales, costs, lex: bool = False, shifts=()) -> list:
     `rows[i]` is d_i·(row i of A, b_i) in integers, negated when b_i < 0,
     and `scales[i]` is d_i > 0 (`kernel._assemble_standard` gives the least
     d_i; any gives the same pivots).  The lists become the tableau and are
-    pivoted in place.  `costs` is a non-empty list of Fraction cost
-    sequences, one result per cost in order.  Phase 1 runs once; each cost
-    runs phase 2 on its own copy of the phase-1 tableau and basis, so every
-    result equals that of a one-cost call.
+    pivoted in place.  `costs` is a non-empty list of (integer list, scale)
+    pairs, cost = list/scale, scale > 0, one result per cost in order.
+    Phase 1 runs once; each cost runs phase 2 on its own copy of the phase-1
+    tableau and basis, so every result equals that of a one-cost call.
 
     With `lex=True` result j minimizes costs[j] over the optimal face of
     costs[0..j-1] (lexicographic optimization): the costs share one tableau,
@@ -194,7 +194,7 @@ def solve_standard(rows, scales, costs, lex: bool = False, shifts=()) -> list:
     lists, per unit column, how far that b_i moves from the right-hand side
     before it.
     """
-    n = len(costs[0])
+    n = len(costs[0][0])
     basis, ok = _phase1(rows, scales, n)
     dropped = _drive_out(rows, basis, n) if ok or shifts else []
     if not lex:
@@ -295,8 +295,7 @@ def _lex(tab, basis, costs, n) -> list[StandardResult]:
             # basic columns are never barred, so every nonbasic one is:
             # the optimal face is the current point, and no column enters
             basic = _basic(tab, basis)
-            value = sum((cost[v] * Fraction(x, e) for v, x, e in basic if cost[v]), ZERO)
-            out.append(StandardResult(status=OPTIMAL, point=partial(_point, basic, n), value=value))
+            out.append(StandardResult(status=OPTIMAL, point=partial(_point, basic, n), value=_value(basic, *cost)))
             continue
         out.append(_phase2(tab, basis, cost, cols))
         if out[-1].status == UNBOUNDED:
@@ -308,13 +307,10 @@ def _phase2(tab, basis, cost, cols) -> StandardResult:
     """Phase 2 of one cost from a feasible basis, pivoting on the tableau it
     is given and entering only columns in `cols`.  At the optimum `cols` is
     narrowed to the columns free to move on the optimal face."""
-    n = len(cost)
-    # reduced costs: cost - sum of cost[v] * (true row of v), scaled to
-    # integers; the stored entry row[v] is the scale of the row of v.  No
-    # tuple per phase 2 (see linalg.homogeneous): cost is scaled in lists,
-    # and its zeros are read off the integers
-    w = lcm(*[x.denominator for x in cost])
-    icost = [x.numerator * (w // x.denominator) for x in cost]
+    icost, w = cost
+    n = len(icost)
+    # reduced costs: icost - sum of icost[v] * (true row of v), times the
+    # lcm of the stored entries row[v], each the scale of the row of v
     common = lcm(*[tab[i][v] for i, v in enumerate(basis) if icost[v]])
     obj2 = [common * x for x in icost]
     obj2 += [0] * (len(tab[0]) - n) if tab else [0]  # unit columns, rhs
@@ -340,8 +336,13 @@ def _phase2(tab, basis, cost, cols) -> StandardResult:
 
     # a nonbasic column with a positive reduced cost is 0 on the optimal face
     cols[:] = [j for j in cols if not obj2[j]]
-    value = sum((cost[v] * Fraction(x, e) for v, x, e in basic if icost[v]), ZERO)
-    return StandardResult(status=OPTIMAL, point=point, value=value)
+    return StandardResult(status=OPTIMAL, point=point, value=_value(basic, icost, w))
+
+
+def _value(basic, icost, w) -> Fraction:
+    """icost·z / w at the basic solution: one Fraction from integer sums."""
+    den = lcm(*[e for v, _, e in basic if icost[v]])
+    return Fraction(sum([icost[v] * x * (den // e) for v, x, e in basic if icost[v]]), den * w)
 
 
 def _basic(tab, basis) -> list[tuple[int, int, int]]:

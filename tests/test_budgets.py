@@ -55,6 +55,23 @@ def test_cli_bounds_exact_budget_exit3(tmp_path, capsys):
     assert main(["bounds", str(h), str(v), "--exact"]) == 0
 
 
+def test_cli_bounds_exact_names_the_support_limit(tmp_path, capsys):
+    # cube(4)'s slack support has 64 entries, past EXACT_SUPPORT_LIMIT: the
+    # greedy cover is taken at once, so --exact names that limit, not the
+    # node budget no search used
+    h = tmp_path / "c4.hpoly"
+    v = tmp_path / "c4.vpoly"
+    main(["zoo", "cube", "4", "--hrep", str(h), "--vrep", str(v)])
+    capsys.readouterr()
+    c4 = zoo.cube_hrep(4)
+    assert len(slack_matrix(c4, vertices(c4)).support()) == 64 > bd.EXACT_SUPPORT_LIMIT
+    assert main(["bounds", str(h), str(v), "--exact"]) == 3
+    err = capsys.readouterr().err
+    assert f"more than {bd.EXACT_SUPPORT_LIMIT} entries" in err and "no cover node was searched" in err
+    assert "nodes" not in err
+    assert main(["bounds", str(h), str(v)]) == 0
+
+
 def test_cli_bounds_labels_cut_off_fooling_set_valid(tmp_path, capsys, monkeypatch):
     # a fooling set cut off by its budget is still a valid lower bound; only
     # the greedy rectangle cover is not

@@ -16,6 +16,8 @@ from hypothesis import given, settings, strategies as st
 from polylift import kernel, linalg, simplex
 from polylift.errors import EmptyPolyhedronError, InvariantViolationError, UnboundedPolyhedronError
 from polylift.kernel import INFEASIBLE, AffineMap, HPoly, optimize
+from test_int_costs import reference_objective
+from test_simplex import int_pairs
 
 F = Fraction
 ZERO = F(0)
@@ -28,9 +30,9 @@ def reference_lex_min_point(poly: HPoly):
     if poly.dim == 0:
         return ()
     k = len(red.alive)
-    objs = [red.objective(linalg.unit(poly.dim, j)) for j in range(poly.dim)]
+    objs = [reference_objective(red, linalg.unit(poly.dim, j)) for j in range(poly.dim)]
     rows, scales, costs, var_cols = kernel._assemble_standard(
-        k, red.ineqs, red.eqs, [obj for obj, _ in objs], red.nonneg
+        k, red.ineqs, red.eqs, [int_pairs(obj) for obj, _ in objs], red.nonneg
     )
     fixed = []
     [results] = simplex.solve_standard(rows, scales, costs, lex=True)

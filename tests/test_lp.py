@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from polylift import kernel, linalg, simplex
 from polylift.errors import EmptyPolyhedronError, InputError, InvariantViolationError, UnboundedPolyhedronError
 from polylift.kernel import HPoly, lp_solve, optimize, optimize_all, feasible_point, lex_min_point
+from test_simplex import int_pairs
 
 F = Fraction
 
@@ -165,7 +166,7 @@ def _unpresolved(c, sense, poly):
     variable free and no presolve: the reference for the optimize path."""
     cost = [-F(x) for x in c] if sense == "max" else [F(x) for x in c]
     ineqs, eqs = poly._int_rows()
-    rows, scales, costs, _ = kernel._assemble_standard(poly.dim, ineqs, eqs, [cost], [False] * poly.dim)
+    rows, scales, costs, _ = kernel._assemble_standard(poly.dim, ineqs, eqs, [int_pairs(cost)], [False] * poly.dim)
     [res] = simplex.solve_standard(rows, scales, costs)
     if res.status != "optimal":
         return res.status, None
@@ -253,6 +254,21 @@ def test_optimize_rejects_unknown_sense():
         optimize(unit_square(), [1, 1], "maximize")
     with pytest.raises(InputError):
         optimize_all(unit_square(), [([1, 0], "max"), ([0, 1], "Max")])
+
+
+def test_optimize_input_handling():
+    # each objective entry is an int or a Fraction, or goes through
+    # linalg.frac: a float is refused, a string like "1/2" is read exactly
+    square = unit_square()
+    with pytest.raises(TypeError):
+        optimize(square, [0.5, 1], "max")
+    assert optimize(square, ["1/2", 1], "max") == optimize(square, [F(1, 2), 1], "max")
+    assert optimize(square, ["1/2", 1], "max").optimum == 1
+    assert optimize(square, (x for x in (2, 1)), "max") == optimize(square, [2, 1], "max")
+    with pytest.raises(InputError):
+        optimize(square, [1, 2, 3], "max")
+    with pytest.raises(InputError):
+        optimize_all(square, [([1, 1], "min"), ([1], "min")])
 
 
 @st.composite

@@ -11,7 +11,10 @@ unnoticed.  Likewise the library has one left inverse: no module but
 never `rref` or an elimination of their own.  Each integer primitive has
 one reader: a row is evaluated at a point only by `kernel._int_slack`, and
 every equation the library returns is made canonical by
-`linalg._canonical_eq`."""
+`linalg._canonical_eq`.  Objectives stay integers on the way to the
+simplex: `_substitute` is the one reducer of rows and costs (there is no
+`_Reduction.objective`), and `_image_violations` pulls its rows back over
+integer rows, never by `pull_back` or `dot`."""
 
 import ast
 from pathlib import Path
@@ -136,6 +139,32 @@ def test_one_canonical_equation():
     for path in sorted(SRC.glob("*.py")):
         tree = _tree(path)
         assert [(f, line) for f in ("canon_ineq", "canon_eq") for line in _names(tree, f)] == [], path.name
+
+
+def _cost_chain_breaches(tree):
+    """What breaks the integer cost chain: `_image_violations` calling
+    `pull_back` or `dot`, or a `_Reduction.objective`."""
+    out = sorted((_calls_in(tree, "_image_violations") or set()) & {"pull_back", "dot"})
+    return out + ["_Reduction.objective"] * (_calls_in(tree, "_Reduction.objective") is not None)
+
+
+def test_one_reducer_of_rows_and_costs():
+    tree = _tree(SRC / "kernel.py")
+    assert _calls_in(tree, "_image_violations") is not None
+    assert _cost_chain_breaches(tree) == []
+    assert "_substitute" in _calls_in(tree, "_Reduction.reduce")
+
+
+def test_the_cost_chain_check_sees_a_breach(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "class _Reduction:\n"
+        "    def objective(self, c):\n"
+        "        return c\n"
+        "def _image_violations(q, proj, p):\n"
+        "    return [(proj.pull_back(a), linalg.dot(a, proj.offset)) for a, _ in p.ineqs]\n"
+    )
+    assert _cost_chain_breaches(_tree(path)) == ["dot", "pull_back", "_Reduction.objective"]
 
 
 def test_the_checks_see_a_violation(tmp_path):

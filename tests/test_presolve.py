@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from polylift import kernel
 from polylift.kernel import HPoly
+from test_simplex import int_pairs
 
 F = Fraction
 ZERO = F(0)
@@ -311,6 +312,17 @@ def _dense(rows, n):
     return out
 
 
+def _reduced(red, c):
+    """`red.reduce` of the Fraction objective c, read as Fractions:
+    (survivor coefficients, constant), as the reference's `objective`."""
+    pairs, w = int_pairs(c)
+    a, b, d = red.reduce(pairs, 0, w)
+    obj = [ZERO] * len(red.alive)
+    for p, x in a:
+        obj[p] = F(x, d)
+    return obj, F(-b, d)
+
+
 @settings(deadline=None, derandomize=True, max_examples=600)
 @given(presolve_cases())
 def test_sparse_presolve_matches_dense_reference(case):
@@ -328,7 +340,7 @@ def test_sparse_presolve_matches_dense_reference(case):
     assert _dense(red.eqs, len(red.alive)) == ref.eqs
     if red.infeasible:
         return
-    assert red.objective(c) == ref.objective(c)
+    assert _reduced(red, c) == ref.objective(c)
     xr = xr[: len(red.alive)]
     assert red.back(xr) == ref.back(xr)
     assert red.back(xr, ray=True) == ref.back(xr, ray=True)
@@ -347,8 +359,9 @@ def test_standard_rows_match_the_fraction_assembly(case):
     if red.infeasible:
         return
     costs_min = [ref.objective(c)[0], [-x for x in ref.objective(c)[0]]]
-    got = kernel._assemble_standard(len(red.alive), red.ineqs, red.eqs, costs_min, red.nonneg)
-    assert got == _standard_reference(ref, costs_min)
+    got = kernel._assemble_standard(len(red.alive), red.ineqs, red.eqs, [int_pairs(x) for x in costs_min], red.nonneg)
+    rows, scales, costs, var_cols = got
+    assert (rows, scales, [[F(x, w) for x in ints] for ints, w in costs], var_cols) == _standard_reference(ref, costs_min)
     assert all(type(x) is int for row in got[0] for x in row)
 
 

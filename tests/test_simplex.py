@@ -4,7 +4,7 @@ The reference below is the Fraction simplex the integer tableau replaced,
 kept as it was: the same two phases, Bland rule, drive-out step and lex
 mode, with every tableau entry a Fraction.  It takes the Fraction rows and
 right-hand sides; `solve_standard` takes each row scaled to integers with
-its scale.  Both must return equal results and make the same pivots,
+its scale, and each cost likewise (`int_cost`).  Both must return equal results and make the same pivots,
 (row, column) for (row, column), on any input.
 """
 
@@ -165,6 +165,20 @@ def _integer_rows(rows, rhs):
     return ints, scales
 
 
+def int_cost(cost):
+    """A Fraction cost as `solve_standard` takes it: (integers, scale), the
+    cost times the lcm of its denominators."""
+    w = lcm(*[x.denominator for x in cost])
+    return [int(x * w) for x in cost], w
+
+
+def int_pairs(cost):
+    """A Fraction cost as `kernel._assemble_standard` takes it: (nonzero
+    (index, integer) pairs, scale)."""
+    ints, w = int_cost(cost)
+    return [(j, x) for j, x in enumerate(ints) if x], w
+
+
 def _recorded(module, solve, *args, lex):
     """solve's results and its (row, column) pivots, read off module._pivot."""
     pivots = []
@@ -189,7 +203,7 @@ def _solve_one_rhs(*args, lex):
 
 
 def _assert_same(rows, rhs, costs, lex=False):
-    got = _recorded(simplex, _solve_one_rhs, *_integer_rows(rows, rhs), [list(c) for c in costs], lex=lex)
+    got = _recorded(simplex, _solve_one_rhs, *_integer_rows(rows, rhs), [int_cost(c) for c in costs], lex=lex)
     want = _recorded(
         sys.modules[__name__], reference_solve, [list(r) for r in rows], list(rhs), [list(c) for c in costs], lex=lex
     )
@@ -266,7 +280,7 @@ def test_each_branch_matches_the_reference():
 def test_results_are_fractions():
     # the row z0/2 + z1/3 = 1/2 goes in as [3, 2, 3] with scale 6; z1 = 3/2
     # is its rhs over its entry in column 1
-    [res] = simplex.solve_standard([[3, 2, 3]], [6], [[F(1), ZERO]])
+    [res] = simplex.solve_standard([[3, 2, 3]], [6], [int_cost([F(1), ZERO])])
     assert res == StandardResult(OPTIMAL, point=[ZERO, F(3, 2)], value=ZERO)
     assert all(type(x) is Fraction for x in res.point)
 
@@ -280,7 +294,7 @@ def lex_every_phase2(rows, scales, costs):
     stopped at a one-point face: the same integer phase 1 and drive-out,
     then one `_phase2` per cost, however small the optimal face."""
     tab = rows
-    n = len(costs[0])
+    n = len(costs[0][0])
     basis = [n + i for i in range(len(tab))]
     common = lcm(*scales)
     obj1 = [0] * (n + 1)
@@ -321,11 +335,11 @@ def _assert_lex_same(rows, rhs, costs):
 
     simplex._phase2 = counted
     try:
-        got = _recorded(simplex, _solve_one_rhs, *_integer_rows(rows, rhs), [list(c) for c in costs], lex=True)
+        got = _recorded(simplex, _solve_one_rhs, *_integer_rows(rows, rhs), [int_cost(c) for c in costs], lex=True)
     finally:
         simplex._phase2 = phase2
     want = _recorded(simplex, lambda *a, lex: lex_every_phase2(*a), *_integer_rows(rows, rhs),
-                     [list(c) for c in costs], lex=True)
+                     [int_cost(c) for c in costs], lex=True)
     assert got == want
     return got[0], len(calls)
 
