@@ -319,6 +319,22 @@ class FoolingResult:
         return self.status == EXACT
 
 
+def _greedy_classes(cand_mask: int, shut) -> int:
+    """The number of greedy color classes of the candidates, a bound on any
+    clique among them.  Each class takes, lowest index first, every
+    candidate left that none it holds shuts out (shut[v]); so each candidate
+    in turn goes into the first class that admits it."""
+    classes = 0
+    while cand_mask:
+        classes += 1
+        free = cand_mask
+        while free:
+            low = free & -free
+            cand_mask ^= low
+            free &= shut[low.bit_length() - 1]
+    return classes
+
+
 def fooling_set_max(slack: SlackMatrix, budget: int = 500_000) -> FoolingResult:
     """Maximum fooling set: a maximum clique of the compatibility graph on
     the support entries, by branch and bound on int bitmasks.
@@ -327,10 +343,11 @@ def fooling_set_max(slack: SlackMatrix, budget: int = 500_000) -> FoolingResult:
     candidates in index order.  A node is cut when a greedy coloring of its
     candidates needs no more classes than the clique lacks to beat the best
     set; a branch, when the clique with its candidate and that candidate's
-    compatible candidates cannot.  Budget exhaustion (one node per call of
-    the search) degrades to the best set found, flagged greedy: it is still
-    a valid lower bound.  Nodes work on bitboards, as in BBMC (San Segundo
-    et al. 2011).  A negative budget is an InputError.
+    compatible candidates cannot.  A call colors each distinct candidate set
+    once and keeps its count, one entry per node at most.  Out of budget
+    (one node per search call), it returns the best set found, flagged
+    greedy: still a valid lower bound.  Nodes work on bitboards, as in BBMC
+    (San Segundo et al. 2011).  A negative budget is an InputError.
     """
     if budget < 0:
         raise InputError(f"search budget must be nonnegative, got {budget}")
@@ -340,30 +357,11 @@ def fooling_set_max(slack: SlackMatrix, budget: int = 500_000) -> FoolingResult:
         return FoolingResult(EXACT, FoolingSet(()))
     compat = _compatibility(slack, support)
     full = (1 << ne) - 1
-    # the candidates a color class can no longer take once it holds v
     shut = [full & ~(c | 1 << v) for v, c in enumerate(compat)]
     best_idx = _greedy_clique(compat, full)
+    classes_of: dict[int, int] = {}
     nodes = 0
     exceeded = False
-
-    def colorable(cand_mask, k):
-        """Whether greedy coloring puts the candidates into at most k
-        classes, so that no clique among them has more than k entries.
-        Each class takes, lowest index first, every candidate left that is
-        compatible with none it already holds: the classes of placing each
-        candidate in turn into the first class that admits it.  At most k
-        candidates need at most k classes, as each class takes one."""
-        if cand_mask.bit_count() <= k:
-            return True
-        for _ in range(k):
-            free = cand_mask
-            while free:
-                low = free & -free
-                cand_mask ^= low
-                free &= shut[low.bit_length() - 1]
-            if not cand_mask:
-                return True
-        return not cand_mask
 
     def bb(clique, cand_mask):
         nonlocal best_idx, nodes, exceeded
@@ -377,7 +375,9 @@ def fooling_set_max(slack: SlackMatrix, budget: int = 500_000) -> FoolingResult:
             if len(clique) > len(best_idx):
                 best_idx = list(clique)
             return
-        if colorable(cand_mask, len(best_idx) - len(clique)):
+        if cand_mask not in classes_of:
+            classes_of[cand_mask] = _greedy_classes(cand_mask, shut)
+        if classes_of[cand_mask] <= len(best_idx) - len(clique):
             return
         while cand_mask:
             low = cand_mask & -cand_mask

@@ -2,15 +2,17 @@
 bounds, and slack/factorization pipelines over the bit-exact file formats.
 
 Exit codes: 0 success / verified, 1 verified-false, 2 input error,
-3 budget exceeded.  Reports are deterministic: identical invocations produce
-byte-identical output (all searches break ties by lowest index, randomized
-parts are seeded, and JSON keys are sorted).
+3 budget exceeded, 141 stdout closed by its reader.  Reports are
+deterministic: identical invocations produce byte-identical output (all
+searches break ties by lowest index, randomized parts are seeded, and JSON
+keys are sorted).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -22,6 +24,7 @@ EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+EXIT_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer killed by a closed pipe
 
 
 def _jsonable(x):
@@ -226,13 +229,11 @@ def _cmd_bounds(args) -> int:
     vpoly = fileio.parse_vpoly(_read(args.vpoly))
     exts = [fileio.parse_extension(_read(p), name=p) for p in (args.ext or [])]
     rep = bounds.xc_bounds(hpoly, vpoly, exts, cover_budget=args.cover_budget)
-    if args.exact and "rectangle_cover_greedy" in rep.bounds:
-        raise BudgetExceededError(f"exact rectangle cover not searched: the slack support has more than "
-                                  f"{bounds.EXACT_SUPPORT_LIMIT} entries, so no cover node was searched")
     if args.exact and "rectangle_cover" not in rep.bounds:
-        raise BudgetExceededError(
-            f"exact rectangle cover not reached within {args.cover_budget} nodes"
-        )
+        if "rectangle_cover_greedy" in rep.bounds:
+            raise BudgetExceededError(f"exact rectangle cover not searched: the slack support has more than "
+                                      f"{bounds.EXACT_SUPPORT_LIMIT} entries, so no cover node was searched")
+        raise BudgetExceededError(f"exact rectangle cover not reached within {args.cover_budget} nodes")
     results = {
         "lower": rep.lower,
         "upper": rep.upper,
@@ -334,7 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--cover-budget", type=int, default=200_000,
                    help="node budget for the exact rectangle-cover search")
     b.add_argument("--exact", action="store_true",
-                   help="demand an exact cover; exit 3 if the budget is exhausted")
+                   help="demand an exact cover; exit 3 if the budget is exhausted, or if no cover node "
+                        f"is searched, the support having more than {bounds.EXACT_SUPPORT_LIMIT} entries")
     b.add_argument("--json", action="store_true")
     b.set_defaults(func=_cmd_bounds)
 
@@ -364,7 +366,14 @@ def main(argv=None) -> int:
         # argparse uses exit code 2 for usage errors, matching our convention
         return int(e.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # stop quietly, with stdout on devnull so that the flush at shutdown does not fail again
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return EXIT_PIPE
     except BudgetExceededError as e:
         print(f"budget exceeded: {e}", file=sys.stderr)
         return EXIT_BUDGET

@@ -70,6 +70,12 @@ def test_cli_bounds_exact_names_the_support_limit(tmp_path, capsys):
     assert f"more than {bd.EXACT_SUPPORT_LIMIT} entries" in err and "no cover node was searched" in err
     assert "nodes" not in err
     assert main(["bounds", str(h), str(v)]) == 0
+    # --exact's help names both ways to exit 3
+    capsys.readouterr()
+    assert main(["bounds", "--help"]) == 0
+    helptext = " ".join(capsys.readouterr().out.split())
+    assert "exit 3 if the budget is exhausted" in helptext
+    assert f"no cover node is searched, the support having more than {bd.EXACT_SUPPORT_LIMIT} entries" in helptext
 
 
 def test_cli_bounds_labels_cut_off_fooling_set_valid(tmp_path, capsys, monkeypatch):

@@ -550,3 +550,28 @@ def test_python_m_polylift_runs_the_cli():
                        capture_output=True, text=True, env=env)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip()
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_cli_closed_stdout_exits_141_quietly(unbuffered):
+    # a reader that closes the pipe early (`| head -1`) is no input error:
+    # exit 128 + SIGPIPE with nothing on stderr, buffered or not
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        r = subprocess.run([sys.executable, "-m", "polylift", "zoo", "cube", "2"],
+                           stdout=write_end, stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write_end)
+    assert (r.returncode, r.stderr) == (141, "")

@@ -317,16 +317,27 @@ def test_dd_peak_of_a_shuffled_hull_is_the_sorted_one(monkeypatch):
     assert out == sorted_out
 
 
-def test_fooling_search_nodes():
+def test_fooling_search_nodes(monkeypatch):
+    colored = []
+    greedy_classes = bounds._greedy_classes
+
+    def counted(cand_mask, shut):
+        colored.append(cand_mask)
+        return greedy_classes(cand_mask, shut)
+
+    monkeypatch.setattr(bounds, "_greedy_classes", counted)
     cube5 = zoo.cube_hrep(5)
     cases = (
-        (zoo.spanning_tree_hrep(4), zoo.spanning_tree_vrep(4), 10, 62_330),
-        (zoo.permutahedron_hrep(4), zoo.permutahedron_vrep(4), 6, 6_058),
-        (cube5, kernel.vertices(cube5), 10, 575),
+        (zoo.spanning_tree_hrep(4), zoo.spanning_tree_vrep(4), 10, 62_330, 44_517),
+        (zoo.permutahedron_hrep(4), zoo.permutahedron_vrep(4), 6, 6_058, 2_209),
+        (cube5, kernel.vertices(cube5), 10, 575, 481),
     )
-    for h, v, size, nodes in cases:
+    for h, v, size, nodes, colorings in cases:
+        colored.clear()
         res = bounds.fooling_set_max(slack.slack_matrix(h, v))
         assert (res.size(), res.is_exact(), res.nodes) == (size, True, nodes)
+        # one coloring per distinct nonempty candidate set the search meets
+        assert (len(colored), len(set(colored)), 0 in colored) == (colorings, colorings, False)
 
 
 def test_spanning_tree4_fooling_budget_runs_out():
