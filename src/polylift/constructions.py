@@ -41,7 +41,12 @@ class Extension:
     """Extension (Q, p) of a target polytope: p(Q) = target.
 
     size() counts Q's inequalities only, matching how extended-formulation
-    sizes are measured everywhere in this package.
+    sizes are measured everywhere in this package.  lift(v), if given, is a
+    hint: a preimage of the target vertex v in Q, or None.  A hint of ints
+    is read as the integer point itself, any other as rationals, and Q's
+    rows are read at it in one packed big-integer sum (`HPoly._holds`:
+    fields of reach.bit_length() + 17 bits, which cannot carry while the
+    point's entries are below 2^16; a larger one takes the row loop).
     """
 
     q: HPoly
@@ -160,11 +165,11 @@ def birkhoff_extension(n: int) -> Extension:
     proj = AffineMap.linear(rows)
 
     def lift(v):
-        if sorted(v) != [F(j) for j in range(1, n + 1)]:
+        if sorted(v) != list(range(1, n + 1)):
             return None
-        y = [ZERO] * (n * n)
+        y = [0] * (n * n)
         for i, val in enumerate(v):
-            y[i * n + (int(val) - 1)] = ONE
+            y[i * n + (int(val) - 1)] = 1
         return tuple(y)
 
     return Extension(q, proj, n, f"birkhoff({n})", lift)
@@ -244,7 +249,7 @@ def martin_spanning_tree_extension(n: int) -> Extension:
         for a, b in tree:
             adj[a].append(b)
             adj[b].append(a)
-        y = list(v[:m]) + [ZERO] * len(triples)
+        y = [int(x) for x in v[:m]] + [0] * len(triples)
 
         def component(root, banned_edge):
             seen = {root}
@@ -267,9 +272,9 @@ def martin_spanning_tree_extension(n: int) -> Extension:
                 if u in (a, b):
                     continue
                 if u in comp_b:
-                    y[zpos[(a, b, u)]] = ONE
+                    y[zpos[(a, b, u)]] = 1
                 elif u in comp_a:
-                    y[zpos[(b, a, u)]] = ONE
+                    y[zpos[(b, a, u)]] = 1
                 else:
                     return None  # disconnected: not a spanning tree
         return tuple(y)
@@ -358,7 +363,7 @@ def balas_union(parts: Sequence[HPoly], name: str | None = None) -> Extension:
                 for j, val in enumerate(v):
                     y[zcol(i, j)] = linalg.frac(val)
                 y[lam0 + i] = ONE
-                return tuple(y)
+                return tuple([x.numerator for x in y]) if all(x.denominator == 1 for x in y) else tuple(y)
         return None
 
     return Extension(q, proj, n, name or f"balas_union(q={qn})", lift)
@@ -461,13 +466,13 @@ def knapsack_flow_extension(weights, capacity: int) -> Extension:
         om = sum(net.weights[i - 1] for i in chosen)
         if om > net.capacity:
             return None
-        y = [ZERO] * alpha
+        y = [0] * alpha
         cur = (0, 0)
         for item in chosen:
             nxt = (item, cur[1] + net.weights[item - 1])
-            y[arc_ix[(cur, nxt, item)]] = ONE
+            y[arc_ix[(cur, nxt, item)]] = 1
             cur = nxt
-        y[arc_ix[(cur, "t", None)]] = ONE
+        y[arc_ix[(cur, "t", None)]] = 1
         return tuple(y)
 
     wname = ",".join(map(str, net.weights))
@@ -613,15 +618,15 @@ def sorting_network_extension(n: int, net: SortingNetwork) -> Extension:
     proj = AffineMap.coordinate_projection(d, range(n))
 
     def lift(v):
-        stages = [list(v)]
-        cur = list(v)
+        if sorted(v) != list(range(1, n + 1)):  # the network sorts: its last stage is sorted(v)
+            return None
+        cur = [int(x) for x in v]
+        stages = [cur]
         for i, j in net.comparators:
             cur = list(cur)
             if cur[i] > cur[j]:
                 cur[i], cur[j] = cur[j], cur[i]
             stages.append(cur)
-        if stages[-1] != [F(u + 1) for u in range(n)]:
-            return None
         return tuple(x for stage in stages for x in stage)
 
     return Extension(q, proj, n, f"sortnet({n},r={r})", lift)

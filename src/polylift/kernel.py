@@ -3,7 +3,8 @@
 Everything here is pure and exact: polyhedra are immutable, and Fractions go
 in and come out.  A row becomes integers in one place, `HPoly._int_rows`,
 whose form the presolve, the simplex tableau, `contains`, `vertices` and
-`fm_project` share, and is read at a point in one place, `_int_slack`; the
+`fm_project` share, and is read at a point in one place, `_int_slack`, or,
+every row of an `HPoly` at once, in one packed sum (`HPoly._holds`); the
 presolve, its objectives and `fm_project` eliminate a variable by one
 fraction-free substitution, `_substitute`.  The affine hull has one
 parametrization, `_affine_frame`: one fraction-free elimination of the
@@ -26,8 +27,8 @@ exact dot products alone can check.
 Operations are safe to call concurrently on shared inputs; the only hidden
 state is that integer row form, which an `HPoly` builds on first use (or
 takes from the `HPoly` it is derived from, for an LP over the same rows plus
-a few), an `AffineMap`'s row forms and a result's point, built likewise on
-first use or read, each the same whichever call builds it.
+a few), its packed form, an `AffineMap`'s row forms and a result's point,
+built likewise on first use or read, each the same whichever call builds it.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ ONE = Fraction(1)
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
+_PACK_LIMIT = 1 << 16  # `HPoly._holds` packs a point whose entries are below it in absolute value
 
 
 # ---------------------------------------------------------------------------
@@ -124,15 +126,46 @@ class HPoly:
         return self._holds(linalg.homogeneous(xv))
 
     def _holds(self, hom) -> bool:
-        """`contains` at a `linalg.homogeneous` point; `_int_slack` keeps each slack's sign."""
+        """`contains` at a homogeneous integer point hom = (X..., w), w > 0:
+        every slack b·w - a·X of `_int_rows` in one sum s = bias + Σ hom_j·col_j
+        (`_packed`), where row i, inequalities first, owns the k bits from k·i
+        and holds its slack plus 2^(k-1).  When w and every X_j are below 2^16
+        in absolute value, |slack| <= (2^16 - 1)·reach < 2^(k-1), so each
+        field stays in (0, 2^k) and none carries into the next: an inequality
+        holds when its field's top bit is set, an equation when its field is
+        2^(k-1).  Any other point is read by `_int_slack`, row by row."""
+        cols, bias, top, shift, eq_bias = self._packed()
+        if -_PACK_LIMIT < min(hom) and max(hom) < _PACK_LIMIT:
+            s = bias
+            for x, col in zip(hom, cols):
+                if x:
+                    s += x * col
+            return s & top == top and s >> shift == eq_bias
         ineqs, eqs = self._int_rows()
-        for nz, b, _ in ineqs:
-            if _int_slack(nz, b, hom) < 0:
-                return False
-        for nz, b, _ in eqs:
-            if _int_slack(nz, b, hom):
-                return False
-        return True
+        return (all(_int_slack(nz, b, hom) >= 0 for nz, b, _ in ineqs)
+                and not any(_int_slack(nz, b, hom) for nz, b, _ in eqs))
+
+    def _packed(self) -> tuple:
+        """`_holds`' rows as (cols, bias, top, shift, eq_bias), in fields of
+        k = reach.bit_length() + 17 bits, reach = max(|b| + Σ|a_j|) over the
+        rows, the least width with no carry: col_j = Σ_i -a_ij·2^(k·i), and
+        Σ_i b_i·2^(k·i) for w; bias has 2^(k-1) in every field, top in the
+        inequalities', and eq_bias in the equations' after a shift of k per
+        inequality.  Built on first use, as `_int_rows`."""
+        packed = self.__dict__.get("_packed_cache")
+        if packed is None:
+            ineqs, eqs = self._int_rows()
+            rows = ineqs + eqs
+            k = max([abs(b) + sum([abs(a) for _, a in nz]) for nz, b, _ in rows], default=0).bit_length() + 17
+            cols = [0] * (self.dim + 1)
+            for i, (nz, b, _) in enumerate(rows):
+                for j, a in nz:
+                    cols[j] -= a << k * i
+                cols[-1] += b << k * i
+            fields = lambda n: sum([1 << (k * i + k - 1) for i in range(n)])
+            packed = (cols, fields(len(rows)), fields(len(ineqs)), k * len(ineqs), fields(len(eqs)))
+            object.__setattr__(self, "_packed_cache", packed)
+        return packed
 
     def _int_rows(self) -> tuple[tuple, tuple]:
         """(inequalities, equations), each row as `_sparse_int_row` gives it:
@@ -643,7 +676,8 @@ def _lex_fibers(q: HPoly, matrix, rhss, lead: int) -> list:
     """A point of each fiber q ∩ {matrix·y = r}, r in rhss, or the error
     `lex_min_point` raises on that fiber, in order.  The point is the
     lexicographically smallest in its first `lead` coordinates; lead = 0
-    asks only whether each fiber is empty (one zero cost).
+    asks only whether each fiber is empty (one zero cost), and a nonempty
+    fiber then gets None, no point (or (), when q has no coordinates).
 
     One presolve of q, through which the fiber rows (for the first r) and
     the unit costs are reduced once, and one lexicographic simplex batch:
@@ -671,6 +705,8 @@ def _lex_fibers(q: HPoly, matrix, rhss, lead: int) -> list:
             out.append(EmptyPolyhedronError("polyhedron is empty"))
         elif res.status == simplex.UNBOUNDED:
             out.append(UnboundedPolyhedronError(f"coordinate {len(results) - 1} unbounded below"))
+        elif not lead:
+            out.append(None)
         else:
             point = _back_point(red, res, var_cols)
             if point[:lead] != tuple([r.value - Fraction(b, d) for r, (_, b, d) in zip(results, objs[:lead])]):
@@ -1151,9 +1187,11 @@ def _outside_image(q: HPoly, proj: AffineMap, points) -> list:
 
 def _is_lift(q: HPoly, proj: AffineMap, y, v) -> bool:
     """Is y, a lift hint for v, in q with proj(y) = v?  y once as a
-    homogeneous point (Y..., w), read by q's rows and by proj's, where
-    proj(y)_i = v_i is -d·w·proj(y)_i = -d·w·v_i times v_i's denominator."""
-    hom = linalg.homogeneous(vec(y))
+    homogeneous point (Y..., w): (*y, 1) as it stands when every entry is
+    an int, else `linalg.homogeneous(vec(y))`; read by q's rows
+    (`HPoly._holds`) and by proj's, where proj(y)_i = v_i is
+    -d·w·proj(y)_i = -d·w·v_i times v_i's denominator."""
+    hom = (*y, 1) if {*map(type, y)} == {int} else linalg.homogeneous(vec(y))
     w = hom[-1]
     return len(hom) == q.dim + 1 and q._holds(hom) and not any(
         _int_slack(nz, b, hom) * x.denominator + x.numerator * d * w for (nz, b, d), x in zip(proj._int_rows(), v))

@@ -3,6 +3,7 @@ eliminations or search nodes fails here loudly, whatever the machine's
 speed."""
 
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -15,18 +16,26 @@ from polylift.kernel import HPoly, PolyEqualResult
 
 def _count_calls(monkeypatch, **targets):
     """Count the calls of each target, a (module, function name) pair, under
-    its keyword, from here to the end of the test."""
+    its keyword, from here to the end of the test.  A target (module,
+    function name, caller) counts only the calls made from the function
+    named caller or from a generator expression in it."""
     counts = dict.fromkeys(targets, 0)
 
-    def counted(key, fn):
+    def counted(key, fn, caller=None):
         def wrapper(*args, **kwargs):
-            counts[key] += 1
+            if caller is None:
+                counts[key] += 1
+            else:
+                frame = sys._getframe(1)
+                if frame.f_code.co_name == "<genexpr>":
+                    frame = frame.f_back
+                counts[key] += frame.f_code.co_name == caller
             return fn(*args, **kwargs)
 
         return wrapper
 
-    for key, (module, name) in targets.items():
-        monkeypatch.setattr(module, name, counted(key, getattr(module, name)))
+    for key, (module, name, *caller) in targets.items():
+        monkeypatch.setattr(module, name, counted(key, getattr(module, name), *caller))
     return counts
 
 
@@ -234,6 +243,35 @@ def test_fiber_questions_take_one_batch(monkeypatch):
     counts = _count_calls(monkeypatch, solves=SOLVES, pivots=PIVOTS)
     assert kernel.poly_equal(p4v, kernel.VPoly(4, tuple(reversed(p4v.vertices)))).equal
     assert counts == {"solves": 2, "pivots": 190}
+
+
+def test_outside_image_maps_back_no_point_inside_the_image(monkeypatch):
+    # the batch asks only whether each fiber is empty: a point inside the
+    # image builds no point of its fiber (16 mapped back and built before)
+    ext, vrep = cx.martin_spanning_tree_extension(4), zoo.spanning_tree_vrep(4)
+    counts = _count_calls(monkeypatch, backs=BACKS, points=POINTS)
+    assert kernel._outside_image(ext.q, ext.proj, vrep.vertices) == []
+    assert counts == {"backs": 0, "points": 0}
+    # the same in is_vertex and poly_equal, whose points all lie inside
+    p4v = zoo.permutahedron_vrep(4)
+    assert kernel.is_vertex(p4v, 0)
+    assert kernel.poly_equal(p4v, kernel.VPoly(4, tuple(reversed(p4v.vertices)))).equal
+    assert counts == {"backs": 0, "points": 0}
+
+
+def test_verify_reads_integer_hints_in_one_packed_sum(monkeypatch):
+    # Birkhoff(5)'s 120 hints are tuples of ints: _is_lift reads each as
+    # (*y, 1) with no linalg.homogeneous, and _holds reads Q's 35 rows at it
+    # in one big-integer sum with no _int_slack (4,200 calls before).  The
+    # same hints as Fractions take linalg.homogeneous, then the packed sum.
+    ext = cx.birkhoff_extension(5)
+    as_fractions = cx.Extension(ext.q, ext.proj, 5, ext.name, lambda v: tuple(F(x) for x in ext.lift(v)))
+    for e, homogeneous in ((ext, 0), (as_fractions, 120)):
+        counts = _count_calls(monkeypatch, homogeneous=(linalg, "homogeneous", "_is_lift"),
+                              slacks=(kernel, "_int_slack", "_holds"), holds=(HPoly, "_holds"))
+        rep = cx.verify_extension(zoo.permutahedron_hrep(5), e, target_vrep=zoo.permutahedron_vrep(5))
+        assert rep.passed and rep.lift_hits == rep.checked_vertices == 120
+        assert counts == {"homogeneous": homogeneous, "slacks": 0, "holds": 120}
 
 
 def test_hull_eliminates_once_per_call_not_per_point(monkeypatch):

@@ -7,21 +7,27 @@ m·c, 0 <= y3 <= 1} and p(y) = (y0 + o0, s·y1 + o1), so P = p(Q) is a
 rectangle, and one more target point lies outside it.  Each target point
 gets a hint of a drawn kind: its true lift, no hint, the lift off one
 inequality or the equation by 1/k, a lift whose image is off by 1/k in one
-coordinate, the lift as a list of ints or of Fractions, or a lift of the
-wrong length.
+coordinate, the lift as a list of ints or of Fractions, the lift as ints
+moved by k·2^16 along y0 and y2 (past the packed check's limit), or a lift
+of the wrong length.
+
+The constructions' own hints are tuples of ints at integral vertices, which
+`_is_lift` reads as they stand.
 """
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from polylift import constructions as cx
-from polylift import linalg
-from polylift.kernel import AffineMap, HPoly, VPoly, _is_lift
+from polylift import linalg, zoo
+from polylift.kernel import AffineMap, HPoly, VPoly, _is_lift, hull
 
 F = Fraction
 ZERO, ONE = F(0), F(1)
-KINDS = ("hit", "none", "off_ineq", "off_eq", "off_image", "ints", "list", "long", "short")
+KINDS = ("hit", "none", "off_ineq", "off_eq", "off_image", "ints", "far_ints", "list", "long", "short")
+FAR = 1 << 16
 
 
 def fraction_check(q, proj, y, v):
@@ -65,6 +71,9 @@ def hint(kind, k, v, q, proj):
         y[2] += step
     elif kind == "ints":
         return [int(x) for x in y]
+    elif kind == "far_ints":
+        # off the image; in Q only when the box is long enough
+        return (int(y[0]) + k * FAR, int(y[1]), int(y[2]) + k * FAR, 0)
     elif kind == "long":
         y.append(ZERO)
     elif kind == "short":
@@ -127,3 +136,52 @@ def test_each_kind_of_hint():
     # integer data: the lifts as lists of ints hit
     rep = check_case((F(2), F(3), F(1), F(1), F(1), F(1), F(-1)), ["ints"] * 5, [1] * 5)
     assert rep.lift_hits == 4 and rep.passed is False
+    # a box longer than 2^16: the int lifts, with entries past 2^16, still
+    # hit; moved by k·2^16 they miss
+    long_box = (F(3 * FAR), F(FAR + 1), F(FAR - 1), F(1), F(-1), F(-FAR), F(2 * FAR))
+    for kind, k, hits in (("ints", 1, 4), ("far_ints", 1, 0), ("far_ints", 2, 0), ("far_ints", 3, 0)):
+        rep = check_case(long_box, [kind] * 5, [k] * 5)
+        assert rep.lift_hits == hits and rep.passed is False, (kind, k)
+
+
+def _two_integral_parts():
+    # the unit square and the triangle (1, 1), (2, 1), (1, 2): their union's
+    # hull has the vertices of both but (1, 1)
+    square = zoo.cube_hrep(2)
+    triangle = hull(VPoly(2, [(1, 1), (2, 1), (1, 2)]))
+    ext = cx.balas_union([square, triangle])
+    target = VPoly(2, [(0, 0), (1, 0), (0, 1), (2, 1), (1, 2)])
+    return ext, hull(target), target
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (cx.birkhoff_extension(4), zoo.permutahedron_hrep(4), zoo.permutahedron_vrep(4)),
+    lambda: (cx.martin_spanning_tree_extension(4), zoo.spanning_tree_hrep(4), zoo.spanning_tree_vrep(4)),
+    lambda: (cx.knapsack_flow_extension((2, 3, 5, 6), 8), hull(zoo.knapsack_vrep((2, 3, 5, 6), 8)),
+             zoo.knapsack_vrep((2, 3, 5, 6), 8)),
+    lambda: (cx.sorting_network_extension(4, cx.batcher_network(4)), zoo.permutahedron_hrep(4),
+             zoo.permutahedron_vrep(4)),
+    _two_integral_parts,
+], ids=["birkhoff(4)", "martin(4)", "knapsack_flow", "sortnet(4)", "balas"])
+def test_constructions_hint_integer_points(make):
+    ext, hrep, vrep = make()
+    for v in vrep.vertices:
+        y = ext.lift(v)
+        assert type(y) is tuple and all(type(x) is int for x in y), (v, y)
+        assert _is_lift(ext.q, ext.proj, y, v) and fraction_check(ext.q, ext.proj, y, v)
+    rep = cx.verify_extension(hrep, ext, target_vrep=vrep)
+    assert rep.passed and rep.lift_hits == rep.checked_vertices == len(vrep.vertices)
+
+
+def test_fractional_vertices_keep_fraction_hints():
+    # Balas over parts with a vertex at 1/2: that vertex's hint stays in
+    # Fractions, an integral vertex's is ints; Birkhoff and sorting networks
+    # have no hint off the permutations
+    half = hull(VPoly(1, [(F(1, 2),), (F(1),)]))
+    ext = cx.balas_union([half, hull(VPoly(1, [(F(2),), (F(3),)]))])
+    y = ext.lift((F(1, 2),))
+    assert y == (F(1, 2), ZERO, ONE, ZERO) and any(type(x) is not int for x in y)
+    assert all(type(x) is int for x in ext.lift((F(3),)))
+    assert _is_lift(ext.q, ext.proj, y, (F(1, 2),))
+    assert cx.birkhoff_extension(3).lift((F(1), F(5, 2), F(5, 2))) is None
+    assert cx.sorting_network_extension(3, cx.bubble_network(3)).lift((F(1), F(5, 2), F(5, 2))) is None
