@@ -107,8 +107,6 @@ def _cmd_zoo(args) -> int:
         hpoly = zoo.simplex_hrep(args.n)
         if args.vrep:
             vpoly = vertices(hpoly)
-    else:
-        raise InputError(f"unknown family {fam!r}")
 
     lines = []
     if args.hrep:
@@ -117,9 +115,7 @@ def _cmd_zoo(args) -> int:
         _write(args.hrep, fileio.serialize_hpoly(hpoly))
         results["hrep"] = {"path": args.hrep, "ineqs": len(hpoly.ineqs), "eqs": len(hpoly.eqs)}
         lines.append(f"wrote {args.hrep}: {len(hpoly.ineqs)} inequalities, {len(hpoly.eqs)} equations")
-    if args.vrep:
-        if vpoly is None:
-            raise InputError(f"family {fam!r} has no direct V-representation")
+    if args.vrep:  # every family builds its V side when asked for it
         _write(args.vrep, fileio.serialize_vpoly(vpoly))
         results["vrep"] = {"path": args.vrep, "points": len(vpoly.vertices)}
         lines.append(f"wrote {args.vrep}: {len(vpoly.vertices)} points")
@@ -168,8 +164,6 @@ def _cmd_construct(args) -> int:
             raise InputError("balas needs part files")
         parts = [fileio.parse_hpoly(_read(p)) for p in args.parts]
         ext = cx.balas_union(parts)
-    else:
-        raise InputError(f"unknown construction {kind!r}")
     results = {"name": ext.name, "size": ext.size(), "dim": ext.q.dim,
                "target_dim": ext.target_dim}
     lines = [f"{ext.name}: size {ext.size()} (dim {ext.q.dim} -> {ext.target_dim})"]

@@ -242,41 +242,35 @@ def martin_spanning_tree_extension(n: int) -> Extension:
     proj = AffineMap.coordinate_projection(d, range(m))
 
     def lift(v):
-        tree = [e for e in ei.edges if v[ei.of(*e)] == ONE]
-        if len(tree) != n - 1 or any(v[i] not in (ZERO, ONE) for i in range(m)):
+        """z_{a,b,u} = 1 when u lies on b's side of the tree edge ab.  One
+        traversal rooted at 0 gives each vertex's parent, and below[u], the
+        vertices under u as a bitmask: an edge's child side is its child's
+        mask, the other side the rest."""
+        tree = [e for e, x in zip(ei.edges, v) if x == ONE]
+        if len(tree) != n - 1 or any(x not in (ZERO, ONE) for x in v[:m]):
             return None
-        adj = {u: [] for u in range(n)}
+        adj = [[] for _ in range(n)]
         for a, b in tree:
             adj[a].append(b)
             adj[b].append(a)
+        parent, order = {0: None}, [0]
+        for cur in order:
+            for nxt in adj[cur]:
+                if nxt not in parent:
+                    parent[nxt] = cur
+                    order.append(nxt)
+        if len(order) != n:
+            return None  # n - 1 edges that miss a vertex: not a spanning tree
+        below = [1 << u for u in range(n)]
+        for u in reversed(order[1:]):
+            below[parent[u]] |= below[u]
         y = [int(x) for x in v[:m]] + [0] * len(triples)
-
-        def component(root, banned_edge):
-            seen = {root}
-            stack = [root]
-            while stack:
-                cur = stack.pop()
-                for nxt in adj[cur]:
-                    if {cur, nxt} == set(banned_edge) or nxt in seen:
-                        continue
-                    seen.add(nxt)
-                    stack.append(nxt)
-            return seen
-
         for a, b in tree:
-            comp_b = component(b, (a, b))
-            if a in comp_b:
-                return None  # not a tree after all
-            comp_a = component(a, (a, b))
+            child = b if parent[b] == a else a
             for u in range(n):
-                if u in (a, b):
-                    continue
-                if u in comp_b:
-                    y[zpos[(a, b, u)]] = 1
-                elif u in comp_a:
-                    y[zpos[(b, a, u)]] = 1
-                else:
-                    return None  # disconnected: not a spanning tree
+                if u != a and u != b:
+                    on_b = (below[child] >> u & 1) == (child == b)
+                    y[zpos[(a, b, u) if on_b else (b, a, u)]] = 1
         return tuple(y)
 
     return Extension(q, proj, m, f"martin({n})", lift)

@@ -27,8 +27,13 @@ exact dot products alone can check.
 Operations are safe to call concurrently on shared inputs; the only hidden
 state is that integer row form, which an `HPoly` builds on first use (or
 takes from the `HPoly` it is derived from, for an LP over the same rows plus
-a few), its packed form, an `AffineMap`'s row forms and a result's point,
+a few), its packed form, an `AffineMap`'s integer rows and a result's point,
 built likewise on first use or read, each the same whichever call builds it.
+Each fact of the LP layer has one record: the presolve's eliminations are
+the integer equations that `_Reduction.reduce` substitutes and
+`_Reduction.back` solves, a map's rows are its integer rows, which
+`AffineMap.apply`, `pull_back` and the lift-hint check read, and whether
+rows reach their rhs over a polyhedron is one batch, `_at_bound`.
 """
 
 from __future__ import annotations
@@ -251,42 +256,30 @@ class AffineMap:
         return len(self.matrix[0]) if self.matrix else 0
 
     def apply(self, y: Sequence) -> Vec:
+        """The image of y, read off `_int_rows` at y's homogeneous point
+        (Y..., w): entry i is -`_int_slack`/(d·w)."""
         yv = vec(y)
         if self.matrix and len(yv) != self.in_dim:
             raise InputError("argument dimension mismatch")
-        out = []
-        for nz, o in zip(self._sparse_rows(), self.offset):
-            s = ZERO
-            for j, a in nz:
-                v = yv[j]
-                if v:
-                    s += a * v
-            out.append(s + o)
-        return tuple(out)
+        hom = linalg.homogeneous(yv)
+        w = hom[-1]
+        return tuple([Fraction(-_int_slack(nz, b, hom), d * w) for nz, b, d in self._int_rows()])
 
     def pull_back(self, a: Sequence[Fraction]) -> Vec:
         """a·matrix, the linear form a∘map on the input space less its
-        constant a·offset, over the nonzeros of the rows."""
+        constant a·offset, summed over `_int_rows`: row i is d·row_i."""
         out = [ZERO] * self.in_dim
-        for x, nz in zip(a, self._sparse_rows()):
+        for x, (nz, _, d) in zip(a, self._int_rows()):
             if x:
+                x = frac(x) / d
                 for j, p in nz:
                     out[j] += x * p
         return tuple(out)
 
-    def _sparse_rows(self) -> tuple:
-        """Each matrix row as its nonzero (index, coefficient) pairs.  Built
-        on first use and kept outside the dataclass fields, so equality,
-        hashing and repr do not see it."""
-        rows = self.__dict__.get("_sparse_rows_cache")
-        if rows is None:
-            rows = tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in self.matrix)
-            object.__setattr__(self, "_sparse_rows_cache", rows)
-        return rows
-
     def _int_rows(self) -> tuple:
         """Row i as `_sparse_int_row(row_i, -offset_i)`: `_int_slack` reads it at
-        (Y..., w) as -d·w·(image of Y/w)_i.  Built on first use, as `_sparse_rows`."""
+        (Y..., w) as -d·w·(image of Y/w)_i.  Built on first use and kept outside
+        the dataclass fields, so equality, hashing and repr do not see it."""
         rows = self.__dict__.get("_int_rows_cache")
         if rows is None:
             rows = tuple([_sparse_int_row(a, -o) for a, o in zip(self.matrix, self.offset)])
@@ -397,25 +390,15 @@ def _assemble_standard(dim, ineqs, eqs, costs_min, nonneg, units=0):
 
 def _back_point(red, res, var_cols) -> Vec:
     """A standard-form result's point in the variables before the presolve."""
-    return red.back(_recover_vector(res.point, var_cols, len(red.alive)))
-
-
-def _recover_vector(zvec, var_cols, dim):
-    out = []
-    for j in range(dim):
-        p, q = var_cols[j]
-        out.append(zvec[p] - zvec[q] if q is not None else zvec[p])
-    return tuple(out)
+    return red.back(res.point, var_cols)
 
 
 class _Reduction:
-    """Presolve record: eliminated variables as affine functions of survivors.
-
-    elim lists (j, pairs, const) in elimination order, meaning
-    x_j = sum(coef * x_k for k, coef in pairs) + const; pairs holds the
-    nonzero terms, at most one, and its k may be eliminated by a later entry.
-    subs lists (j, eq) in the same order, eq the integer equation x_j was
-    eliminated through, which `reduce` substitutes into a row or a cost.
+    """Presolve record: the one record of the eliminations is subs, which
+    lists (j, eq) in elimination order, eq = (c, e, _) the integer equation
+    c·x = e that x_j was eliminated through, with c_j != 0 and at most one
+    other term, whose variable a later entry may eliminate.  `reduce`
+    substitutes it into a row or a cost, and `back` solves it for x_j.
     ineqs and eqs hold the reduced rows over the survivors' positions, in the
     integer form of `HPoly._int_rows`: (nonzero pairs, rhs, d).
     """
@@ -424,7 +407,6 @@ class _Reduction:
         self.dim = dim
         self.alive = list(range(dim))
         self.pos = {j: j for j in self.alive}  # survivor -> its position
-        self.elim: list[tuple[int, tuple[tuple[int, Fraction], ...], Fraction]] = []
         self.subs: list[tuple[int, tuple[dict, int, int]]] = []
         self.infeasible = False
         self.ineqs: list[tuple[list[tuple[int, int]], int, int]] = []
@@ -442,16 +424,22 @@ class _Reduction:
                 a, b, d = _substitute((a, b, d), j, eq)
         return [(self.pos[j], x) for j, x in a.items()], b, d
 
-    def back(self, xr, ray: bool = False) -> Vec:
-        """Full-dimensional vector from survivor values; a ray drops the constants."""
-        full: list[Fraction | None] = [None] * self.dim
-        for pos, j in enumerate(self.alive):
-            full[j] = xr[pos]
-        for j, pairs, const in reversed(self.elim):
-            s = ZERO if ray else const
-            for k, ck in pairs:
-                s += ck * full[k]
-            full[j] = s
+    def back(self, z, var_cols, ray: bool = False) -> Vec:
+        """The full vector of a standard-form vector z: each survivor read
+        through var_cols (`_assemble_standard`'s), then each eliminated x_j
+        solved from its equation, last first, as one Fraction of integers:
+        x_j = (e·q - c_t·p)/(c_j·q) for the other term's x_t = p/q.  A ray
+        reads e as 0."""
+        full: list = [None] * self.dim
+        for j, (p, q) in zip(self.alive, var_cols):
+            full[j] = z[p] - z[q] if q is not None else z[p]
+        for j, (c, e, _) in reversed(self.subs):
+            num, den = 0 if ray else e, c[j]
+            for t, ct in c.items():
+                if t != j:
+                    x = full[t]
+                    num, den = num * x.denominator - ct * x.numerator, den * x.denominator
+            full[j] = Fraction(num, den)
         return tuple(full)
 
 
@@ -506,7 +494,7 @@ def _presolve(poly: HPoly) -> _Reduction:
     eqs = [(dict(nz), b, d) for nz, b, d in int_eqs]
     nonneg = [False] * dim
     alive = [True] * dim
-    elim, subs = [], []
+    subs = []
 
     def screen(i) -> bool:
         """Drop ineqs[i] (set it to None) when it has no variable left or is
@@ -541,12 +529,7 @@ def _presolve(poly: HPoly) -> _Reduction:
             if dc != 0:
                 return infeasible()
             continue
-        if len(c) == 1:
-            ((j, cj),) = c.items()
-            pairs = ()
-        else:
-            (k, ck), (j, cj) = sorted(c.items())  # eliminate the higher index
-            pairs = ((k, Fraction(-ck, cj)),)
+        j = max(c)  # eliminate the higher index
         for rows in (ineqs, eqs):
             for i, row in enumerate(rows):
                 if row is None or j not in row[0]:
@@ -560,13 +543,12 @@ def _presolve(poly: HPoly) -> _Reduction:
             if not screen(len(ineqs) - 1):
                 return infeasible()
         alive[j] = False
-        elim.append((j, pairs, Fraction(dc, cj)))
         subs.append((j, eq))
 
     red = _Reduction(dim)
     red.alive = [j for j in range(dim) if alive[j]]
     red.pos = pos = {j: p for p, j in enumerate(red.alive)}
-    red.elim, red.subs = elim, subs
+    red.subs = subs
     red.ineqs = [([(pos[j], x) for j, x in a.items()], b, d) for a, b, d in filter(None, ineqs)]
     red.eqs = [([(pos[j], x) for j, x in c.items()], b, d) for c, b, d in eqs]
     red.nonneg = [nonneg[j] for j in red.alive]
@@ -607,7 +589,7 @@ def optimize_all(poly: HPoly, objectives: Sequence[tuple[Sequence, str]]) -> lis
             continue
         pr = partial(_back_point, red, res, var_cols)
         if res.status == simplex.UNBOUNDED:
-            rr = red.back(_recover_vector(res.ray, var_cols, k), ray=True)
+            rr = red.back(res.ray, var_cols, ray=True)
             out.append(LPResult(status=UNBOUNDED, primal_point=pr, dual_certificate=rr))
         else:
             value = res.value - Fraction(b, d) if b else res.value  # the minimum
@@ -761,13 +743,21 @@ def _affine_frame(poly: HPoly):
     return (eqs, point, *linalg._nullspace_int(red, piv, dim))
 
 
+def _at_bound(poly: HPoly, rows, sense: str) -> list[bool]:
+    """Whether each row (a, b) reaches b as the max (or min) of a·x over
+    poly: one LP batch, the one question of `_implicit_equalities` and of
+    `slack`'s binding checks.  Raises EmptyPolyhedronError on an empty poly."""
+    out = []
+    for (_, b), r in zip(rows, optimize_all(poly, [(a, sense) for a, _ in rows])):
+        if r.status == INFEASIBLE:
+            raise EmptyPolyhedronError("polyhedron is empty")
+        out.append(r.status == OPTIMAL and r.optimum == b)
+    return out
+
+
 def _implicit_equalities(poly: HPoly):
-    found = []
-    results = optimize_all(poly, [(a, "min") for a, _ in poly.ineqs])
-    for (a, b), r in zip(poly.ineqs, results):
-        if r.status == OPTIMAL and r.optimum == b:
-            found.append((tuple(a), b))
-    return found
+    """The inequalities whose minimum over poly is their rhs."""
+    return [(tuple(a), b) for (a, b), eq in zip(poly.ineqs, _at_bound(poly, poly.ineqs, "min")) if eq]
 
 
 def affine_hull(poly: HPoly) -> list[tuple[Vec, Fraction]]:

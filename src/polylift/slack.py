@@ -18,16 +18,16 @@ from fractions import Fraction
 
 from . import linalg
 from .constructions import Extension, verify_extension
-from .errors import EmptyPolyhedronError, InputError, InvariantViolationError, ValidationError
+from .errors import InputError, InvariantViolationError, ValidationError
 from .kernel import (
     AffineMap,
     HPoly,
     VPoly,
     _affine_frame,
+    _at_bound,
     _int_slack,
     _lex_fibers,
     optimize,
-    optimize_all,
 )
 from .linalg import Mat
 
@@ -117,17 +117,7 @@ def slack_map(hrep: HPoly) -> AffineMap:
 
 def is_binding(hrep: HPoly) -> bool:
     """Every inequality is tight at some point of the polyhedron."""
-    return _tight_somewhere(hrep, hrep.ineqs)
-
-
-def _tight_somewhere(hrep: HPoly, rows) -> bool:
-    """Each given row (a, b) attains b over hrep's polyhedron: one LP batch."""
-    for (_, b), r in zip(rows, optimize_all(hrep, [(a, "max") for a, _ in rows])):
-        if r.status == "infeasible":
-            raise EmptyPolyhedronError("polyhedron is empty")
-        if r.status == "unbounded" or r.optimum != b:
-            return False
-    return True
+    return all(_at_bound(hrep, hrep.ineqs, "max"))
 
 
 def _binding_given_slacks(hrep: HPoly, sm: SlackMatrix, points: VPoly) -> bool:
@@ -140,7 +130,7 @@ def _binding_given_slacks(hrep: HPoly, sm: SlackMatrix, points: VPoly) -> bool:
     for j, x in enumerate(points.vertices):
         if not on_eqs.contains(x):
             raise InputError(f"point {points.point_label(j)} violates an equation of the system")
-    return _tight_somewhere(hrep, [r for r, row in zip(hrep.ineqs, sm.entries) if ZERO not in row])
+    return all(_at_bound(hrep, [r for r, row in zip(hrep.ineqs, sm.entries) if ZERO not in row], "max"))
 
 
 def _slacks(hrep: HPoly, pts) -> list[tuple]:

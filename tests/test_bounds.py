@@ -528,6 +528,78 @@ def test_embedding_checks_each_projected_vertex_once(monkeypatch):
     assert calls.count(True) == 6 + 6
 
 
+def test_embedding_rejects_a_preimage_that_is_no_face():
+    # the points listed for Q, the unit square, miss its vertex (1, 1): in
+    # their lattice the preimage {(1, 0), (0, 1)} of P's long edge is no face
+    q = zoo.cube_hrep(2)
+    corner = VPoly(2, [(0, 0), (1, 0), (0, 1)])
+    ident = cx.Extension(q, AffineMap.linear(linalg.identity(2)), 2, "id")
+    assert not bd.embedding_check(hull(corner), corner, ident, ext_vrep=corner)
+    assert bd.embedding_check(hull(corner), corner, cx.Extension(hull(corner), ident.proj, 2, "id"))
+
+
+def test_embedding_rejects_two_faces_with_one_preimage():
+    # Q = [0, 1] onto the square's bottom edge: the top edge and both top
+    # vertices all have the empty preimage
+    h, v = square()
+    seg = HPoly(1, [((-1,), 0), ((1,), 1)])
+    ext = cx.Extension(seg, AffineMap([[1], [0]], [0, 0]), 2, "edge")
+    assert not bd.embedding_check(h, v, ext)
+    assert bd.embedding_check(hull(VPoly(2, [(0, 0), (1, 0)])), VPoly(2, [(0, 0), (1, 0)]), ext)
+
+
+def reference_embedding_check(target_hrep, target_vrep, ext, ext_vrep):
+    """`embedding_check` with its former order loop: F1 inside F2 must give
+    G1 a proper subset of G2."""
+    lp = bd.face_lattice(target_hrep, target_vrep, max_facets=12, max_vertices=12)
+    lq = bd.face_lattice(ext.q, ext_vrep, max_facets=12, max_vertices=12)
+    proj_pts = [ext.proj.apply(u) for u in ext_vrep.vertices]
+    if target_vrep.vertices and not all(target_hrep.contains(x) for x in proj_pts):
+        return False
+    tight_p = bd._zero_masks(bd._slacks(target_hrep, target_vrep.vertices))
+    tight_q = bd._zero_masks(bd._slacks(target_hrep, proj_pts))
+    images = []
+    for fmask in lp.faces:
+        gmask = (1 << len(ext_vrep.vertices)) - 1 if fmask else 0
+        for tp, tq in zip(tight_p, tight_q):
+            if fmask and tp & fmask == fmask:
+                gmask &= tq
+        if gmask not in set(lq.faces):
+            return False
+        images.append(gmask)
+    if len(set(images)) != len(images):
+        return False
+    for i, f1 in enumerate(lp.faces):
+        for j, f2 in enumerate(lp.faces):
+            if f1 != f2 and f1 & f2 == f1 and (images[i] & images[j] != images[i] or images[i] == images[j]):
+                return False
+    return True
+
+
+@settings(deadline=None, derandomize=True, max_examples=80)
+@given(st.data())
+def test_embedding_keeps_order_whenever_it_is_injective(data):
+    # a face inside another has more tight rows, so its preimage is inside
+    # the other's: with the order loop gone the verdicts are the same, also
+    # for a P other than p(Q) and for a list of Q's points that is not its
+    # vertex set
+    d = data.draw(st.sampled_from([2, 3]))
+    pts = data.draw(st.lists(st.tuples(*[st.integers(0, 2)] * d), min_size=d + 1, max_size=7, unique=True))
+    mat = data.draw(st.lists(st.lists(st.integers(-1, 1), min_size=d, max_size=d), min_size=1, max_size=2))
+    try:
+        q = hull(VPoly(d, pts))
+        qv = vertices(q)
+    except (InputError, ValidationError, EmptyPolyhedronError):
+        return
+    ext = cx.Extension(q, AffineMap(mat, [0] * len(mat)), len(mat), "x")
+    images = sorted({ext.proj.apply(u) for u in qv.vertices})
+    shift = data.draw(st.sampled_from([0, 1]))
+    pv = vertices(hull(VPoly(len(mat), sorted({tuple(x + shift for x in y) for y in images[:1]} | set(images)))))
+    listed = data.draw(st.sampled_from([qv, VPoly(d, qv.vertices[:-1])]))
+    ph = hull(pv)
+    assert bd.embedding_check(ph, pv, ext, ext_vrep=listed) == reference_embedding_check(ph, pv, ext, listed)
+
+
 # ---------------------------------------------------------------------------
 # Differential tests against the references
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from polylift import __version__
 from polylift import constructions as cx
 from polylift import fileio, zoo
 from polylift.cli import main
@@ -550,6 +551,8 @@ def test_python_m_polylift_runs_the_cli():
                        capture_output=True, text=True, env=env)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip()
+    r = subprocess.run([sys.executable, "-m", "polylift", "--version"], capture_output=True, text=True, env=env)
+    assert (r.returncode, r.stdout) == (0, f"polylift {__version__}\n"), r.stderr
 
 
 @pytest.mark.parametrize("unbuffered", ["1", ""])

@@ -238,6 +238,34 @@ def test_covering_family_n5_and_n6():
             assert any(z.rainbow(w) for z in fam)
 
 
+def _targeted(n, w):
+    """The coloring that the family's completion builds for the subset w:
+    w's nodes get colors 0.. in order, the others cycle through them."""
+    assign = [0] * n
+    for c, v in enumerate(w):
+        assign[v] = c
+    for idx, v in enumerate(v for v in range(n) if v not in w):
+        assign[v] = idx % len(w)
+    return tuple(assign)
+
+
+@pytest.mark.parametrize("n, targeted", [(9, 0), (10, 3), (11, 5), (12, 9)])
+def test_covering_family_targeted_completion(n, targeted):
+    # with the default seed the random pool leaves 6-subsets uncovered from
+    # n = 10 on, and each is completed by a targeted coloring
+    fam, cert = cx.covering_coloring_family(n, 3)
+    rng = random.Random(2024)
+    pool = {tuple(rng.randrange(6) for _ in range(n)) for _ in range(300)}
+    extra = [z.assignment for z in fam if z.assignment not in pool]
+    assert len(extra) == targeted
+    subsets = list(combinations(range(n), 6))
+    assert all(any(_targeted(n, w) == z for w in subsets) for z in extra)
+    # brute force: every 6-subset is rainbow in its witness coloring
+    assert cert.complete and list(cert.subsets) == subsets
+    for w, fid in zip(subsets, cert.witness):
+        assert len({fam[fid].assignment[v] for v in w}) == 6
+
+
 def test_colorful_matching_extension_k4():
     ext = cx.colorful_matching_extension(4, 2)
     target = hull(zoo.matching_vrep(4, 2))

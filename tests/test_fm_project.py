@@ -165,3 +165,12 @@ def systems(draw):
 def test_fm_project_matches_full_prune_reference(case):
     poly, keep = case
     assert fm_project(poly, keep) == reference_fm_project(poly, keep)
+
+
+def test_an_equation_reading_zero_equals_c_empties_the_projection():
+    # 0·x = 1 has no variable to substitute: with a coordinate to drop the
+    # prune after the FM step finds it, with none the check after the loop
+    poly = HPoly(2, [((1, 1), 3), ((-1, 0), 0)], [((0, 0), 1)])
+    empty = HPoly(1, [((ZERO,), F(-1))])
+    assert fm_project(poly, [0]) == empty
+    assert fm_project(poly, [0, 1]) == HPoly(2, [((ZERO, ZERO), F(-1))])

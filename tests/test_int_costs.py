@@ -22,7 +22,7 @@ from polylift import kernel, linalg, simplex
 from polylift.kernel import INFEASIBLE, OPTIMAL, UNBOUNDED, AffineMap, HPoly, LPResult, optimize_all
 from polylift.simplex import StandardResult
 from test_lp import lp_cases
-from test_presolve import presolve_cases
+from test_presolve import eliminations, presolve_cases
 from test_simplex import int_pairs
 
 F = Fraction
@@ -37,7 +37,7 @@ def reference_objective(red, c):
     """(survivor coefficients, constant) of c·x after the eliminations."""
     obj = list(c)
     const = ZERO
-    for j, pairs, ej in red.elim:
+    for j, pairs, ej in eliminations(red):
         f = obj[j]
         if f:
             obj[j] = ZERO
@@ -111,7 +111,7 @@ def reference_optimize_all(poly, objectives):
         res = reference_phase2([row[:] for row in rows], basis[:], cost, list(range(total)))
         pr = kernel._back_point(red, res, var_cols)
         if res.status == UNBOUNDED:
-            rr = red.back(kernel._recover_vector(res.ray, var_cols, k), ray=True)
+            rr = red.back(res.ray, var_cols, ray=True)
             out.append(LPResult(status=UNBOUNDED, primal_point=pr, dual_certificate=rr))
         else:
             out.append(LPResult(OPTIMAL, (-res.value if sense == "max" else res.value) + const, pr))

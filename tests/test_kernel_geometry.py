@@ -666,6 +666,26 @@ def test_pull_back_matches_dense_dot_products(case):
     assert type(out) is tuple and all(type(x) is F for x in out)
 
 
+big = st.builds(F, st.integers(-10**12, 10**12), st.integers(1, 10**9))
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(maps_and_forms(), st.data())
+def test_map_rows_read_as_integers_match_dense_fractions(case, data):
+    # apply and pull_back read only the map's integer rows: the image is
+    # matrix·y + offset (`linalg.mat_vec`), the pull-back the row sum
+    # Σ a_i·row_i, for ints, Fractions and large denominators in y and a
+    m, a = case
+    y = data.draw(st.lists(st.one_of(entries, big), min_size=m.in_dim, max_size=m.in_dim))
+    a = data.draw(st.one_of(st.just(a), st.lists(st.one_of(entries, big), min_size=m.out_dim, max_size=m.out_dim)))
+    image = m.apply(y)
+    assert image == linalg.vadd(linalg.mat_vec(m.matrix, linalg.vec(y)), m.offset)
+    assert type(image) is tuple and all(type(x) is F for x in image)
+    back = m.pull_back(a)
+    assert back == tuple(sum((ai * row[j] for ai, row in zip(a, m.matrix)), F(0)) for j in range(m.in_dim))
+    assert type(back) is tuple and all(type(x) is F for x in back)
+
+
 def _fraction_frame(poly):
     """The Fraction route that `kernel._affine_frame` replaces: the RREF of
     the explicit and implicit equations, each nonzero row made canonical,

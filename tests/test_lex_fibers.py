@@ -42,7 +42,7 @@ def reference_lex_min_point(poly: HPoly):
         if res.status == simplex.UNBOUNDED:
             raise UnboundedPolyhedronError(f"coordinate {j} unbounded below")
         fixed.append(res.value + objs[j][1])
-    if red.back(kernel._recover_vector(res.point, var_cols, k)) != tuple(fixed):
+    if red.back(res.point, var_cols) != tuple(fixed):
         raise InvariantViolationError("lexicographic point disagrees with its coordinate minima")
     return tuple(fixed)
 

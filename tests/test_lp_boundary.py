@@ -14,7 +14,13 @@ every equation the library returns is made canonical by
 `linalg._canonical_eq`.  Objectives stay integers on the way to the
 simplex: `_substitute` is the one reducer of rows and costs (there is no
 `_Reduction.objective`), and `_image_violations` pulls its rows back over
-integer rows, never by `pull_back` or `dot`."""
+integer rows, never by `pull_back` or `dot`.  Each LP-layer fact is kept
+once: the presolve's eliminations only as the integer equations `subs`
+(no `_Reduction.elim`, no `_recover_vector`), a map's rows only as its
+integer rows (no `AffineMap._sparse_rows`; `apply` reads them with
+`_int_slack`), and whether rows reach their rhs over a polyhedron is asked
+by one batch, `kernel._at_bound`, for `_implicit_equalities` and for
+`slack`'s binding checks."""
 
 import ast
 from pathlib import Path
@@ -77,17 +83,21 @@ def _tree(path):
     return ast.parse(path.read_text(), str(path))
 
 
-def _calls_in(tree, function):
-    """The names that the top-level function, or the method "Class.name",
-    calls, or None when the file defines no such function."""
+def _function(tree, function):
+    """The node of the top-level function, or the method "Class.name", or
+    None when the file defines no such function."""
     *cls, name = function.split(".")
     body = tree.body
     for c in cls:
         body = next((n.body for n in body if isinstance(n, ast.ClassDef) and n.name == c), [])
-    for node in body:
-        if isinstance(node, ast.FunctionDef) and node.name == name:
-            return {_called(n) for n in ast.walk(node) if isinstance(n, ast.Call)}
-    return None
+    return next((n for n in body if isinstance(n, ast.FunctionDef) and n.name == name), None)
+
+
+def _calls_in(tree, function):
+    """The names that the top-level function, or the method "Class.name",
+    calls, or None when the file defines no such function."""
+    node = _function(tree, function)
+    return None if node is None else {_called(n) for n in ast.walk(node) if isinstance(n, ast.Call)}
 
 
 def test_only_kernel_reaches_the_simplex():
@@ -229,3 +239,48 @@ def test_the_call_check_reads_methods(tmp_path):
     assert _calls_in(tree, "HPoly.contains") == {"lcm", "_int_slack"}
     assert _calls_in(tree, "contains") == set()
     assert _calls_in(tree, "VPoly.contains") is None
+
+
+ONE_RECORD_GONE = [("kernel.py", "_recover_vector"), ("kernel.py", "AffineMap._sparse_rows")]
+AT_BOUND_CALLERS = [("kernel.py", "_implicit_equalities"), ("slack.py", "is_binding"),
+                    ("slack.py", "_binding_given_slacks")]
+
+
+def _second_copies(tree):
+    """The second copies of an LP-layer fact that the tree still keeps: a
+    function of ONE_RECORD_GONE, an `elim` attribute set in kernel's
+    `_Reduction` or `_presolve`, and an `AffineMap.apply` that reads no
+    `_int_slack`."""
+    out = [f for _, f in ONE_RECORD_GONE if _calls_in(tree, f) is not None]
+    for function in ("_Reduction.__init__", "_presolve"):
+        body = _function(tree, function)
+        if body is not None and any(isinstance(n, ast.Attribute) and n.attr == "elim" for n in ast.walk(body)):
+            out.append(f"{function}: elim")
+    if "_int_slack" not in (_calls_in(tree, "AffineMap.apply") or set()):
+        out.append("AffineMap.apply")
+    return out
+
+
+def test_each_lp_layer_fact_is_kept_once():
+    assert _second_copies(_tree(SRC / "kernel.py")) == []
+    for name, function in AT_BOUND_CALLERS:
+        calls = _calls_in(_tree(SRC / name), function)
+        assert "_at_bound" in calls and not calls & LP_CALLS, (name, function)
+
+
+def test_the_one_record_check_sees_a_second_copy(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "class _Reduction:\n"
+        "    def __init__(self, dim):\n"
+        "        self.elim = []\n"
+        "class AffineMap:\n"
+        "    def apply(self, y):\n"
+        "        return [sum(a * x for a, x in zip(row, y)) for row in self._sparse_rows()]\n"
+        "    def _sparse_rows(self):\n"
+        "        return self.matrix\n"
+        "def _recover_vector(z, var_cols, dim):\n"
+        "    return z\n"
+    )
+    assert _second_copies(_tree(path)) == ["_recover_vector", "AffineMap._sparse_rows",
+                                           "_Reduction.__init__: elim", "AffineMap.apply"]

@@ -297,6 +297,14 @@ def _pairs(expr):
     return tuple((k, x) for k, x in enumerate(expr) if x)
 
 
+def eliminations(red):
+    """The eliminations of `red.subs` as the reference's Fraction pairs:
+    (j, pairs, const) with x_j = sum(coef * x_k for k, coef in pairs) +
+    const, solved from the equation c·x = e that x_j was eliminated through."""
+    return [(j, tuple((k, F(-ck, c[j])) for k, ck in sorted(c.items()) if k != j), F(e, c[j]))
+            for j, (c, e, _) in red.subs]
+
+
 def _dense(rows, n):
     """Integer rows (nonzero pairs, rhs, d) as dense Fraction rows over n
     variables, each entry divided by d; checks that d is the least scale."""
@@ -331,10 +339,8 @@ def test_sparse_presolve_matches_dense_reference(case):
     red = kernel._presolve(poly)
     assert red.infeasible == ref.infeasible
     assert red.alive == ref.alive
-    assert [(j, tuple(pairs), const) for j, pairs, const in red.elim] == [
-        (j, _pairs(expr), const) for j, expr, const in ref.elim
-    ]
-    assert all(len(pairs) <= 1 for _, pairs, _ in red.elim)
+    assert eliminations(red) == [(j, _pairs(expr), const) for j, expr, const in ref.elim]
+    assert all(len(pairs) <= 1 for _, pairs, _ in eliminations(red))
     assert red.nonneg == ref.nonneg
     assert _dense(red.ineqs, len(red.alive)) == ref.ineqs
     assert _dense(red.eqs, len(red.alive)) == ref.eqs
@@ -342,8 +348,9 @@ def test_sparse_presolve_matches_dense_reference(case):
         return
     assert _reduced(red, c) == ref.objective(c)
     xr = xr[: len(red.alive)]
-    assert red.back(xr) == ref.back(xr)
-    assert red.back(xr, ray=True) == ref.back(xr, ray=True)
+    ids = [(p, None) for p in range(len(xr))]  # var_cols that read z as the survivors
+    assert red.back(xr, ids) == ref.back(xr)
+    assert red.back(xr, ids, ray=True) == ref.back(xr, ray=True)
 
 
 @settings(deadline=None, derandomize=True, max_examples=600)
@@ -370,11 +377,11 @@ def test_sign_row_of_an_eliminated_variable():
     # becomes x0 <= 3, and x0 = 5 then makes it 0 <= -2
     poly = HPoly(2, [([0, -1], 0)], [([1, 1], 3)])
     red = kernel._presolve(poly)
-    assert red.alive == [0] and red.elim == [(1, ((0, F(-1)),), F(3))]
+    assert red.alive == [0] and eliminations(red) == [(1, ((0, F(-1)),), F(3))]
     assert red.ineqs == [([(0, 1)], 3, 1)] and red.nonneg == [False]
     # with |c_j| = 3 the row scales by 3: x1 = 1 - 2/3 x0 >= 0 is
     # 2/3 x0 <= 1, held as 2 x0 <= 3 with d = 3
     red = kernel._presolve(HPoly(2, [([0, -1], 0)], [([2, 3], 3)]))
-    assert red.elim == [(1, ((0, F(-2, 3)),), F(1))]
+    assert eliminations(red) == [(1, ((0, F(-2, 3)),), F(1))]
     assert red.ineqs == [([(0, 2)], 3, 3)]
     assert kernel._presolve(HPoly(2, [([0, -1], 0)], [([1, 1], 3), ([1, 0], 5)])).infeasible
