@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import Callable, Sequence
 
 from . import linalg
@@ -721,31 +721,43 @@ def covering_coloring_family(
         family.append(Coloring(n, k, tuple(range(colors))))
         witness = [0] * len(subsets)
     else:
-        uncovered = set(range(len(subsets)))
         pool: list[Coloring] = []
         for _ in range(300):
             assign = [rng.randrange(colors) for _ in range(n)]
             if len(set(assign)) == colors:
                 pool.append(Coloring(n, k, tuple(assign)))
+        index = {w: s for s, w in enumerate(subsets)}
+
+        def cover_of(z):
+            """The subsets z makes rainbow, as a bitmask over their indices:
+            one node from each of its color classes."""
+            classes = [[v for v in range(n) if z.assignment[v] == c] for c in range(colors)]
+            return sum([1 << index[tuple(sorted(w))] for w in product(*classes)])
+
+        # each round takes the first candidate that covers the most uncovered
+        # subsets, counted on the bitmasks, made once; with none left that
+        # covers one, a coloring targeted at the first uncovered subset
+        covers = [cover_of(z) for z in pool]
+        uncovered = (1 << len(subsets)) - 1
         while uncovered:
-            best = None
-            best_cover = ()
-            for cand in pool:
-                cover = [s for s in uncovered if cand.rainbow(subsets[s])]
-                if best is None or len(cover) > len(best_cover):
-                    best = cand
-                    best_cover = cover
-            if best is None or not best_cover:
-                target = subsets[min(uncovered)]
-                best = make_targeted(target)
-                best_cover = [s for s in uncovered if best.rainbow(subsets[s])]
+            counts = [(c & uncovered).bit_count() for c in covers]
+            top = max(counts, default=0)
+            if top:
+                i = counts.index(top)
+                best, cover = pool[i], covers[i] & uncovered
+            else:
+                best = make_targeted(subsets[(uncovered & -uncovered).bit_length() - 1])
+                cover = cover_of(best) & uncovered
             fid = len(family)
             family.append(best)
-            for s in best_cover:
-                witness[s] = fid
-            uncovered.difference_update(best_cover)
+            uncovered ^= cover
+            while cover:
+                low = cover & -cover
+                witness[low.bit_length() - 1] = fid
+                cover ^= low
             if best in pool:
-                pool.remove(best)
+                i = pool.index(best)
+                del pool[i], covers[i]
     # exhaustive re-check of the certificate, independent of the greedy run
     complete = True
     for s, w in enumerate(subsets):

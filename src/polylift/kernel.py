@@ -188,15 +188,20 @@ class HPoly:
         order), self.eqs + eqs), and equal to that build; the rows taken
         from self keep their coerced tuples and integer rows, so only the
         appended equations are converted."""
-        int_ineqs, int_eqs = self._int_rows()
-        keep = range(len(self.ineqs)) if keep is None else keep
         new = _coerce_rows(eqs, self.dim, "equation")
-        int_new = tuple([_sparse_int_row(a, b) for a, b in new])
+        return self._derive_int(keep, new, tuple([_sparse_int_row(a, b) for a, b in new]))
+
+    def _derive_int(self, keep, eqs, int_eqs) -> "HPoly":
+        """`_derive` for appended equations that come converted: eqs as
+        `_coerce_rows` gives them and int_eqs their rows as `_sparse_int_row`
+        gives them, for a caller that builds many systems from the same rows."""
+        int_ineqs, int_old = self._int_rows()
+        keep = range(len(self.ineqs)) if keep is None else keep
         out = object.__new__(HPoly)
         out.__dict__.update(
-            dim=self.dim, ineqs=tuple([self.ineqs[i] for i in keep]), eqs=self.eqs + new,
+            dim=self.dim, ineqs=tuple([self.ineqs[i] for i in keep]), eqs=self.eqs + tuple(eqs),
             ineq_labels=None, eq_labels=None,
-            _int_rows_cache=(tuple([int_ineqs[i] for i in keep]), int_eqs + int_new),
+            _int_rows_cache=(tuple([int_ineqs[i] for i in keep]), int_old + tuple(int_eqs)),
         )
         return out
 

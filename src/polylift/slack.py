@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .constructions import Extension, verify_extension
@@ -27,6 +28,7 @@ from .kernel import (
     _at_bound,
     _int_slack,
     _lex_fibers,
+    _sparse_int_row,
     optimize,
 )
 from .linalg import Mat
@@ -90,17 +92,23 @@ class FactorizationCheck:
         return self.ok
 
 
+def _frame_slacks(rows, x0, basis, den):
+    """(u0, AN): the slacks of integer rows (A_i, B_i, d_i), as
+    `HPoly._int_rows` gives them, on the frame {x0 + N t}, N's columns
+    basis/den (integer vectors over den): u = u0 + AN t, with
+    u0_i = `_int_slack`(row i, x0's homogeneous (X, w))/(d_i w) and AN
+    given as its columns, column j -(A_i·basis_j)/(d_i den) row by row."""
+    hx = linalg.homogeneous(x0)
+    u0 = tuple([F(_int_slack(nz, b, hx), d * hx[-1]) for nz, b, d in rows])
+    return u0, [tuple([F(-sum([a * v[r] for r, a in nz]), d * den) for nz, _, d in rows]) for v in basis]
+
+
 def _slack_frame(hrep: HPoly):
-    """(x0, N, u0, AN): aff(P) = {x0 + N t}, N the list of its direction
-    vectors n_j, and the slack map on it, u = b - A(x0 + N t) = u0 + AN t,
-    AN given as its columns.  `_slacks` reads both: u0 is the slack at x0,
-    and AN's column j the change of slack from x0 to x0 + n_j."""
+    """(x0, basis, den, u0, AN): `_affine_frame`'s aff(P) = {x0 + N t}, N's
+    columns basis/den, and the slack map u = b - Ax on it, u = u0 + AN t,
+    read off hrep's integer rows by `_frame_slacks`."""
     _, x0, basis, den = _affine_frame(hrep)
-    null = [tuple([F(x, den) for x in v]) for v in basis]
-    rows = _slacks(hrep, [x0] + [linalg.vadd(x0, n) for n in null])
-    u0 = tuple([r[0] for r in rows])
-    an = [tuple([r[j] - r[0] for r in rows]) for j in range(1, len(null) + 1)]
-    return x0, null, u0, an
+    return (x0, basis, den, *_frame_slacks(hrep._int_rows()[0], x0, basis, den))
 
 
 def slack_map(hrep: HPoly) -> AffineMap:
@@ -109,10 +117,22 @@ def slack_map(hrep: HPoly) -> AffineMap:
     Raises ValidationError when the map is not injective on aff(P) (then no
     inverse slack map exists).
     """
-    an = _slack_frame(hrep)[3]
+    an = _slack_frame(hrep)[4]
     if linalg._left_inverse_int(an, len(hrep.ineqs)) is None:
         raise ValidationError("slack map is not injective on the affine hull")
     return AffineMap([[-x for x in a] for a, _ in hrep.ineqs], [b for _, b in hrep.ineqs])
+
+
+def _pointed(q: HPoly) -> bool:
+    """Whether Q's rows, inequalities and equations, have rank q.dim: Q has
+    no lineality.  A row with one nonzero pins its coordinate, so the rank
+    is the number of coordinates pinned plus the rank of the other rows on
+    the free coordinates; when none is free, nothing is eliminated."""
+    rows = [nz for part in q._int_rows() for nz, _, _ in part]
+    pinned = {nz[0][0] for nz in rows if len(nz) == 1}
+    free = [j for j in range(q.dim) if j not in pinned]
+    rest = [[dict(nz).get(j, 0) for j in free] for nz in rows if len(nz) > 1]
+    return not free or len(rest) >= len(free) and linalg.rank(rest) == len(free)
 
 
 def is_binding(hrep: HPoly) -> bool:
@@ -161,28 +181,36 @@ def slack_matrix(hrep: HPoly, points: VPoly) -> SlackMatrix:
 
 def verify_factorization(slack: SlackMatrix, fact: NonnegFactorization) -> FactorizationCheck:
     """Exact check that fact.t @ fact.s equals the slack matrix entrywise,
-    with both factors nonnegative."""
+    with both factors nonnegative: a negative entry is reported first, then
+    the first product entry, in row-major order, that differs, each compared
+    exactly in integers (S over one denominator, each row of T over its own)."""
     for name, mtx in (("t", fact.t), ("s", fact.s)):
         for i, row in enumerate(mtx):
             for j, v in enumerate(row):
-                if v < 0:
+                if v.numerator < 0:  # the sign of a Fraction, without a comparison
                     return FactorizationCheck(False, negative_entry=(name, i, j))
     if len(fact.t) != slack.nrows or (fact.t and len(fact.t[0]) != len(fact.s)):
         return FactorizationCheck(False, first_mismatch=(-1, -1))
     if fact.s and len(fact.s[0]) != slack.ncols:
         return FactorizationCheck(False, first_mismatch=(-1, -1))
-    # row i of T·S is the sum of t_ik·(row k of S) over the nonzero t_ik,
-    # each over the nonzeros of that row of S; rows and columns are compared
-    # in order, so the first mismatch is the first in row-major order
-    s_nz = [[(j, v) for j, v in enumerate(row) if v] for row in fact.s]
+    # in integers: S over one common denominator M and each row of T over
+    # its own L, so row i of T·S is Σ/(L·M), Σ the sum of t_ik·(row k of S)
+    # over the nonzero t_ik, each over the nonzeros of that row of S, and
+    # equals φ = num/den where Σ·den = num·L·M; rows and columns are
+    # compared in order, so the first mismatch is the first in row-major order
+    m = lcm(*[v.denominator for row in fact.s for v in row])
+    s_nz = [[(j, v.numerator * (m // v.denominator)) for j, v in enumerate(row) if v] for row in fact.s]
     for i, (t_row, phi_row) in enumerate(zip(fact.t, slack.entries)):
-        prod = [ZERO] * slack.ncols
+        el = lcm(*[x.denominator for x in t_row])
+        prod = [0] * slack.ncols
         for tk, nz in zip(t_row, s_nz):
             if tk:
+                tk = tk.numerator * (el // tk.denominator)
                 for j, v in nz:
                     prod[j] += tk * v
+        el *= m
         for j, (x, y) in enumerate(zip(prod, phi_row)):
-            if x != y:
+            if x * y.denominator != y.numerator * el:
                 return FactorizationCheck(False, first_mismatch=(i, j))
     return FactorizationCheck(True)
 
@@ -204,7 +232,7 @@ def factorization_to_extension(
     m = slack.nrows
     if len(original.ineqs) != m:
         raise ValidationError("original system row count does not match the slack matrix")
-    x0, null, u0, an = _slack_frame(original)
+    x0, basis, fden, u0, an = _slack_frame(original)
     inv = linalg._left_inverse_int(an, m)
     if inv is None:
         raise ValidationError("slack map is not injective on the affine hull")
@@ -222,11 +250,12 @@ def factorization_to_extension(
     q = HPoly(f, ineqs, eqs, ineq_labels=tuple(f"lambda{c}>=0" for c in range(f)))
 
     # inverse slack map: x = x0 + NG(u - u0) with u = T lambda and G (AN) = I;
-    # G is zero off the columns piv, and gcols[l] is den times its column piv[l]
+    # G is zero off the columns piv, and gcols[l] is den times its column
+    # piv[l], so NG's column piv[l] is basis·gcols[l] over fden·den
     ng = [[ZERO] * m for _ in x0]
     for c, col in zip(piv, gcols):
         for r, row in enumerate(ng):
-            row[c] = sum([x * n[r] for x, n in zip(col, null) if x], ZERO) / den
+            row[c] = F(sum([x * v[r] for x, v in zip(col, basis) if x]), fden * den)
     proj = AffineMap([tmap.pull_back(row) for row in ng], [x - linalg.dot(row, u0) for x, row in zip(x0, ng)])
 
     # each point is the projection of its column of S
@@ -245,25 +274,30 @@ def extension_to_factorization(
     """Nonnegative factorization Phi = T S from a verified extension.
 
     Requires hrep binding (a listed point outside P is reported first, as
-    in xc_bounds) and the extension verified; a non-pointed Q is first
-    quotiented by its lineality space (same inequality count).  Each row of T
-    comes from an exact LP expressing the row's slack over Q as a nonnegative
-    combination of Q's inequality slacks; S evaluates Q's slacks at the
-    lexicographically minimal lift of each point.  The lifts come first, from
-    one LP batch over Q, and serve as verify's lift hints, which it checks
-    exactly; S is built only when it accepts every one.
+    in xc_bounds) and the extension verified; a non-pointed Q (`_pointed`,
+    by rank from its integer rows) is first quotiented by its lineality
+    space (same inequality count).  Each row of T comes from its own exact
+    LP expressing the row's slack over Q as a nonnegative combination of
+    Q's inequality slacks; the LPs share their left sides, Q's slack frame
+    as integer rows, and differ in the right-hand sides, hrep's slack frame
+    on the image of Q's (both `_frame_slacks`).  They are not batched: the
+    optimum is often not unique, and another pivot path changes T.  S
+    evaluates Q's slacks at the lexicographically minimal lift of each
+    point.  The lifts come first, from one LP batch over Q, and serve as
+    verify's lift hints, which it checks exactly; S is built only when it
+    accepts every one.
     """
     phi = slack_matrix(hrep, points)
     if not _binding_given_slacks(hrep, phi, points):
         raise ValidationError("inequality system is not binding")
 
     q_poly, proj = ext.q, ext.proj
-    stacked = linalg.mat([a for a, _ in q_poly.ineqs] + [c for c, _ in q_poly.eqs])
-    keep = linalg.independent_rows(stacked)
     quotient = None
-    if len(keep) < q_poly.dim:
+    if not _pointed(q_poly):
         # quotient by the lineality space: y = B z, B's columns the rows
         # kept, which span the orthogonal complement
+        stacked = linalg.mat([a for a, _ in q_poly.ineqs] + [c for c, _ in q_poly.eqs])
+        keep = linalg.independent_rows(stacked)
         quotient = AffineMap.linear(linalg.transpose([stacked[i] for i in keep]))
         q_poly = HPoly(len(keep), [(quotient.pull_back(a), b) for a, b in q_poly.ineqs],
                        [(quotient.pull_back(c), d) for c, d in q_poly.eqs])
@@ -282,18 +316,33 @@ def extension_to_factorization(
         raise InvariantViolationError("a lexicographic lift fails the extension's check")
 
     # row i of T solves sigma0·t = f0 and (column j of AN)·t = fj for each
-    # direction n_j of aff(Q), with f0 and f0 + fj hrep's slacks at p(y0)
-    # and p(y0 + n_j)
-    y0, null, sigma0, sigma_cols = _slack_frame(q_poly)
+    # direction n_j = basis_j/den of aff(Q), where hrep's slacks on the
+    # image frame {p(y0) + P N t} are f0 + F t: P·basis_j is integer over
+    # e, the lcm of the denominators of proj's integer rows, so F's columns
+    # are `_frame_slacks` over e·den
+    y0, basis, den, sigma0, sigma_cols = _slack_frame(q_poly)
     qm = len(q_poly.ineqs)
-    rhs = _slacks(hrep, [proj.apply(y0)] + [proj.apply(linalg.vadd(y0, n)) for n in null])
+    prows = proj._int_rows()
+    e = lcm(*[d for _, _, d in prows])
+    pbasis = [[e // d * sum([a * v[c] for c, a in nz]) for nz, _, d in prows] for v in basis]
+    f0, f_cols = _frame_slacks(hrep._int_rows()[0], proj.apply(y0), pbasis, e * den)
 
-    # every t_rows LP is these rows plus its own equations, derived from them
+    # every t_rows LP is these rows plus 1 + k equations whose left sides,
+    # sigma0 and AN's columns, are the same for every row of T: each becomes
+    # integers once, (nz, 0, d0), and a row's rhs b only rescales it to the
+    # least denominator lcm(d0, den(b)), as `_sparse_int_row` would
     nonneg = HPoly(qm, [(tuple(-ONE if c == col else ZERO for c in range(qm)), ZERO) for col in range(qm)])
+    lhs = [sigma0] + sigma_cols
+    int_lhs = [_sparse_int_row(a, ZERO) for a in lhs]
     t_rows = []
-    for at in rhs:
-        eqs = [(sigma0, at[0])] + [(col, fj - at[0]) for col, fj in zip(sigma_cols, at[1:])]
-        r = optimize(nonneg._derive(eqs=eqs), (ONE,) * qm, "min")
+    for bs in zip(f0, *f_cols):
+        int_eqs = []
+        for (nz, _, d0), b in zip(int_lhs, bs):
+            d = lcm(d0, b.denominator)
+            if d != d0:
+                nz = tuple([(j, x * (d // d0)) for j, x in nz])
+            int_eqs.append((nz, b.numerator * (d // b.denominator), d))
+        r = optimize(nonneg._derive_int(None, list(zip(lhs, bs)), int_eqs), (ONE,) * qm, "min")
         if r.status != "optimal":
             raise InvariantViolationError(
                 "no nonnegative slack combination found; extension_to_factorization "

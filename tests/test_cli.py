@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from fractions import Fraction
@@ -500,6 +501,47 @@ def test_cli_slack_and_factorize(tmp_path, capsys):
     assert len(smx) == 9 and len(smx[0]) == 6
     prod = fileio.linalg.mat_mul(tm, smx)
     assert prod == phi
+
+
+# sha256 of the T file, the S file and the --json stdout, recorded before
+# factorize's set-up moved to integer rows: every LP, pivot and entry of T
+# must stay as it was, not only T·S = Φ
+FACTORIZE_DIGESTS = {
+    "birkhoff(4)": ("1db80869abf406270ea069fd2cf4d50de1d44b6871e13e136a687258dbe8bc4d",
+                    "f259f33cf2dd7ef884327a4942809e7884a8be0c766d0b55720478ba5954646c",
+                    "58c64c85904de0bf5108f23924d23a6d49cf96d206ee117b1ee3f24376e4e027"),
+    "martin(4)": ("ea13dc5f1d4b58d8af820d5441f501a9e4b11f1055fafb93eb2cfe204b0d50ba",
+                  "f97e60495f56e6ca7170eaf78fa76421c119d00d96e20b1e6a079d916d1cd31b",
+                  "6f8b77246644731a08f7eda20d2811759da2fe98af3182d3b785ddbc6513fdf0"),
+    "knapsack(6,2,5,3;9)": ("2a622cc3c47d98081a8b853a25b9e4f0549dba1f1378cfcd554b1c51b0ab314c",
+                            "755c4271bdc17b73dff0cc0a7dc39eb25a65941c868846be05ecd81ab1d9b1c0",
+                            "c82a35c210b79be2eed4966ae5c3894c097eb5f24d9491eacd830fbe329ee450"),
+}
+
+
+def _factorize_case(name):
+    if name == "birkhoff(4)":
+        return cx.birkhoff_extension(4), zoo.permutahedron_hrep(4), zoo.permutahedron_vrep(4)
+    if name == "martin(4)":
+        return cx.martin_spanning_tree_extension(4), zoo.spanning_tree_hrep(4), zoo.spanning_tree_vrep(4)
+    v = zoo.knapsack_vrep((6, 2, 5, 3), 9)
+    return cx.knapsack_flow_extension((6, 2, 5, 3), 9), hull(v), v
+
+
+@pytest.mark.parametrize("name", sorted(FACTORIZE_DIGESTS))
+def test_cli_factorize_bytes_are_pinned(tmp_path, monkeypatch, capsys, name):
+    ext, h, v = _factorize_case(name)
+    monkeypatch.chdir(tmp_path)  # relative paths: the report names them
+    for path, text in (("q.ext", fileio.serialize_extension(ext)), ("p.hpoly", fileio.serialize_hpoly(h)),
+                       ("p.vpoly", fileio.serialize_vpoly(v))):
+        (tmp_path / path).write_text(text)
+    capsys.readouterr()
+    assert main(["factorize", "q.ext", "p.hpoly", "p.vpoly", "--t-out", "T.mat",
+                 "--s-out", "S.mat", "--json"]) == 0
+    out = capsys.readouterr().out.encode()
+    got = tuple(hashlib.sha256(b).hexdigest()
+                for b in ((tmp_path / "T.mat").read_bytes(), (tmp_path / "S.mat").read_bytes(), out))
+    assert got == FACTORIZE_DIGESTS[name]
 
 
 def test_cli_size_guard_exit2(capsys):

@@ -238,6 +238,45 @@ def test_covering_family_n5_and_n6():
             assert any(z.rainbow(w) for z in fam)
 
 
+def _reference_covering_family(n, k, seed=2024):
+    """The greedy round of `covering_coloring_family` before it counted on
+    bitmasks: every pool coloring tested against every uncovered subset,
+    each round; (family assignments, witnesses)."""
+    colors = 2 * k
+    subsets = list(combinations(range(n), colors))
+    rng = random.Random(seed)
+    rainbow = lambda z, w: len({z[v] for v in w}) == len(w)
+    family, witness = [], [None] * len(subsets)
+    uncovered = set(range(len(subsets)))
+    pool = []
+    for _ in range(300):
+        assign = [rng.randrange(colors) for _ in range(n)]
+        if len(set(assign)) == colors:
+            pool.append(tuple(assign))
+    while uncovered:
+        best, best_cover = None, ()
+        for cand in pool:
+            cover = [s for s in uncovered if rainbow(cand, subsets[s])]
+            if best is None or len(cover) > len(best_cover):
+                best, best_cover = cand, cover
+        if best is None or not best_cover:
+            best = _targeted(n, subsets[min(uncovered)])
+            best_cover = [s for s in uncovered if rainbow(best, subsets[s])]
+        for s in best_cover:
+            witness[s] = len(family)
+        family.append(best)
+        uncovered.difference_update(best_cover)
+        if best in pool:
+            pool.remove(best)
+    return family, witness
+
+
+@pytest.mark.parametrize("n, k", [(8, 2), (10, 2), (9, 3), (10, 3), (11, 3), (12, 3)])
+def test_covering_family_matches_the_rescanning_greedy(n, k):
+    fam, cert = cx.covering_coloring_family(n, k)
+    assert ([z.assignment for z in fam], list(cert.witness)) == _reference_covering_family(n, k)
+
+
 def _targeted(n, w):
     """The coloring that the family's completion builds for the subset w:
     w's nodes get colors 0.. in order, the others cycle through them."""

@@ -88,10 +88,12 @@ def test_factorization_martin4_solves_and_pivots(monkeypatch):
     # 500 and 2963.  Every row of Martin(4)'s system has a zero slack at a
     # vertex, so the binding check takes no LP (36/772 with one), and
     # slack_matrix computes no affine hull (35/730 when it did).  One
-    # elimination decides Q's lineality (the independent rows) and one gives
-    # Q's affine frame; a separate nullspace for the lineality and a second
-    # elimination for the direction basis made 3
-    assert counts == {"solves": 19, "pivots": 468, "eliminations": 2}
+    # elimination gives Q's affine frame; Q's lineality takes none, since a
+    # row with one nonzero pins each of its coordinates (one, the
+    # independent rows of all of Q's rows, did), and a separate nullspace
+    # for the lineality and a second elimination for the direction basis
+    # made 3
+    assert counts == {"solves": 19, "pivots": 468, "eliminations": 1}
 
 
 def test_factorization_martin4_builds_one_lex_point_per_vertex(monkeypatch):

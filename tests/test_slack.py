@@ -267,6 +267,65 @@ def test_extension_to_factorization_birkhoff3_and_roundtrip():
     assert rep.passed
 
 
+@st.composite
+def rescaled_birkhoff3(draw):
+    """Birkhoff(3) onto Π3 with every row of Q and of Π3 scaled by its own
+    positive rational and Π3's coordinates by x -> D x + c: the same
+    polytopes, with fractional slacks, frame and projection."""
+    pos = st.builds(F, st.integers(1, 5), st.sampled_from([1, 2, 3, 7]))
+    ext, h, v = cx.birkhoff_extension(3), zoo.permutahedron_hrep(3), zoo.permutahedron_vrep(3)
+    diag = [draw(pos) for _ in range(h.dim)]
+    shift = [draw(st.builds(F, st.integers(-3, 3), st.sampled_from([1, 2, 5]))) for _ in range(h.dim)]
+    scales = [draw(pos) for _ in ext.q.ineqs]
+    q = HPoly(ext.q.dim, [([s * x for x in a], s * b) for (a, b), s in zip(ext.q.ineqs, scales)], ext.q.eqs)
+    proj = AffineMap([[d * x for x in row] for d, row in zip(diag, ext.proj.matrix)],
+                     [d * o + c for d, o, c in zip(diag, ext.proj.offset, shift)])
+    rows = []
+    for a, b in h.ineqs:
+        s = draw(pos)
+        a2 = [s * x / d for x, d in zip(a, diag)]
+        rows.append((a2, s * b + linalg.dot(a2, shift)))
+    h2 = HPoly(h.dim, rows, [([x / d for x, d in zip(c, diag)], e + linalg.dot([x / d for x, d in zip(c, diag)], shift))
+                             for c, e in h.eqs])
+    v2 = VPoly(h.dim, [tuple(d * x + c for d, x, c in zip(diag, p, shift)) for p in v.vertices])
+    return cx.Extension(q, proj, h.dim, "rescaled"), h2, v2
+
+
+@settings(deadline=None, derandomize=True, max_examples=25)
+@given(rescaled_birkhoff3())
+def test_t_row_systems_are_the_fraction_set_up(case):
+    """Each LP behind a row of T is the system the Fraction set-up built:
+    Q's nonnegativity, sigma0·t = f0 and (column j of AN)·t = fj - f0, with
+    sigma0 and AN from dot products at Q's frame point y0 and directions
+    n_j, f0 and fj hrep's slacks at p(y0) and p(y0 + n_j); and its integer
+    rows are those a fresh build gives."""
+    ext, h, v = case
+    seen = []
+    real = slack.optimize
+
+    def spy(poly, objective, sense):
+        seen.append(poly)
+        return real(poly, objective, sense)
+
+    slack.optimize = spy
+    try:
+        fact = extension_to_factorization(ext, h, v)
+    finally:
+        slack.optimize = real
+    _, y0, basis, den = kernel._affine_frame(ext.q)
+    null = [tuple(F(x, den) for x in b) for b in basis]
+    sigma0 = tuple(b - linalg.dot(a, y0) for a, b in ext.q.ineqs)
+    cols = [tuple(-linalg.dot(a, n) for a, _ in ext.q.ineqs) for n in null]
+    p0 = ext.proj.apply(y0)
+    pn = [ext.proj.apply(linalg.vadd(y0, n)) for n in null]
+    assert len(seen) == len(h.ineqs) == len(fact.t)
+    for poly, (a, b) in zip(seen, h.ineqs):
+        f0 = b - linalg.dot(a, p0)
+        want = [(sigma0, f0)] + [(c, b - linalg.dot(a, x) - f0) for c, x in zip(cols, pn)]
+        assert list(poly.eqs) == want
+        assert poly._int_rows() == HPoly(poly.dim, poly.ineqs, poly.eqs)._int_rows()
+
+
 def test_extension_to_factorization_requires_binding():
     loose = HPoly(1, [([-1], 0), ([1], 1), ([1], 5)])
     seg_ext = cx.Extension(segment(), AffineMap.linear([[1]]), 1, "seg")
@@ -290,13 +349,50 @@ def test_extension_to_factorization_rejects_unverified():
         extension_to_factorization(ext, segment(), VPoly(1, [(0,), (1,)]))
 
 
-def test_non_pointed_extension_is_quotiented():
+def test_non_pointed_extension_is_quotiented(monkeypatch):
     # Q = {(x, w): 0 <= x <= 1} with w free projects to [0,1]; lineality e_w
     q = HPoly(2, [([-1, 0], 0), ([1, 0], 1)])
     ext = cx.Extension(q, AffineMap.linear([[1, 0]]), 1, "line")
+    kept = []
+    real = linalg.independent_rows
+    monkeypatch.setattr(linalg, "independent_rows", lambda m: kept.append(real(m)) or kept[-1])
     fact = extension_to_factorization(ext, segment(), VPoly(1, [(0,), (1,)]))
+    assert kept == [[0]]  # the quotient path: Q's rows span e_x only
     assert fact.inner_dim == 2
     assert verify_factorization(slack_matrix(segment(), VPoly(1, [(0,), (1,)])), fact).ok
+
+
+@st.composite
+def lineality_systems(draw):
+    """Rows over dim coordinates, split at random into inequalities and
+    equations: rows with one nonzero (duplicates too) that pin all, some or
+    none of the coordinates, and other rows drawn from a span of random
+    rank, so that the system has lineality or not."""
+    dim = draw(st.integers(1, 5))
+    coef = st.builds(F, st.integers(-3, 3), st.sampled_from([1, 1, 2, 3]))
+    mode = draw(st.sampled_from(["all", "some", "none"]))
+    if mode == "all":
+        pinned = list(range(dim)) + draw(st.lists(st.integers(0, dim - 1), max_size=2))
+    elif mode == "some":
+        pinned = draw(st.lists(st.integers(0, dim - 1), min_size=1, max_size=dim + 1))
+    else:
+        pinned = []
+    rows = [tuple(draw(coef.filter(bool)) if c == j else F(0) for c in range(dim)) for j in pinned]
+    span = draw(st.lists(st.lists(coef, min_size=dim, max_size=dim), max_size=dim))
+    for _ in range(draw(st.integers(0, 6))):
+        mult = draw(st.lists(st.integers(-2, 2), min_size=len(span), max_size=len(span)))
+        rows.append(tuple(sum((m * v[c] for m, v in zip(mult, span)), F(0)) for c in range(dim)))
+    rows = draw(st.permutations(rows))
+    is_eq = draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+    return HPoly(dim, [(r, draw(coef)) for r, e in zip(rows, is_eq) if not e],
+                 [(r, draw(coef)) for r, e in zip(rows, is_eq) if e])
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(lineality_systems())
+def test_pointed_matches_the_rank_of_all_rows(q):
+    stacked = linalg.mat([a for a, _ in q.ineqs] + [c for c, _ in q.eqs])
+    assert slack._pointed(q) == (len(linalg.independent_rows(stacked)) == q.dim)
 
 
 def test_unbounded_lift_is_reported_after_verification():
