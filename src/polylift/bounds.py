@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from . import linalg
 from .constructions import Extension, verify_extension
 from .errors import InputError, InvariantViolationError, SizeLimitError, ValidationError
-from .kernel import HPoly, VPoly, vertices
+from .kernel import HPoly, VPoly, poly_equal, vertices
 from .slack import SlackMatrix, _binding_given_slacks, _slacks, slack_matrix
 
 EXACT = "exact"
@@ -510,8 +510,11 @@ def embedding_check(
     Confirms that every preimage is a face of Q and that the map is injective
     on the computed lattices, each of at most 12 facets or at most 12
     vertices; it keeps order by construction, so it is then strictly
-    order-preserving.
+    order-preserving.  Raises InputError when ext_vrep, given for Q's
+    vertices, does not span Q.
     """
+    if ext_vrep is not None and not poly_equal(ext.q, ext_vrep):
+        raise InputError("ext_vrep does not span the extension's Q")
     lp = face_lattice(target_hrep, target_vrep, max_facets=12, max_vertices=12)
     qv = ext_vrep if ext_vrep is not None else vertices(ext.q)
     lq = face_lattice(ext.q, qv, max_facets=12, max_vertices=12)

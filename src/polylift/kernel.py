@@ -14,8 +14,10 @@ basis, which `affine_hull`, `vertices` and the slack maps read.  `hull` and
 `vertices` run on integers from the homogeneous points to the facet rows
 (`_hull_int`): the affine set-up and the polar seed simplex, both read off
 the one left inverse `linalg._left_inverse_int`, and the double description
-core.  Every LP is one `simplex.solve_standard` call, by `optimize_all` or
-`_lex_fibers`: its answers carry points, and rays when unbounded, and every
+core.  Every LP is one `simplex.solve_standard` call, by `_optimize_rows` or
+`_lex_fibers`, on rows in that integer form: `optimize_all` passes an
+`HPoly`'s on, and each LP the library poses itself passes its own, with no
+`HPoly`.  Its answers carry points, and rays when unbounded, and every
 internal verdict rests on them.  The two containment questions
 of `verify_extension`, `poly_equal` and `is_vertex` (is x in proj(Q)? does
 proj(Q) lie in P?) are asked in one place each, `_outside_image` and
@@ -25,10 +27,9 @@ coordinates as lex costs for the lifts.  `lp_solve` adds a dual vector or
 a Farkas vector, the solution of a second LP over the same rows, which
 exact dot products alone can check.
 Operations are safe to call concurrently on shared inputs; the only hidden
-state is that integer row form, which an `HPoly` builds on first use (or
-takes from the `HPoly` it is derived from, for an LP over the same rows plus
-a few), its packed form, an `AffineMap`'s integer rows and a result's point,
-built likewise on first use or read, each the same whichever call builds it.
+state is that integer row form, which an `HPoly` builds on first use, its
+packed form, an `AffineMap`'s integer rows and a result's point, built
+likewise on first use or read, each the same whichever call builds it.
 Each fact of the LP layer has one record: the presolve's eliminations are
 the integer equations that `_Reduction.reduce` substitutes and
 `_Reduction.back` solves, a map's rows are its integer rows, which
@@ -182,28 +183,6 @@ class HPoly:
             rows = tuple([tuple([_sparse_int_row(a, b) for a, b in part]) for part in (self.ineqs, self.eqs)])
             object.__setattr__(self, "_int_rows_cache", rows)
         return rows
-
-    def _derive(self, keep=None, eqs=()) -> "HPoly":
-        """HPoly(dim, the inequalities indexed by keep (all, by default, in
-        order), self.eqs + eqs), and equal to that build; the rows taken
-        from self keep their coerced tuples and integer rows, so only the
-        appended equations are converted."""
-        new = _coerce_rows(eqs, self.dim, "equation")
-        return self._derive_int(keep, new, tuple([_sparse_int_row(a, b) for a, b in new]))
-
-    def _derive_int(self, keep, eqs, int_eqs) -> "HPoly":
-        """`_derive` for appended equations that come converted: eqs as
-        `_coerce_rows` gives them and int_eqs their rows as `_sparse_int_row`
-        gives them, for a caller that builds many systems from the same rows."""
-        int_ineqs, int_old = self._int_rows()
-        keep = range(len(self.ineqs)) if keep is None else keep
-        out = object.__new__(HPoly)
-        out.__dict__.update(
-            dim=self.dim, ineqs=tuple([self.ineqs[i] for i in keep]), eqs=self.eqs + tuple(eqs),
-            ineq_labels=None, eq_labels=None,
-            _int_rows_cache=(tuple([int_ineqs[i] for i in keep]), int_old + tuple(int_eqs)),
-        )
-        return out
 
     def row_label(self, i: int) -> str:
         if self.ineq_labels is not None:
@@ -480,7 +459,7 @@ def _substitute(row, j, eq):
     return a, b, d
 
 
-def _presolve(poly: HPoly) -> _Reduction:
+def _presolve(dim: int, int_ineqs, int_eqs) -> _Reduction:
     """Eliminate variables fixed or tied by short equations; the eliminations
     depend on the rows only, so objectives are reduced afterwards (`reduce`).
 
@@ -489,12 +468,10 @@ def _presolve(poly: HPoly) -> _Reduction:
     variable are dropped (or prove the system infeasible), and a row
     -c x_j <= 0 is dropped and marks x_j nonnegative; eliminating a
     nonnegative x_j appends its sign row -x_j <= 0, substituted.  Rows are
-    `HPoly._int_rows` rows with {index: int} dicts, so an elimination
+    `HPoly._int_rows` rows, read into {index: int} dicts, so an elimination
     updates (and screens again) only the rows that hold its variable, by
     `_substitute`.
     """
-    dim = poly.dim
-    int_ineqs, int_eqs = poly._int_rows()
     ineqs: list = [(dict(nz), b, d) for nz, b, d in int_ineqs]
     eqs = [(dict(nz), b, d) for nz, b, d in int_eqs]
     nonneg = [False] * dim
@@ -564,9 +541,9 @@ def optimize_all(poly: HPoly, objectives: Sequence[tuple[Sequence, str]]) -> lis
     """Exact optimum and point of each (objective, sense) over one polyhedron;
     an unbounded result carries an improving ray as its dual_certificate.
 
-    Presolve, standard form and phase 1 are shared; each objective gets its
-    own phase 2, so result i equals optimize(poly, *objectives[i]).  Each
-    objective becomes integers once, negated for max, and is `reduce`d.
+    Each objective is checked and becomes integers once; `_optimize_rows`
+    shares the presolve, standard form and phase 1 over poly's integer rows,
+    so result i equals optimize(poly, *objectives[i]).
     """
     cs = []
     for objective, sense in objectives:
@@ -576,19 +553,27 @@ def optimize_all(poly: HPoly, objectives: Sequence[tuple[Sequence, str]]) -> lis
         if len(c) != poly.dim:
             raise InputError("objective dimension mismatch")
         w = lcm(*[x.denominator for x in c])
-        s = -w if sense == "max" else w
-        cs.append(([(j, x.numerator * (s // x.denominator)) for j, x in enumerate(c) if x], w, sense))
-    if not cs:
+        cs.append(([(j, x.numerator * (w // x.denominator)) for j, x in enumerate(c) if x], w, sense))
+    return _optimize_rows(poly.dim, *poly._int_rows(), cs)
+
+
+def _optimize_rows(dim: int, ineqs, eqs, costs) -> list[LPResult]:
+    """`optimize_all` on integer rows (nonzero (index, int) pairs, rhs, d),
+    as `HPoly._int_rows` gives them, and costs (pairs, w, sense), the
+    objective pairs/w (the simplex reads signs, so any w > 0 gives the same
+    result): the LP entry of every LP the library poses itself.  Presolve, standard form and phase 1 are shared; each
+    cost gets its own phase 2, negated for max and `reduce`d."""
+    if not costs:
         return []
-    red = _presolve(poly)
+    red = _presolve(dim, ineqs, eqs)
     if red.infeasible:
-        return [LPResult(status=INFEASIBLE) for _ in cs]
-    k = len(red.alive)
-    reduced = [red.reduce(pairs, 0, w) for pairs, w, _ in cs]
-    rows, scales, costs, var_cols = _assemble_standard(
-        k, red.ineqs, red.eqs, [(a, d) for a, _, d in reduced], red.nonneg)
+        return [LPResult(status=INFEASIBLE) for _ in costs]
+    reduced = [red.reduce([(j, -x) for j, x in pairs] if sense == "max" else pairs, 0, w)
+               for pairs, w, sense in costs]
+    rows, scales, std_costs, var_cols = _assemble_standard(
+        len(red.alive), red.ineqs, red.eqs, [(a, d) for a, _, d in reduced], red.nonneg)
     out = []
-    for (_, _, sense), (_, b, d), res in zip(cs, reduced, simplex.solve_standard(rows, scales, costs)):
+    for (_, _, sense), (_, b, d), res in zip(costs, reduced, simplex.solve_standard(rows, scales, std_costs)):
         if res.status == simplex.INFEASIBLE:
             out.append(LPResult(status=INFEASIBLE))
             continue
@@ -673,7 +658,7 @@ def _lex_fibers(q: HPoly, matrix, rhss, lead: int) -> list:
     """
     if not rhss:
         return []
-    red = _presolve(q)
+    red = _presolve(q.dim, *q._int_rows())
     if red.infeasible:
         return [EmptyPolyhedronError("polyhedron is empty") for _ in rhss]
     if q.dim == 0:
@@ -706,15 +691,14 @@ def _lex_fibers(q: HPoly, matrix, rhss, lead: int) -> list:
 # Affine hull
 # ---------------------------------------------------------------------------
 
-def _max_common_slack(poly: HPoly) -> tuple[Fraction, Vec]:
-    """(eps, x): the largest eps <= 1 with a·x + eps <= b on every row, and a
-    point attaining it.  eps > 0 iff no inequality is an implicit equality.
-    Raises EmptyPolyhedronError on empty input."""
-    dim = poly.dim
-    eps_rows = [(tuple(a) + (ONE,), b) for a, b in poly.ineqs]
-    eps_rows.append((linalg.unit(dim + 1, dim), ONE))
-    eps_eqs = [(tuple(c) + (ZERO,), d) for c, d in poly.eqs]
-    r = optimize(HPoly(dim + 1, eps_rows, eps_eqs), linalg.unit(dim + 1, dim), "max")
+def _max_common_slack(dim: int, ineqs, eqs) -> tuple[Fraction, Vec]:
+    """(eps, x): the largest eps <= 1 with a·x + eps <= b on every integer
+    row (nz, b, d) of ineqs, as nz·x + d·eps <= b, eps column dim, and the
+    equations eqs, and a point attaining it.  eps > 0 iff no inequality is
+    an implicit equality.  Raises EmptyPolyhedronError on empty input."""
+    eps_rows = [((*nz, (dim, d)), b, d) for nz, b, d in ineqs]
+    eps_rows.append((((dim, 1),), 1, 1))
+    [r] = _optimize_rows(dim + 1, eps_rows, eqs, [(((dim, 1),), 1, "max")])
     if r.status == UNBOUNDED:
         raise InvariantViolationError("eps objective is capped at 1")
     if r.status == INFEASIBLE or r.optimum < 0:
@@ -734,7 +718,7 @@ def _affine_frame(poly: HPoly):
     takes no elimination: N is the identity.
     """
     # One LP decides full-dimensionality: maximize the common slack eps.
-    eps, point = _max_common_slack(poly)
+    eps, point = _max_common_slack(poly.dim, *poly._int_rows())
     implicit = [] if eps > 0 else _implicit_equalities(poly)
     rows = [(tuple(c), d) for c, d in poly.eqs] + implicit
     dim = poly.dim
@@ -749,20 +733,19 @@ def _affine_frame(poly: HPoly):
 
 
 def _at_bound(poly: HPoly, rows, sense: str) -> list[bool]:
-    """Whether each row (a, b) reaches b as the max (or min) of a·x over
-    poly: one LP batch, the one question of `_implicit_equalities` and of
-    `slack`'s binding checks.  Raises EmptyPolyhedronError on an empty poly."""
-    out = []
-    for (_, b), r in zip(rows, optimize_all(poly, [(a, sense) for a, _ in rows])):
-        if r.status == INFEASIBLE:
-            raise EmptyPolyhedronError("polyhedron is empty")
-        out.append(r.status == OPTIMAL and r.optimum == b)
-    return out
+    """Whether each integer row (nz, b, d) reaches b/d as the max (or min)
+    of nz·x/d over poly: one LP batch over poly's integer rows, the one
+    question of `_implicit_equalities` and of `slack`'s binding checks.
+    Raises EmptyPolyhedronError on an empty poly."""
+    results = _optimize_rows(poly.dim, *poly._int_rows(), [(nz, d, sense) for nz, _, d in rows])
+    if any(r.status == INFEASIBLE for r in results):
+        raise EmptyPolyhedronError("polyhedron is empty")
+    return [r.status == OPTIMAL and r.optimum * d == b for (_, b, d), r in zip(rows, results)]
 
 
 def _implicit_equalities(poly: HPoly):
     """The inequalities whose minimum over poly is their rhs."""
-    return [(tuple(a), b) for (a, b), eq in zip(poly.ineqs, _at_bound(poly, poly.ineqs, "min")) if eq]
+    return [(tuple(a), b) for (a, b), eq in zip(poly.ineqs, _at_bound(poly, poly._int_rows()[0], "min")) if eq]
 
 
 def affine_hull(poly: HPoly) -> list[tuple[Vec, Fraction]]:
@@ -1045,7 +1028,8 @@ def vertices(poly: HPoly) -> VPoly:
     if all(row[k] > 0 for row in t_rows):
         htc = (0,) * k + (1,)
     else:
-        eps, t_c = _max_common_slack(HPoly(k, [(row[:k], row[k]) for row in t_rows]))
+        eps, t_c = _max_common_slack(k, [([(j, x) for j, x in enumerate(row[:k]) if x], row[k], 1)
+                                         for row in t_rows], ())
         if eps <= 0:
             raise InvariantViolationError("t-polytope has no interior point")
         htc = linalg.homogeneous(t_c)
@@ -1081,13 +1065,13 @@ def vertices(poly: HPoly) -> VPoly:
 # Redundancy removal, equality test, membership
 # ---------------------------------------------------------------------------
 
-def _ray_certified(poly: HPoly, z: Vec) -> set[int]:
-    """The rows that a ray from z, a point strictly slack on every row, hits
-    first and alone: just past that hit only the row is violated.  One ray
-    per row i, along a_i projected orthogonally onto {x : Cx = 0}, C the
-    equations.  In integers: each ray's dot products are streamed, and hit
-    times compared by cross-multiplying."""
-    ineqs, _ = poly._int_rows()
+def _ray_certified(dim: int, ineqs, eqs, z: Vec) -> set[int]:
+    """The integer rows of ineqs that a ray from z, a point strictly slack
+    on every row, hits first and alone: just past that hit only the row is
+    violated.  One ray per row i, along a_i projected orthogonally onto
+    {x : Cx = 0}, C the integer rows of eqs (any positive multiple of each
+    gives the same ray).  In integers: each ray's dot products are
+    streamed, and hit times compared by cross-multiplying."""
     hz = linalg.homogeneous(z)
     # row j's integer slack at z; slack[j]/(row j·d) is its hit time up to a
     # factor common to every row
@@ -1095,13 +1079,13 @@ def _ray_certified(poly: HPoly, z: Vec) -> set[int]:
     # one elimination of [C C^T | C] solves C C^T y = C a for every a: with
     # W_k the C-part of pivot row k, s_k its column and p the pivot,
     # p·a - Σ_k (W_k·a) c_{s_k} is p times a's projection onto {x : Cx = 0}
-    cs = [linalg.homogeneous(c)[:-1] for c, _ in poly.eqs]
+    cs = [[a.get(j, 0) for j in range(dim)] for a in [dict(nz) for nz, _, _ in eqs]]
     red, piv = linalg._eliminate([[sum([x * y for x, y in zip(c, e)]) for e in cs] + list(c) for c in cs])
     p = red[0][piv[0]] if piv else 1
     proj = [(red[k][len(cs):], cs[s]) for k, s in enumerate(piv)]
     certified = set()
     for nz, _, _ in ineqs:
-        d = [0] * poly.dim
+        d = [0] * dim
         for t, x in nz:
             d[t] = p * x
         for w, c in proj:
@@ -1124,28 +1108,29 @@ def _ray_certified(poly: HPoly, z: Vec) -> set[int]:
     return certified
 
 
-def _nonredundant(poly: HPoly) -> list[bool]:
-    """Keep flags for the inequalities, in row order: row i is dropped when
-    the kept rows so far, all later rows and the equations imply it.
-    Raises EmptyPolyhedronError on empty input.
+def _nonredundant(dim: int, ineqs, eqs) -> list[bool]:
+    """Keep flags for the integer rows ineqs, in row order: row i is dropped
+    when the kept rows so far, all later rows and the equations eqs imply
+    it.  Raises EmptyPolyhedronError on empty input.
 
     One max-common-slack LP gives eps and a point z.  With eps > 0 the rows
     `_ray_certified` returns are kept with no LP, since no other rows imply
     them.  A tie certifies nothing, so duplicates, and rows that differ by a
     multiple of an equation, reach the LP, and the last copy survives.  Each
-    other row takes one LP over rows derived from poly's, in row order
-    against the same flags, so the flags are those of one LP per row.  With
-    eps <= 0 (implicit equalities) every row takes its LP.
+    other row takes one LP, nz·x/d maximized over the rows kept so far,
+    all later rows and eqs, in row order against the same flags, so the
+    flags are those of one LP per row.  With eps <= 0 (implicit equalities)
+    every row takes its LP.
     """
-    eps, z = _max_common_slack(poly)
-    certified = _ray_certified(poly, z) if eps > 0 else set()
-    rows = poly.ineqs
-    keep = [True] * len(rows)
-    for i, (a, b) in enumerate(rows):
+    eps, z = _max_common_slack(dim, ineqs, eqs)
+    certified = _ray_certified(dim, ineqs, eqs, z) if eps > 0 else set()
+    keep = [True] * len(ineqs)
+    for i, (nz, b, d) in enumerate(ineqs):
         if i in certified:
             continue
-        r = optimize(poly._derive([j for j in range(len(rows)) if keep[j] and j != i]), a, "max")
-        if r.status == OPTIMAL and r.optimum <= b:
+        others = [row for j, row in enumerate(ineqs) if keep[j] and j != i]
+        [r] = _optimize_rows(dim, others, eqs, [(nz, d, "max")])
+        if r.status == OPTIMAL and r.optimum * d <= b:
             keep[i] = False
         elif r.status == INFEASIBLE:
             raise InvariantViolationError("relaxation of a nonempty polyhedron is empty")
@@ -1162,7 +1147,7 @@ def remove_redundancy(poly: HPoly) -> HPoly:
     """
     rows = list(poly.ineqs)
     labels = list(poly.ineq_labels) if poly.ineq_labels is not None else None
-    keep = _nonredundant(poly)
+    keep = _nonredundant(poly.dim, *poly._int_rows())
     new_rows = tuple(row for row, k in zip(rows, keep) if k)
     new_labels = tuple(l for l, k in zip(labels, keep) if k) if labels is not None else None
     return HPoly(poly.dim, new_rows, poly.eqs, new_labels, poly.eq_labels)
@@ -1322,9 +1307,10 @@ def fm_project(poly: HPoly, keep: Iterable[int]) -> HPoly:
 
     It runs on `HPoly._int_rows` rows with {index: int} dicts: an equation
     substitution and an FM step, rows P and N as (-n_j)·P + p_j·N, are
-    `_substitute`, and a prune keys a row by its gcd-reduced form.  Only the
-    full prune and the output build Fractions; output equations are canonical.
-    With nothing to eliminate, the inequalities come back as given.
+    `_substitute`, a prune keys a row by its gcd-reduced form, and a full
+    prune passes the dict rows' pairs to `_nonredundant` as they are.  Only
+    the output builds Fractions; output equations are canonical.  With
+    nothing to eliminate, the inequalities come back as given.
     """
     keep_set = sorted(set(keep))
     if any(j < 0 or j >= poly.dim for j in keep_set):
@@ -1337,9 +1323,9 @@ def fm_project(poly: HPoly, keep: Iterable[int]) -> HPoly:
     empty = False
     irredundant = False
 
-    def fractions(rows, cols):
-        return [(tuple([Fraction(a[t], d) if t in a else ZERO for t in cols]), Fraction(b, d))
-                for a, b, d in rows]
+    def fractions(rows):
+        return tuple([(tuple([Fraction(a[t], d) if t in a else ZERO for t in keep_set]), Fraction(b, d))
+                      for a, b, d in rows])
 
     def prune(cheap=False):
         nonlocal ineqs, eqs, empty, irredundant
@@ -1364,9 +1350,9 @@ def fm_project(poly: HPoly, keep: Iterable[int]) -> HPoly:
                 best[key] = b
         ineqs = [({t: x for t, x in enumerate(key) if x}, b, 1) for key, b in sorted(best.items())]
         if not (empty or cheap):
-            current = HPoly(dim, fractions(ineqs, range(dim)), fractions(eqs, range(dim)))
             try:
-                flags = _nonredundant(current)
+                flags = _nonredundant(dim, [(a.items(), b, d) for a, b, d in ineqs],
+                                      [(c.items(), e, d) for c, e, d in eqs])
             except EmptyPolyhedronError:
                 empty = True
             else:
@@ -1410,4 +1396,4 @@ def fm_project(poly: HPoly, keep: Iterable[int]) -> HPoly:
         elif e != 0:
             ineqs, out_eqs = [({}, -1, 1)], []
             break
-    return HPoly(len(keep_set), tuple(fractions(ineqs, keep_set)), tuple(out_eqs))
+    return HPoly(len(keep_set), fractions(ineqs), tuple(out_eqs))

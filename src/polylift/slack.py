@@ -28,8 +28,8 @@ from .kernel import (
     _at_bound,
     _int_slack,
     _lex_fibers,
+    _optimize_rows,
     _sparse_int_row,
-    optimize,
 )
 from .linalg import Mat
 
@@ -137,7 +137,7 @@ def _pointed(q: HPoly) -> bool:
 
 def is_binding(hrep: HPoly) -> bool:
     """Every inequality is tight at some point of the polyhedron."""
-    return all(_at_bound(hrep, hrep.ineqs, "max"))
+    return all(_at_bound(hrep, hrep._int_rows()[0], "max"))
 
 
 def _binding_given_slacks(hrep: HPoly, sm: SlackMatrix, points: VPoly) -> bool:
@@ -146,11 +146,11 @@ def _binding_given_slacks(hrep: HPoly, sm: SlackMatrix, points: VPoly) -> bool:
     equations is the input error left; then every listed point is in P, a
     row with a zero slack is tight there, and only the other rows take an
     LP (one batch)."""
-    on_eqs = hrep._derive(())
+    on_eqs = HPoly(hrep.dim, (), hrep.eqs)
     for j, x in enumerate(points.vertices):
         if not on_eqs.contains(x):
             raise InputError(f"point {points.point_label(j)} violates an equation of the system")
-    return all(_at_bound(hrep, [r for r, row in zip(hrep.ineqs, sm.entries) if ZERO not in row], "max"))
+    return all(_at_bound(hrep, [r for r, row in zip(hrep._int_rows()[0], sm.entries) if ZERO not in row], "max"))
 
 
 def _slacks(hrep: HPoly, pts) -> list[tuple]:
@@ -268,6 +268,17 @@ def factorization_to_extension(
     return Extension(q, proj, original.dim, f"slack_extension(f={f})", lift)
 
 
+def _lineality_quotient(q: HPoly) -> tuple[HPoly, AffineMap]:
+    """Q quotiented by its lineality space, y = B z, and the map z -> y: B's
+    columns are the rows of Q that `linalg.independent_rows` keeps, which
+    span the orthogonal complement; the inequality count is the same."""
+    stacked = linalg.mat([a for a, _ in q.ineqs] + [c for c, _ in q.eqs])
+    keep = linalg.independent_rows(stacked)
+    quotient = AffineMap.linear(linalg.transpose([stacked[i] for i in keep]))
+    return HPoly(len(keep), [(quotient.pull_back(a), b) for a, b in q.ineqs],
+                 [(quotient.pull_back(c), d) for c, d in q.eqs]), quotient
+
+
 def extension_to_factorization(
     ext: Extension, hrep: HPoly, points: VPoly
 ) -> NonnegFactorization:
@@ -294,13 +305,7 @@ def extension_to_factorization(
     q_poly, proj = ext.q, ext.proj
     quotient = None
     if not _pointed(q_poly):
-        # quotient by the lineality space: y = B z, B's columns the rows
-        # kept, which span the orthogonal complement
-        stacked = linalg.mat([a for a, _ in q_poly.ineqs] + [c for c, _ in q_poly.eqs])
-        keep = linalg.independent_rows(stacked)
-        quotient = AffineMap.linear(linalg.transpose([stacked[i] for i in keep]))
-        q_poly = HPoly(len(keep), [(quotient.pull_back(a), b) for a, b in q_poly.ineqs],
-                       [(quotient.pull_back(c), d) for c, d in q_poly.eqs])
+        q_poly, quotient = _lineality_quotient(q_poly)
         proj = proj.compose(quotient)
     pm, p0 = proj.matrix, proj.offset
 
@@ -327,13 +332,13 @@ def extension_to_factorization(
     pbasis = [[e // d * sum([a * v[c] for c, a in nz]) for nz, _, d in prows] for v in basis]
     f0, f_cols = _frame_slacks(hrep._int_rows()[0], proj.apply(y0), pbasis, e * den)
 
-    # every t_rows LP is these rows plus 1 + k equations whose left sides,
-    # sigma0 and AN's columns, are the same for every row of T: each becomes
-    # integers once, (nz, 0, d0), and a row's rhs b only rescales it to the
-    # least denominator lcm(d0, den(b)), as `_sparse_int_row` would
-    nonneg = HPoly(qm, [(tuple(-ONE if c == col else ZERO for c in range(qm)), ZERO) for col in range(qm)])
-    lhs = [sigma0] + sigma_cols
-    int_lhs = [_sparse_int_row(a, ZERO) for a in lhs]
+    # every t_rows LP is the signs -t_c <= 0 plus 1 + k equations whose left
+    # sides, sigma0 and AN's columns, are the same for every row of T: each
+    # becomes integers once, (nz, 0, d0), and a row's rhs b only rescales it
+    # to the least denominator lcm(d0, den(b)), as `_sparse_int_row` would
+    signs = [(((c, -1),), 0, 1) for c in range(qm)]
+    ones = [(c, 1) for c in range(qm)]
+    int_lhs = [_sparse_int_row(a, ZERO) for a in [sigma0] + sigma_cols]
     t_rows = []
     for bs in zip(f0, *f_cols):
         int_eqs = []
@@ -342,7 +347,7 @@ def extension_to_factorization(
             if d != d0:
                 nz = tuple([(j, x * (d // d0)) for j, x in nz])
             int_eqs.append((nz, b.numerator * (d // b.denominator), d))
-        r = optimize(nonneg._derive_int(None, list(zip(lhs, bs)), int_eqs), (ONE,) * qm, "min")
+        [r] = _optimize_rows(qm, signs, int_eqs, [(ones, 1, "min")])
         if r.status != "optimal":
             raise InvariantViolationError(
                 "no nonnegative slack combination found; extension_to_factorization "

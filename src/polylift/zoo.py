@@ -80,6 +80,8 @@ def matching_vrep(n: int, cardinality: int | None = None) -> VPoly:
         raise InputError("n must be >= 1")
     if cardinality is not None and (cardinality < 0 or 2 * cardinality > n):
         raise InputError(f"no matchings of cardinality {cardinality} in K_{n}")
+    if n > 10:
+        raise SizeLimitError("matching_vrep refuses n > 10 (exponentially many matchings)")
     ei = GraphEdgeIndex(n)
     pts = []
     labels = []
@@ -97,6 +99,8 @@ def matching_hrep(n: int) -> HPoly:
     """Edmonds' description: nonnegativity, degree rows, odd-set rows."""
     if n < 2:
         raise InputError("n must be >= 2")
+    if n > 13:
+        raise SizeLimitError("matching_hrep refuses n > 13 (2^(n-1) odd-set rows)")
     ei = GraphEdgeIndex(n)
     m = len(ei)
     rows = []
@@ -136,6 +140,8 @@ def permutahedron_hrep(n: int) -> HPoly:
     """Rado's description: one equation and 2^n - 2 subset inequalities."""
     if n < 1:
         raise InputError("n must be >= 1")
+    if n > 14:
+        raise SizeLimitError("permutahedron_hrep refuses n > 14 (2^n - 2 rows)")
     rows = []
     labels = []
     for k in range(1, n):
@@ -223,6 +229,8 @@ def spanning_tree_hrep(n: int) -> HPoly:
     """Edmonds' subtour description: x(E(S)) <= |S|-1 plus x(E) = n-1."""
     if n < 2:
         raise InputError("n must be >= 2")
+    if n > 12:
+        raise SizeLimitError("spanning_tree_hrep refuses n > 12 (2^n subtour rows)")
     ei = GraphEdgeIndex(n)
     m = len(ei)
     rows = []

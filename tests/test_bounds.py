@@ -530,11 +530,13 @@ def test_embedding_checks_each_projected_vertex_once(monkeypatch):
 
 def test_embedding_rejects_a_preimage_that_is_no_face():
     # the points listed for Q, the unit square, miss its vertex (1, 1): in
-    # their lattice the preimage {(1, 0), (0, 1)} of P's long edge is no face
+    # their lattice the preimage {(1, 0), (0, 1)} of P's long edge would be
+    # no face, but a list that does not span Q is refused first
     q = zoo.cube_hrep(2)
     corner = VPoly(2, [(0, 0), (1, 0), (0, 1)])
     ident = cx.Extension(q, AffineMap.linear(linalg.identity(2)), 2, "id")
-    assert not bd.embedding_check(hull(corner), corner, ident, ext_vrep=corner)
+    with pytest.raises(InputError, match="does not span"):
+        bd.embedding_check(hull(corner), corner, ident, ext_vrep=corner)
     assert bd.embedding_check(hull(corner), corner, cx.Extension(hull(corner), ident.proj, 2, "id"))
 
 
@@ -581,8 +583,8 @@ def reference_embedding_check(target_hrep, target_vrep, ext, ext_vrep):
 def test_embedding_keeps_order_whenever_it_is_injective(data):
     # a face inside another has more tight rows, so its preimage is inside
     # the other's: with the order loop gone the verdicts are the same, also
-    # for a P other than p(Q) and for a list of Q's points that is not its
-    # vertex set
+    # for a P other than p(Q); a list of Q's points that misses a vertex is
+    # an input error
     d = data.draw(st.sampled_from([2, 3]))
     pts = data.draw(st.lists(st.tuples(*[st.integers(0, 2)] * d), min_size=d + 1, max_size=7, unique=True))
     mat = data.draw(st.lists(st.lists(st.integers(-1, 1), min_size=d, max_size=d), min_size=1, max_size=2))
@@ -597,6 +599,10 @@ def test_embedding_keeps_order_whenever_it_is_injective(data):
     pv = vertices(hull(VPoly(len(mat), sorted({tuple(x + shift for x in y) for y in images[:1]} | set(images)))))
     listed = data.draw(st.sampled_from([qv, VPoly(d, qv.vertices[:-1])]))
     ph = hull(pv)
+    if listed is not qv:
+        with pytest.raises(InputError, match="does not span"):
+            bd.embedding_check(ph, pv, ext, ext_vrep=listed)
+        return
     assert bd.embedding_check(ph, pv, ext, ext_vrep=listed) == reference_embedding_check(ph, pv, ext, listed)
 
 

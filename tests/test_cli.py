@@ -283,6 +283,14 @@ def test_cli_zoo_counts(capsys):
     assert "2 inequalities" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("family, bound", [("matching", 10), ("spanning-tree", 12), ("permutahedron", 14)])
+def test_cli_zoo_refuses_an_exponential_size_exit2(capsys, family, bound):
+    # `zoo matching 30` once ran for ever; it is a size-guard error now
+    assert main(["zoo", family, "30"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"refuses n > {bound} " in captured.err
+
+
 def _birkhoff3():
     h = zoo.birkhoff_hrep(3)
     return h, vertices(h)

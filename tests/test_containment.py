@@ -80,7 +80,7 @@ def ref_verify_extension(target, ext, *, target_vrep=None):
                     report.lift_hits += 1
         if not ok:
             rows = [(pm[i], v[i] - poff[i]) for i in range(ext.target_dim)]
-            fr = optimize(q._derive(eqs=rows), linalg.zeros(q.dim), "min")
+            fr = optimize(HPoly(q.dim, q.ineqs, q.eqs + tuple(rows)), linalg.zeros(q.dim), "min")
             ok = fr.status != "infeasible"
         if not ok:
             report.vertex_failures.append(v)
@@ -261,7 +261,7 @@ def assert_same_verify(*args, **kwargs):
     lex = [i for i, (is_lex, _) in enumerate(got_lps) if is_lex]
     missed = got.checked_vertices - got.lift_hits if isinstance(got, cx.VerifyReport) else 0
     q = args[1].q
-    assert len(lex) == (missed > 0 and q.dim > 0 and not kernel._presolve(q).infeasible)
+    assert len(lex) == (missed > 0 and q.dim > 0 and not kernel._presolve(q.dim, *q._int_rows()).infeasible)
     if not lex:
         assert got_lps == want_lps
         return got

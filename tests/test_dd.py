@@ -167,7 +167,7 @@ def _vertices_reference(poly):
             t_rows.append(row)
     if not t_rows:
         raise UnboundedPolyhedronError("no inequality bounds the affine hull")
-    eps, t_c = _max_common_slack(HPoly(k, t_rows))
+    eps, t_c = _max_common_slack(k, *HPoly(k, t_rows)._int_rows())
     if eps <= 0:
         raise InvariantViolationError("t-polytope has no interior point")
     polar = [tuple(ai / (b - linalg.dot(a, t_c)) for ai in a) for a, b in t_rows]

@@ -83,7 +83,7 @@ def reference_optimize_all(poly, objectives):
     cs = [(linalg.vec(c), sense) for c, sense in objectives]
     if not cs:
         return []
-    red = kernel._presolve(poly)
+    red = kernel._presolve(poly.dim, *poly._int_rows())
     if red.infeasible:
         return [LPResult(status=INFEASIBLE) for _ in cs]
     k = len(red.alive)
@@ -149,7 +149,7 @@ def test_integer_costs_on_non_unit_eliminations():
     # through 6 x2 - x0 = 3 with scale 2: the reduced costs and their
     # constants carry those denominators
     poly = HPoly(3, [([1, 0, 0], 4), ([-1, 0, 0], -1)], [([1, -2, 0], 1), ([0, -1, 3], 2)])
-    red = kernel._presolve(poly)
+    red = kernel._presolve(poly.dim, *poly._int_rows())
     assert red.subs == [(1, ({0: 1, 1: -2}, 1, 1)), (2, ({2: 6, 0: -1}, 3, 2))]
     objs = [([0, 1, 1], "max"), ([0, 1, 1], "min"), ([F(1, 2), 0, F(-1, 3)], "max"), ([0, 0, 0], "min"),
             ([0, "1/2", 1], "min"), ([1, 1, 1], "max")]
@@ -162,7 +162,7 @@ def test_integer_costs_on_non_unit_eliminations():
 @given(presolve_cases())
 def test_reduce_matches_the_fraction_objective(case):
     poly, c, _ = case
-    red = kernel._presolve(poly)
+    red = kernel._presolve(poly.dim, *poly._int_rows())
     if red.infeasible:
         return
     # a caller may reduce one dict more than once: reduce leaves it as it was

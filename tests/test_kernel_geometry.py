@@ -612,40 +612,6 @@ entries = st.one_of(st.just(0), st.just(F(0)), st.integers(-3, 3), st.builds(F, 
 
 
 @st.composite
-def derivations(draw):
-    """(base, keep, appended equations): a base with labels or without,
-    keep None (every inequality) or an increasing selection, possibly
-    empty, and appended rows of ints and Fractions with zero entries."""
-    dim = draw(st.integers(0, 4))
-    row = st.tuples(st.lists(entries, min_size=dim, max_size=dim), entries)
-    ineqs = draw(st.lists(row, max_size=5))
-    eqs = draw(st.lists(row, max_size=2))
-    labels = [f"r{i}" for i in range(len(ineqs))] if draw(st.booleans()) else None
-    base = HPoly(dim, ineqs, eqs, ineq_labels=labels)
-    keep = draw(st.one_of(st.none(), st.sets(st.integers(0, len(ineqs) - 1)).map(sorted) if ineqs else st.just([])))
-    return base, keep, draw(st.lists(row, max_size=3))
-
-
-@settings(deadline=None, derandomize=True, max_examples=300)
-@given(derivations())
-def test_derived_hpoly_equals_a_fresh_build(case):
-    base, keep, extra = case
-    base.contains((0,) * base.dim)  # the base's integer rows already built
-    got = base._derive(keep, extra)
-    kept = base.ineqs if keep is None else [base.ineqs[i] for i in keep]
-    want = HPoly(base.dim, kept, list(base.eqs) + extra)
-    assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
-    assert got._int_rows() == want._int_rows()
-
-
-def test_derived_hpoly_checks_appended_rows():
-    with pytest.raises(InputError, match="equation row has length 1, expected 2"):
-        cube(2)._derive(eqs=[((1,), 0)])
-    with pytest.raises(InputError, match="equation row has length 3, expected 2"):
-        cube(2)._derive([0], [((1, 0), 1), ((1, 0, 0), 0)])
-
-
-@st.composite
 def maps_and_forms(draw):
     """(map, a) with zero rows and zero entries in the matrix and in a."""
     in_dim, out_dim = draw(st.integers(1, 6)), draw(st.integers(0, 4))
@@ -691,7 +657,7 @@ def _fraction_frame(poly):
     the explicit and implicit equations, each nonzero row made canonical,
     and the nullspace of those rows from a second RREF (identity columns
     when there is no equation)."""
-    eps, point = kernel._max_common_slack(poly)
+    eps, point = kernel._max_common_slack(poly.dim, *poly._int_rows())
     implicit = [] if eps > 0 else kernel._implicit_equalities(poly)
     rows = [(tuple(c), d) for c, d in poly.eqs] + implicit
     eqs = []

@@ -24,7 +24,7 @@ ZERO = F(0)
 
 
 def reference_lex_min_point(poly: HPoly):
-    red = kernel._presolve(poly)
+    red = kernel._presolve(poly.dim, *poly._int_rows())
     if red.infeasible:
         raise EmptyPolyhedronError("polyhedron is empty")
     if poly.dim == 0:
@@ -53,7 +53,7 @@ def _outcome(y):
 
 def _reference(q, matrix, r):
     try:
-        return _outcome(reference_lex_min_point(q._derive(eqs=list(zip(matrix, r)))))
+        return _outcome(reference_lex_min_point(HPoly(q.dim, q.ineqs, q.eqs + tuple(zip(matrix, r)))))
     except (EmptyPolyhedronError, UnboundedPolyhedronError) as e:
         return _outcome(e)
 
@@ -184,7 +184,7 @@ def test_short_fiber_rows_and_repeated_points():
 
 
 def test_no_right_hand_sides(monkeypatch):
-    def no_presolve(poly):
+    def no_presolve(dim, ineqs, eqs):
         raise AssertionError("an empty batch presolves nothing")
 
     monkeypatch.setattr(kernel, "_presolve", no_presolve)
@@ -272,7 +272,7 @@ def reference_outside_image(q, proj, points):
     out = []
     for x in points:
         rows = [(row, xi - o) for row, xi, o in zip(proj.matrix, x, proj.offset)]
-        if optimize(q._derive(eqs=rows), linalg.zeros(q.dim), "min").status == INFEASIBLE:
+        if optimize(HPoly(q.dim, q.ineqs, q.eqs + tuple(rows)), linalg.zeros(q.dim), "min").status == INFEASIBLE:
             out.append(x)
     return out
 

@@ -20,7 +20,11 @@ once: the presolve's eliminations only as the integer equations `subs`
 integer rows (no `AffineMap._sparse_rows`; `apply` reads them with
 `_int_slack`), and whether rows reach their rhs over a polyhedron is asked
 by one batch, `kernel._at_bound`, for `_implicit_equalities` and for
-`slack`'s binding checks."""
+`slack`'s binding checks.  Every LP the library poses itself goes in as
+integer rows through `kernel._optimize_rows`: the max-common-slack LP, the
+redundancy LPs, the rows-at-bound batch and factorize's T rows call neither
+`HPoly` nor `optimize`/`optimize_all`, and no `HPoly` is built past its
+constructor (`object.__new__(HPoly)`, `HPoly._derive`)."""
 
 import ast
 from pathlib import Path
@@ -241,7 +245,8 @@ def test_the_call_check_reads_methods(tmp_path):
     assert _calls_in(tree, "VPoly.contains") is None
 
 
-ONE_RECORD_GONE = [("kernel.py", "_recover_vector"), ("kernel.py", "AffineMap._sparse_rows")]
+ONE_RECORD_GONE = [("kernel.py", "_recover_vector"), ("kernel.py", "AffineMap._sparse_rows"),
+                   ("kernel.py", "HPoly._derive"), ("kernel.py", "HPoly._derive_int")]
 AT_BOUND_CALLERS = [("kernel.py", "_implicit_equalities"), ("slack.py", "is_binding"),
                     ("slack.py", "_binding_given_slacks")]
 
@@ -281,6 +286,51 @@ def test_the_one_record_check_sees_a_second_copy(tmp_path):
         "        return self.matrix\n"
         "def _recover_vector(z, var_cols, dim):\n"
         "    return z\n"
+        "class HPoly:\n"
+        "    def _derive(self, keep=None, eqs=()):\n"
+        "        return self\n"
     )
-    assert _second_copies(_tree(path)) == ["_recover_vector", "AffineMap._sparse_rows",
+    assert _second_copies(_tree(path)) == ["_recover_vector", "AffineMap._sparse_rows", "HPoly._derive",
                                            "_Reduction.__init__: elim", "AffineMap.apply"]
+
+
+INTEGER_POSED = [("kernel.py", "_max_common_slack"), ("kernel.py", "_nonredundant"), ("kernel.py", "_at_bound"),
+                 ("slack.py", "extension_to_factorization")]
+
+
+def _hpoly_lps(tree, functions):
+    """What poses an LP of the library's own on an `HPoly`: each call of
+    `HPoly`, `optimize` or `optimize_all` inside the functions, as
+    "function: name", and each `object.__new__(HPoly)` in the tree, with
+    its line."""
+    out = [f"{f}: {c}" for f in functions for c in sorted(_calls_in(tree, f) & (LP_CALLS | {"HPoly"}))]
+    return out + [f"object.__new__(HPoly) at {n.lineno}" for n in ast.walk(tree)
+                  if isinstance(n, ast.Call) and _called(n) == "__new__"
+                  and any(isinstance(a, ast.Name) and a.id == "HPoly" for a in n.args)]
+
+
+def test_internal_lps_go_in_as_integer_rows():
+    for path in sorted(SRC.glob("*.py")):
+        functions = [f for name, f in INTEGER_POSED if name == path.name]
+        tree = _tree(path)
+        assert all(_calls_in(tree, f) is not None for f in functions), path.name
+        assert _hpoly_lps(tree, functions) == [], path.name
+    for name, function in INTEGER_POSED:
+        assert "_optimize_rows" in _calls_in(_tree(SRC / name), function), (name, function)
+
+
+def test_the_integer_row_check_sees_an_hpoly_lp(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "def _max_common_slack(dim, ineqs, eqs):\n"
+        "    return optimize(HPoly(dim + 1, ineqs, eqs), (), 'max')\n"
+        "def _at_bound(poly, rows, sense):\n"
+        "    return kernel.optimize_all(poly, rows)\n"
+        "def _nonredundant(dim, ineqs, eqs):\n"
+        "    out = object.__new__(HPoly)\n"
+        "    return _optimize_rows(dim, ineqs, eqs, [])\n"
+    )
+    functions = ["_max_common_slack", "_at_bound", "_nonredundant"]
+    assert _hpoly_lps(_tree(path), functions) == [
+        "_max_common_slack: HPoly", "_max_common_slack: optimize", "_at_bound: optimize_all",
+        "object.__new__(HPoly) at 6"]

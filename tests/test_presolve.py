@@ -336,7 +336,7 @@ def _reduced(red, c):
 def test_sparse_presolve_matches_dense_reference(case):
     poly, c, xr = case
     ref = _presolve(poly)
-    red = kernel._presolve(poly)
+    red = kernel._presolve(poly.dim, *poly._int_rows())
     assert red.infeasible == ref.infeasible
     assert red.alive == ref.alive
     assert eliminations(red) == [(j, _pairs(expr), const) for j, expr, const in ref.elim]
@@ -361,7 +361,7 @@ def test_standard_rows_match_the_fraction_assembly(case):
     # the presolve keeps feasible; the infeasible ones agree on that flag
     poly, c, _ = case
     ref = _presolve(poly)
-    red = kernel._presolve(poly)
+    red = kernel._presolve(poly.dim, *poly._int_rows())
     assert red.infeasible == ref.infeasible
     if red.infeasible:
         return
@@ -376,12 +376,14 @@ def test_sign_row_of_an_eliminated_variable():
     # -x1 <= 0, then x0 + x1 = 3 eliminates x1 = 3 - x0: the sign row
     # becomes x0 <= 3, and x0 = 5 then makes it 0 <= -2
     poly = HPoly(2, [([0, -1], 0)], [([1, 1], 3)])
-    red = kernel._presolve(poly)
+    red = kernel._presolve(poly.dim, *poly._int_rows())
     assert red.alive == [0] and eliminations(red) == [(1, ((0, F(-1)),), F(3))]
     assert red.ineqs == [([(0, 1)], 3, 1)] and red.nonneg == [False]
     # with |c_j| = 3 the row scales by 3: x1 = 1 - 2/3 x0 >= 0 is
     # 2/3 x0 <= 1, held as 2 x0 <= 3 with d = 3
-    red = kernel._presolve(HPoly(2, [([0, -1], 0)], [([2, 3], 3)]))
+    poly = HPoly(2, [([0, -1], 0)], [([2, 3], 3)])
+    red = kernel._presolve(poly.dim, *poly._int_rows())
     assert eliminations(red) == [(1, ((0, F(-2, 3)),), F(1))]
     assert red.ineqs == [([(0, 2)], 3, 3)]
-    assert kernel._presolve(HPoly(2, [([0, -1], 0)], [([1, 1], 3), ([1, 0], 5)])).infeasible
+    poly = HPoly(2, [([0, -1], 0)], [([1, 1], 3), ([1, 0], 5)])
+    assert kernel._presolve(poly.dim, *poly._int_rows()).infeasible

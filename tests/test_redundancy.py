@@ -136,21 +136,21 @@ def test_nonredundant_matches_one_lp_per_row(kind, data):
     if feasible_point(poly) is None:
         with pytest.raises(EmptyPolyhedronError) as expected:
             reference_remove_redundancy(poly)
-        for fn in (kernel._nonredundant, kernel.remove_redundancy):
+        for fn in (lambda p: kernel._nonredundant(p.dim, *p._int_rows()), kernel.remove_redundancy):
             with pytest.raises(EmptyPolyhedronError) as got:
                 fn(poly)
             assert str(got.value) == str(expected.value)
         return
     assert kind != "empty"
     flags = reference_nonredundant(poly)
-    assert kernel._nonredundant(poly) == flags
+    assert kernel._nonredundant(poly.dim, *poly._int_rows()) == flags
     out, expected = kernel.remove_redundancy(poly), reference_remove_redundancy(poly)
     assert out == expected and repr(out) == repr(expected)
     # the certificate alone: every row a ray certifies is one the LPs keep
-    eps, z = kernel._max_common_slack(poly)
+    eps, z = kernel._max_common_slack(poly.dim, *poly._int_rows())
     if kind == "implicit_eq":
         assert eps == 0
     if eps > 0:
-        assert all(flags[i] for i in kernel._ray_certified(poly, z))
+        assert all(flags[i] for i in kernel._ray_certified(poly.dim, *poly._int_rows(), z))
     if kind == "unbounded":
         assert optimize(poly, linalg.unit(poly.dim, 0), "max").status == "unbounded"

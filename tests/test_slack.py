@@ -294,24 +294,25 @@ def rescaled_birkhoff3(draw):
 @settings(deadline=None, derandomize=True, max_examples=25)
 @given(rescaled_birkhoff3())
 def test_t_row_systems_are_the_fraction_set_up(case):
-    """Each LP behind a row of T is the system the Fraction set-up built:
-    Q's nonnegativity, sigma0·t = f0 and (column j of AN)·t = fj - f0, with
-    sigma0 and AN from dot products at Q's frame point y0 and directions
-    n_j, f0 and fj hrep's slacks at p(y0) and p(y0 + n_j); and its integer
-    rows are those a fresh build gives."""
+    """Each LP behind a row of T is the system the Fraction set-up built,
+    as integer rows: Q's nonnegativity, sigma0·t = f0 and (column j of
+    AN)·t = fj - f0, with sigma0 and AN from dot products at Q's frame
+    point y0 and directions n_j, f0 and fj hrep's slacks at p(y0) and
+    p(y0 + n_j); its rows are those an `HPoly` of them gives, and its cost
+    is min 1·t."""
     ext, h, v = case
     seen = []
-    real = slack.optimize
+    real = slack._optimize_rows
 
-    def spy(poly, objective, sense):
-        seen.append(poly)
-        return real(poly, objective, sense)
+    def spy(dim, ineqs, eqs, costs):
+        seen.append((dim, ineqs, eqs, costs))
+        return real(dim, ineqs, eqs, costs)
 
-    slack.optimize = spy
+    slack._optimize_rows = spy
     try:
         fact = extension_to_factorization(ext, h, v)
     finally:
-        slack.optimize = real
+        slack._optimize_rows = real
     _, y0, basis, den = kernel._affine_frame(ext.q)
     null = [tuple(F(x, den) for x in b) for b in basis]
     sigma0 = tuple(b - linalg.dot(a, y0) for a, b in ext.q.ineqs)
@@ -319,11 +320,14 @@ def test_t_row_systems_are_the_fraction_set_up(case):
     p0 = ext.proj.apply(y0)
     pn = [ext.proj.apply(linalg.vadd(y0, n)) for n in null]
     assert len(seen) == len(h.ineqs) == len(fact.t)
-    for poly, (a, b) in zip(seen, h.ineqs):
+    qm = len(ext.q.ineqs)
+    nonneg = [([-int(j == c) for j in range(qm)], 0) for c in range(qm)]
+    for (dim, ineqs, eqs, costs), (a, b) in zip(seen, h.ineqs):
         f0 = b - linalg.dot(a, p0)
         want = [(sigma0, f0)] + [(c, b - linalg.dot(a, x) - f0) for c, x in zip(cols, pn)]
-        assert list(poly.eqs) == want
-        assert poly._int_rows() == HPoly(poly.dim, poly.ineqs, poly.eqs)._int_rows()
+        built = HPoly(qm, nonneg, want)._int_rows()
+        assert (dim, (tuple(ineqs), tuple(eqs))) == (qm, built)
+        assert [(list(pairs), w, sense) for pairs, w, sense in costs] == [([(c, 1) for c in range(qm)], 1, "min")]
 
 
 def test_extension_to_factorization_requires_binding():

@@ -69,6 +69,19 @@ def test_permutahedron_guard():
         zoo.permutahedron_vrep(9)
 
 
+@pytest.mark.parametrize("generator, bound", [
+    ("matching_vrep", 10), ("matching_hrep", 13), ("spanning_tree_hrep", 12), ("permutahedron_hrep", 14)])
+def test_exponential_generator_guard(generator, bound, monkeypatch):
+    # refused before anything is built: no subset or edge is enumerated
+    def no_build(*args):
+        raise AssertionError("the generator started building")
+
+    monkeypatch.setattr(zoo, "combinations", no_build)
+    for n in (bound + 1, 30):
+        with pytest.raises(SizeLimitError, match=f"{generator} refuses n > {bound} "):
+            getattr(zoo, generator)(n)
+
+
 def test_birkhoff():
     h = zoo.birkhoff_hrep(3)
     assert h.size() == 9
