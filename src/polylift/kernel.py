@@ -561,8 +561,9 @@ def _optimize_rows(dim: int, ineqs, eqs, costs) -> list[LPResult]:
     """`optimize_all` on integer rows (nonzero (index, int) pairs, rhs, d),
     as `HPoly._int_rows` gives them, and costs (pairs, w, sense), the
     objective pairs/w (the simplex reads signs, so any w > 0 gives the same
-    result): the LP entry of every LP the library poses itself.  Presolve, standard form and phase 1 are shared; each
-    cost gets its own phase 2, negated for max and `reduce`d."""
+    result): the LP entry of every LP the library poses itself.  Presolve,
+    standard form and phase 1 are shared; each cost gets its own phase 2,
+    negated for max and `reduce`d."""
     if not costs:
         return []
     red = _presolve(dim, ineqs, eqs)
