@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import __version__, bounds, constructions as cx, fileio, slack as sl, zoo
 from .errors import BudgetExceededError, InputError, PolyliftError
@@ -352,10 +353,12 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_parser = cache(build_parser)  # main's parser, built on its first call; parsing leaves it as it was
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         # argparse uses exit code 2 for usage errors, matching our convention
         return int(e.code or 0)

@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 from . import linalg
 from .errors import EmptyPolyhedronError, InputError, InvariantViolationError, SizeLimitError
 from .kernel import (
+    INFEASIBLE,
     AffineMap,
     HPoly,
     VPoly,
@@ -131,8 +132,8 @@ def verify_extension(target, ext: Extension, *, target_vrep: VPoly | None = None
     report.vertex_failures = _outside_image(q, proj, missed)
 
     # (b) the projection satisfies every row of the target description
-    point, fails = _image_violations(q, proj, hrep)
-    if point is None:
+    first, fails = _image_violations(q, proj, hrep)
+    if first.status == INFEASIBLE:
         report.extension_empty = True
         report.passed = not vrep.vertices
         return report
@@ -145,6 +146,13 @@ def verify_extension(target, ext: Extension, *, target_vrep: VPoly | None = None
     report.projection_bounded = all(value is not None for _, _, value in fails)
     report.passed = not report.vertex_failures and not fails
     return report
+
+
+def _int_vertex(v) -> list[int] | None:
+    """A lift's target vertex (ints or Fractions) as ints, or None when an
+    entry is not an integer."""
+    x = [t.numerator for t in v if t.denominator == 1]
+    return x if len(x) == len(v) else None
 
 
 # ---------------------------------------------------------------------------
@@ -165,11 +173,12 @@ def birkhoff_extension(n: int) -> Extension:
     proj = AffineMap.linear(rows)
 
     def lift(v):
-        if sorted(v) != list(range(1, n + 1)):
+        v = _int_vertex(v)
+        if v is None or sorted(v) != list(range(1, n + 1)):
             return None
         y = [0] * (n * n)
         for i, val in enumerate(v):
-            y[i * n + (int(val) - 1)] = 1
+            y[i * n + val - 1] = 1
         return tuple(y)
 
     return Extension(q, proj, n, f"birkhoff({n})", lift)
@@ -246,8 +255,11 @@ def martin_spanning_tree_extension(n: int) -> Extension:
         traversal rooted at 0 gives each vertex's parent, and below[u], the
         vertices under u as a bitmask: an edge's child side is its child's
         mask, the other side the rest."""
-        tree = [e for e, x in zip(ei.edges, v) if x == ONE]
-        if len(tree) != n - 1 or any(x not in (ZERO, ONE) for x in v[:m]):
+        x = _int_vertex(v)
+        if x is None or not {*x} <= {0, 1}:
+            return None
+        tree = [e for e, t in zip(ei.edges, x) if t]
+        if len(tree) != n - 1:
             return None
         adj = [[] for _ in range(n)]
         for a, b in tree:
@@ -264,7 +276,7 @@ def martin_spanning_tree_extension(n: int) -> Extension:
         below = [1 << u for u in range(n)]
         for u in reversed(order[1:]):
             below[parent[u]] |= below[u]
-        y = [int(x) for x in v[:m]] + [0] * len(triples)
+        y = x + [0] * len(triples)
         for a, b in tree:
             child = b if parent[b] == a else a
             for u in range(n):
@@ -454,9 +466,10 @@ def knapsack_flow_extension(weights, capacity: int) -> Extension:
     proj = AffineMap.linear(proj_rows)
 
     def lift(v):
-        if any(x not in (ZERO, ONE) for x in v):
+        x = _int_vertex(v)
+        if x is None or not {*x} <= {0, 1}:
             return None
-        chosen = [i + 1 for i, x in enumerate(v) if x == ONE]
+        chosen = [i + 1 for i, t in enumerate(x) if t]
         om = sum(net.weights[i - 1] for i in chosen)
         if om > net.capacity:
             return None
@@ -612,9 +625,9 @@ def sorting_network_extension(n: int, net: SortingNetwork) -> Extension:
     proj = AffineMap.coordinate_projection(d, range(n))
 
     def lift(v):
-        if sorted(v) != list(range(1, n + 1)):  # the network sorts: its last stage is sorted(v)
+        cur = _int_vertex(v)
+        if cur is None or sorted(cur) != list(range(1, n + 1)):  # the network sorts: its last stage is sorted(v)
             return None
-        cur = [int(x) for x in v]
         stages = [cur]
         for i, j in net.comparators:
             cur = list(cur)

@@ -4,8 +4,9 @@ Solves  min c·z  subject to  A z = b,  z >= 0  exactly, with Bland's
 smallest-index rule for both the entering and the leaving variable, which
 guarantees termination without any tolerance (every comparison is exact).
 One call takes a list of costs over the same rows: phase 1 runs once, and
-each cost gets its own phase 2 from a copy of the phase-1 tableau and basis,
-so the result for a cost does not depend on the other costs in the call.
+the costs share each Bland step of phase 2 until their paths part, each
+cost pivoting, bit for bit, on the tableau it would have had alone, so its
+result does not depend on the other costs in the call.
 In lex mode the costs are instead optimized in order on one shared tableau:
 after cost j is optimal, every nonbasic column with a nonzero reduced cost is
 barred from entering (it must stay 0 on the optimal face), and cost j+1
@@ -145,31 +146,35 @@ def _pivot(tab, objs, basis, r, c):
     basis[r] = c
 
 
-def _run_phase(tab, obj, basis, cols):
-    """Bland pivots until `obj` is optimal over the columns allowed to enter.
-
-    `cols` lists those columns in increasing order.  Returns None on
-    optimality, or the entering column index if unbounded.
-    """
-    objs = [obj]
+def _run_phase(tab, objs, basis, cols):
+    """Bland pivots while the objective rows `objs` agree on the entering
+    column, the first in `cols` (increasing) where a row is negative.  Returns
+    each row's entering column (None: optimal) where they part or stop."""
     while True:
-        enter = next((j for j in cols if obj[j] < 0), None)
-        if enter is None:
-            return None
-        # ratio test rhs/a over rows with a > 0, compared by cross-multiplying
-        leave = None
-        for i, row in enumerate(tab):
-            a = row[enter]
-            if a > 0:
-                if leave is None:
-                    leave, best_a, best_b = i, a, row[-1]
-                    continue
-                lhs, rhs = row[-1] * best_a, best_b * a
-                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
-                    leave, best_a, best_b = i, a, row[-1]
+        enters = [next((j for j in cols if obj[j] < 0), None) for obj in objs]
+        enter = enters[0]
+        if enter is None or enters.count(enter) < len(enters):
+            return enters
+        leave = _leave(tab, basis, enter)
         if leave is None:
-            return enter
+            return enters
         _pivot(tab, objs, basis, leave, enter)
+
+
+def _leave(tab, basis, enter):
+    """Bland's leaving row for `enter`, or None: the ratio test rhs/a over
+    the rows with a > 0, compared by cross-multiplying."""
+    leave = None
+    for i, row in enumerate(tab):
+        a = row[enter]
+        if a > 0:
+            if leave is None:
+                leave, best_a, best_b = i, a, row[-1]
+                continue
+            lhs, rhs = row[-1] * best_a, best_b * a
+            if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                leave, best_a, best_b = i, a, row[-1]
+    return leave
 
 
 def solve_standard(rows, scales, costs, lex: bool = False, shifts=()) -> list:
@@ -180,8 +185,8 @@ def solve_standard(rows, scales, costs, lex: bool = False, shifts=()) -> list:
     d_i; any gives the same pivots).  The lists become the tableau and are
     pivoted in place.  `costs` is a non-empty list of (integer list, scale)
     pairs, cost = list/scale, scale > 0, one result per cost in order.
-    Phase 1 runs once; each cost runs phase 2 on its own copy of the phase-1
-    tableau and basis, so every result equals that of a one-cost call.
+    Phase 1 runs once; the costs share each phase-2 pivot until their Bland
+    paths part, so every result equals that of a one-cost call.
 
     With `lex=True` result j minimizes costs[j] over the optimal face of
     costs[0..j-1] (lexicographic optimization): the costs share one tableau,
@@ -198,8 +203,7 @@ def solve_standard(rows, scales, costs, lex: bool = False, shifts=()) -> list:
     basis, ok = _phase1(rows, scales, n)
     dropped = _drive_out(rows, basis, n) if ok or shifts else []
     if not lex:
-        return [_phase2([row[:] for row in rows], basis[:], cost, list(range(n))) if ok
-                else StandardResult(status=INFEASIBLE) for cost in costs]
+        return _shared_phase2(rows, basis, costs, n) if ok else [StandardResult(status=INFEASIBLE) for _ in costs]
     out = [_lex(rows, basis, costs, n) if ok else [StandardResult(status=INFEASIBLE) for _ in costs]]
     for shift in shifts:
         # a dropped row reads 0 = its rhs, moved by its unit entries · shift
@@ -222,7 +226,7 @@ def _phase1(tab, scales, n):
         for j, x in enumerate(row):
             if x:
                 obj1[j] -= k * x
-    hit = _run_phase(tab, obj1, basis, range(n))
+    [hit] = _run_phase(tab, [obj1], basis, range(n))
     if hit is not None:
         raise InvariantViolationError("phase 1 cannot be unbounded")
     return basis, obj1[-1] >= 0
@@ -303,40 +307,79 @@ def _lex(tab, basis, costs, n) -> list[StandardResult]:
     return out
 
 
-def _phase2(tab, basis, cost, cols) -> StandardResult:
-    """Phase 2 of one cost from a feasible basis, pivoting on the tableau it
-    is given and entering only columns in `cols`.  At the optimum `cols` is
-    narrowed to the columns free to move on the optimal face."""
-    icost, w = cost
+def _shared_phase2(tab, basis, costs, n) -> list[StandardResult]:
+    """Phase 2 of every cost from one feasible basis.  At each basis the
+    costs part by Bland's entering column: those with none are optimal
+    there, a column with no leaving row is unbounded, and each other column
+    takes its pivot once for all its costs, every column but the last on a
+    copy of the tableau.  So each cost makes the pivots it would alone."""
+    out = [None] * len(costs)
+    stack = [(tab, basis, list(range(len(costs))), [_reduced(tab, basis, cost[0]) for cost in costs])]
+    while stack:
+        tab, basis, ks, objs = stack.pop()
+        groups = {}
+        for k, obj, enter in zip(ks, objs, _run_phase(tab, objs, basis, range(n))):
+            groups.setdefault(enter, []).append((k, obj))
+        basic = _basic(tab, basis)
+        moving = []
+        for enter, group in groups.items():
+            if enter is not None and _leave(tab, basis, enter) is not None:
+                moving.append(group)
+                continue
+            for k, _ in group:
+                point = partial(_point, basic, n)
+                out[k] = (StandardResult(status=OPTIMAL, point=point, value=_value(basic, *costs[k])) if enter is None
+                          else StandardResult(status=UNBOUNDED, point=point, ray=_ray(tab, basis, enter, n)))
+        for i, group in enumerate(moving):
+            last = i == len(moving) - 1
+            stack.append((tab if last else [row[:] for row in tab], basis if last else basis[:],
+                          [k for k, _ in group], [obj for _, obj in group]))
+    return out
+
+
+def _reduced(tab, basis, icost) -> list[int]:
+    """The reduced costs of icost: icost - sum of icost[v] * (true row of v),
+    times the lcm of the stored entries row[v], each the scale of v's row."""
     n = len(icost)
-    # reduced costs: icost - sum of icost[v] * (true row of v), times the
-    # lcm of the stored entries row[v], each the scale of the row of v
     common = lcm(*[tab[i][v] for i, v in enumerate(basis) if icost[v]])
-    obj2 = [common * x for x in icost]
-    obj2 += [0] * (len(tab[0]) - n) if tab else [0]  # unit columns, rhs
+    obj = [common * x for x in icost]
+    obj += [0] * (len(tab[0]) - n) if tab else [0]  # unit columns, rhs
     for i, v in enumerate(basis):
-        if obj2[v]:
+        if obj[v]:
             row = tab[i]
-            k = obj2[v] // row[v]  # exact: common is a multiple of row[v]
+            k = obj[v] // row[v]  # exact: common is a multiple of row[v]
             for j, x in enumerate(row):
                 if x:
-                    obj2[j] -= k * x
-    hit = _run_phase(tab, obj2, basis, cols)
+                    obj[j] -= k * x
+    return obj
+
+
+def _phase2(tab, basis, cost, cols) -> StandardResult:
+    """Lex mode's phase 2 of one cost from a feasible basis, pivoting on the
+    tableau it is given and entering only columns in `cols`.  At the optimum
+    `cols` is narrowed to the columns free to move on the optimal face."""
+    icost, w = cost
+    n = len(icost)
+    obj2 = _reduced(tab, basis, icost)
+    [hit] = _run_phase(tab, [obj2], basis, cols)
     basic = _basic(tab, basis)
     point = partial(_point, basic, n)
-
     if hit is not None:
-        ray = [ZERO] * n
-        ray[hit] = ONE
-        for i, v in enumerate(basis):
-            a = tab[i][hit]
-            if a:
-                ray[v] = Fraction(-a, tab[i][v])
-        return StandardResult(status=UNBOUNDED, point=point, ray=ray)
-
+        return StandardResult(status=UNBOUNDED, point=point, ray=_ray(tab, basis, hit, n))
     # a nonbasic column with a positive reduced cost is 0 on the optimal face
     cols[:] = [j for j in cols if not obj2[j]]
     return StandardResult(status=OPTIMAL, point=point, value=_value(basic, icost, w))
+
+
+def _ray(tab, basis, hit, n) -> list[Fraction]:
+    """The improving ray along column `hit`, which no row bounds."""
+    ray = [ZERO] * n
+    ray[hit] = ONE
+    for i, v in enumerate(basis):
+        a = tab[i][hit]
+        if a:
+            ray[v] = Fraction(-a, tab[i][v])
+    return ray
 
 
 def _value(basic, icost, w) -> Fraction:

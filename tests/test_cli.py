@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from polylift import __version__
 from polylift import constructions as cx
-from polylift import fileio, zoo
+from polylift import cli, fileio, zoo
 from polylift.cli import main
 from polylift.kernel import HPoly, VPoly, hull, vertices
 
@@ -291,6 +291,14 @@ def test_cli_zoo_refuses_an_exponential_size_exit2(capsys, family, bound):
     assert captured.out == "" and f"refuses n > {bound} " in captured.err
 
 
+def test_cli_zoo_matching_guard_counts_the_matchings_asked_for(capsys):
+    # K_30 has 435 matchings of cardinality 1, fewer than K_10's 9496
+    assert main(["zoo", "matching", "30", "--cardinality", "1", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"] == {"points": 435}
+    assert main(["zoo", "matching", "20", "--cardinality", "2"]) == 2
+    assert "refuses 14535 matchings of cardinality 2 in K_20" in capsys.readouterr().err
+
+
 def _birkhoff3():
     h = zoo.birkhoff_hrep(3)
     return h, vertices(h)
@@ -558,6 +566,18 @@ def test_cli_size_guard_exit2(capsys):
 
 def test_cli_unknown_command_exit2(capsys):
     assert main(["frobnicate"]) == 2
+
+
+def test_cli_parser_built_once_answers_alike(capsys):
+    # main keeps its parser between calls: a usage error and --version give
+    # the same codes and bytes after other calls, and a fresh parser's
+    calls = [["frobnicate"], ["--version"], ["zoo", "cube", "2"], ["zoo", "cube", "2", "--W"]]
+    first = [(main(argv), *capsys.readouterr()) for argv in calls]
+    assert [(main(argv), *capsys.readouterr()) for argv in calls] == first
+    assert [code for code, _, _ in first] == [2, 0, 0, 2] and first[1][1] == f"polylift {__version__}\n"
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["frobnicate"])
+    assert (first[0][1], first[0][2]) == capsys.readouterr()
 
 
 def test_cli_subprocess_determinism(tmp_path):

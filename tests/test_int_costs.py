@@ -62,7 +62,7 @@ def reference_phase2(tab, basis, cost, cols):
             for j, x in enumerate(row):
                 if x:
                     obj2[j] -= k * x
-    hit = simplex._run_phase(tab, obj2, basis, cols)
+    [hit] = simplex._run_phase(tab, [obj2], basis, cols)
     basic = simplex._basic(tab, basis)
     point = partial(simplex._point, basic, n)
     if hit is not None:
@@ -192,18 +192,18 @@ def reference_image_violations(q, proj, p):
         q, [(zero, "min")] + [(proj.pull_back(a) if proj.matrix else zero, s) for _, a, _, s in checks]
     )
     if first.status == INFEASIBLE:
-        return None, []
+        return first, []
     fails = []
     for (i, a, b, sense), r in zip(checks, results):
         value = None if r.status == UNBOUNDED else r.optimum + linalg.dot(a, proj.offset)
         if value is None or (value > b if sense == "max" else value < b):
             fails.append((i, r, value))
-    return first.primal_point, fails
+    return first, fails
 
 
 def _outcome(found):
-    point, fails = found
-    return point, [(i, r.status, value, r.primal_point, r.dual_certificate) for i, r, value in fails]
+    first, fails = found
+    return first.status, first.primal_point, [(i, r.status, value, r.primal_point, r.dual_certificate) for i, r, value in fails]
 
 
 @st.composite

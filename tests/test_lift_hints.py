@@ -185,3 +185,108 @@ def test_fractional_vertices_keep_fraction_hints():
     assert _is_lift(ext.q, ext.proj, y, (F(1, 2),))
     assert cx.birkhoff_extension(3).lift((F(1), F(5, 2), F(5, 2))) is None
     assert cx.sorting_network_extension(3, cx.bubble_network(3)).lift((F(1), F(5, 2), F(5, 2))) is None
+
+
+# ---------------------------------------------------------------------------
+# The lifts read the vertex as integers, as the Fraction lifts did
+# ---------------------------------------------------------------------------
+
+def fraction_birkhoff_lift(n, v):
+    if sorted(v) != list(range(1, n + 1)):
+        return None
+    y = [0] * (n * n)
+    for i, val in enumerate(v):
+        y[i * n + (int(val) - 1)] = 1
+    return tuple(y)
+
+
+def fraction_sortnet_lift(n, net, v):
+    if sorted(v) != list(range(1, n + 1)):
+        return None
+    cur = [int(x) for x in v]
+    stages = [cur]
+    for i, j in net.comparators:
+        cur = list(cur)
+        if cur[i] > cur[j]:
+            cur[i], cur[j] = cur[j], cur[i]
+        stages.append(cur)
+    return tuple(x for stage in stages for x in stage)
+
+
+def fraction_martin_lift(n, v):
+    ei = zoo.GraphEdgeIndex(n)
+    m = len(ei)
+    triples = [(a, b, u) for a in range(n) for b in range(n) for u in range(n) if a != b and a != u and b != u]
+    zpos = {t: m + i for i, t in enumerate(triples)}
+    tree = [e for e, x in zip(ei.edges, v) if x == ONE]
+    if len(tree) != n - 1 or any(x not in (ZERO, ONE) for x in v[:m]):
+        return None
+    adj = [[] for _ in range(n)]
+    for a, b in tree:
+        adj[a].append(b)
+        adj[b].append(a)
+    parent, order = {0: None}, [0]
+    for cur in order:
+        for nxt in adj[cur]:
+            if nxt not in parent:
+                parent[nxt] = cur
+                order.append(nxt)
+    if len(order) != n:
+        return None
+    below = [1 << u for u in range(n)]
+    for u in reversed(order[1:]):
+        below[parent[u]] |= below[u]
+    y = [int(x) for x in v[:m]] + [0] * len(triples)
+    for a, b in tree:
+        child = b if parent[b] == a else a
+        for u in range(n):
+            if u != a and u != b:
+                on_b = (below[child] >> u & 1) == (child == b)
+                y[zpos[(a, b, u) if on_b else (b, a, u)]] = 1
+    return tuple(y)
+
+
+def fraction_knapsack_lift(weights, capacity, v):
+    net = cx.knapsack_network(weights, capacity)
+    arc_ix = {a: i for i, a in enumerate(net.arcs)}
+    if any(x not in (ZERO, ONE) for x in v):
+        return None
+    chosen = [i + 1 for i, x in enumerate(v) if x == ONE]
+    if sum(net.weights[i - 1] for i in chosen) > net.capacity:
+        return None
+    y = [0] * len(net.arcs)
+    cur = (0, 0)
+    for item in chosen:
+        nxt = (item, cur[1] + net.weights[item - 1])
+        y[arc_ix[(cur, nxt, item)]] = 1
+        cur = nxt
+    y[arc_ix[(cur, "t", None)]] = 1
+    return tuple(y)
+
+
+HALF = F(1, 2)
+PERMS_OFF = [(HALF, F(2), F(3), F(4)), (F(1), F(1), F(3), F(4)), (F(2), F(3), F(4), F(5)), (ZERO, ONE, F(2), F(3))]
+# K_4's edges (0,1), (0,2), (0,3), (1,2), (1,3), (2,3): a 1/2 entry, a
+# triangle that misses node 3, a 4-cycle, a 2 entry, no edge
+TREES_OFF = [(HALF, ONE, ONE, ZERO, ZERO, ZERO), (ONE, ONE, ZERO, ONE, ZERO, ZERO),
+             (ONE, ONE, ZERO, ZERO, ONE, ONE), (F(2), ONE, ONE, ZERO, ZERO, ZERO), (ZERO,) * 6]
+SETS_OFF = [(HALF, ZERO, ONE, ZERO), (F(2), ZERO, ZERO, ZERO), (ONE,) * 4, (ZERO, ONE, F(-1), ZERO)]
+
+
+@pytest.mark.parametrize("ext, lift, vrep, off", [
+    (cx.birkhoff_extension(4), lambda v: fraction_birkhoff_lift(4, v), zoo.permutahedron_vrep(4), PERMS_OFF),
+    (cx.sorting_network_extension(4, cx.batcher_network(4)),
+     lambda v: fraction_sortnet_lift(4, cx.batcher_network(4), v), zoo.permutahedron_vrep(4), PERMS_OFF),
+    (cx.martin_spanning_tree_extension(4), lambda v: fraction_martin_lift(4, v), zoo.spanning_tree_vrep(4),
+     TREES_OFF),
+    (cx.knapsack_flow_extension((2, 3, 5, 6), 8), lambda v: fraction_knapsack_lift((2, 3, 5, 6), 8, v),
+     zoo.knapsack_vrep((2, 3, 5, 6), 8), SETS_OFF),
+], ids=["birkhoff(4)", "sortnet(4)", "martin(4)", "knapsack_flow"])
+def test_integer_lifts_match_the_fraction_lifts(ext, lift, vrep, off):
+    # every vertex, as Fractions and as ints, then points that are none
+    ints = [tuple(int(x) for x in v) for v in vrep.vertices]
+    for v in [*vrep.vertices, *ints, *off]:
+        want = lift(v)
+        assert ext.lift(v) == want, v
+        assert (want is None) == (v in off)
+        assert want is None or all(type(x) is int for x in ext.lift(v))
