@@ -18,7 +18,6 @@ from typing import Callable, Sequence
 from . import linalg
 from .errors import EmptyPolyhedronError, InputError, InvariantViolationError, SizeLimitError
 from .kernel import (
-    INFEASIBLE,
     AffineMap,
     HPoly,
     VPoly,
@@ -133,7 +132,7 @@ def verify_extension(target, ext: Extension, *, target_vrep: VPoly | None = None
 
     # (b) the projection satisfies every row of the target description
     first, fails = _image_violations(q, proj, hrep)
-    if first.status == INFEASIBLE:
+    if first is None:
         report.extension_empty = True
         report.passed = not vrep.vertices
         return report
@@ -149,8 +148,7 @@ def verify_extension(target, ext: Extension, *, target_vrep: VPoly | None = None
 
 
 def _int_vertex(v) -> list[int] | None:
-    """A lift's target vertex (ints or Fractions) as ints, or None when an
-    entry is not an integer."""
+    """A target vertex (ints or Fractions) as ints, or None for a non-integer."""
     x = [t.numerator for t in v if t.denominator == 1]
     return x if len(x) == len(v) else None
 
@@ -256,10 +254,8 @@ def martin_spanning_tree_extension(n: int) -> Extension:
         vertices under u as a bitmask: an edge's child side is its child's
         mask, the other side the rest."""
         x = _int_vertex(v)
-        if x is None or not {*x} <= {0, 1}:
-            return None
-        tree = [e for e, t in zip(ei.edges, x) if t]
-        if len(tree) != n - 1:
+        tree = [e for e, t in zip(ei.edges, x or ()) if t]
+        if x is None or not {*x} <= {0, 1} or len(tree) != n - 1:
             return None
         adj = [[] for _ in range(n)]
         for a, b in tree:

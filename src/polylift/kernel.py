@@ -321,12 +321,11 @@ class PolyEqualResult:
 
 
 # ---------------------------------------------------------------------------
-# LP layer: each optimize_all or _lex_fibers call makes one
-# simplex.solve_standard call on integer rows and costs, which runs phase 1
-# once and gives each objective its phase 2, shared with the others until
-# their Bland paths part (_lex_fibers: one per
-# leading coordinate, each on the optimal face of the coordinates before
-# it, or one zero cost, for each right-hand side); lp_solve is two optimizes
+# LP layer: each optimize_all or _lex_fibers call makes one solve_standard
+# call on integer rows and costs: phase 1 once, and phase 2 for each objective,
+# shared until their Bland paths part (_lex_fibers: one per leading coordinate,
+# each on the optimal face of the coordinates before it, or one zero cost, for
+# each right-hand side); lp_solve is two optimizes
 # ---------------------------------------------------------------------------
 
 def _assemble_standard(dim, ineqs, eqs, costs_min, nonneg, units=0):
@@ -1184,14 +1183,14 @@ def _image_violations(q: HPoly, proj: AffineMap, p: HPoly):
     decides whether q is empty, then each inequality of p maximized and each
     equation maximized and minimized, pulled back through proj.
 
-    Returns the zero objective's LPResult (INFEASIBLE when q is empty) and
-    the failing rows in that order, each as (i, LPResult, value): i indexes
+    Returns the zero objective's LPResult (None when q is empty) and the
+    failing rows in that order, each as (i, LPResult, value): i indexes
     p.ineqs + p.eqs, and value is the row's optimum over proj(q), or None
     when the row is unbounded there (the LPResult then carries a ray of q).
     On integer rows, p's (a, B, D) and proj's (P_r, O_r, d_r), with L the lcm
-    of the d_r a uses and m_r = a_r·L/d_r: L·a·proj(y) = cost·y - K, cost =
-    Σ m_r·P_r and K = Σ m_r·O_r, so the row holds where max (or min) cost·y
-    is <= (>=) K + L·B."""
+    of the d_r a uses and m_r = a_r·L/d_r: L·a·proj(y) = cost·y - K, cost = Σ
+    m_r·P_r and K = Σ m_r·O_r, so the row holds where max (or min) cost·y is
+    <= (>=) K + L·B."""
     ineqs, eqs = p._int_rows()
     prows = proj._int_rows()
     objectives, checks = [([0] * q.dim, "min")], []
@@ -1209,7 +1208,7 @@ def _image_violations(q: HPoly, proj: AffineMap, p: HPoly):
             checks.append((i, sense, k, k + big * b, big * d))
     first, *results = optimize_all(q, objectives)
     if first.status == INFEASIBLE:
-        return first, []
+        return None, []
     fails = []
     for (i, sense, k, t, scale), r in zip(checks, results):
         if r.status == UNBOUNDED:
@@ -1273,21 +1272,20 @@ def poly_equal(p1: HPoly | VPoly, p2: HPoly | VPoly) -> PolyEqualResult:
         hv = hull(v)
         _, fails = _image_violations(h, ident, hv)
         return PolyEqualResult(False, _row_witness(hv, fails[0]), h_side) if fails else PolyEqualResult(True)
-    # whether each side is empty, a side's point (built only when reported),
-    # then the points outside the other side (side 2's only if side 1's none)
+    # a point of each side in an LPResult, read only to report it (None for an
+    # empty side), then the points outside the other side (V sides: side 2's
+    # batch only if side 1's finds none)
     if isinstance(p1, HPoly):
-        (r1, fails1), (r2, fails2) = _image_violations(p1, ident, p2), _image_violations(p2, ident, p1)
-        empty = (r1.status == INFEASIBLE, r2.status == INFEASIBLE)
-        point = lambda side: (r1, r2)[side - 1].primal_point
-        outside = ((_row_witness(p, f[0]), side) for p, f, side in ((p2, fails1, 1), (p1, fails2, 2)) if f)
+        (x1, fails1), (x2, fails2) = _image_violations(p1, ident, p2), _image_violations(p2, ident, p1)
+        outside = [(_row_witness(p, f[0]), side) for p, f, side in ((p2, fails1, 1), (p1, fails2, 2)) if f]
     else:
-        empty = (not p1.vertices, not p2.vertices)
-        point = lambda side: (p1, p2)[side - 1].vertices[0]
+        x1, x2 = (LPResult(OPTIMAL, primal_point=p.vertices[0]) if p.vertices else None for p in (p1, p2))
         outside = ((x, side) for p, other, side in ((p1, p2, 1), (p2, p1, 2))
                    for x in _outside_image(*_conv(other.dim, other.vertices), p.vertices))
-    if any(empty):
-        side = 2 if empty[0] else 1
-        return PolyEqualResult(True) if all(empty) else PolyEqualResult(False, point(side), side)
+    if x1 is None:
+        return PolyEqualResult(True) if x2 is None else PolyEqualResult(False, x2.primal_point, 2)
+    if x2 is None:
+        return PolyEqualResult(False, x1.primal_point, 1)
     for x, side in outside:
         return PolyEqualResult(False, x, side)
     return PolyEqualResult(True)

@@ -4,9 +4,8 @@ Solves  min c·z  subject to  A z = b,  z >= 0  exactly, with Bland's
 smallest-index rule for both the entering and the leaving variable, which
 guarantees termination without any tolerance (every comparison is exact).
 One call takes a list of costs over the same rows: phase 1 runs once, and
-the costs share each Bland step of phase 2 until their paths part, each
-cost pivoting, bit for bit, on the tableau it would have had alone, so its
-result does not depend on the other costs in the call.
+the costs share phase 2's Bland steps until their paths part, so each cost
+takes the path, and gets the result, it would have in a call of its own.
 In lex mode the costs are instead optimized in order on one shared tableau:
 after cost j is optimal, every nonbasic column with a nonzero reduced cost is
 barred from entering (it must stay 0 on the optimal face), and cost j+1
@@ -149,32 +148,27 @@ def _pivot(tab, objs, basis, r, c):
 def _run_phase(tab, objs, basis, cols):
     """Bland pivots while the objective rows `objs` agree on the entering
     column, the first in `cols` (increasing) where a row is negative.  Returns
-    each row's entering column (None: optimal) where they part or stop."""
+    each row's entering column where they part or stop: None when optimal, and
+    a column they all share only when no row bounds it."""
     while True:
         enters = [next((j for j in cols if obj[j] < 0), None) for obj in objs]
         enter = enters[0]
         if enter is None or enters.count(enter) < len(enters):
             return enters
-        leave = _leave(tab, basis, enter)
+        # ratio test rhs/a over rows with a > 0, compared by cross-multiplying
+        leave = None
+        for i, row in enumerate(tab):
+            a = row[enter]
+            if a > 0:
+                if leave is None:
+                    leave, best_a, best_b = i, a, row[-1]
+                    continue
+                lhs, rhs = row[-1] * best_a, best_b * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave, best_a, best_b = i, a, row[-1]
         if leave is None:
             return enters
         _pivot(tab, objs, basis, leave, enter)
-
-
-def _leave(tab, basis, enter):
-    """Bland's leaving row for `enter`, or None: the ratio test rhs/a over
-    the rows with a > 0, compared by cross-multiplying."""
-    leave = None
-    for i, row in enumerate(tab):
-        a = row[enter]
-        if a > 0:
-            if leave is None:
-                leave, best_a, best_b = i, a, row[-1]
-                continue
-            lhs, rhs = row[-1] * best_a, best_b * a
-            if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
-                leave, best_a, best_b = i, a, row[-1]
-    return leave
 
 
 def solve_standard(rows, scales, costs, lex: bool = False, shifts=()) -> list:
@@ -298,8 +292,7 @@ def _lex(tab, basis, costs, n) -> list[StandardResult]:
         if len(cols) == len(basis):
             # basic columns are never barred, so every nonbasic one is:
             # the optimal face is the current point, and no column enters
-            basic = _basic(tab, basis)
-            out.append(StandardResult(status=OPTIMAL, point=partial(_point, basic, n), value=_value(basic, *cost)))
+            out.append(_result(tab, basis, cost, None, n))
             continue
         out.append(_phase2(tab, basis, cost, cols))
         if out[-1].status == UNBOUNDED:
@@ -308,32 +301,28 @@ def _lex(tab, basis, costs, n) -> list[StandardResult]:
 
 
 def _shared_phase2(tab, basis, costs, n) -> list[StandardResult]:
-    """Phase 2 of every cost from one feasible basis.  At each basis the
-    costs part by Bland's entering column: those with none are optimal
-    there, a column with no leaving row is unbounded, and each other column
-    takes its pivot once for all its costs, every column but the last on a
-    copy of the tableau.  So each cost makes the pivots it would alone."""
+    """Phase 2 of every cost from one feasible basis.  At each basis the costs
+    part by Bland's entering column: those with none are optimal there, and
+    each column goes on for its costs alone.  A basis where columns part is
+    kept once: the first goes on in place, popped last, each other on a copy."""
     out = [None] * len(costs)
-    stack = [(tab, basis, list(range(len(costs))), [_reduced(tab, basis, cost[0]) for cost in costs])]
+    # (tableau, basis, copy them first, [(cost index, objective row)])
+    stack = [(tab, basis, False, [(k, _reduced(tab, basis, c[0])) for k, c in enumerate(costs)])]
     while stack:
-        tab, basis, ks, objs = stack.pop()
+        tab, basis, copy, group = stack.pop()
+        if copy:
+            tab, basis = [row[:] for row in tab], basis[:]
         groups = {}
-        for k, obj, enter in zip(ks, objs, _run_phase(tab, objs, basis, range(n))):
+        for (k, obj), enter in zip(group, _run_phase(tab, [obj for _, obj in group], basis, range(n))):
             groups.setdefault(enter, []).append((k, obj))
-        basic = _basic(tab, basis)
-        moving = []
+        copy = False
         for enter, group in groups.items():
-            if enter is not None and _leave(tab, basis, enter) is not None:
-                moving.append(group)
-                continue
-            for k, _ in group:
-                point = partial(_point, basic, n)
-                out[k] = (StandardResult(status=OPTIMAL, point=point, value=_value(basic, *costs[k])) if enter is None
-                          else StandardResult(status=UNBOUNDED, point=point, ray=_ray(tab, basis, enter, n)))
-        for i, group in enumerate(moving):
-            last = i == len(moving) - 1
-            stack.append((tab if last else [row[:] for row in tab], basis if last else basis[:],
-                          [k for k, _ in group], [obj for _, obj in group]))
+            if enter is not None and len(groups) > 1:
+                stack.append((tab, basis, copy, group))
+                copy = True
+            else:  # optimal, or unbounded along the column all the group's rows share
+                for k, _ in group:
+                    out[k] = _result(tab, basis, costs[k], enter, n)
     return out
 
 
@@ -358,28 +347,27 @@ def _phase2(tab, basis, cost, cols) -> StandardResult:
     """Lex mode's phase 2 of one cost from a feasible basis, pivoting on the
     tableau it is given and entering only columns in `cols`.  At the optimum
     `cols` is narrowed to the columns free to move on the optimal face."""
-    icost, w = cost
-    n = len(icost)
-    obj2 = _reduced(tab, basis, icost)
+    obj2 = _reduced(tab, basis, cost[0])
     [hit] = _run_phase(tab, [obj2], basis, cols)
+    if hit is None:
+        # a nonbasic column with a positive reduced cost is 0 on the optimal face
+        cols[:] = [j for j in cols if not obj2[j]]
+    return _result(tab, basis, cost, hit, len(cost[0]))
+
+
+def _result(tab, basis, cost, hit, n) -> StandardResult:
+    """Phase 2's result where it stops: optimal, or unbounded along `hit`."""
     basic = _basic(tab, basis)
     point = partial(_point, basic, n)
-    if hit is not None:
-        return StandardResult(status=UNBOUNDED, point=point, ray=_ray(tab, basis, hit, n))
-    # a nonbasic column with a positive reduced cost is 0 on the optimal face
-    cols[:] = [j for j in cols if not obj2[j]]
-    return StandardResult(status=OPTIMAL, point=point, value=_value(basic, icost, w))
-
-
-def _ray(tab, basis, hit, n) -> list[Fraction]:
-    """The improving ray along column `hit`, which no row bounds."""
+    if hit is None:
+        return StandardResult(status=OPTIMAL, point=point, value=_value(basic, *cost))
     ray = [ZERO] * n
     ray[hit] = ONE
     for i, v in enumerate(basis):
         a = tab[i][hit]
         if a:
             ray[v] = Fraction(-a, tab[i][v])
-    return ray
+    return StandardResult(status=UNBOUNDED, point=point, ray=ray)
 
 
 def _value(basic, icost, w) -> Fraction:

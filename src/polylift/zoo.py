@@ -81,12 +81,11 @@ def matching_vrep(n: int, cardinality: int | None = None) -> VPoly:
         raise InputError("n must be >= 1")
     if cardinality is not None and (cardinality < 0 or 2 * cardinality > n):
         raise InputError(f"no matchings of cardinality {cardinality} in K_{n}")
-    # C(n, 2k)·(2k-1)!! matchings of cardinality k, against all 9,496 of K_10
-    count = sum(comb(n, 2 * k) * prod(range(1, 2 * k, 2))
-                for k in (range(n // 2 + 1) if cardinality is None else (cardinality,)))
-    if count > 9496:
-        raise SizeLimitError("matching_vrep refuses n > 10 (exponentially many matchings)" if cardinality is None else
-                             f"matching_vrep refuses {count} matchings of cardinality {cardinality} in K_{n} (K_10 has 9496)")
+    # K_10 has 9,496 matchings, K_n C(n, 2k)·(2k-1)!! of cardinality k; (2k-1)!! > 9,496 from k = 6
+    if n > 10 and (cardinality is None or cardinality > 5
+                   or comb(n, 2 * cardinality) * prod(range(1, 2 * cardinality, 2)) > 9496):
+        raise SizeLimitError("matching_vrep refuses n > 10 (exponentially many matchings) unless a cardinality"
+                             " k with at most 9496 matchings, C(n, 2k)·(2k-1)!!, is asked for")
     ei = GraphEdgeIndex(n)
     pts = []
     labels = []

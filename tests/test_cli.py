@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -295,8 +296,16 @@ def test_cli_zoo_matching_guard_counts_the_matchings_asked_for(capsys):
     # K_30 has 435 matchings of cardinality 1, fewer than K_10's 9496
     assert main(["zoo", "matching", "30", "--cardinality", "1", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["results"] == {"points": 435}
-    assert main(["zoo", "matching", "20", "--cardinality", "2"]) == 2
-    assert "refuses 14535 matchings of cardinality 2 in K_20" in capsys.readouterr().err
+    assert main(["zoo", "matching", "10", "--cardinality", "4"]) == 0  # 4725, the most in K_10
+    capsys.readouterr()
+    # 14535, 10395 and a count of thousands of digits, each refused without
+    # being counted in full
+    for argv in (["20", "--cardinality", "2"], ["12", "--cardinality", "6"], ["1000000"],
+                 ["1000000", "--cardinality", "3"], ["5000", "--cardinality", "2000"]):
+        start = time.process_time()
+        assert main(["zoo", "matching", *argv]) == 2
+        assert time.process_time() - start < 1
+        assert "refuses n > 10 " in capsys.readouterr().err
 
 
 def _birkhoff3():

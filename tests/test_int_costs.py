@@ -192,7 +192,7 @@ def reference_image_violations(q, proj, p):
         q, [(zero, "min")] + [(proj.pull_back(a) if proj.matrix else zero, s) for _, a, _, s in checks]
     )
     if first.status == INFEASIBLE:
-        return first, []
+        return None, []
     fails = []
     for (i, a, b, sense), r in zip(checks, results):
         value = None if r.status == UNBOUNDED else r.optimum + linalg.dot(a, proj.offset)
@@ -203,7 +203,8 @@ def reference_image_violations(q, proj, p):
 
 def _outcome(found):
     first, fails = found
-    return first.status, first.primal_point, [(i, r.status, value, r.primal_point, r.dual_certificate) for i, r, value in fails]
+    point = None if first is None else first.primal_point
+    return point, [(i, r.status, value, r.primal_point, r.dual_certificate) for i, r, value in fails]
 
 
 @st.composite

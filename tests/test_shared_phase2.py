@@ -10,6 +10,7 @@ Bland paths agree, so it must give every cost the reference's result
 pivots for a single cost.
 """
 
+import tracemalloc
 from fractions import Fraction
 from functools import partial
 from math import lcm
@@ -188,3 +189,27 @@ def test_the_reference_makes_the_parent_pivots(monkeypatch):
     each, ref_pivots = _counted(verify)
     assert (pivots, ref_pivots) == (71, 85)
     assert shared == each
+
+
+def test_parted_costs_keep_one_tableau_copy_alive():
+    # z_i + s_i = 1, i < 40: phase 1 leaves every z_i basic, and cost z_k
+    # enters s_k, so the 40 costs part at the first basis and each pivots
+    # once; that basis is kept once and each column's copy dies with it, so
+    # the call peaks near the per-cost loop (about 6 tableaux), not 40
+    k = 40
+    rows = [[int(j in (i, k + i)) for j in range(2 * k)] + [1] for i in range(k)]
+    costs = [([int(j == i) for j in range(2 * k)], 1) for i in range(k)]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        copy = [row[:] for row in rows]
+        one = tracemalloc.get_traced_memory()[0] - base
+        del copy
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        got, pivots = _counted(SOLVE, rows, [1] * k, costs)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert [r.value for r in got] == [0] * k and pivots == k + k
+    assert peak < 10 * one
