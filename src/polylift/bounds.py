@@ -53,8 +53,8 @@ class FaceLattice:
 def face_lattice(hrep: HPoly, vrep: VPoly, *, max_facets: int = 10, max_vertices: int = 12) -> FaceLattice:
     """All faces of the polytope: P itself, the empty face, and every
     nonempty intersection of the facet masks (`_closed_sets`), where a facet
-    mask holds the vertices tight at one inequality: the zero pattern of the
-    row's slacks (`_zero_masks`).
+    mask holds the vertices tight at one inequality: the complement of the
+    support of the row's slacks (`_row_supports`).
 
     Dimensions come from the grading, by size: dim(empty) = -1 and dim(F) =
     1 + max dim(F & m) over the facet masks m with F & m != F (0 for a point
@@ -76,18 +76,35 @@ def face_lattice(hrep: HPoly, vrep: VPoly, *, max_facets: int = 10, max_vertices
     for v in vrep.vertices:
         if not hrep.contains(v):
             raise InputError("a listed vertex violates the inequality description")
-    return _lattice(len(vrep.vertices), _zero_masks(_slacks(hrep, vrep.vertices)))
+    return _lattice(len(vrep.vertices), _row_supports(_slacks(hrep, vrep.vertices)))
 
 
-def _zero_masks(rows) -> list[int]:
-    """Each row's zero pattern: bit j is set when row[j] is 0."""
-    return [sum(1 << j for j, s in enumerate(row) if not s) for row in rows]
+def _row_supports(rows) -> list[int]:
+    """Each row's support, as a bitmask: bit j is set when row[j] is not 0.
+    The one reader of the zero pattern in this module."""
+    return [sum(1 << j for j, s in enumerate(row) if s) for row in rows]
 
 
-def _lattice(nv: int, facet_masks: list) -> FaceLattice:
-    """The face lattice of a polytope with nv vertices from its facet masks:
-    `face_lattice` without its checks, for a caller that holds the masks."""
-    faces = _closed_sets(facet_masks) | {(1 << nv) - 1, 0}
+def _bits(mask: int) -> tuple:
+    """The positions of the set bits of mask, in increasing order.  Built
+    from a list, as are the searches' other tuples: a tuple built from a
+    generator is over-allocated, then shrunk, which fragments the heap."""
+    return tuple([j for j in range(mask.bit_length()) if mask >> j & 1])
+
+
+def _support_entries(supports) -> list[tuple]:
+    """The support entries (i, j), row-major, as `SlackMatrix.support` lists
+    them."""
+    return [(i, j) for i, s in enumerate(supports) for j in range(s.bit_length()) if s >> j & 1]
+
+
+def _lattice(nv: int, supports: list) -> FaceLattice:
+    """The face lattice of a polytope with nv vertices from its rows'
+    supports, whose complements are the facet masks: `face_lattice` without
+    its checks, for a caller that holds the supports."""
+    full = (1 << nv) - 1
+    facet_masks = [full ^ s for s in supports]
+    faces = _closed_sets(facet_masks) | {full, 0}
     ordered = sorted(faces, key=lambda m: (m.bit_count(), m))
     dim = {0: -1}
     for f in ordered[1:]:
@@ -139,51 +156,29 @@ class CoverResult:
         return self.status == EXACT
 
 
-def _maximal_rectangles(entries):
-    """All inclusion-maximal support rectangles, as (row mask, col mask).
-
-    Their column sets are the closed sets of the row supports, each paired
-    with the rows that contain it.  They are listed by lowest row, then by
-    the smallest column subset whose closure they are: the order in which
-    a scan of every column subset of every row support meets them, which
-    fixes the branching order of the cover search.
-    """
-    m = len(entries)
-    n = len(entries[0]) if m else 0
-    row_support = [sum(1 << j for j in range(n) if entries[i][j]) for i in range(m)]
-
-    def rows_of(jmask):
-        return sum(1 << r for r in range(m) if row_support[r] & jmask == jmask)
-
-    def first_met(rect):
-        # the lowest row, and the numerically smallest nonempty column set
-        # with the same rows: drop each column, highest first, that the
-        # rows do not need
-        imask, gen = rect
-        for j in reversed(range(n)):
-            smaller = gen & ~(1 << j)
-            if gen >> j & 1 and smaller and rows_of(smaller) == imask:
-                gen = smaller
-        return imask & -imask, gen
-
-    return sorted(((rows_of(jmask), jmask) for jmask in _closed_sets(row_support)), key=first_met)
+def _maximal_rectangles(supports):
+    """All inclusion-maximal support rectangles, as (row mask, col mask), by
+    increasing col mask: the closed sets of the row supports, each with the
+    rows that hold it.  This order is the cover search's branching order."""
+    return [
+        (sum(1 << i for i, s in enumerate(supports) if s & jmask == jmask), jmask)
+        for jmask in sorted(_closed_sets(supports))
+    ]
 
 
-def _compatibility(slack: SlackMatrix, support) -> list[int]:
+def _compatibility(supports, ncols: int, support) -> list[int]:
     """For each support entry a, the mask of the entries b compatible with
-    it (never a): entries[ia][jb] or entries[ib][ja] is 0, so b lies in a
-    column where row ia is 0 or in a row where column ja is 0.  The masks
-    summed below are disjoint, so each sum is a union."""
-    entries = slack.entries
-    in_row = [0] * slack.nrows
-    in_col = [0] * slack.ncols
+    it (never a): column jb is outside row ia's support, or column ja is
+    outside row ib's, so b lies in a column where row ia is 0 or in a row
+    where column ja is 0.  The masks summed below are disjoint, so each sum
+    is a union."""
+    in_row = [0] * len(supports)
+    in_col = [0] * ncols
     for t, (i, j) in enumerate(support):
         in_row[i] |= 1 << t
         in_col[j] |= 1 << t
-    by_row = [sum(in_col[j] for j, x in enumerate(row) if x == 0) for row in entries]
-    by_col = [
-        sum(in_row[i] for i, row in enumerate(entries) if row[j] == 0) for j in range(slack.ncols)
-    ]
+    by_row = [sum(c for j, c in enumerate(in_col) if not s >> j & 1) for s in supports]
+    by_col = [sum(c for c, s in zip(in_row, supports) if not s >> j & 1) for j in range(ncols)]
     return [by_row[i] | by_col[j] for i, j in support]
 
 
@@ -212,15 +207,14 @@ def rectangle_cover_min(slack: SlackMatrix, budget: int = 200_000) -> CoverResul
     """
     if budget < 0:
         raise InputError(f"search budget must be nonnegative, got {budget}")
-    entries = slack.entries
-    support = slack.support()
+    supports = _row_supports(slack.entries)
+    support = _support_entries(supports)
     if not support:
         return CoverResult(EXACT, 0, RectangleCover(()))
-    n = slack.ncols
     if len(support) > EXACT_SUPPORT_LIMIT:
-        cover = _greedy_cover(support, entries, n)
+        cover = _greedy_cover(support, supports)
         return CoverResult(GREEDY, len(cover), RectangleCover(tuple(cover)))
-    rects = _maximal_rectangles(entries)
+    rects = _maximal_rectangles(supports)
 
     rect_sets = [
         sum(1 << t for t, (i, j) in enumerate(support) if imask >> i & 1 and jmask >> j & 1)
@@ -231,8 +225,8 @@ def rectangle_cover_min(slack: SlackMatrix, budget: int = 200_000) -> CoverResul
         [r for r in range(len(rects)) if rect_sets[r] >> t & 1] for t in range(len(support))
     ]
 
-    greedy = _greedy_cover(support, entries, n)
-    compat = _compatibility(slack, support)
+    greedy = _greedy_cover(support, supports)
+    compat = _compatibility(supports, slack.ncols, support)
     best: list[int] = []
     best_size = len(greedy) + 1
     nodes = 0
@@ -267,32 +261,24 @@ def rectangle_cover_min(slack: SlackMatrix, budget: int = 200_000) -> CoverResul
             chosen.pop()
 
     bb([], 0)
+    bb = None  # bb refers to itself: break the cycle, so its tables go now
     if exceeded:
         return CoverResult(EXCEEDS_BUDGET, None, None, nodes)
-    out = []
-    for r in best:
-        imask, jmask = rects[r]
-        out.append(
-            (
-                tuple(i for i in range(slack.nrows) if imask >> i & 1),
-                tuple(j for j in range(n) if jmask >> j & 1),
-            )
-        )
-    return CoverResult(EXACT, best_size, RectangleCover(tuple(out)), nodes)
+    out = tuple([(_bits(rects[r][0]), _bits(rects[r][1])) for r in best])
+    return CoverResult(EXACT, best_size, RectangleCover(out), nodes)
 
 
-def _greedy_cover(support, entries, ncols):
-    """Greedy set cover by maximal rectangles grown from uncovered entries."""
-    m = len(entries)
+def _greedy_cover(support, supports):
+    """Greedy set cover by maximal rectangles grown from uncovered entries:
+    from (i, j), all columns of row i and every row that holds them (the
+    columns those rows share are row i's again)."""
     uncovered = set(support)
     out = []
     while uncovered:
-        i, j = min(uncovered)
-        # grow a maximal rectangle from (i, j): all columns of row i, closed
-        jmask = [c for c in range(ncols) if entries[i][c]]
-        rows = [r for r in range(m) if all(entries[r][c] for c in jmask)]
-        cols = [c for c in range(ncols) if all(entries[r][c] for r in rows)]
-        out.append((tuple(rows), tuple(cols)))
+        s = supports[min(uncovered)[0]]
+        rows = tuple([r for r, t in enumerate(supports) if t & s == s])
+        cols = _bits(s)
+        out.append((rows, cols))
         uncovered -= {(r, c) for r in rows for c in cols}
     return out
 
@@ -351,11 +337,12 @@ def fooling_set_max(slack: SlackMatrix, budget: int = 500_000) -> FoolingResult:
     """
     if budget < 0:
         raise InputError(f"search budget must be nonnegative, got {budget}")
-    support = slack.support()
+    supports = _row_supports(slack.entries)
+    support = _support_entries(supports)
     ne = len(support)
     if ne == 0:
         return FoolingResult(EXACT, FoolingSet(()))
-    compat = _compatibility(slack, support)
+    compat = _compatibility(supports, slack.ncols, support)
     full = (1 << ne) - 1
     shut = [full & ~(c | 1 << v) for v, c in enumerate(compat)]
     best_idx = _greedy_clique(compat, full)
@@ -391,6 +378,7 @@ def fooling_set_max(slack: SlackMatrix, budget: int = 500_000) -> FoolingResult:
             clique.pop()
 
     bb([], full)
+    bb = None  # bb refers to itself: break the cycle, so classes_of goes now
     chosen = tuple(support[t] for t in sorted(best_idx))
     status = GREEDY if exceeded else EXACT
     return FoolingResult(status, FoolingSet(chosen), nodes)
@@ -448,9 +436,9 @@ def xc_bounds(
     bounds["rank"] = (rank_bound(sm), True)
     nv = len(vrep.vertices)
     if len(hrep.ineqs) <= LATTICE_LIMITS[0] or nv <= LATTICE_LIMITS[1]:
-        # face_lattice's facet masks, read off sm: the binding check has
-        # placed every point in P, and a row's mask is its zero pattern
-        bounds["log_faces"] = (log_face_bound(_lattice(nv, _zero_masks(sm.entries))), True)
+        # face_lattice's row supports, read off sm: the binding check has
+        # placed every point in P
+        bounds["log_faces"] = (log_face_bound(_lattice(nv, _row_supports(sm.entries))), True)
     cov = rectangle_cover_min(sm, budget=cover_budget)
     if cov.is_exact():
         bounds["rectangle_cover"] = (cov.size, True)
@@ -507,41 +495,32 @@ def embedding_check(
 ) -> bool:
     """Mapping each face of P to its preimage in Q embeds L(P) into L(Q).
 
-    Confirms that every preimage is a face of Q and that the map is injective
-    on the computed lattices, each of at most 12 facets or at most 12
-    vertices; it keeps order by construction, so it is then strictly
-    order-preserving.  Raises InputError when ext_vrep, given for Q's
-    vertices, does not span Q.
+    Confirms that the map is injective on P's face lattice, of at most 12
+    facets or at most 12 vertices.  Q's lattice is not built: once p(Q)
+    lies in P, each preimage is a face of Q, and the map keeps order by
+    construction, so it is then strictly order-preserving.  Raises
+    InputError when ext_vrep, given for Q's vertices, does not span Q.
     """
     if ext_vrep is not None and not poly_equal(ext.q, ext_vrep):
         raise InputError("ext_vrep does not span the extension's Q")
     lp = face_lattice(target_hrep, target_vrep, max_facets=12, max_vertices=12)
     qv = ext_vrep if ext_vrep is not None else vertices(ext.q)
-    lq = face_lattice(ext.q, qv, max_facets=12, max_vertices=12)
-    q_faces = set(lq.faces)
-
-    nv = len(target_vrep.vertices)
-    nq = len(qv.vertices)
     proj_pts = [ext.proj.apply(u) for u in qv.vertices]
     # only verified extensions can embed; a P without vertices has only the
     # empty face, whose preimage is empty whatever Q projects to
-    if nv and not all(target_hrep.contains(x) for x in proj_pts):
+    if target_vrep.vertices and not all(target_hrep.contains(x) for x in proj_pts):
         return False
-    # each row's zero pattern at P's vertices and at the projected vertices
-    tight_p = _zero_masks(_slacks(target_hrep, target_vrep.vertices))
-    tight_q = _zero_masks(_slacks(target_hrep, proj_pts))
+    # each row's support at P's vertices and at the projected vertices
+    loose_p = _row_supports(_slacks(target_hrep, target_vrep.vertices))
+    loose_q = _row_supports(_slacks(target_hrep, proj_pts))
     images = []
     for fmask in lp.faces:
-        if fmask == 0:
-            images.append(0)  # the preimage of the empty face is empty
-            continue
-        # the face equals {x in P : rows tight}, rows = its full tight row set
-        gmask = (1 << nq) - 1
-        for tp, tq in zip(tight_p, tight_q):
-            if tp & fmask == fmask:
-                gmask &= tq
-        if gmask not in q_faces:
-            return False
+        # the face equals {x in P : rows tight}, rows = its full tight row
+        # set; the empty face's preimage is empty
+        gmask = (1 << len(proj_pts)) - 1 if fmask else 0
+        for sp, sq in zip(loose_p, loose_q):
+            if not sp & fmask:
+                gmask &= ~sq
         images.append(gmask)
     # F1 inside F2 has every row tight on F2 tight on it, so G1 is inside
     # G2: the map keeps order, and strictly once it is injective

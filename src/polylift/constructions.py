@@ -743,9 +743,10 @@ def covering_coloring_family(
             classes = [[v for v in range(n) if z.assignment[v] == c] for c in range(colors)]
             return sum([1 << index[tuple(sorted(w))] for w in product(*classes)])
 
-        # each round takes the first candidate that covers the most uncovered
-        # subsets, counted on the bitmasks, made once; with none left that
-        # covers one, a coloring targeted at the first uncovered subset
+        # each round takes, out of the pool, the first candidate that covers
+        # the most uncovered subsets, counted on the bitmasks, made once; with
+        # none left that covers one, a coloring targeted at the first
+        # uncovered subset (a pool copy of it would have covered that subset)
         covers = [cover_of(z) for z in pool]
         uncovered = (1 << len(subsets)) - 1
         while uncovered:
@@ -753,7 +754,7 @@ def covering_coloring_family(
             top = max(counts, default=0)
             if top:
                 i = counts.index(top)
-                best, cover = pool[i], covers[i] & uncovered
+                best, cover = pool.pop(i), covers.pop(i) & uncovered
             else:
                 best = make_targeted(subsets[(uncovered & -uncovered).bit_length() - 1])
                 cover = cover_of(best) & uncovered
@@ -764,9 +765,6 @@ def covering_coloring_family(
                 low = cover & -cover
                 witness[low.bit_length() - 1] = fid
                 cover ^= low
-            if best in pool:
-                i = pool.index(best)
-                del pool[i], covers[i]
     # exhaustive re-check of the certificate, independent of the greedy run
     complete = True
     for s, w in enumerate(subsets):

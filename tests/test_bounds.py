@@ -1,5 +1,8 @@
+import ast
+import gc
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -216,12 +219,12 @@ def _zoo_pairs():
 
 
 def test_lattice_from_slack_zero_pattern_equals_face_lattice():
-    # the masks xc_bounds reads off its slack matrix give face_lattice's lattice
+    # the supports xc_bounds reads off its slack matrix give face_lattice's lattice
     for h, v in _zoo_pairs():
         sm = slack_matrix(h, v)
-        masks = [sum(1 << j for j, s in enumerate(row) if not s) for row in sm.entries]
+        supports = [sum(1 << j for j, s in enumerate(row) if s) for row in sm.entries]
         lat = bd.face_lattice(h, v, max_facets=100, max_vertices=100)
-        assert bd._lattice(len(v.vertices), masks) == lat
+        assert bd._lattice(len(v.vertices), supports) == lat
         if len(h.ineqs) <= 10 or len(v.vertices) <= 12:
             rep = bd.xc_bounds(h, v, fooling_budget=2_000)
             assert rep.bounds["log_faces"] == (bd.log_face_bound(lat), True)
@@ -388,6 +391,28 @@ def test_fooling_entries_pairwise_conflicting():
         assert sm.entries[i][j2] == 0 or sm.entries[i2][j] == 0
 
 
+def test_searches_leave_no_cyclic_garbage():
+    # each search's recursive closure refers to itself; the search breaks
+    # that cycle on return, so its tables (the fooling search's class
+    # counts, one per node at most) are freed then, not at a later collection
+    st4 = (zoo.spanning_tree_hrep(4), zoo.spanning_tree_vrep(4))
+    sm4 = slack_matrix(*st4)
+    m4 = slack_matrix(zoo.matching_hrep(4), zoo.matching_vrep(4))
+    runs = [
+        lambda: bd.fooling_set_max(sm4, budget=15_000),
+        lambda: bd.rectangle_cover_min(m4),
+        lambda: bd.xc_bounds(*st4, fooling_budget=15_000),
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for run in runs:
+            run()
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_rank_bound():
     assert bd.rank_bound(plain_slack([[0, 0], [0, 0]])) == 0
     tri = HPoly(2, [([-1, 0], 0), ([0, -1], 0), ([1, 1], 1)])
@@ -550,16 +575,30 @@ def test_embedding_rejects_two_faces_with_one_preimage():
     assert bd.embedding_check(hull(VPoly(2, [(0, 0), (1, 0)])), VPoly(2, [(0, 0), (1, 0)]), ext)
 
 
+def test_embedding_builds_no_lattice_of_q():
+    # Q = cube(7), of 14 facets and 128 vertices, onto its first coordinate:
+    # Q is past the face lattice's size guard, but only P's lattice is built
+    seg = HPoly(1, [((-1,), 0), ((1,), 1)])
+    ext = cx.Extension(zoo.cube_hrep(7), AffineMap([[1, 0, 0, 0, 0, 0, 0]], [0]), 1, "x0")
+    assert bd.embedding_check(seg, VPoly(1, [(0,), (1,)]), ext)
+    with pytest.raises(SizeLimitError):
+        bd.face_lattice(ext.q, vertices(ext.q), max_facets=12, max_vertices=12)
+
+
 def reference_embedding_check(target_hrep, target_vrep, ext, ext_vrep):
-    """`embedding_check` with its former order loop: F1 inside F2 must give
-    G1 a proper subset of G2."""
+    """`embedding_check` with its former order loop (F1 inside F2 must give
+    G1 a proper subset of G2) and with Q's face lattice, which each preimage
+    must be in."""
     lp = bd.face_lattice(target_hrep, target_vrep, max_facets=12, max_vertices=12)
     lq = bd.face_lattice(ext.q, ext_vrep, max_facets=12, max_vertices=12)
     proj_pts = [ext.proj.apply(u) for u in ext_vrep.vertices]
     if target_vrep.vertices and not all(target_hrep.contains(x) for x in proj_pts):
         return False
-    tight_p = bd._zero_masks(bd._slacks(target_hrep, target_vrep.vertices))
-    tight_q = bd._zero_masks(bd._slacks(target_hrep, proj_pts))
+
+    def tight(pts):
+        return [sum(1 << j for j, s in enumerate(row) if not s) for row in bd._slacks(target_hrep, pts)]
+
+    tight_p, tight_q = tight(target_vrep.vertices), tight(proj_pts)
     images = []
     for fmask in lp.faces:
         gmask = (1 << len(ext_vrep.vertices)) - 1 if fmask else 0
@@ -644,11 +683,9 @@ def slack_supports(draw):
 @settings(deadline=None, derandomize=True, max_examples=300)
 @given(zero_one_matrices())
 def test_closed_set_rectangles_match_subset_enumeration(entries):
-    got = bd._maximal_rectangles(entries)
+    got = bd._maximal_rectangles(bd._row_supports(entries))
     ref = reference_maximal_rectangles(entries)
-    assert set(got) == set(ref)
-    # in the same order too, so the cover search branches as before
-    assert got == ref
+    assert set(got) == set(ref) and len(got) == len(ref)
 
 
 def assert_fooling(sm, ents):
@@ -735,3 +772,61 @@ def test_face_lattice_matches_fraction_reference(hv):
     h, v = hv
     lat = bd.face_lattice(h, v, max_facets=100, max_vertices=100)
     assert (lat.faces, lat.dims) == reference_face_lattice(h, v)
+
+
+# ---------------------------------------------------------------------------
+# One reader of the zero pattern
+# ---------------------------------------------------------------------------
+
+# the searches and their helpers read the support only as the row bitmasks
+# of `_row_supports`: none calls `support()`, and none reads `entries` but
+# as the argument of `_row_supports`, so a second reader of the zero
+# pattern cannot come back unnoticed
+SUPPORT_READERS = ("rectangle_cover_min", "fooling_set_max", "_maximal_rectangles", "_compatibility",
+                   "_greedy_cover")
+
+
+def _name(node):
+    """The name a node reads: x or obj.x, else None."""
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def _second_support_readers(path):
+    """(function, line) of each `support` call and each read of `entries`
+    other than `_row_supports(... .entries)` inside the top-level functions
+    of SUPPORT_READERS, by line, and (function, None) for each of them the
+    file does not define."""
+    tree = ast.parse(path.read_text(), str(path))
+    defined = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name in SUPPORT_READERS}
+    out = [(f, None) for f in SUPPORT_READERS if f not in defined]
+    for f, node in defined.items():
+        calls = [n for n in ast.walk(node) if isinstance(n, ast.Call)]
+        passed = {id(a) for n in calls if _name(n.func) == "_row_supports" for a in n.args}
+        reads = [n.lineno for n in calls if _name(n.func) == "support"]
+        reads += [n.lineno for n in ast.walk(node)
+                  if isinstance(n, (ast.Name, ast.Attribute)) and _name(n) == "entries" and id(n) not in passed]
+        out += [(f, line) for line in sorted(reads)]
+    return out
+
+
+def test_bounds_reads_the_zero_pattern_once():
+    assert _second_support_readers(Path(bd.__file__)) == []
+
+
+def test_the_support_reader_check_sees_a_second_reader(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "def rectangle_cover_min(slack, budget):\n"
+        "    return slack.support(), _row_supports(slack.entries)\n"
+        "def fooling_set_max(slack, budget):\n"
+        "    return support(slack), slack.entries[0][1]\n"
+        "def _greedy_cover(support, entries):\n"
+        "    return [r for r in support if entries[r[0]]]\n"
+        "def _compatibility(slack, support):\n"
+        "    rows = slack.entries\n"
+        "def other(entries):\n"
+        "    return entries[0]\n"
+    )
+    assert _second_support_readers(path) == [
+        ("_maximal_rectangles", None), ("rectangle_cover_min", 2), ("fooling_set_max", 4),
+        ("fooling_set_max", 4), ("_greedy_cover", 6), ("_compatibility", 8)]

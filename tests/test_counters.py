@@ -388,10 +388,11 @@ def test_spanning_tree4_fooling_budget_runs_out():
 
 
 def test_rectangle_cover_nodes():
-    b3 = zoo.birkhoff_hrep(3)
+    b3, c3 = zoo.birkhoff_hrep(3), zoo.cube_hrep(3)
     cases = (
         (zoo.matching_hrep(4), zoo.matching_vrep(4), 10, 51),
         (b3, kernel.vertices(b3), 6, 13),
+        (c3, kernel.vertices(c3), 6, 181),
     )
     for h, v, size, nodes in cases:
         res = bounds.rectangle_cover_min(slack.slack_matrix(h, v))

@@ -226,8 +226,9 @@ entries = st.one_of(st.just(ZERO), st.just(ZERO), fractions)
 @st.composite
 def standard_problems(draw):
     """(rows, rhs, costs, lex) with fractional entries, rows of mixed sign,
-    some feasible by construction, duplicate and dependent rows, and
-    columns that may let a cost fall without bound."""
+    some feasible by construction, duplicate and dependent rows, columns
+    that may let a cost fall without bound, and batches with costs that
+    share Bland steps."""
     n = draw(st.integers(1, 8))
     m = draw(st.integers(0, 6))
     rows = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(m)]
@@ -245,6 +246,13 @@ def standard_problems(draw):
         rows.append([s * x + t * y for x, y in zip(rows[i], rows[k])])
         rhs.append(s * rhs[i] + t * rhs[k] + draw(st.sampled_from([ZERO, ZERO, ONE])))
     costs = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=1, max_size=4))
+    for _ in range(draw(st.integers(0, 2))):
+        # a cost again, a positive multiple of one, or the zero cost, placed
+        # anywhere: such costs share phase-2 steps with another of the batch
+        c = draw(st.sampled_from(costs))
+        k = draw(fractions.map(abs).filter(bool))
+        twin = draw(st.sampled_from([c, [k * x for x in c], [ZERO] * n]))
+        costs.insert(draw(st.integers(0, len(costs))), twin)
     return rows, rhs, costs, draw(st.booleans())
 
 
