@@ -95,9 +95,11 @@ def _header(header, usage):
 def _block(lines, count, what, width, expected, sep=None, at=None):
     """count rows of a block: width rationals each, or, given sep, pairs of
     width coefficients and the rhs that follows sep.  A row with no token
-    reads no line.  Each row's line number (None when it has none) goes to at."""
+    reads no line.  Each row's line number (None when it has none) goes to at.
+    Each distinct token is parsed once, where it first occurs."""
     size = width + 2 if sep else width
     rows = []
+    memo = {}  # token -> its value
     for _ in range(count):
         lineno, toks = next(lines, (None, None)) if size else (None, [])
         if at is not None:
@@ -108,7 +110,7 @@ def _block(lines, count, what, width, expected, sep=None, at=None):
             raise ParseError(f"expected {expected}", lineno)
         if sep:
             del toks[width]
-        row = [_parse_frac(t, lineno) for t in toks]
+        row = [memo[t] if t in memo else memo.setdefault(t, _parse_frac(t, lineno)) for t in toks]
         rows.append((row[:width], row[width]) if sep else row)
     return rows
 

@@ -682,8 +682,11 @@ def _lex_fibers(q: HPoly, matrix, rhss, lead: int) -> list:
             out.append(None)
         else:
             point = _back_point(red, res, var_cols)
-            if point[:lead] != tuple([r.value - Fraction(b, d) for r, (_, b, d) in zip(results, objs[:lead])]):
-                raise InvariantViolationError("lexicographic point disagrees with its coordinate minima")
+            # each coordinate's minimum is r.value - b/d, checked by cross-multiplying
+            for x, r, (_, b, d) in zip(point, results, objs):
+                v = r.value
+                if x.numerator * v.denominator * d != (v.numerator * d - b * v.denominator) * x.denominator:
+                    raise InvariantViolationError("lexicographic point disagrees with its coordinate minima")
             out.append(point)
     return out
 
@@ -710,7 +713,8 @@ def _max_common_slack(dim: int, ineqs, eqs) -> tuple[Fraction, Vec]:
 def _affine_frame(poly: HPoly):
     """(eqs, x0, basis, den): aff(P) = {x0 + N t} with x0 a point of P and
     N's columns basis/den, integer vectors over den > 0, and eqs the
-    canonical equations of aff(P).  Raises on empty input.
+    canonical equations of aff(P), integer rows (c..., d) meaning c·x = d.
+    Raises on empty input.
 
     One fraction-free elimination of [C | d] over the explicit and implicit
     equations gives both: each pivot row, whose first nonzero is its pivot,
@@ -726,11 +730,7 @@ def _affine_frame(poly: HPoly):
     if not rows:
         return [], point, [[int(i == j) for j in range(dim)] for i in range(dim)], 1
     red, piv = linalg._eliminate([(*a, b) for a, b in rows])
-    eqs = []
-    for row in red[:len(piv)]:
-        *c, d = linalg._canonical_eq(row)
-        eqs.append((tuple([Fraction(x) for x in c]), Fraction(d)))
-    return (eqs, point, *linalg._nullspace_int(red, piv, dim))
+    return ([linalg._canonical_eq(row) for row in red[:len(piv)]], point, *linalg._nullspace_int(red, piv, dim))
 
 
 def _at_bound(poly: HPoly, rows, sense: str) -> list[bool]:
@@ -756,7 +756,7 @@ def affine_hull(poly: HPoly) -> list[tuple[Vec, Fraction]]:
     input.  Rows are canonical: coprime integer coefficients, first nonzero
     coefficient positive.
     """
-    return _affine_frame(poly)[0]
+    return [(tuple([Fraction(x) for x in c]), Fraction(d)) for *c, d in _affine_frame(poly)[0]]
 
 
 # ---------------------------------------------------------------------------

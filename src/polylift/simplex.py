@@ -12,7 +12,11 @@ barred from entering (it must stay 0 on the optimal face), and cost j+1
 starts from the current basis, so each cost is minimized over the optimal
 face of the costs before it.  Once every nonbasic column is barred, that
 face is the current point, and each cost left is read off it with no
-phase 2.
+phase 2.  Before that, a cost is priced over the free columns off the rows
+of its own basic columns alone (a coordinate's unit cost touches at most
+two rows), and only a cost that some free column improves builds a full
+objective row and takes phase 2.  This is the lexicographic simplex of
+Dantzig, Orden and Wolfe (1955), priced only where a column can move.
 
 A lex call may also be a batch over right-hand sides that share A (Lemke
 1954; Applegate, Cook, Dash and Espinoza 2007 on exact LP through basis
@@ -185,25 +189,26 @@ def solve_standard(rows, scales, costs, lex: bool = False, shifts=()) -> list:
     With `lex=True` result j minimizes costs[j] over the optimal face of
     costs[0..j-1] (lexicographic optimization): the costs share one tableau,
     and the list ends at the first UNBOUNDED result.  A cost whose face is a
-    single point gets that point and its value with no phase 2, the result
-    and pivots phase 2 would give.  A lex call is a batch over right-hand
-    sides and returns one such list per right-hand side: the rows' own b
-    first, then one per shift.  Each row whose b_i varies owns a unit
-    column, placed after A's columns with entry d_i as a slack's; each shift
-    lists, per unit column, how far that b_i moves from the right-hand side
-    before it.
+    single point, or that no free column improves, gets the current point
+    and its value with no phase 2, the result and pivots phase 2 would
+    give.  A lex call is a batch over right-hand sides and returns one such
+    list per right-hand side: the rows' own b first, then one per shift.
+    Each row whose b_i varies owns a unit column, placed after A's columns
+    with entry d_i as a slack's; each shift lists, per unit column, how far
+    that b_i moves from the right-hand side before it.
     """
     n = len(costs[0][0])
     basis, ok = _phase1(rows, scales, n)
     dropped = _drive_out(rows, basis, n) if ok or shifts else []
     if not lex:
         return _shared_phase2(rows, basis, costs, n) if ok else [StandardResult(status=INFEASIBLE) for _ in costs]
-    out = [_lex(rows, basis, costs, n) if ok else [StandardResult(status=INFEASIBLE) for _ in costs]]
+    supports = [[j for j, x in enumerate(icost) if x] for icost, _ in costs]
+    out = [_lex(rows, basis, costs, supports, n) if ok else [StandardResult(status=INFEASIBLE) for _ in costs]]
     for shift in shifts:
         # a dropped row reads 0 = its rhs, moved by its unit entries · shift
         _shift(rows + dropped, n, shift)
         ok = not any(row[-1] for row in dropped) and _dual(rows, basis, n)
-        out.append(_lex(rows, basis, costs, n) if ok else [StandardResult(status=INFEASIBLE) for _ in costs])
+        out.append(_lex(rows, basis, costs, supports, n) if ok else [StandardResult(status=INFEASIBLE) for _ in costs])
     return out
 
 
@@ -284,20 +289,45 @@ def _dual(tab, basis, n) -> bool:
         _pivot(tab, [], basis, leave, enter)
 
 
-def _lex(tab, basis, costs, n) -> list[StandardResult]:
-    """Lex mode's phase 2 from a feasible basis (see `solve_standard`)."""
+def _lex(tab, basis, costs, supports, n) -> list[StandardResult]:
+    """Lex mode's phase 2 from a feasible basis (see `solve_standard`);
+    supports[j] lists the nonzero columns of costs[j].  Phase 2 runs only
+    for a cost with a free column that prices negative (`_priced`); any
+    other cost is optimal where it stands, and `cols` narrows as phase 2
+    would narrow it."""
     out = []
     cols = list(range(n))
-    for cost in costs:
-        if len(cols) == len(basis):
-            # basic columns are never barred, so every nonbasic one is:
-            # the optimal face is the current point, and no column enters
-            out.append(_result(tab, basis, cost, None, n))
-            continue
-        out.append(_phase2(tab, basis, cost, cols))
-        if out[-1].status == UNBOUNDED:
-            break
+    at = None  # each basic column's row, and the basic solution, until a pivot
+    for cost, support in zip(costs, supports):
+        if at is None:
+            at, basic = {v: i for i, v in enumerate(basis)}, _basic(tab, basis)
+        # basic columns are never barred, so once every nonbasic one is, the
+        # optimal face is the current point and no column enters
+        if len(cols) > len(basis):
+            obj = _priced(tab, at, cost[0], support, cols)
+            if any(x < 0 for x in obj):
+                out.append(_phase2(tab, basis, cost, cols))
+                if out[-1].status == UNBOUNDED:
+                    break
+                at = None
+                continue
+            cols[:] = [j for j, x in zip(cols, obj) if not x]
+        out.append(StandardResult(status=OPTIMAL, point=partial(_point, basic, n), value=_value(basic, *cost)))
     return out
+
+
+def _priced(tab, at, icost, support, cols) -> list[int]:
+    """`_reduced(tab, basis, icost)` at cols, read off only the rows whose
+    basic column is in icost's support: with no such row, icost itself."""
+    rows = [(tab[at[v]], v) for v in support if v in at]
+    if not rows:
+        return [icost[j] for j in cols]
+    common = lcm(*[row[v] for row, v in rows])
+    obj = [common * icost[j] for j in cols]
+    for row, v in rows:
+        k = common * icost[v] // row[v]
+        obj = [x - k * row[j] for x, j in zip(obj, cols)]
+    return obj
 
 
 def _shared_phase2(tab, basis, costs, n) -> list[StandardResult]:

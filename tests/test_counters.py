@@ -111,6 +111,16 @@ def test_factorization_martin4_builds_one_lex_point_per_vertex(monkeypatch):
     assert counts == {"backs": 33, "points": 33}
 
 
+def test_factorization_martin4_builds_a_lex_reduced_row_per_lex_pivot(monkeypatch):
+    counts = _count_calls(monkeypatch, rows=(simplex, "_reduced", "_phase2"))
+    slack.extension_to_factorization(
+        cx.martin_spanning_tree_extension(4), zoo.spanning_tree_hrep(4), zoo.spanning_tree_vrep(4)
+    )
+    # the lex costs are priced off the rows of their basic columns, and only
+    # the 3 that pivot build a full reduced-cost row (240: one per lex cost)
+    assert counts == {"rows": 3}
+
+
 @pytest.mark.parametrize("hrep, vrep, eliminations", [
     (zoo.permutahedron_hrep(4), zoo.permutahedron_vrep(4), 2),
     (kernel.hull(zoo.cross_polytope_vrep(3)), zoo.cross_polytope_vrep(3), 1),

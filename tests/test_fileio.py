@@ -2,6 +2,7 @@
 test of the readers against a reference copy of the earlier per-format
 parsers."""
 
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -360,6 +361,67 @@ def test_ext_dimension_mismatch_names_the_hpoly_header_line():
         fileio.parse_extension("EXT 2 1\n# Q\nHPOLY 1 1 0\n1 <= 1\nPROJ\n1 0\n")
     assert info.value.line == 3
     assert str(info.value) == "EXT declares d=2 but HPOLY has dim 1 (line 3)"
+
+
+# ---------------------------------------------------------------------------
+# The token memo: each block parses each distinct token once.
+# ---------------------------------------------------------------------------
+
+def test_a_repeated_bad_token_names_its_first_line():
+    with pytest.raises(ParseError) as info:
+        fileio.parse_matrix("MATRIX 3 2\n1 0\n0 2/4\n2/4 1\n")
+    assert (str(info.value), info.value.line) == (
+        "bad rational '2/4', expected a canonical rational such as 3 or -1/2 (line 3)", 3)
+    with pytest.raises(ParseError) as info:
+        fileio.parse_hpoly("HPOLY 1 2 1\n-0 <= 1\n1 <= -0\n1 = 1\n")
+    assert info.value.line == 2
+
+
+# every entry of each format marked @
+TEMPLATES = [
+    (fileio.parse_matrix, "MATRIX 2 2\n@ @\n@ @\n"),
+    (fileio.parse_hpoly, "HPOLY 2 2 1\n@ @ <= @\n@ @ <= @\n@ @ = @\n"),
+    (fileio.sniff_poly, "VPOLY 2 2\n@ @\n@ @\n"),
+    (fileio.parse_extension, "EXT 1 2\nHPOLY 1 1 1\n@ <= @\n@ = @\nPROJ\n@ @\n@ @\n"),
+]
+
+
+@pytest.mark.parametrize("bad, twin", [("-0", "0"), ("2/4", "1/2"), ("1/1", "1")])
+@pytest.mark.parametrize("parse, template", TEMPLATES)
+def test_non_canonical_tokens_are_rejected_wherever_they_appear(bad, twin, parse, template):
+    # twin, the canonical token of bad's value, fills every other entry of
+    # the file, before and after bad
+    parts = template.split("@")
+    for k in range(1, len(parts)):
+        text = twin.join(parts[:k]) + bad + twin.join(parts[k:])
+        line = "".join(parts[:k]).count("\n") + 1
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert (str(info.value), info.value.line) == (
+            f"bad rational {bad!r}, expected a canonical rational such as 3 or -1/2 (line {line})", line)
+
+
+def test_repeated_entries_roundtrip_and_share_one_value_per_token():
+    third = F(-1, 3)
+    ext = cx.Extension(
+        HPoly(2, [([third, third], third), ([F(0), third], F(1))] * 2, [([third, F(0)], third)]),
+        AffineMap([[third, third], [F(0), F(0)], [third, F(1)]], [third, F(0), third]), 3, "repeated")
+    text = fileio.serialize_extension(ext)
+    back = fileio.parse_extension(text, name=ext.name)
+    assert _same_hpoly(back.q, ext.q)
+    assert (back.proj, back.target_dim) == (ext.proj, ext.target_dim)
+    assert fileio.serialize_extension(back) == text
+    m = fileio.parse_matrix("MATRIX 2 2\n-1/3 0\n0 -1/3\n")
+    assert m == linalg.mat([[third, 0], [0, third]]) and m[0][0] is m[1][1] and m[0][1] is m[1][0]
+
+
+def test_the_token_memo_is_local_to_each_call():
+    # no module-level cache: a second read builds its own values
+    text = "MATRIX 1 1\n-1/3\n"
+    assert fileio.parse_matrix(text)[0][0] is not fileio.parse_matrix(text)[0][0]
+    assert not [name for name, v in vars(fileio).items()
+                if not name.startswith("__") and (isinstance(v, (dict, set, list)) or hasattr(v, "cache_info"))]
+    assert list(inspect.signature(fileio._block).parameters) == ["lines", "count", "what", "width", "expected", "sep", "at"]
 
 
 # ---------------------------------------------------------------------------

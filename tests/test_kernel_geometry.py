@@ -725,7 +725,9 @@ def test_affine_frame_matches_the_fraction_route(poly):
         assert str(got.value) == str(want)
         return
     eqs, point, basis, den = kernel._affine_frame(poly)
-    assert eqs == want_eqs and point == want_point
+    # integer rows (c..., d), read as affine_hull reads them
+    assert all(type(x) is int for row in eqs for x in row)
+    assert [(tuple([F(x) for x in c]), F(d)) for *c, d in eqs] == want_eqs and point == want_point
     assert type(den) is int and den > 0 and all(type(x) is int for v in basis for x in v)
     assert [tuple(F(x, den) for x in v) for v in basis] == want_basis
     assert affine_hull(poly) == want_eqs

@@ -341,23 +341,31 @@ def lex_every_phase2(rows, scales, costs):
 
 def _assert_lex_same(rows, rhs, costs):
     """solve_standard(lex=True) and lex_every_phase2 give equal results and
-    make the same pivots; returns the results and the phase 2 count of
-    solve_standard."""
-    phase2, calls = simplex._phase2, []
+    make the same pivots, and solve_standard builds a full reduced-cost row
+    (`_reduced`) only for a cost that then pivots or is unbounded; returns
+    its results and its calls of `_reduced` and `_pivot` in order, as
+    "reduced" and "pivot"."""
+    reduced, pivot, events = simplex._reduced, simplex._pivot, []
 
-    def counted(*args):
-        calls.append(1)
-        return phase2(*args)
+    def logged(name, fn):
+        def wrapper(*args):
+            events.append(name)
+            return fn(*args)
 
-    simplex._phase2 = counted
+        return wrapper
+
+    simplex._reduced, simplex._pivot = logged("reduced", reduced), logged("pivot", pivot)
     try:
         got = _recorded(simplex, _solve_one_rhs, *_integer_rows(rows, rhs), [int_cost(c) for c in costs], lex=True)
     finally:
-        simplex._phase2 = phase2
+        simplex._reduced, simplex._pivot = reduced, pivot
     want = _recorded(simplex, lambda *a, lex: lex_every_phase2(*a), *_integer_rows(rows, rhs),
                      [int_cost(c) for c in costs], lex=True)
     assert got == want
-    return got[0], len(calls)
+    for i, e in enumerate(events):
+        if e == "reduced":
+            assert events[i + 1:i + 2] == ["pivot"] or (i + 1 == len(events) and got[0][-1].status == UNBOUNDED)
+    return got[0], events
 
 
 @st.composite
@@ -388,15 +396,19 @@ def test_lex_point_stop_matches_every_phase2(case):
 
 
 def test_lex_point_stop_skips_phase2():
-    # z0 + z1 = 1, z2 + z3 = 1: min z0 bars z0, min z1 bars nothing, min z2
-    # bars z2, and the face {z1 = z3 = 1} is a point, so min z3 takes no phase 2
+    # z0 + z1 = 1, z2 + z3 = 1 from the basis {z0, z2}: min z0 pivots z1 in
+    # and bars z0, min z1 is optimal there and bars nothing, min z2 pivots z3
+    # in and bars z2, and the face {z1 = z3 = 1} is a point
     rows = [[ONE, ONE, ZERO, ZERO], [ZERO, ZERO, ONE, ONE]]
     costs = [[ONE if k == j else ZERO for k in range(4)] for j in range(4)]
-    results, phase2s = _assert_lex_same(rows, [ONE, ONE], costs)
-    assert phase2s == 3
+    results, events = _assert_lex_same(rows, [ONE, ONE], costs)
     assert results[3] == StandardResult(OPTIMAL, point=[ZERO, ONE, ZERO, ONE], value=ONE)
-    # one feasible point from the start: no phase 2 at all, and no list shared
-    results, phase2s = _assert_lex_same([[F(1, 2), ZERO], [ZERO, F(2)]], [ONE, ONE], [[ONE, ONE], [ONE, -ONE]])
-    assert phase2s == 0
+    # min z3, past the one-point face, makes no pivot and builds no row
+    assert _assert_lex_same(rows, [ONE, ONE], costs[:3])[1] == events
+    # a full reduced-cost row only for the two costs that pivot, not for min z1
+    assert events.count("reduced") == 2
+    # one feasible point from the start: no reduced-cost row at all, and no list shared
+    results, events = _assert_lex_same([[F(1, 2), ZERO], [ZERO, F(2)]], [ONE, ONE], [[ONE, ONE], [ONE, -ONE]])
+    assert "reduced" not in events
     assert [(r.point, r.value) for r in results] == [([F(2), F(1, 2)], F(5, 2)), ([F(2), F(1, 2)], F(3, 2))]
     assert results[0].point is not results[1].point
